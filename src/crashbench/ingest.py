@@ -3,8 +3,12 @@
 Crash, vehicle, and person tables are joined by crash id.  Parsing is
 deterministic: identical source bytes and config yield the identical
 record list and report, and record order follows crash-row input order.
-Rows are never silently dropped; every skip lands in the ingest report,
-and rows read always equals records emitted plus rows skipped.
+Rows are never silently dropped: every crash, unit and person row is
+either used or skipped with a reason in the ingest report, so for each
+table rows read equals rows used plus rows skipped.
+
+Each table's header is read once and the mapping config is compiled
+against it (``MappingConfig.compile``); rows are then read as plain lists.
 
 Records missing coordinates can be filled by a pluggable geocoder
 client.  Only stub and file-cache (replay) clients ship here; a live
@@ -16,20 +20,28 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from enum import Enum
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Protocol, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Union
 
 from .mapping import (
     CRASH_REQUIRED,
-    MappingConfig,
+    PERSON_REQUIRED,
+    UNIT_REQUIRED,
     VMT_REQUIRED,
+    Column,
+    MappingConfig,
+    Resolver,
     parse_bool_token,
     parse_enum_token,
 )
 from .model import (
     COMPASS_OCTANTS,
     CrashBenchError,
+    ContactEvent,
     CrashRecord,
     DataError,
     FunctionalClass,
@@ -47,6 +59,38 @@ from .model import (
 )
 
 RowSource = Union[str, Path, io.TextIOBase, Iterable[str]]
+# (1-based row number, raw values in header order)
+Rows = Iterator[tuple[int, list[str]]]
+
+_CRASH_FIELDS = CRASH_REQUIRED + (
+    "latitude", "longitude", "primary_road", "secondary_road",
+    "worst_injury", "junction_relation", "manner_of_collision",
+)
+_UNIT_FIELDS = UNIT_REQUIRED + (
+    "unit.vehicle_class", "unit.in_transport", "unit.airbag",
+    "unit.travel_direction", "unit.maneuver", "unit.first_contact_event",
+)
+_PERSON_FIELDS = PERSON_REQUIRED + ("person.unit_id", "person.injury", "person.airbag")
+# Order of IngestReport.skipped across tables; within a table, row order.
+_SKIP_ORDER = {"unit": 0, "person": 1, "crash": 2}
+_SHARE_COLUMNS = ("state", "functional_class", "urban", "share")
+_EVENT_KEY = attrgetter("unit_id", "first_contact_event_index")
+
+
+class _CrashRow(NamedTuple):
+    """A validated crash row, waiting for its units and persons."""
+
+    state: str
+    county: str
+    year: int
+    location: Optional[LatLon]
+    primary_road: Optional[str]
+    secondary_road: Optional[str]
+    junction: JunctionRelation
+    manner: MannerOfCollision
+    # The crash-level worst injury and whether it counts as unknown; used
+    # only when no person row gives an injury.
+    worst: tuple[KabcoLevel, bool]
 
 
 class InconsistentVmtError(DataError):
@@ -70,6 +114,8 @@ class IngestReport:
     skipped: list[SkippedRow] = field(default_factory=list)
     unknown_counts: dict[str, int] = field(default_factory=dict)
     missing_location: int = 0
+    # Unit and person rows joined to an emitted crash record.
+    rows_attached: dict[str, int] = field(default_factory=dict)
 
     def count_unknown(self, fname: str) -> None:
         self.unknown_counts[fname] = self.unknown_counts.get(fname, 0) + 1
@@ -78,59 +124,76 @@ class IngestReport:
         self.skipped.append(SkippedRow(table, row_number, reason))
 
     def conserves_rows(self, table: str = "crash") -> bool:
+        """Rows read equal rows used plus rows skipped.  Crash rows are
+        used as records; unit and person rows by attaching to one."""
+        used = self.records_emitted if table == "crash" else self.rows_attached.get(table, 0)
         skipped = sum(1 for s in self.skipped if s.table == table)
-        return self.rows_read.get(table, 0) == self.records_emitted + skipped
+        return self.rows_read.get(table, 0) == used + skipped
 
 
-def _open_rows(source: RowSource, delimiter: str) -> Iterator[dict[str, str]]:
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            yield from csv.DictReader(fh, delimiter=delimiter)
-    else:
-        yield from csv.DictReader(source, delimiter=delimiter)
+@contextmanager
+def _open_table(source: RowSource, delimiter: str) -> Iterator[tuple[list[str], Rows]]:
+    """Read a table's header and yield it with the numbered rows after it.
+
+    Blank lines are skipped and do not advance the row number.  Short rows
+    are padded with empty values to the header's width, so their missing
+    trailing fields read as absent.
+    """
+    opened = (
+        open(source, newline="", encoding="utf-8")
+        if isinstance(source, (str, Path))
+        else nullcontext(source)
+    )
+    with opened as lines:
+        reader = csv.reader(lines, delimiter=delimiter)
+        header = next(reader, [])
+        yield header, _numbered(reader, len(header))
 
 
-def _header_of(source: RowSource, delimiter: str) -> list[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            return next(reader, [])
-    reader = csv.reader(source, delimiter=delimiter)
-    return next(reader, [])
+def _numbered(reader: Iterator[list[str]], width: int) -> Rows:
+    number = 0
+    for row in reader:
+        if row:
+            number += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield number, row
 
 
 def _check_header(
     table: str,
-    source: RowSource,
+    header: list[str],
     config: MappingConfig,
     required_fields: tuple[str, ...],
-    prefix: str = "",
-) -> list[str]:
+) -> None:
     """Hard-error when the header is unreadable or lacks a column bound
     to a required field.  Columns bound to optional fields may be absent
     (those fields simply come out empty)."""
-    header = _header_of(source, config.delimiter)
     if not header:
         raise DataError(f"{config.name}/{table}: empty or malformed header")
     present = set(header)
     for fname in required_fields:
         binding = config.columns.get(fname)
-        if binding is None:
-            continue  # validate() already guarantees required bindings
-        if hasattr(binding, "name") and binding.name not in present:
+        if isinstance(binding, Column) and binding.name not in present:
             raise DataError(
                 f"{config.name}/{table}: header missing column {binding.name!r} "
                 f"(bound to {fname})"
             )
-    return header
 
 
-def _materialize(source: RowSource) -> RowSource:
-    """File paths can be re-opened; streams must be buffered to allow
-    the header check plus the real parse."""
-    if isinstance(source, (str, Path)):
-        return source
-    return list(source)
+@contextmanager
+def _mapped_table(
+    table: str,
+    source: RowSource,
+    config: MappingConfig,
+    required_fields: tuple[str, ...],
+    fields: tuple[str, ...],
+) -> Iterator[tuple[dict[str, Resolver], Rows]]:
+    """Open a source table, check its header and compile ``fields``
+    against it; yield the resolvers with the numbered rows."""
+    with _open_table(source, config.delimiter) as (header, rows):
+        _check_header(table, header, config, required_fields)
+        yield config.compile(header, fields), rows
 
 
 def _float_or_none(raw: Optional[str]) -> Optional[float]:
@@ -151,54 +214,8 @@ def _int_or_none(raw: Optional[str]) -> Optional[int]:
         return None
 
 
-def _parse_unit(
-    row: Mapping[str, str], config: MappingConfig, report: IngestReport
-) -> Optional[VehicleUnit]:
-    unit_id_raw, _ = config.resolve("unit.unit_id", row)
-    unit_id = _int_or_none(unit_id_raw)
-    if unit_id is None:
-        return None
-
-    class_token, was_unknown = config.resolve("unit.vehicle_class", row)
-    if class_token is None:
-        vehicle_class = VehicleClass.UNKNOWN
-        report.count_unknown("unit.vehicle_class")
-    else:
-        vehicle_class = parse_enum_token("unit.vehicle_class", class_token)
-        if was_unknown or vehicle_class is VehicleClass.UNKNOWN:
-            report.count_unknown("unit.vehicle_class")
-
-    transport_token, was_unknown = config.resolve("unit.in_transport", row)
-    in_transport = parse_bool_token(transport_token) if transport_token else None
-    if in_transport is None:
-        if "unit.in_transport" in config.columns or "unit.in_transport" in config.derives:
-            report.count_unknown("unit.in_transport")
-        in_transport = False  # conservative: unknown transport status is excluded
-    if vehicle_class in VRU_CLASSES:
-        in_transport = False  # non-motorists are never in-transport vehicles
-
-    airbag_token, _ = config.resolve("unit.airbag", row)
-    airbag = parse_bool_token(airbag_token) if airbag_token else None
-
-    direction_token, _ = config.resolve("unit.travel_direction", row)
-    direction = (
-        direction_token.upper()
-        if direction_token and direction_token.upper() in COMPASS_OCTANTS
-        else None
-    )
-
-    maneuver_token, _ = config.resolve("unit.maneuver", row)
-    event_raw, _ = config.resolve("unit.first_contact_event", row)
-
-    return VehicleUnit(
-        unit_id=unit_id,
-        vehicle_class=vehicle_class,
-        in_transport=in_transport,
-        airbag_deployed=airbag,
-        maneuver=maneuver_token or "",
-        travel_direction=direction,
-        first_contact_event_index=_int_or_none(event_raw),
-    )
+def _orphan_reason(crash_key: str, skipped_ids: set[str]) -> str:
+    return "crash row skipped" if crash_key in skipped_ids else "no crash row"
 
 
 def load_crash_table(
@@ -209,159 +226,278 @@ def load_crash_table(
 ) -> tuple[list[CrashRecord], IngestReport]:
     """Join crash, vehicle, and person tables into CrashRecords.
 
-    One record per crash row; vehicle and person rows attach by the
-    crash key.  A crash row lacking its key or year is skipped and
-    reported.  Field-level junk degrades instead: unmapped codes go to
-    Unknown, an unparseable coordinate leaves the location absent (to be
-    geocoded), both counted in the report.
+    One record per crash id; vehicle and person rows attach by the crash
+    key.  A crash row lacking its key or year, or repeating an emitted
+    crash id, is skipped and reported; so is a unit or person row whose
+    crash is absent or was skipped.  Field-level junk degrades instead:
+    unmapped codes go to Unknown, an unparseable coordinate leaves the
+    location absent (to be geocoded), both counted in the report.
     """
     config.validate(CRASH_REQUIRED)
     report = IngestReport(source=config.name)
 
-    crash_source = _materialize(crash_source)
-    _check_header("crash", crash_source, config, CRASH_REQUIRED)
+    with ExitStack() as stack:
+        crash_table = stack.enter_context(
+            _mapped_table("crash", crash_source, config, CRASH_REQUIRED, _CRASH_FIELDS)
+        )
+        unit_table = person_table = None
+        if units_source is not None:
+            unit_table = stack.enter_context(
+                _mapped_table("unit", units_source, config, UNIT_REQUIRED, _UNIT_FIELDS)
+            )
+        if persons_source is not None:
+            person_table = stack.enter_context(
+                _mapped_table("person", persons_source, config, PERSON_REQUIRED, _PERSON_FIELDS)
+            )
 
-    units_by_crash: dict[str, list[VehicleUnit]] = {}
-    if units_source is not None:
-        units_source = _materialize(units_source)
-        _check_header("unit", units_source, config, ("unit.crash_id", "unit.unit_id"))
-        for number, row in enumerate(_open_rows(units_source, config.delimiter), start=1):
-            report.rows_read["unit"] = report.rows_read.get("unit", 0) + 1
-            key_raw, _ = config.resolve("unit.crash_id", row)
-            unit = _parse_unit(row, config, report) if key_raw else None
-            if key_raw is None or unit is None:
-                report.skip("unit", number, "missing crash or unit key")
-                continue
-            units_by_crash.setdefault(key_raw, []).append(unit)
-
-    injuries_by_crash: dict[str, list[KabcoLevel]] = {}
-    airbags_by_unit: dict[tuple[str, int], list[bool]] = {}
-    if persons_source is not None:
-        persons_source = _materialize(persons_source)
-        _check_header("person", persons_source, config, ("person.crash_id",))
-        for number, row in enumerate(_open_rows(persons_source, config.delimiter), start=1):
-            report.rows_read["person"] = report.rows_read.get("person", 0) + 1
-            key_raw, _ = config.resolve("person.crash_id", row)
-            if key_raw is None:
-                report.skip("person", number, "missing crash key")
-                continue
-            injury_token, was_unknown = config.resolve("person.injury", row)
-            if injury_token is not None:
-                level = parse_enum_token("person.injury", injury_token)
-                if was_unknown or level is KabcoLevel.UNKNOWN:
-                    report.count_unknown("person.injury")
-                injuries_by_crash.setdefault(key_raw, []).append(level)
-            airbag_token, _ = config.resolve("person.airbag", row)
-            unit_raw, _ = config.resolve("person.unit_id", row)
-            unit_id = _int_or_none(unit_raw)
-            airbag = parse_bool_token(airbag_token) if airbag_token else None
-            if unit_id is not None and airbag is not None:
-                airbags_by_unit.setdefault((key_raw, unit_id), []).append(airbag)
+        # Crash rows first, so unit and person rows meet the emitted crash
+        # ids as they are read; persons before units, so each unit is built
+        # once with its persons' airbag flags.
+        crashes, skipped_ids = _read_crash_rows(*crash_table, report)
+        injuries_by_crash: dict[str, list[KabcoLevel]] = {}
+        airbags_by_unit: dict[tuple[str, int], bool] = {}
+        if person_table is not None:
+            injuries_by_crash, airbags_by_unit = _read_person_rows(
+                *person_table, crashes, skipped_ids, report
+            )
+        units_by_crash: dict[str, list[VehicleUnit]] = {}
+        if unit_table is not None:
+            tracks_transport = (
+                "unit.in_transport" in config.columns or "unit.in_transport" in config.derives
+            )
+            units_by_crash = _read_unit_rows(
+                *unit_table, crashes, skipped_ids, airbags_by_unit, tracks_transport, report
+            )
 
     records: list[CrashRecord] = []
-    for number, row in enumerate(_open_rows(crash_source, config.delimiter), start=1):
-        report.rows_read["crash"] = report.rows_read.get("crash", 0) + 1
-
-        crash_id, _ = config.resolve("crash_id", row)
-        if crash_id is None:
-            report.skip("crash", number, "missing crash_id")
-            continue
-        year_raw, _ = config.resolve("year", row)
-        year = _int_or_none(year_raw)
-        if year is None:
-            report.skip("crash", number, f"unparseable year {year_raw!r}")
-            continue
-        state, _ = config.resolve("state", row)
-        county, _ = config.resolve("county", row)
-        if not state or not county:
-            report.skip("crash", number, "missing state or county")
-            continue
-
-        lat = _float_or_none(config.resolve("latitude", row)[0])
-        lon = _float_or_none(config.resolve("longitude", row)[0])
-        location = LatLon(lat, lon) if lat is not None and lon is not None else None
-        if location is None:
-            report.missing_location += 1
-
-        units = list(units_by_crash.get(crash_id, ()))
-        units.sort(key=lambda u: u.unit_id)
-        units = [
-            replace(
-                unit,
-                airbag_deployed=(
-                    unit.airbag_deployed
-                    if unit.airbag_deployed is not None
-                    else _fold_airbags(airbags_by_unit.get((crash_id, unit.unit_id)))
-                ),
-            )
-            for unit in units
-        ]
-
+    # Event sequences are immutable and follow from each unit's id and
+    # first-contact ordinal alone; build each distinct one once.
+    event_sequences: dict[tuple, tuple[ContactEvent, ...]] = {}
+    for crash_id, crash in crashes.items():
+        units = units_by_crash.get(crash_id, [])
+        units.sort(key=attrgetter("unit_id"))
+        events_key = tuple(map(_EVENT_KEY, units))
+        event_sequence = event_sequences.get(events_key)
+        if event_sequence is None:
+            event_sequence = event_sequences[events_key] = build_event_sequence(units)
         person_injuries = injuries_by_crash.get(crash_id)
         if person_injuries:
             worst = worst_injury(person_injuries)
         else:
-            injury_token, was_unknown = config.resolve("worst_injury", row)
-            if injury_token is None:
-                worst = KabcoLevel.UNKNOWN
+            worst, degraded = crash.worst
+            if degraded:
                 report.count_unknown("worst_injury")
-            else:
-                worst = parse_enum_token("worst_injury", injury_token)
-                if was_unknown or worst is KabcoLevel.UNKNOWN:
-                    report.count_unknown("worst_injury")
-
-        junction_token, was_unknown = config.resolve("junction_relation", row)
-        junction = (
-            parse_enum_token("junction_relation", junction_token)
-            if junction_token
-            else None
-        )
-        if junction is None:
-            junction = JunctionRelation.UNKNOWN
-            report.count_unknown("junction_relation")
-        elif was_unknown:
-            report.count_unknown("junction_relation")
-
-        manner_token, was_unknown = config.resolve("manner_of_collision", row)
-        manner = (
-            parse_enum_token("manner_of_collision", manner_token)
-            if manner_token
-            else None
-        )
-        if manner is None:
-            manner = MannerOfCollision.UNKNOWN
-            report.count_unknown("manner_of_collision")
-        elif was_unknown:
-            report.count_unknown("manner_of_collision")
-
-        primary, _ = config.resolve("primary_road", row)
-        secondary, _ = config.resolve("secondary_road", row)
-
         records.append(
             CrashRecord(
                 crash_id=crash_id,
-                state=state.strip().upper(),
-                county=county.strip().upper(),
-                year=year,
+                state=crash.state,
+                county=crash.county,
+                year=crash.year,
                 worst_injury=worst,
-                location=location,
-                primary_road_name=primary or "",
-                secondary_road_name=secondary,
+                location=crash.location,
+                primary_road_name=crash.primary_road or "",
+                secondary_road_name=crash.secondary_road,
                 units=tuple(units),
-                event_sequence=build_event_sequence(units),
-                junction_relation=junction,
-                manner_of_collision=manner,
+                event_sequence=event_sequence,
+                junction_relation=crash.junction,
+                manner_of_collision=crash.manner,
             )
         )
-        report.records_emitted += 1
-
+    report.records_emitted = len(records)
+    report.skipped.sort(key=lambda s: _SKIP_ORDER[s.table])
     return records, report
 
 
-def _fold_airbags(values: Optional[list[bool]]) -> Optional[bool]:
-    if not values:
-        return None
-    return True if any(values) else False
+def _read_crash_rows(
+    resolve: Mapping[str, Resolver], rows: Rows, report: IngestReport
+) -> tuple[dict[str, _CrashRow], set[str]]:
+    """Validate crash rows.  Returns the fields of each crash to emit,
+    by crash id in row order, and the ids of skipped crash rows."""
+    crashes: dict[str, _CrashRow] = {}
+    skipped_ids: set[str] = set()
+    number = 0
+    for number, row in rows:
+        crash_id, _ = resolve["crash_id"](row)
+        if crash_id is None:
+            report.skip("crash", number, "missing crash_id")
+            continue
+        if crash_id in crashes:
+            report.skip("crash", number, "duplicate crash_id")
+            continue
+        year_raw, _ = resolve["year"](row)
+        year = _int_or_none(year_raw)
+        if year is None:
+            report.skip("crash", number, f"unparseable year {year_raw!r}")
+            skipped_ids.add(crash_id)
+            continue
+        state, _ = resolve["state"](row)
+        county, _ = resolve["county"](row)
+        if not state or not county:
+            report.skip("crash", number, "missing state or county")
+            skipped_ids.add(crash_id)
+            continue
+
+        lat = _float_or_none(resolve["latitude"](row)[0])
+        lon = _float_or_none(resolve["longitude"](row)[0])
+        location = LatLon(lat, lon) if lat is not None and lon is not None else None
+        if location is None:
+            report.missing_location += 1
+
+        injury_token, was_unknown = resolve["worst_injury"](row)
+        if injury_token is None:
+            worst = (KabcoLevel.UNKNOWN, True)
+        else:
+            level = parse_enum_token("worst_injury", injury_token)
+            worst = (level, was_unknown or level is KabcoLevel.UNKNOWN)
+
+        crashes[crash_id] = _CrashRow(
+            state=state.strip().upper(),
+            county=county.strip().upper(),
+            year=year,
+            location=location,
+            primary_road=resolve["primary_road"](row)[0],
+            secondary_road=resolve["secondary_road"](row)[0],
+            junction=_coded_member(
+                "junction_relation", resolve, row, JunctionRelation.UNKNOWN, report
+            ),
+            manner=_coded_member(
+                "manner_of_collision", resolve, row, MannerOfCollision.UNKNOWN, report
+            ),
+            worst=worst,
+        )
+    if number:
+        report.rows_read["crash"] = number
+    return crashes, skipped_ids
+
+
+def _coded_member(
+    fname: str,
+    resolve: Mapping[str, Resolver],
+    row: list[str],
+    unknown: Enum,
+    report: IngestReport,
+) -> Enum:
+    """Enum member of a coded crash field; absent or degraded codes count
+    as unknown."""
+    token, was_unknown = resolve[fname](row)
+    if not token:
+        report.count_unknown(fname)
+        return unknown
+    if was_unknown:
+        report.count_unknown(fname)
+    return parse_enum_token(fname, token)
+
+
+def _read_person_rows(
+    resolve: Mapping[str, Resolver],
+    rows: Rows,
+    crashes: Mapping[str, _CrashRow],
+    skipped_ids: set[str],
+    report: IngestReport,
+) -> tuple[dict[str, list[KabcoLevel]], dict[tuple[str, int], bool]]:
+    """Injury levels by crash id, and by (crash id, unit id) whether any
+    person row with an airbag flag has it set."""
+    injuries_by_crash: dict[str, list[KabcoLevel]] = {}
+    airbags_by_unit: dict[tuple[str, int], bool] = {}
+    number = attached = 0
+    for number, row in rows:
+        key, _ = resolve["person.crash_id"](row)
+        if key is None:
+            report.skip("person", number, "missing crash key")
+            continue
+        if key not in crashes:
+            report.skip("person", number, _orphan_reason(key, skipped_ids))
+            continue
+        attached += 1
+        injury_token, was_unknown = resolve["person.injury"](row)
+        if injury_token is not None:
+            level = parse_enum_token("person.injury", injury_token)
+            if was_unknown or level is KabcoLevel.UNKNOWN:
+                report.count_unknown("person.injury")
+            injuries_by_crash.setdefault(key, []).append(level)
+        airbag_token, _ = resolve["person.airbag"](row)
+        unit_id = _int_or_none(resolve["person.unit_id"](row)[0])
+        airbag = parse_bool_token(airbag_token) if airbag_token else None
+        if unit_id is not None and airbag is not None:
+            airbags_by_unit[key, unit_id] = airbag or airbags_by_unit.get((key, unit_id), False)
+    if number:
+        report.rows_read["person"] = number
+        report.rows_attached["person"] = attached
+    return injuries_by_crash, airbags_by_unit
+
+
+def _read_unit_rows(
+    resolve: Mapping[str, Resolver],
+    rows: Rows,
+    crashes: Mapping[str, _CrashRow],
+    skipped_ids: set[str],
+    airbags_by_unit: Mapping[tuple[str, int], bool],
+    tracks_transport: bool,
+    report: IngestReport,
+) -> dict[str, list[VehicleUnit]]:
+    """Vehicle units by crash id, in row order.  A unit with no airbag
+    flag of its own takes its persons' (``airbags_by_unit``)."""
+    units_by_crash: dict[str, list[VehicleUnit]] = {}
+    number = attached = 0
+    for number, row in rows:
+        key, _ = resolve["unit.crash_id"](row)
+        unit_id = _int_or_none(resolve["unit.unit_id"](row)[0]) if key else None
+        if unit_id is None:
+            report.skip("unit", number, "missing crash or unit key")
+            continue
+        if key not in crashes:
+            report.skip("unit", number, _orphan_reason(key, skipped_ids))
+            continue
+        attached += 1
+
+        class_token, was_unknown = resolve["unit.vehicle_class"](row)
+        if class_token is None:
+            vehicle_class = VehicleClass.UNKNOWN
+            report.count_unknown("unit.vehicle_class")
+        else:
+            vehicle_class = parse_enum_token("unit.vehicle_class", class_token)
+            if was_unknown or vehicle_class is VehicleClass.UNKNOWN:
+                report.count_unknown("unit.vehicle_class")
+
+        transport_token, _ = resolve["unit.in_transport"](row)
+        in_transport = parse_bool_token(transport_token) if transport_token else None
+        if in_transport is None:
+            if tracks_transport:
+                report.count_unknown("unit.in_transport")
+            in_transport = False  # conservative: unknown transport status is excluded
+        if vehicle_class in VRU_CLASSES:
+            in_transport = False  # non-motorists are never in-transport vehicles
+
+        airbag_token, _ = resolve["unit.airbag"](row)
+        airbag = parse_bool_token(airbag_token) if airbag_token else None
+        if airbag is None:
+            airbag = airbags_by_unit.get((key, unit_id))
+
+        direction_token, _ = resolve["unit.travel_direction"](row)
+        direction = (
+            direction_token.upper()
+            if direction_token and direction_token.upper() in COMPASS_OCTANTS
+            else None
+        )
+
+        maneuver_token, _ = resolve["unit.maneuver"](row)
+        event_raw, _ = resolve["unit.first_contact_event"](row)
+
+        units_by_crash.setdefault(key, []).append(
+            VehicleUnit(
+                unit_id=unit_id,
+                vehicle_class=vehicle_class,
+                in_transport=in_transport,
+                airbag_deployed=airbag,
+                maneuver=maneuver_token or "",
+                travel_direction=direction,
+                first_contact_event_index=_int_or_none(event_raw),
+            )
+        )
+    if number:
+        report.rows_read["unit"] = number
+        report.rows_attached["unit"] = attached
+    return units_by_crash
 
 
 # --- geocoding ----------------------------------------------------------------
@@ -505,33 +641,32 @@ def load_vmt_table(
 
 def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]:
     config.validate(VMT_REQUIRED)
-    source = _materialize(source)
-    _check_header("vmt", source, config, VMT_REQUIRED)
     records = []
-    for number, row in enumerate(_open_rows(source, config.delimiter), start=1):
-        class_token, _ = config.resolve("functional_class", row)
-        state, _ = config.resolve("state", row)
-        county, _ = config.resolve("county", row)
-        year = _int_or_none(config.resolve("year", row)[0])
-        miles = _float_or_none(config.resolve("vmt_miles", row)[0])
-        if not state or not county or year is None or miles is None or not class_token:
-            raise DataError(f"{config.name}/vmt row {number}: incomplete row")
-        try:
-            fclass = FunctionalClass(class_token)
-        except ValueError:
-            raise DataError(
-                f"{config.name}/vmt row {number}: unknown functional class "
-                f"{class_token!r}"
-            ) from None
-        records.append(
-            VmtRecord(
-                state=state,
-                county=county,
-                functional_class=fclass,
-                year=year,
-                vmt_miles=miles * config.vmt_scale,
+    with _mapped_table("vmt", source, config, VMT_REQUIRED, VMT_REQUIRED) as (resolve, rows):
+        for number, row in rows:
+            class_token, _ = resolve["functional_class"](row)
+            state, _ = resolve["state"](row)
+            county, _ = resolve["county"](row)
+            year = _int_or_none(resolve["year"](row)[0])
+            miles = _float_or_none(resolve["vmt_miles"](row)[0])
+            if not state or not county or year is None or miles is None or not class_token:
+                raise DataError(f"{config.name}/vmt row {number}: incomplete row")
+            try:
+                fclass = FunctionalClass(class_token)
+            except ValueError:
+                raise DataError(
+                    f"{config.name}/vmt row {number}: unknown functional class "
+                    f"{class_token!r}"
+                ) from None
+            records.append(
+                VmtRecord(
+                    state=state,
+                    county=county,
+                    functional_class=fclass,
+                    year=year,
+                    vmt_miles=miles * config.vmt_scale,
+                )
             )
-        )
     return records
 
 
@@ -569,9 +704,15 @@ def load_share_table(path: str | Path) -> PassengerShareTable:
     """Read the passenger-VMT share table: delimited text with columns
     state, functional_class, urban, share."""
     shares: dict[tuple[str, FunctionalClass, bool], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            fclass = parse_enum_token("functional_class", row["functional_class"].strip())
-            urban = row["urban"].strip().lower() in ("true", "1", "yes", "urban")
-            shares[(row["state"].strip(), fclass, urban)] = float(row["share"])
+    with _open_table(path, ",") as (header, rows):
+        index = {name: i for i, name in enumerate(header)}
+        missing = [name for name in _SHARE_COLUMNS if name not in index]
+        if missing:
+            raise DataError(f"{path}: share table lacks column(s) {', '.join(missing)}")
+        columns = itemgetter(*(index[name] for name in _SHARE_COLUMNS))
+        for _, row in rows:
+            state, fclass_raw, urban_raw, share = columns(row)
+            fclass = parse_enum_token("functional_class", fclass_raw.strip())
+            urban = urban_raw.strip().lower() in ("true", "1", "yes", "urban")
+            shares[(state.strip(), fclass, urban)] = float(share)
     return PassengerShareTable(shares)

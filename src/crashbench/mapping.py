@@ -33,8 +33,9 @@ from __future__ import annotations
 import re
 from configparser import ConfigParser
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
     ConfigError,
@@ -65,6 +66,8 @@ class Const:
 
 
 Binding = Union[Column, Const]
+# A field compiled against one header: raw row values -> (value, was_unknown).
+Resolver = Callable[[Sequence[str]], tuple[Optional[str], bool]]
 
 
 @dataclass(frozen=True)
@@ -228,11 +231,6 @@ class MappingConfig:
                 f"mapping {self.name!r}: required fields unbound: {', '.join(missing)}"
             )
 
-    def bound_fields(self, prefix: str = "") -> list[str]:
-        if prefix:
-            return [f for f in self.columns if f.startswith(prefix)]
-        return [f for f in self.columns if "." not in f]
-
     def resolve(
         self, fname: str, row: Mapping[str, str]
     ) -> tuple[Optional[str], bool]:
@@ -264,6 +262,52 @@ class MappingConfig:
                 return dictionary[FALLBACK_KEY], True
             return mapped, False
         return raw, False
+
+    def compile(
+        self, header: Sequence[str], fields: Iterable[str]
+    ) -> dict[str, Resolver]:
+        """Compile fields against one table header.
+
+        Each resolver takes a row as a list of raw values in header order,
+        at least as long as the header, and returns what ``resolve``
+        returns for the same row as a dict (a repeated column name keeps
+        its last value).  A field that reads no column of this header is
+        a constant.  A column bound with no dictionary or derive rule is
+        read directly, never memoized: such columns carry ids,
+        coordinates and road names, whose values rarely repeat.  Any other
+        field is resolved once per distinct tuple of the raw values it
+        reads, by ``resolve`` itself, so ``resolve`` stays the one
+        definition of what a field means.
+        """
+        index = {name: i for i, name in enumerate(header)}
+        return {fname: self._compile_field(fname, index) for fname in fields}
+
+    def _compile_field(self, fname: str, index: Mapping[str, int]) -> Resolver:
+        rules = self.derives.get(fname, ())
+        binding = self.columns.get(fname)
+        read = [cond.column for rule in rules for cond in rule.conditions]
+        if isinstance(binding, Column):
+            read.append(binding.name)
+        read = [column for column in dict.fromkeys(read) if column in index]
+        if not read:
+            constant = self.resolve(fname, {})
+            return lambda row: constant
+        if not rules and fname not in self.dictionaries:
+            position = index[read[0]]
+            return lambda row: (row[position].strip() or None, False)
+
+        get = itemgetter(*(index[column] for column in read))
+        memo: dict[object, tuple[Optional[str], bool]] = {}
+
+        def coded(row: Sequence[str]) -> tuple[Optional[str], bool]:
+            key = get(row)
+            result = memo.get(key)
+            if result is None:
+                values = key if len(read) > 1 else (key,)
+                result = memo[key] = self.resolve(fname, dict(zip(read, values)))
+            return result
+
+        return coded
 
 
 # --- canonical token parsers -------------------------------------------------

@@ -1,4 +1,7 @@
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crashbench.ingest import (
     FileCachedGeocoder,
@@ -11,14 +14,17 @@ from crashbench.ingest import (
     load_share_table,
     load_vmt_table,
 )
-from crashbench.mapping import MappingConfig
+from crashbench.mapping import Column, MappingConfig
 from crashbench.model import (
     ConfigError,
     DataError,
     FunctionalClass,
+    JunctionRelation,
     KabcoLevel,
     LatLon,
+    MannerOfCollision,
     VehicleClass,
+    build_event_sequence,
 )
 from crashbench.pipeline import resolve_mapping
 
@@ -88,6 +94,61 @@ class TestMappingConfig:
             config.validate(("crash_id", "state", "county", "year"))
 
 
+BUILTIN_MAPPINGS = ("tx", "ca", "az", "ga", "tx_vmt", "ca_vmt", "hpms_freeway")
+
+
+@pytest.fixture(scope="module")
+def builtin_mappings() -> dict[str, MappingConfig]:
+    from pathlib import Path
+
+    return {name: resolve_mapping(f"builtin:{name}", Path(".")) for name in BUILTIN_MAPPINGS}
+
+
+def _raw_values(config: MappingConfig) -> dict[str, list[str]]:
+    """Each source column the mapping reads, with the codes it names for it."""
+    values: dict[str, set[str]] = {}
+    for fname, binding in config.columns.items():
+        if isinstance(binding, Column):
+            codes = values.setdefault(binding.name, set())
+            codes.update(k for k in config.dictionaries.get(fname, {}) if k != "*")
+    for rules in config.derives.values():
+        for rule in rules:
+            for cond in rule.conditions:
+                values.setdefault(cond.column, set()).update(cond.values)
+    return {column: sorted(codes) for column, codes in values.items()}
+
+
+def _raw_value(codes: list[str]):
+    """A code as a source might write it (any case, padded), or junk."""
+    junk = st.sampled_from(["", " ", "Y", "N", "0", "3", "4", "9999", "10000", "x"]) | st.text(
+        alphabet="0123456789 .-abYN", max_size=5
+    )
+    if not codes:
+        return junk
+    written = st.tuples(st.sampled_from(codes), st.sampled_from(["", " "]), st.booleans()).map(
+        lambda t: t[1] + (t[0].lower() if t[2] else t[0]) + t[1]
+    )
+    return written | junk
+
+
+@pytest.mark.parametrize("name", BUILTIN_MAPPINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compiled_resolvers_match_resolve(builtin_mappings, name, data):
+    config = builtin_mappings[name]
+    raw = _raw_values(config)
+    # Headers may lack columns, repeat them (the last copy wins) or carry extras.
+    header = data.draw(st.lists(st.sampled_from(sorted(raw) + ["Extra"]), max_size=len(raw) + 2))
+    fields = sorted(set(config.columns) | set(config.derives))
+    compiled = config.compile(header, fields)
+    rows = st.tuples(*(_raw_value(raw.get(column, [])) for column in header))
+    for row in data.draw(st.lists(rows, min_size=1, max_size=6)):
+        row = list(row)
+        as_dict = dict(zip(header, row))
+        for fname in fields:
+            assert compiled[fname](row) == config.resolve(fname, as_dict), fname
+
+
 class TestCrashLoading:
     def test_fixture_tables_load(self, tx_mapping, fixtures_dir):
         records, report = load_crash_table(
@@ -101,6 +162,7 @@ class TestCrashLoading:
         assert len(report.skipped) == 2
         assert report.conserves_rows()
         assert report.missing_location == 2
+        assert all(r.event_sequence == build_event_sequence(r.units) for r in records)
 
         by_id = {r.crash_id: r for r in records}
         c001 = by_id["C001"]
@@ -178,6 +240,162 @@ class TestCrashLoading:
         ids = [r.crash_id for r in records]
         assert ids[:3] == ["C001", "C002", "C003"]
         assert ids == sorted(ids, key=ids.index)  # stable, no reordering
+
+
+def _mini_mapping(tmp_path, delimiter: str = ",") -> MappingConfig:
+    config_path = tmp_path / "mini.ini"
+    config_path.write_text(
+        f"[source]\nname = mini\ndelimiter = {delimiter}\n"
+        "[columns]\ncrash_id = ID\nstate = const:TX\ncounty = County\nyear = Year\n"
+    )
+    return MappingConfig.load(config_path)
+
+
+class TestLoaderEdges:
+    """Reader behaviour that any rewrite of the loader must keep."""
+
+    def test_blank_lines_skipped_without_advancing_row_numbers(self, tx_mapping):
+        crash = [CRASH_HEADER, "", "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24", "",
+                 "X2,20x3,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER, "", "X1,,P4,,1,,,1,1,1", "", "X1,2,P4,,1,,,1,1,1"]
+        records, report = load_crash_table(crash, tx_mapping, units_source=units)
+        assert report.rows_read == {"crash": 2, "unit": 2}
+        assert [(s.table, s.row_number) for s in report.skipped] == [
+            ("unit", 1), ("crash", 2),
+        ]
+        assert [u.unit_id for u in records[0].units] == [2]
+
+    def test_short_rows_read_missing_trailing_fields_as_absent(self, tx_mapping):
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST"]
+        units = [UNIT_HEADER, "X1,1,P4"]
+        records, report = load_crash_table(crash, tx_mapping, units_source=units)
+        record = records[0]
+        assert record.secondary_road_name is None
+        assert record.worst_injury is KabcoLevel.UNKNOWN
+        assert record.junction_relation is JunctionRelation.UNKNOWN
+        assert record.manner_of_collision is MannerOfCollision.UNKNOWN
+        unit = record.units[0]
+        assert unit.vehicle_class is VehicleClass.PASSENGER
+        assert unit.in_transport is True  # parked flag missing
+        assert unit.travel_direction is None
+        assert unit.first_contact_event_index is None
+        assert report.unknown_counts == {
+            "worst_injury": 1, "junction_relation": 1, "manner_of_collision": 1,
+        }
+
+    def test_duplicated_header_name_last_wins(self, tmp_path):
+        records, _ = load_crash_table(
+            ["ID,County,Year,County", "A,Travis,2023,Hays"], _mini_mapping(tmp_path)
+        )
+        assert records[0].county == "HAYS"
+
+    def test_stream_and_generator_sources_match_paths(self, tx_mapping, fixtures_dir):
+        paths = [fixtures_dir / n for n in ("tx_crashes.csv", "tx_units.csv", "tx_persons.csv")]
+        from_paths = load_crash_table(paths[0], tx_mapping, paths[1], paths[2])
+        texts = [path.read_text(encoding="utf-8") for path in paths]
+        from_streams = load_crash_table(
+            io.StringIO(texts[0], newline=""), tx_mapping,
+            io.StringIO(texts[1], newline=""), io.StringIO(texts[2], newline=""),
+        )
+        from_generators = load_crash_table(
+            (line for line in texts[0].splitlines()), tx_mapping,
+            (line for line in texts[1].splitlines()),
+            (line for line in texts[2].splitlines()),
+        )
+        for records, report in (from_streams, from_generators):
+            assert records == from_paths[0]
+            assert report == from_paths[1]
+
+    def test_optional_bound_column_may_be_missing_from_header(self, tx_mapping):
+        crash = [
+            "Crash_ID,Crash_Year,Cnty_Nm,Latitude,Longitude,Rpt_Street_Name",
+            "X1,2023,Travis,30.1,-97.7,MAIN ST",
+        ]
+        records, report = load_crash_table(crash, tx_mapping)
+        assert records[0].secondary_road_name is None
+        assert records[0].junction_relation is JunctionRelation.UNKNOWN
+        assert report.unknown_counts["junction_relation"] == 1
+
+    def test_derive_condition_column_may_be_missing_from_header(self, tx_mapping):
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = ["Crash_ID,Unit_Nbr,Veh_Body_Styl_ID", "X1,1,P4", "X1,2,MC"]
+        records, _ = load_crash_table(crash, tx_mapping, units_source=units)
+        classes = [(u.vehicle_class, u.in_transport) for u in records[0].units]
+        assert classes == [
+            (VehicleClass.PASSENGER, True),  # 'Veh_Parked_Fl missing' rule fires
+            (VehicleClass.MOTORCYCLE, True),
+        ]
+
+    def test_ca_county_dictionary_applies(self):
+        from pathlib import Path
+
+        ca = resolve_mapping("builtin:ca", Path("."))
+        crash = [
+            "CASE_ID,ACCIDENT_YEAR,CNTY_CITY_LOC,PRIMARY_RD",
+            "1,2023,1942,US-101",
+            "2,2023,4300,I-280",
+            "3,2023,9999,MAIN ST",
+        ]
+        records, _ = load_crash_table(crash, ca)
+        assert [(r.state, r.county) for r in records] == [
+            ("CA", "SAN FRANCISCO"), ("CA", "SANTA CLARA"), ("CA", "UNKNOWN"),
+        ]
+
+
+class TestRowAccounting:
+    """Every crash, unit and person row is either used or reported."""
+
+    def test_duplicate_crash_id_keeps_first_copy(self, tx_mapping):
+        crash = [
+            CRASH_HEADER,
+            "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "X2,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "X1,2023,Hays,30.1,-97.7,ELM ST,,K,3,24",
+        ]
+        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1", "X1,2,P4,,1,,,1,1,1"]
+        persons = [PERSON_HEADER, "X1,1,5,1"]
+        records, report = load_crash_table(
+            crash, tx_mapping, units_source=units, persons_source=persons
+        )
+        assert [r.crash_id for r in records] == ["X1", "X2"]
+        first = records[0]
+        assert (first.county, first.primary_road_name) == ("TRAVIS", "MAIN ST")
+        assert [u.unit_id for u in first.units] == [1, 2]
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("crash", 3, "duplicate crash_id"),
+        ]
+        assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
+
+    def test_orphan_unit_and_person_rows_are_reported(self, tx_mapping):
+        crash = [
+            CRASH_HEADER,
+            "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "X2,20x3,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+        ]
+        units = [
+            UNIT_HEADER,
+            "X2,1,P4,,1,,,1,1,1",
+            "X1,1,P4,,1,,,1,1,1",
+            "X9,1,WEIRD,,1,,,1,1,1",
+            "X1,,P4,,1,,,1,1,1",
+        ]
+        persons = [PERSON_HEADER, "X9,1,4,1", "X1,1,5,1", "X2,1,4,1"]
+        records, report = load_crash_table(
+            crash, tx_mapping, units_source=units, persons_source=persons
+        )
+        assert [u.unit_id for u in records[0].units] == [1]
+        assert records[0].worst_injury is KabcoLevel.O
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("unit", 1, "crash row skipped"),
+            ("unit", 3, "no crash row"),
+            ("unit", 4, "missing crash or unit key"),
+            ("person", 1, "no crash row"),
+            ("person", 3, "crash row skipped"),
+            ("crash", 2, "unparseable year '20x3'"),
+        ]
+        assert report.rows_read == {"crash": 2, "unit": 4, "person": 3}
+        assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
+        assert "unit.vehicle_class" not in report.unknown_counts  # orphan not parsed
 
 
 class TestGeocoding:
@@ -292,19 +510,23 @@ def test_load_share_table(fixtures_dir):
     assert table.share_for("TX", FunctionalClass.SURFACE_STREET, True) == 0.95
 
 
+def test_share_table_missing_column_is_data_error(tmp_path):
+    path = tmp_path / "shares.csv"
+    path.write_text("state,functional_class,share\nTX,Freeway,0.9\n")
+    with pytest.raises(DataError, match="urban"):
+        load_share_table(path)
+
+
 def test_tab_delimited_source_accepted(tmp_path):
-    config_path = tmp_path / "tab.ini"
-    config_path.write_text(
-        "[source]\nname = tab\ndelimiter = tab\n"
-        "[columns]\ncrash_id = ID\nstate = const:TX\ncounty = County\nyear = Year\n"
-    )
-    config = MappingConfig.load(config_path)
+    config = _mini_mapping(tmp_path, delimiter="tab")
     assert config.delimiter == "\t"
     records, report = load_crash_table(
-        ["ID\tCounty\tYear", "T1\tTravis\t2023"], config
+        ["ID\tCounty\tYear", "T1\tTravis\t2023", "T,2\tHays, North\t2023"], config
     )
-    assert records[0].crash_id == "T1"
-    assert report.records_emitted == 1
+    assert [(r.crash_id, r.county) for r in records] == [
+        ("T1", "TRAVIS"), ("T,2", "HAYS, NORTH"),
+    ]
+    assert report.records_emitted == 2
 
 
 def test_bad_delimiter_rejected(tmp_path):
