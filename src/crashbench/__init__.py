@@ -6,11 +6,7 @@ provides the safety-impact and power-analysis machinery to compare an
 ADS deployment against them.
 """
 
-from .cohort import (
-    filter_in_transport_passenger,
-    impute_unknown_vehicles,
-    passenger_vmt,
-)
+from .cohort import filter_in_transport_passenger, passenger_vmt
 from .model import (
     CrashRecord,
     DEFAULT_GEO_AREAS,
@@ -79,7 +75,6 @@ __all__ = [
     "crash_type_distribution",
     "distance_to_nearest_freeway",
     "filter_in_transport_passenger",
-    "impute_unknown_vehicles",
     "mileage_for_power",
     "monte_carlo_power",
     "passenger_vmt",

@@ -17,12 +17,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import pipeline
-from .ingest import FileCachedGeocoder, geocode_missing, load_crash_table
 from .model import ConfigError, CrashBenchError, DataError
 from .power import PowerQuery, mileage_for_power, monte_carlo_power, required_mileage
 from .rates import safety_impact
 from .report import TOOL_VERSION, parse_rate_table
-from .roadclass import FreewaySegmentIndex, classify_road, load_alias_table, load_segments_geojson
+from .roadclass import classify_road
 
 ENV_PREFIX = "CRASHBENCH_"
 
@@ -59,29 +58,6 @@ def _load_config(args) -> pipeline.RunConfig:
     )
 
 
-def _prepare_sources(config: pipeline.RunConfig):
-    """Shared ingest + geocode used by the stage subcommands."""
-    base = config.config_path.parent if config.config_path else Path(".")
-    geocoder = (
-        FileCachedGeocoder(config.geocoder_cache) if config.geocoder_cache else None
-    )
-    records = []
-    reports = []
-    for source in config.sources:
-        mapping = pipeline.resolve_mapping(source.mapping, base)
-        source_records, report = load_crash_table(
-            source.crash_table,
-            mapping,
-            units_source=source.units_table,
-            persons_source=source.persons_table,
-        )
-        if geocoder is not None:
-            source_records, _ = geocode_missing(source_records, geocoder)
-        records.extend(source_records)
-        reports.append(report)
-    return records, reports
-
-
 def cmd_run(args) -> int:
     config = _load_config(args)
     report = pipeline.run(config)
@@ -95,7 +71,7 @@ def cmd_run(args) -> int:
 
 def cmd_ingest(args) -> int:
     config = _load_config(args)
-    records, reports = _prepare_sources(config)
+    records, reports, _ = pipeline.load_crashes(config)
     for report in reports:
         print(
             f"{report.source}: rows={report.rows_read.get('crash', 0)} "
@@ -108,10 +84,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_classify_roads(args) -> int:
     config = _load_config(args)
-    records, _ = _prepare_sources(config)
-    segments = load_segments_geojson(config.segments_path)
-    aliases = load_alias_table(config.aliases_path) if config.aliases_path else None
-    index = FreewaySegmentIndex(segments, aliases=aliases)
+    records, _, _ = pipeline.load_crashes(config)
+    index = pipeline.build_index(config)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / f"road_classes_{config.year}.csv"
@@ -247,8 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="run config INI path")
     common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--workers", type=int, help="parallel worker cap")
-    common.add_argument("--seed", type=int, help="simulation seed")
+    common.add_argument("--workers", type=int,
+                        help="validated (must be >= 1) but has no effect: runs are single-threaded")
+    common.add_argument("--seed", type=int,
+                        help="recorded in the report metadata; nothing in the run is random")
     common.add_argument("--threshold-m", dest="threshold_m", type=float,
                         help="freeway proximity threshold, meters")
     common.add_argument("--underreport", type=float,

@@ -97,39 +97,12 @@ def known_class_histogram(
     return hist
 
 
-def allocate_unknown(
-    known_histogram: Mapping[VehicleClass, int], unknown_count: float
-) -> dict[VehicleClass, float]:
-    """Spread an unknown count over classes proportionally to the known
-    histogram.  Conserves mass: the allocations sum to unknown_count."""
-    if unknown_count == 0:
-        return {cls: 0.0 for cls in known_histogram}
-    total = sum(known_histogram.values())
-    if total <= 0:
-        raise ImputationBasisMissingError(
-            f"{unknown_count} unknown-class units but no known classes to impute from"
-        )
-    return {
-        cls: unknown_count * count / total for cls, count in known_histogram.items()
-    }
-
-
-def impute_unknown_vehicles(
-    known_histogram: Mapping[VehicleClass, int], unknown_count: float
-) -> float:
-    """Passenger share of an unknown-class count, as a fractional count.
-
-    imputed = unknown_count * known_passenger / known_total.  Fractional
-    counts propagate into the rates unchanged.
-    """
-    if unknown_count == 0:
-        return 0.0
-    allocation = allocate_unknown(known_histogram, unknown_count)
-    return allocation.get(VehicleClass.PASSENGER, 0.0)
-
-
 def passenger_fraction(known_histogram: Mapping[VehicleClass, int]) -> float:
-    """Fraction of known in-transport units that are passenger vehicles."""
+    """Fraction of known in-transport units that are passenger vehicles.
+
+    Each unknown-class unit counts as this fraction of a passenger
+    vehicle, so the imputed passenger mass of n unknowns is n times it.
+    """
     total = sum(known_histogram.values())
     if total <= 0:
         raise ImputationBasisMissingError("empty known-class histogram")

@@ -5,8 +5,7 @@ rates) is defined over these normalized types, never over raw state
 schemas.  State-specific semantics live in mapping configs consumed by
 :mod:`crashbench.ingest`.
 
-All types are immutable after construction and safe to share between
-concurrent workers.
+All types are immutable after construction.
 """
 
 from __future__ import annotations

@@ -1,17 +1,19 @@
 """End-to-end benchmark construction from a single run configuration.
 
-Stages: ingest -> geocode -> road classification -> cohort selection ->
-outcome/type taxonomy -> rates -> power grid -> report.  The run is
-deterministic: record order follows the input files, per-record work is
-order-preserving even when parallelized, and fractional sums reduce in
-a fixed order, so reports are byte-identical across runs and worker
-counts.
+Stages, which ``run`` and the CLI subcommands compose: ``load_crashes``
+(ingest and geocode), ``load_exposure`` (VMT and passenger shares),
+``build_index`` (freeway segments), ``build_benchmark`` (road
+classification, cohort selection, outcome/type taxonomy, rates and the
+power grid), then report emission.  The run is single-threaded and
+deterministic: record order follows the input files and fractional sums
+reduce in a fixed order, so reports are byte-identical across runs.
+``RunConfig.workers`` is validated but has no effect, and
+``RunConfig.seed`` is only recorded in the report metadata.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from importlib import resources
@@ -52,7 +54,6 @@ from .rates import RateCell, adjust_underreporting, crash_type_distribution
 from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
     FreewaySegmentIndex,
-    RoadClassification,
     classify_road,
     load_alias_table,
     load_segments_geojson,
@@ -297,6 +298,78 @@ def load_run_config(
     )
 
 
+# --- input stages ------------------------------------------------------------
+
+
+def _base_dir(config: RunConfig) -> Path:
+    return Path(".") if config.config_path is None else config.config_path.parent
+
+
+def load_crashes(
+    config: RunConfig,
+) -> tuple[list[CrashRecord], list[IngestReport], dict[str, int]]:
+    """Ingest every source's crash, unit and person tables in config
+    order, geocoding location-less records when a geocoder cache is
+    configured.  Returns the records, one IngestReport per source and
+    the geocoding tallies."""
+    base = _base_dir(config)
+    geocoder = (
+        FileCachedGeocoder(config.geocoder_cache)
+        if config.geocoder_cache is not None
+        else None
+    )
+    records: list[CrashRecord] = []
+    ingest_reports: list[IngestReport] = []
+    geocode_stats = {"resolved": 0, "unresolved": 0, "failed": 0}
+    for source in config.sources:
+        source_records, ingest_report = load_crash_table(
+            source.crash_table,
+            resolve_mapping(source.mapping, base),
+            units_source=source.units_table,
+            persons_source=source.persons_table,
+        )
+        if geocoder is not None:
+            source_records, geo_report = geocode_missing(source_records, geocoder)
+            geocode_stats["resolved"] += geo_report.resolved
+            geocode_stats["unresolved"] += geo_report.unresolved
+            geocode_stats["failed"] += len(geo_report.failed)
+        records.extend(source_records)
+        ingest_reports.append(ingest_report)
+    return records, ingest_reports, geocode_stats
+
+
+def load_exposure(config: RunConfig) -> tuple[list[VmtRecord], PassengerShareTable]:
+    """Every source's VMT table, merged with its freeway sidecar if it
+    has one, and the passenger share table."""
+    base = _base_dir(config)
+    vmt_records: list[VmtRecord] = []
+    for source in config.sources:
+        if source.vmt_table is None:
+            continue
+        vmt_mapping = resolve_mapping(source.vmt_mapping or source.mapping, base)
+        sidecar_mapping = (
+            resolve_mapping(source.vmt_sidecar_mapping, base)
+            if source.vmt_sidecar_mapping
+            else None
+        )
+        vmt_records.extend(
+            load_vmt_table(
+                source.vmt_table,
+                vmt_mapping,
+                sidecar_source=source.vmt_sidecar,
+                sidecar_config=sidecar_mapping,
+            )
+        )
+    return vmt_records, load_share_table(config.shares_path)
+
+
+def build_index(config: RunConfig) -> FreewaySegmentIndex:
+    """The freeway segment index, with the alias table if one is configured."""
+    segments = load_segments_geojson(config.segments_path)
+    aliases = load_alias_table(config.aliases_path) if config.aliases_path else None
+    return FreewaySegmentIndex(segments, aliases=aliases)
+
+
 # --- aggregation -------------------------------------------------------------
 
 
@@ -317,23 +390,6 @@ def _area_for(record: CrashRecord, areas: tuple[GeoArea, ...]) -> Optional[GeoAr
     return None
 
 
-def _classify_records(
-    records: list[CrashRecord],
-    index: FreewaySegmentIndex,
-    params: RunParams,
-    workers: int,
-) -> list[RoadClassification]:
-    def one(record: CrashRecord) -> RoadClassification:
-        return classify_road(
-            record, index, threshold_m=params.threshold_m, any_route=params.any_route
-        )
-
-    if workers <= 1 or len(records) < 2:
-        return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, records))  # order-preserving
-
-
 def build_benchmark(
     records: list[CrashRecord],
     index: FreewaySegmentIndex,
@@ -342,12 +398,14 @@ def build_benchmark(
     areas: tuple[GeoArea, ...],
     year: int,
     params: RunParams,
-    workers: int = 1,
 ) -> BenchmarkTables:
     """Aggregate normalized records into rate cells, type distributions,
     and the required-mileage grid."""
     in_year = [r for r in records if r.year == year]
-    classifications = _classify_records(in_year, index, params, workers)
+    classifications = [
+        classify_road(r, index, threshold_m=params.threshold_m, any_route=params.any_route)
+        for r in in_year
+    ]
 
     area_of: list[Optional[GeoArea]] = [_area_for(r, areas) for r in in_year]
     outside = sum(1 for a in area_of if a is None)
@@ -367,21 +425,15 @@ def build_benchmark(
 
     selections = filter_in_transport_passenger(in_year)
 
-    # Stratum tallies as (known, unknown, imputed) triples; known units
-    # carry weight one, unknown-class units the area's passenger fraction.
+    # Tallies per (area, road, outcome, crash type) as (known, unknown,
+    # imputed) triples.  Crash type None is the severity cell: every unit
+    # bumps it and then its own typed cell, so each severity count sums
+    # its typed counts.  Known units carry weight one, unknown-class
+    # units the area's passenger fraction.
     tallies: dict = {}
-    typed_tallies: dict = {}
     imputed_mass: dict[str, float] = {}
     unknown_units = 0
     unresolved_road = 0
-
-    def bump(table: dict, key, weight: float, is_unknown: bool) -> None:
-        entry = table.setdefault(key, [0.0, 0, 0.0])
-        if is_unknown:
-            entry[1] += 1
-            entry[2] += weight
-        else:
-            entry[0] += weight
 
     for record, area, cls, selection in zip(in_year, area_of, classifications, selections):
         if area is None:
@@ -407,47 +459,44 @@ def build_benchmark(
                 record, unit.unit_id, road, gate_order=params.type_gate_order
             )
             for outcome in outcomes:
-                bump(tallies, (area.name, road, outcome), weight, is_unknown)
-                bump(
-                    typed_tallies,
+                for key in (
+                    (area.name, road, outcome, None),
                     (area.name, road, outcome, crash_type),
-                    weight,
-                    is_unknown,
-                )
+                ):
+                    entry = tallies.setdefault(key, [0.0, 0, 0.0])
+                    if is_unknown:
+                        entry[1] += 1
+                        entry[2] += weight
+                    else:
+                        entry[0] += weight
 
     cohort_counts = {key: CohortCounts(*entry) for key, entry in tallies.items()}
     counts = {key: cc.final_count for key, cc in cohort_counts.items()}
-    typed_counts = {
-        key: CohortCounts(*entry).final_count for key, entry in typed_tallies.items()
-    }
 
     # Underreporting adjustment: any-injury counts only, fatal portion
     # passed through untouched.
     u = params.underreport_fraction
     adjusted: dict = {}
     for key, count in counts.items():
-        area_name, road, outcome = key
+        area_name, road, outcome, crash_type = key
         if outcome is OutcomeLevel.ANY_INJURY_REPORTED:
-            fatal = counts.get((area_name, road, OutcomeLevel.FATAL), 0.0)
+            fatal = counts.get((area_name, road, OutcomeLevel.FATAL, crash_type), 0.0)
             adjusted[key] = adjust_underreporting(count - fatal, fatal, u)
         else:
             adjusted[key] = count
-    typed_adjusted: dict = {}
-    for key, count in typed_counts.items():
-        area_name, road, outcome, crash_type = key
-        if outcome is OutcomeLevel.ANY_INJURY_REPORTED:
-            fatal = typed_counts.get(
-                (area_name, road, OutcomeLevel.FATAL, crash_type), 0.0
-            )
-            typed_adjusted[key] = adjust_underreporting(count - fatal, fatal, u)
-        else:
-            typed_adjusted[key] = count
 
     # Passenger VMT per (area, road class).
     vmt_by_key: dict[tuple[str, str, FunctionalClass], VmtRecord] = {}
     for rec in vmt_records:
-        if rec.year == year:
-            vmt_by_key[(rec.state, rec.county, rec.functional_class)] = rec
+        if rec.year != year:
+            continue
+        key = (rec.state, rec.county, rec.functional_class)
+        if key in vmt_by_key:
+            raise DataError(
+                f"duplicate {rec.functional_class.value} VMT for {rec.state}/{rec.county} "
+                f"in {year}: {vmt_by_key[key].vmt_miles!r} and {rec.vmt_miles!r} miles"
+            )
+        vmt_by_key[key] = rec
     area_by_name = {a.name: a for a in areas}
     exposure: dict[tuple[str, RoadClass], float] = {}
     for area in areas:
@@ -477,49 +526,36 @@ def build_benchmark(
                         geo=area,
                         road=road,
                         outcome=outcome,
-                        count=adjusted.get((area.name, road, outcome), 0.0),
+                        count=adjusted.get((area.name, road, outcome, None), 0.0),
                         vmt_miles=vmt,
                     )
                 )
 
+    # Typed cells sort by stratum first, so each stratum's cells are
+    # grouped as they are built.
     typed_cells: list[RateCell] = []
-    for (area_name, road, outcome, crash_type), count in sorted(
-        typed_adjusted.items(),
-        key=lambda kv: (
-            kv[0][0],
-            kv[0][1].value,
-            OUTCOME_ORDER.index(kv[0][2]),
-            kv[0][3].value,
-        ),
+    strata: dict[tuple[str, RoadClass, OutcomeLevel], list[RateCell]] = {}
+    for key in sorted(
+        (key for key in adjusted if key[3] is not None),
+        key=lambda k: (k[0], k[1].value, OUTCOME_ORDER.index(k[2]), k[3].value),
     ):
-        typed_cells.append(
-            RateCell(
-                geo=area_by_name[area_name],
-                road=road,
-                outcome=outcome,
-                count=count,
-                vmt_miles=exposure[(area_name, road)],
-                crash_type=crash_type,
-            )
+        area_name, road, outcome, crash_type = key
+        cell = RateCell(
+            geo=area_by_name[area_name],
+            road=road,
+            outcome=outcome,
+            count=adjusted[key],
+            vmt_miles=exposure[(area_name, road)],
+            crash_type=crash_type,
         )
+        typed_cells.append(cell)
+        strata.setdefault(key[:3], []).append(cell)
 
-    distributions = []
-    seen_strata = sorted(
-        {(c.geo.name, c.road, c.outcome) for c in typed_cells},
-        key=lambda s: (s[0], s[1].value, OUTCOME_ORDER.index(s[2])),
-    )
-    for area_name, road, outcome in seen_strata:
-        stratum = [
-            c
-            for c in typed_cells
-            if c.geo.name == area_name and c.road is road and c.outcome is outcome
-        ]
-        total = sum(c.count for c in stratum)
-        if total <= 0:
-            continue
-        distributions.append(
-            (area_by_name[area_name], road, outcome, crash_type_distribution(stratum))
-        )
+    distributions = [
+        (area_by_name[area_name], road, outcome, crash_type_distribution(stratum))
+        for (area_name, road, outcome), stratum in strata.items()
+        if sum(c.count for c in stratum) > 0
+    ]
 
     power_grid = []
     for cell in cells:
@@ -556,8 +592,9 @@ def build_benchmark(
         "unresolvable_road_records": unresolved_road,
         "invariant_violations": dict(sorted(violation_rules.items())),
     }
+    severity_counts = {key[:3]: cc for key, cc in cohort_counts.items() if key[3] is None}
     return BenchmarkTables(
-        cells, typed_cells, distributions, power_grid, diagnostics, cohort_counts
+        cells, typed_cells, distributions, power_grid, diagnostics, severity_counts
     )
 
 
@@ -568,88 +605,42 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _input_digests(config: RunConfig) -> dict[str, str]:
+    """SHA-256 of every input table the run reads, for the report metadata."""
+    digests = {}
+    for source in config.sources:
+        tables = {
+            "crash": source.crash_table,
+            "units": source.units_table,
+            "persons": source.persons_table,
+        }
+        if source.vmt_table is not None:
+            tables.update(vmt=source.vmt_table, vmt_sidecar=source.vmt_sidecar)
+        for kind, path in tables.items():
+            if path is not None:
+                digests[f"{kind}:{source.name}"] = _sha256(path)
+    for kind, path in (
+        ("segments", config.segments_path),
+        ("aliases", config.aliases_path),
+        ("shares", config.shares_path),
+    ):
+        if path is not None:
+            digests[kind] = _sha256(path)
+    return digests
+
+
 def run(config: RunConfig) -> report_mod.BenchmarkReport:
     """Execute the full pipeline and write the report files.
 
     Raises ConfigError for configuration problems and DataError for
-    data-contract violations; diagnostics accumulated before a data
-    failure are written where possible.
+    data-contract violations.  Report files are written only after every
+    stage before emission has succeeded, so a failed run writes none.
     """
-    base = Path(".") if config.config_path is None else config.config_path.parent
-
-    records: list[CrashRecord] = []
-    ingest_reports: list[IngestReport] = []
-    vmt_records: list[VmtRecord] = []
-    input_digests: dict[str, str] = {}
-
-    geocoder = (
-        FileCachedGeocoder(config.geocoder_cache)
-        if config.geocoder_cache is not None
-        else None
-    )
-    geocode_stats = {"resolved": 0, "unresolved": 0, "failed": 0}
-
-    for source in config.sources:
-        mapping = resolve_mapping(source.mapping, base)
-        source_records, ingest_report = load_crash_table(
-            source.crash_table,
-            mapping,
-            units_source=source.units_table,
-            persons_source=source.persons_table,
-        )
-        input_digests[f"crash:{source.name}"] = _sha256(source.crash_table)
-        if source.units_table:
-            input_digests[f"units:{source.name}"] = _sha256(source.units_table)
-        if source.persons_table:
-            input_digests[f"persons:{source.name}"] = _sha256(source.persons_table)
-
-        if geocoder is not None:
-            source_records, geo_report = geocode_missing(source_records, geocoder)
-            geocode_stats["resolved"] += geo_report.resolved
-            geocode_stats["unresolved"] += geo_report.unresolved
-            geocode_stats["failed"] += len(geo_report.failed)
-
-        records.extend(source_records)
-        ingest_reports.append(ingest_report)
-
-        if source.vmt_table is not None:
-            vmt_mapping = resolve_mapping(source.vmt_mapping or source.mapping, base)
-            sidecar_mapping = (
-                resolve_mapping(source.vmt_sidecar_mapping, base)
-                if source.vmt_sidecar_mapping
-                else None
-            )
-            vmt_records.extend(
-                load_vmt_table(
-                    source.vmt_table,
-                    vmt_mapping,
-                    sidecar_source=source.vmt_sidecar,
-                    sidecar_config=sidecar_mapping,
-                )
-            )
-            input_digests[f"vmt:{source.name}"] = _sha256(source.vmt_table)
-            if source.vmt_sidecar:
-                input_digests[f"vmt_sidecar:{source.name}"] = _sha256(source.vmt_sidecar)
-
-    segments = load_segments_geojson(config.segments_path)
-    aliases = load_alias_table(config.aliases_path) if config.aliases_path else None
-    index = FreewaySegmentIndex(segments, aliases=aliases)
-    input_digests["segments"] = _sha256(config.segments_path)
-    if config.aliases_path:
-        input_digests["aliases"] = _sha256(config.aliases_path)
-
-    shares = load_share_table(config.shares_path)
-    input_digests["shares"] = _sha256(config.shares_path)
-
+    records, ingest_reports, geocode_stats = load_crashes(config)
+    vmt_records, shares = load_exposure(config)
+    index = build_index(config)
     tables = build_benchmark(
-        records,
-        index,
-        vmt_records,
-        shares,
-        config.areas,
-        config.year,
-        config.params,
-        workers=config.workers,
+        records, index, vmt_records, shares, config.areas, config.year, config.params
     )
 
     diagnostics = dict(tables.diagnostics)
@@ -669,7 +660,7 @@ def run(config: RunConfig) -> report_mod.BenchmarkReport:
     metadata = {
         "tool_version": report_mod.TOOL_VERSION,
         "config_digest": _sha256(config.config_path) if config.config_path else "",
-        "input_digests": input_digests,
+        "input_digests": _input_digests(config),
         "year": config.year,
         "seed": config.seed,
         "params": {

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import shutil
 
 import pytest
@@ -91,6 +92,34 @@ class TestStageCommands:
         assert len(grid) == 1  # header only
         rates = (out / "benchmark_rates_2023.csv").read_text().splitlines()
         assert len(rates) > 1
+
+
+def _pinned_digests(fixtures_dir) -> dict[str, str]:
+    lines = (fixtures_dir / "golden_outputs.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+class TestGoldenOutputs:
+    """The fixture run's files must match the SHA-256 digests pinned in
+    tests/fixtures/golden_outputs.sha256.  A change to any fixture input,
+    to TOOL_VERSION or to what the pipeline computes changes them; only
+    the last needs a reason beyond regenerating the file."""
+
+    def test_run_outputs(self, run_args, fixtures_dir):
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        pinned = _pinned_digests(fixtures_dir)
+        emitted = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+        }
+        assert emitted == {k: v for k, v in pinned.items() if k != "road_classes_2023.csv"}
+
+    def test_classify_roads_output(self, run_args, fixtures_dir):
+        args, out = run_args
+        assert main(["classify-roads", *args]) == 0
+        name = "road_classes_2023.csv"
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == _pinned_digests(fixtures_dir)[name]
 
 
 class TestPowerCommand:

@@ -1,12 +1,8 @@
-import random
-
 import pytest
 
 from crashbench.cohort import (
     ImputationBasisMissingError,
-    allocate_unknown,
     filter_in_transport_passenger,
-    impute_unknown_vehicles,
     known_class_histogram,
     passenger_fraction,
     passenger_vmt,
@@ -63,35 +59,20 @@ class TestFilter:
 class TestImputation:
     def test_proportional_allocation(self):
         hist = {VehicleClass.PASSENGER: 90, VehicleClass.HEAVY_VEHICLE: 10}
-        assert impute_unknown_vehicles(hist, 10) == pytest.approx(9.0)
-
-    def test_zero_unknown_is_zero(self):
-        assert impute_unknown_vehicles({}, 0) == 0.0
-        assert impute_unknown_vehicles({VehicleClass.PASSENGER: 5}, 0) == 0.0
+        assert 10 * passenger_fraction(hist) == pytest.approx(9.0)
 
     def test_all_passenger_degenerate(self):
-        assert impute_unknown_vehicles({VehicleClass.PASSENGER: 12}, 7) == pytest.approx(7.0)
+        assert passenger_fraction({VehicleClass.PASSENGER: 12}) == 1.0
 
     def test_empty_histogram_with_unknowns_raises(self):
         with pytest.raises(ImputationBasisMissingError):
-            impute_unknown_vehicles({}, 3)
-
-    def test_mass_conservation(self):
-        rng = random.Random(99)
-        classes = list(VehicleClass)[:5]
-        for _ in range(50):
-            hist = {cls: rng.randint(0, 40) for cls in classes}
-            if sum(hist.values()) == 0:
-                hist[VehicleClass.PASSENGER] = 1
-            unknown = rng.randint(0, 25)
-            allocation = allocate_unknown(hist, unknown)
-            assert sum(allocation.values()) == pytest.approx(unknown, abs=1e-9)
+            passenger_fraction({})
 
     def test_final_counts_bounded(self):
         hist = {VehicleClass.PASSENGER: 30, VehicleClass.MOTORCYCLE: 10}
         known = hist[VehicleClass.PASSENGER]
         unknown = 8
-        imputed = impute_unknown_vehicles(hist, unknown)
+        imputed = unknown * passenger_fraction(hist)
         assert known <= known + imputed <= known + unknown
 
     def test_histogram_counts_in_transport_known_only(self):

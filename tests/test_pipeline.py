@@ -1,10 +1,22 @@
 import json
+import shutil
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from crashbench import pipeline
-from crashbench.model import ConfigError
+from crashbench.model import (
+    ConfigError,
+    DataError,
+    FunctionalClass,
+    GeoArea,
+    PassengerShareTable,
+    VehicleClass,
+    VmtRecord,
+)
 from crashbench.taxonomy import CrashType, OutcomeLevel
+
+from corpus import make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +273,26 @@ class TestRunConfig:
             ("Los Angeles", "Freeway", OutcomeLevel.ANY_AIRBAG_DEPLOYMENT)
         ].count == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("case", ["repeated row", "sidecar repeats a class"])
+    def test_duplicate_vmt_key_is_data_error(self, fixtures_dir, tmp_path, case):
+        # A 5-mile repeat of Travis freeway VMT must not replace the 2e9
+        # miles of the first row.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        repeat = "Travis,FREEWAY,2023,5\n"
+        if case == "repeated row":
+            with open(inputs / "tx_vmt.csv", "a", encoding="utf-8") as fh:
+                fh.write(repeat)
+        else:
+            (inputs / "sidecar.csv").write_text(
+                "County,Functional_Class,Year,Annual_VMT\n" + repeat
+            )
+            with open(inputs / "run.ini", "a", encoding="utf-8") as fh:
+                fh.write("vmt_sidecar = sidecar.csv\n")  # [source.tx] is last
+        config = pipeline.load_run_config(inputs / "run.ini", out_dir=tmp_path / "out")
+        with pytest.raises(DataError, match="duplicate Freeway VMT for TX/TRAVIS in 2023"):
+            pipeline.run(config)
+
     def test_vru_first_gate_order_changes_typing(self, fixtures_dir, tmp_path):
         from dataclasses import replace
 
@@ -275,3 +307,84 @@ class TestRunConfig:
         )
         report = pipeline.run(config)
         assert report.metadata["params"]["type_gate_order"][0] == "vru"
+
+
+# A two-area world over the corpus counties (HAYS falls outside both).
+PROPERTY_AREAS = (
+    GeoArea("Austin", "TX", frozenset({"TRAVIS"})),
+    GeoArea("Round Rock", "TX", frozenset({"WILLIAMSON"})),
+)
+PROPERTY_VMT = [
+    VmtRecord("TX", county, fclass, 2023, miles)
+    for county, miles in (("TRAVIS", 3e9), ("WILLIAMSON", 1e9))
+    for fclass in (FunctionalClass.FREEWAY, FunctionalClass.SURFACE_STREET)
+]
+PROPERTY_SHARES = PassengerShareTable(
+    {
+        ("TX", FunctionalClass.FREEWAY, True): 0.92,
+        ("TX", FunctionalClass.SURFACE_STREET, True): 0.9,
+    }
+)
+corpora = st.builds(make_corpus, st.integers(1, 40), st.integers(0, 2**32 - 1))
+
+
+def _property_tables(records, road_index, **params):
+    try:
+        return pipeline.build_benchmark(
+            records, road_index, PROPERTY_VMT, PROPERTY_SHARES, PROPERTY_AREAS, 2023,
+            pipeline.RunParams(**params),
+        )
+    except DataError as exc:
+        if "no known classes to impute from" not in str(exc):
+            raise
+        reject()
+
+
+class TestBuildBenchmarkProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(records=corpora, rng=st.randoms(use_true_random=False))
+    def test_input_order_invariance(self, road_index, records, rng):
+        shuffled = list(records)
+        rng.shuffle(shuffled)
+        forward = _property_tables(records, road_index, impute_by_road=False)
+        permuted = _property_tables(shuffled, road_index, impute_by_road=False)
+        assert permuted.cells == forward.cells
+        assert permuted.typed_cells == forward.typed_cells
+        assert permuted.distributions == forward.distributions
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=corpora, impute_by_road=st.booleans())
+    def test_severity_cells_sum_typed_cells(self, road_index, records, impute_by_road):
+        tables = _property_tables(records, road_index, impute_by_road=impute_by_road)
+        typed_sums: dict = {}
+        for cell in tables.typed_cells:
+            key = (cell.geo.name, cell.road, cell.outcome)
+            typed_sums[key] = typed_sums.get(key, 0.0) + cell.count
+        for cell in tables.cells:
+            typed = typed_sums.get((cell.geo.name, cell.road, cell.outcome), 0.0)
+            assert cell.count == pytest.approx(typed, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=corpora, impute_by_road=st.booleans())
+    def test_mass_conservation(self, road_index, records, impute_by_road):
+        # PoliceReported is never adjusted and every crash qualifies, so
+        # per area it counts each known in-transport passenger vehicle
+        # once plus the passenger mass imputed to unknown-class units.
+        tables = _property_tables(records, road_index, impute_by_road=impute_by_road)
+        imputed = tables.diagnostics["imputed_passenger_mass"]
+        for area in PROPERTY_AREAS:
+            known = sum(
+                1
+                for record in records
+                if area.contains(record.state, record.county)
+                for unit in record.units
+                if unit.in_transport and unit.vehicle_class is VehicleClass.PASSENGER
+            )
+            police_reported = sum(
+                cell.count
+                for cell in tables.cells
+                if cell.geo == area and cell.outcome is OutcomeLevel.POLICE_REPORTED
+            )
+            assert police_reported == pytest.approx(
+                known + imputed.get(area.name, 0.0), rel=1e-12
+            )
