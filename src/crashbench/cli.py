@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import pipeline
 from .model import ConfigError, CrashBenchError, DataError
-from .power import PowerQuery, mileage_for_power, monte_carlo_power, required_mileage
+from .power import DEFAULT_ALPHA, DEFAULT_POWER, monte_carlo_power, power_curve
 from .rates import safety_impact
 from .report import TOOL_VERSION, parse_rate_table
 from .roadclass import classify_road
@@ -125,27 +125,21 @@ def cmd_rates(args) -> int:
 
 
 def cmd_power(args) -> int:
-    effects = args.effect or [0.75]
-    for effect in effects:
-        query = PowerQuery(
-            lambda_human=args.lambda_human,
-            effect_ratio=effect,
-            alpha=args.alpha if args.alpha is not None else 0.05,
-            power=args.power if args.power is not None else 0.8,
-        )
-        result = required_mileage(query)
-        target = mileage_for_power(query.lambda_human, effect, query.alpha, query.power)
+    alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHA
+    power = args.power if args.power is not None else DEFAULT_POWER
+    for result in power_curve(args.lambda_human, tuple(args.effect or [0.75]), alpha, power):
+        effect = result.query.effect_ratio
         line = (
             f"effect={effect!r} required_miles={result.required_miles!r} "
             f"expected_ads_crashes={result.expected_ads_crashes!r} "
-            f"target_power_miles={target!r}"
+            f"target_power_miles={result.target_power_miles!r}"
         )
         if args.validate:
             fraction = monte_carlo_power(
-                query.lambda_human,
+                args.lambda_human,
                 effect,
-                target,
-                alpha=query.alpha,
+                result.target_power_miles,
+                alpha=alpha,
                 trials=args.validate,
                 seed=args.seed if args.seed is not None else 0,
             )

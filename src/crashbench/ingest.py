@@ -551,12 +551,18 @@ class FileCachedGeocoder:
         self._cache: dict[str, LatLon] = {}
         if self.path.exists():
             with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
+                for line_no, line in enumerate(fh, start=1):
                     line = line.rstrip("\n")
                     if not line:
                         continue
-                    key, lat, lon = line.split("\t")
-                    self._cache[key] = LatLon(float(lat), float(lon))
+                    try:
+                        key, lat, lon = line.split("\t")
+                        self._cache[key] = LatLon(float(lat), float(lon))
+                    except ValueError as exc:
+                        raise DataError(
+                            f"{self.path}: line {line_no}: malformed geocoder cache line "
+                            f"({exc})"
+                        ) from None
 
     def locate(self, request: GeocodeRequest) -> Optional[LatLon]:
         key = request.key()

@@ -204,16 +204,41 @@ class GeoArea:
     def __post_init__(self):
         if not self.counties:
             raise ValueError(f"GeoArea {self.name!r} has no counties")
-        object.__setattr__(self, "state", self.state.strip().upper())
-        object.__setattr__(
-            self, "counties", frozenset(c.strip().upper() for c in self.counties)
-        )
+        object.__setattr__(self, "state", _normalized(self.state))
+        object.__setattr__(self, "counties", frozenset(map(_normalized, self.counties)))
 
     def contains(self, state: str, county: str) -> bool:
-        return (
-            state.strip().upper() == self.state
-            and county.strip().upper() in self.counties
-        )
+        state, county = county_key(state, county)
+        return state == self.state and county in self.counties
+
+
+def _normalized(name: str) -> str:
+    return name.strip().upper()
+
+
+def county_key(state: str, county: str) -> tuple[str, str]:
+    """The normalized (state, county) pair that areas match records on."""
+    return _normalized(state), _normalized(county)
+
+
+def county_areas(areas: Iterable[GeoArea]) -> dict[tuple[str, str], GeoArea]:
+    """Map each normalized (state, county) pair to the one area that
+    contains it; look records up with ``county_key``.
+
+    Two areas sharing a county are a ConfigError: the county's VMT would
+    count in both areas' exposure while its crashes counted in one.
+    """
+    by_county: dict[tuple[str, str], GeoArea] = {}
+    for area in areas:
+        for county in sorted(area.counties):
+            key = (area.state, county)
+            if key in by_county:
+                raise ConfigError(
+                    f"county {area.state}/{county} is in two areas: "
+                    f"{by_county[key].name!r} and {area.name!r}"
+                )
+            by_county[key] = area
+    return by_county
 
 
 # Default study areas: state plus county definitions for the five urban

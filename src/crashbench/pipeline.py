@@ -4,7 +4,12 @@ Stages, which ``run`` and the CLI subcommands compose: ``load_crashes``
 (ingest and geocode), ``load_exposure`` (VMT and passenger shares),
 ``build_index`` (freeway segments), ``build_benchmark`` (road
 classification, cohort selection, outcome/type taxonomy, rates and the
-power grid), then report emission.  The run is single-threaded and
+power grid), then report emission.  ``build_benchmark`` takes each
+stratum input from the module that owns it: a crash's area from
+``model.county_areas`` (areas that share a county are a ConfigError),
+the outcome order from ``taxonomy.OutcomeLevel``'s declaration order,
+and each grid row's mileages from ``power.power_curve``, called once per
+severity cell with a positive count.  The run is single-threaded and
 deterministic: record order follows the input files and fractional sums
 reduce in a fixed order, so reports are byte-identical across runs.
 ``RunConfig.workers`` is validated but has no effect, and
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from configparser import ConfigParser
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -47,9 +52,11 @@ from .model import (
     PassengerShareTable,
     RoadClass,
     VmtRecord,
+    county_areas,
+    county_key,
     validate_record,
 )
-from .power import DEFAULT_EFFECT_RATIOS, PowerQuery, mileage_for_power, required_mileage
+from .power import DEFAULT_EFFECT_RATIOS, power_curve
 from .rates import RateCell, adjust_underreporting, crash_type_distribution
 from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
@@ -61,17 +68,10 @@ from .roadclass import (
 from .taxonomy import (
     DEFAULT_GATE_ORDER,
     GATE_NAMES,
+    OUTCOME_RANK,
     OutcomeLevel,
     classify_crash_type,
     classify_outcome,
-)
-
-OUTCOME_ORDER = (
-    OutcomeLevel.POLICE_REPORTED,
-    OutcomeLevel.ANY_INJURY_REPORTED,
-    OutcomeLevel.ANY_AIRBAG_DEPLOYMENT,
-    OutcomeLevel.SUSPECTED_SERIOUS_INJURY_PLUS,
-    OutcomeLevel.FATAL,
 )
 
 
@@ -139,6 +139,7 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not self.areas:
             raise ConfigError("no geographic areas configured")
+        county_areas(self.areas)  # rejects areas that share a county
         if not self.sources:
             raise ConfigError("no crash data sources configured")
 
@@ -191,11 +192,11 @@ def load_run_config(
         raise ConfigError(f"run config not found: {path}")
     base = path.parent
 
-    def input_path(option: str, required: bool = True) -> Optional[Path]:
-        raw = parser.get("inputs", option, fallback=None)
+    def file_option(section: str, option: str, required: bool = False) -> Optional[Path]:
+        raw = parser.get(section, option, fallback=None)
         if raw is None:
             if required:
-                raise ConfigError(f"{path}: [inputs] missing {option}")
+                raise ConfigError(f"{path}: [{section}] missing {option}")
             return None
         resolved = base / raw
         if not resolved.exists():
@@ -217,32 +218,19 @@ def load_run_config(
     for section in parser.sections():
         if not section.startswith("source."):
             continue
-        name = section[len("source."):]
-
-        def src_path(option: str, required: bool = False) -> Optional[Path]:
-            raw = parser.get(section, option, fallback=None)
-            if raw is None:
-                if required:
-                    raise ConfigError(f"{path}: [{section}] missing {option}")
-                return None
-            resolved = base / raw
-            if not resolved.exists():
-                raise ConfigError(f"{path}: input file not found: {resolved}")
-            return resolved
-
         mapping = parser.get(section, "mapping", fallback=None)
         if mapping is None:
             raise ConfigError(f"{path}: [{section}] missing mapping")
         sources.append(
             SourceSpec(
-                name=name,
+                name=section[len("source."):],
                 mapping=mapping,
-                crash_table=src_path("crash_table", required=True),
-                units_table=src_path("units_table"),
-                persons_table=src_path("persons_table"),
-                vmt_table=src_path("vmt_table"),
+                crash_table=file_option(section, "crash_table", required=True),
+                units_table=file_option(section, "units_table"),
+                persons_table=file_option(section, "persons_table"),
+                vmt_table=file_option(section, "vmt_table"),
                 vmt_mapping=parser.get(section, "vmt_mapping", fallback=None),
-                vmt_sidecar=src_path("vmt_sidecar"),
+                vmt_sidecar=file_option(section, "vmt_sidecar"),
                 vmt_sidecar_mapping=parser.get(section, "vmt_sidecar_mapping", fallback=None),
             )
         )
@@ -286,10 +274,10 @@ def load_run_config(
         year=year,
         areas=areas,
         sources=tuple(sources),
-        segments_path=input_path("segments"),
-        shares_path=input_path("shares"),
-        aliases_path=input_path("aliases", required=False),
-        geocoder_cache=input_path("geocoder_cache", required=False),
+        segments_path=file_option("inputs", "segments", required=True),
+        shares_path=file_option("inputs", "shares", required=True),
+        aliases_path=file_option("inputs", "aliases"),
+        geocoder_cache=file_option("inputs", "geocoder_cache"),
         out_dir=resolved_out,
         seed=seed if seed is not None else parser.getint("run", "seed", fallback=0),
         workers=workers if workers is not None else parser.getint("run", "workers", fallback=1),
@@ -383,13 +371,6 @@ class BenchmarkTables:
     cohort_counts: dict = field(default_factory=dict)
 
 
-def _area_for(record: CrashRecord, areas: tuple[GeoArea, ...]) -> Optional[GeoArea]:
-    for area in areas:
-        if area.contains(record.state, record.county):
-            return area
-    return None
-
-
 def build_benchmark(
     records: list[CrashRecord],
     index: FreewaySegmentIndex,
@@ -401,13 +382,14 @@ def build_benchmark(
 ) -> BenchmarkTables:
     """Aggregate normalized records into rate cells, type distributions,
     and the required-mileage grid."""
+    by_county = county_areas(areas)
     in_year = [r for r in records if r.year == year]
     classifications = [
         classify_road(r, index, threshold_m=params.threshold_m, any_route=params.any_route)
         for r in in_year
     ]
 
-    area_of: list[Optional[GeoArea]] = [_area_for(r, areas) for r in in_year]
+    area_of = [by_county.get(county_key(r.state, r.county)) for r in in_year]
     outside = sum(1 for a in area_of if a is None)
 
     # Imputation basis: known-class histogram at the geographic level
@@ -520,7 +502,7 @@ def build_benchmark(
     for area in areas:
         for road in (RoadClass.FREEWAY, RoadClass.SURFACE_STREET):
             vmt = exposure[(area.name, road)]
-            for outcome in OUTCOME_ORDER:
+            for outcome in OutcomeLevel:
                 cells.append(
                     RateCell(
                         geo=area,
@@ -537,7 +519,7 @@ def build_benchmark(
     strata: dict[tuple[str, RoadClass, OutcomeLevel], list[RateCell]] = {}
     for key in sorted(
         (key for key in adjusted if key[3] is not None),
-        key=lambda k: (k[0], k[1].value, OUTCOME_ORDER.index(k[2]), k[3].value),
+        key=lambda k: (k[0], k[1].value, OUTCOME_RANK[k[2]], k[3].value),
     ):
         area_name, road, outcome, crash_type = key
         cell = RateCell(
@@ -562,20 +544,16 @@ def build_benchmark(
         if cell.count <= 0:
             continue
         lam = cell.count / cell.vmt_miles  # crashes per mile
-        for effect in params.effects:
-            query = PowerQuery(lam, effect, params.alpha, params.power)
-            result = required_mileage(query)
+        for result in power_curve(lam, params.effects, params.alpha, params.power):
             power_grid.append(
                 {
                     "geo": cell.geo.name,
                     "road": cell.road.value,
                     "outcome": cell.outcome.value,
-                    "effect_ratio": effect,
+                    "effect_ratio": result.query.effect_ratio,
                     "required_miles": result.required_miles,
                     "expected_ads_crashes": result.expected_ads_crashes,
-                    "target_power_miles": mileage_for_power(
-                        lam, effect, params.alpha, params.power
-                    ),
+                    "target_power_miles": result.target_power_miles,
                 }
             )
 
@@ -663,17 +641,7 @@ def run(config: RunConfig) -> report_mod.BenchmarkReport:
         "input_digests": _input_digests(config),
         "year": config.year,
         "seed": config.seed,
-        "params": {
-            "threshold_m": config.params.threshold_m,
-            "underreport_fraction": config.params.underreport_fraction,
-            "alpha": config.params.alpha,
-            "power": config.params.power,
-            "effects": list(config.params.effects),
-            "any_route": config.params.any_route,
-            "impute_by_road": config.params.impute_by_road,
-            "urban": config.params.urban,
-            "type_gate_order": list(config.params.type_gate_order),
-        },
+        "params": asdict(config.params),
     }
 
     benchmark = report_mod.BenchmarkReport(

@@ -4,11 +4,11 @@ The driving question: how many ADS miles are needed before a two-sided
 test of the ADS crash rate against a known human benchmark rate reaches
 a target rejection probability?  The module provides
 
-* ``required_mileage`` - the benchmark methodology's displayed formula,
-  evaluated exactly as written (the lower-tail quantile keeps its
-  negative sign; see the note on ``mileage_for_power``),
-* ``mileage_for_power`` - the conventional closed form that attains the
-  target power under the test below,
+* ``power_curve`` - for each effect ratio, ``required_miles`` (the
+  benchmark methodology's displayed formula, evaluated exactly as
+  written) and ``target_power_miles`` (the conventional form that
+  attains the target power under the test below); ``required_mileage``
+  and ``mileage_for_power`` give one effect ratio's values,
 * ``analytic_power`` / ``monte_carlo_power`` - normal-approximation and
   simulated power of the test at any mileage, the latter serving as an
   independent oracle for the closed forms.
@@ -117,34 +117,59 @@ class PowerQuery:
 
 @dataclass(frozen=True)
 class PowerResult:
+    """Both mileages for one query: ``required_miles`` from the displayed
+    formula, ``target_power_miles`` from the conventional form."""
+
     query: PowerQuery
     required_miles: float
+    target_power_miles: float
 
     @property
     def expected_ads_crashes(self) -> float:
         return self.query.lambda_ads * self.required_miles
 
 
-def required_mileage(query: PowerQuery) -> PowerResult:
-    """Evaluate the displayed required-mileage formula verbatim.
+def _miles(query: PowerQuery, z_power: float, z_alpha: float) -> float:
+    """The closed form both mileages share.
 
-    m = (sqrt(lambda_ads) * Phi^-1(1 - beta) + sqrt(lambda_human) * Phi^-1(alpha/2))^2
+    m = (sqrt(lambda_ads) * z_power + sqrt(lambda_human) * z_alpha)^2
         / (lambda_ads - lambda_human)^2
-
-    Phi^-1(alpha/2) is negative, so the numerator terms partially
-    cancel; the result is about 4.8x smaller (at the default alpha and
-    power) than ``mileage_for_power``, which is the form that actually
-    reaches the target rejection probability under the two-sided test.
-    Both are kept: this function reproduces the published formula's
-    values, the other reproduces its published mileage charts.
     """
     lam_h = query.lambda_human
     lam_a = query.lambda_ads
-    z_power = norm_quantile(query.power)
-    z_alpha2 = norm_quantile(query.alpha / 2.0)
-    numerator = (math.sqrt(lam_a) * z_power + math.sqrt(lam_h) * z_alpha2) ** 2
-    miles = numerator / (lam_a - lam_h) ** 2
-    return PowerResult(query=query, required_miles=miles)
+    numerator = (math.sqrt(lam_a) * z_power + math.sqrt(lam_h) * z_alpha) ** 2
+    return numerator / (lam_a - lam_h) ** 2
+
+
+def power_curve(
+    lambda_human: float,
+    effects: tuple[float, ...] = DEFAULT_EFFECT_RATIOS,
+    alpha: float = DEFAULT_ALPHA,
+    power: float = DEFAULT_POWER,
+) -> list[PowerResult]:
+    """Both mileages for each effect ratio, with z_power = Phi^-1(power).
+
+    ``required_miles`` takes z_alpha = Phi^-1(alpha/2) as displayed.  It
+    is negative, so the numerator terms partially cancel and the result
+    is about 4.8x smaller (at the default alpha and power) than
+    ``target_power_miles``, whose z_alpha = Phi^-1(1 - alpha/2) reaches
+    the target power.  The first reproduces the published formula's
+    values, the second its published mileage charts.
+    """
+    queries = [PowerQuery(lambda_human, effect, alpha, power) for effect in effects]
+    z_power = norm_quantile(power)
+    z_lower = norm_quantile(alpha / 2.0)
+    z_upper = norm_quantile(1.0 - alpha / 2.0)
+    return [
+        PowerResult(query, _miles(query, z_power, z_lower), _miles(query, z_power, z_upper))
+        for query in queries
+    ]
+
+
+def required_mileage(query: PowerQuery) -> PowerResult:
+    """Both mileages for one query (see ``power_curve``)."""
+    (result,) = power_curve(query.lambda_human, (query.effect_ratio,), query.alpha, query.power)
+    return result
 
 
 def mileage_for_power(
@@ -154,31 +179,9 @@ def mileage_for_power(
     power: float = DEFAULT_POWER,
 ) -> float:
     """Miles at which the two-sided benchmark-known test attains the
-    target power (dominant-tail closed form).
-
-    m = (sqrt(lambda_ads) * Phi^-1(power) + sqrt(lambda_human) * |Phi^-1(alpha/2)|)^2
-        / (lambda_ads - lambda_human)^2
-    """
+    target power (``target_power_miles`` of ``power_curve``)."""
     query = PowerQuery(lambda_human, effect_ratio, alpha, power)
-    z_power = norm_quantile(query.power)
-    z_crit = norm_quantile(1.0 - query.alpha / 2.0)
-    numerator = (
-        math.sqrt(query.lambda_ads) * z_power + math.sqrt(lambda_human) * z_crit
-    ) ** 2
-    return numerator / (query.lambda_ads - lambda_human) ** 2
-
-
-def power_curve(
-    lambda_human: float,
-    effects: tuple[float, ...] = DEFAULT_EFFECT_RATIOS,
-    alpha: float = DEFAULT_ALPHA,
-    power: float = DEFAULT_POWER,
-) -> list[PowerResult]:
-    """Required mileage for each effect ratio, one result per effect."""
-    return [
-        required_mileage(PowerQuery(lambda_human, effect, alpha, power))
-        for effect in effects
-    ]
+    return _miles(query, norm_quantile(power), norm_quantile(1.0 - alpha / 2.0))
 
 
 def analytic_power(

@@ -19,17 +19,9 @@ from typing import Optional
 
 from .model import GeoArea, RoadClass
 from .rates import RateCell, format_rate
-from .taxonomy import CrashType, OutcomeLevel
+from .taxonomy import OUTCOME_RANK, CrashType, OutcomeLevel
 
 TOOL_VERSION = "0.1.0"
-
-_OUTCOME_ORDER = {
-    OutcomeLevel.POLICE_REPORTED: 0,
-    OutcomeLevel.ANY_INJURY_REPORTED: 1,
-    OutcomeLevel.ANY_AIRBAG_DEPLOYMENT: 2,
-    OutcomeLevel.SUSPECTED_SERIOUS_INJURY_PLUS: 3,
-    OutcomeLevel.FATAL: 4,
-}
 
 # Methodology notes shipped with every report.  Kept as stable constants
 # so downstream documentation checks can assert their presence.
@@ -85,7 +77,7 @@ def _cell_sort_key(cell: RateCell):
     return (
         cell.geo.name,
         cell.road.value,
-        _OUTCOME_ORDER[cell.outcome],
+        OUTCOME_RANK[cell.outcome],
         cell.crash_type.value if cell.crash_type else "",
     )
 
@@ -150,7 +142,7 @@ def emit_report(
     dist_rows = []
     for geo, road, outcome, fractions in sorted(
         report.distributions,
-        key=lambda d: (d[0].name, d[1].value, _OUTCOME_ORDER[d[2]]),
+        key=lambda d: (d[0].name, d[1].value, OUTCOME_RANK[d[2]]),
     ):
         for crash_type in sorted(fractions, key=lambda t: t.value):
             dist_rows.append(

@@ -34,6 +34,9 @@ class OutcomeLevel(Enum):
     FATAL = "Fatal"
 
 
+# Declaration order is the order of outcome cells in every table.
+OUTCOME_RANK = {outcome: rank for rank, outcome in enumerate(OutcomeLevel)}
+
 # Severity chain, least to most severe; AnyAirbagDeployment sits outside it.
 INJURY_CHAIN = (
     OutcomeLevel.POLICE_REPORTED,

@@ -40,6 +40,39 @@ class TestRun:
         assert "crashbench-error" in err and "kind=config" in err
         assert "tx_vmt.csv" in err  # names the missing path
 
+    def test_overlapping_areas_exit_config_error(self, fixtures_dir, tmp_path, capsys):
+        # Metro's exposure would include Travis VMT while every Travis
+        # crash counted in Austin.
+        shutil.copytree(fixtures_dir, tmp_path / "inputs")
+        config = tmp_path / "inputs" / "run.ini"
+        config.write_text(
+            config.read_text().replace(
+                "Round Rock = TX: Williamson", "Metro = TX: Travis, Williamson"
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err
+        assert "TX/TRAVIS is in two areas: 'Austin' and 'Metro'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line", ["no tabs on this line", "TX|TRAVIS|I-35|\tnorth\t-97.74"]
+    )
+    def test_malformed_geocoder_cache_exit_data_error(self, fixtures_dir, tmp_path, capsys,
+                                                      line):
+        shutil.copytree(fixtures_dir, tmp_path / "inputs")
+        cache = tmp_path / "inputs" / "geocache.tsv"
+        line_no = len(cache.read_text().splitlines()) + 1
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        config = tmp_path / "inputs" / "run.ini"
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert f"geocache.tsv: line {line_no}: malformed geocoder cache line" in err
+
     def test_no_config_given(self, capsys, monkeypatch):
         monkeypatch.delenv("CRASHBENCH_CONFIG", raising=False)
         assert main(["run"]) == 2

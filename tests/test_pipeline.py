@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -14,6 +15,7 @@ from crashbench.model import (
     VehicleClass,
     VmtRecord,
 )
+from crashbench.power import DEFAULT_EFFECT_RATIOS
 from crashbench.taxonomy import CrashType, OutcomeLevel
 
 from corpus import make_corpus
@@ -199,6 +201,17 @@ class TestRunConfig:
             "Atlanta", "Austin", "Los Angeles", "Phoenix", "San Francisco to San Jose"
         }
 
+    def test_overlapping_areas_rejected(self, fixtures_dir):
+        config = pipeline.load_run_config(fixtures_dir / "run.ini")
+        metro = GeoArea("Metro", "TX", frozenset({"Williamson", " travis"}))
+        message = "TX/TRAVIS is in two areas: 'Austin' and 'Metro'"
+        with pytest.raises(ConfigError, match=message):
+            replace(config, areas=(*config.areas, metro))
+        with pytest.raises(ConfigError, match=message):
+            pipeline.build_benchmark(
+                [], None, [], PROPERTY_SHARES, (*config.areas, metro), 2023, config.params
+            )
+
     def test_area_syntax_validation(self):
         with pytest.raises(ConfigError):
             pipeline._parse_area("X", "TX")
@@ -294,8 +307,6 @@ class TestRunConfig:
             pipeline.run(config)
 
     def test_vru_first_gate_order_changes_typing(self, fixtures_dir, tmp_path):
-        from dataclasses import replace
-
         config = pipeline.load_run_config(fixtures_dir / "run.ini", out_dir=tmp_path)
         config = replace(
             config,
@@ -388,3 +399,38 @@ class TestBuildBenchmarkProperties:
             assert police_reported == pytest.approx(
                 known + imputed.get(area.name, 0.0), rel=1e-12
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=corpora, rng=st.randoms(use_true_random=False))
+    def test_unnormalized_state_and_county(self, road_index, records, rng):
+        # Stray case and whitespace in a record's state or county must not
+        # move it to another area, or out of every area.
+        messy = [
+            replace(
+                r,
+                state=rng.choice([" tx", "Tx ", "TX", "\ttx"]),
+                county=rng.choice([r.county.lower() + " ", " " + r.county.title(), r.county]),
+            )
+            for r in records
+        ]
+        clean = _property_tables(records, road_index)
+        tables = _property_tables(messy, road_index)
+        assert tables.cells == clean.cells
+        assert tables.typed_cells == clean.typed_cells
+        assert tables.distributions == clean.distributions
+        assert tables.diagnostics == clean.diagnostics
+        outside = sum(
+            1 for r in messy if not any(a.contains(r.state, r.county) for a in PROPERTY_AREAS)
+        )
+        assert tables.diagnostics["records_outside_areas"] == outside
+
+    def test_power_grid_quantiles_once_per_cell(self, road_index, monkeypatch):
+        from crashbench import power
+
+        calls = []
+        quantile = power.norm_quantile
+        monkeypatch.setattr(power, "norm_quantile", lambda p: calls.append(p) or quantile(p))
+        tables = _property_tables(make_corpus(40), road_index)
+        positive = sum(1 for cell in tables.cells if cell.count > 0)
+        assert len(tables.power_grid) == len(DEFAULT_EFFECT_RATIOS) * positive
+        assert len(calls) == 3 * positive

@@ -109,6 +109,22 @@ class TestPowerCurve:
         with pytest.raises(ZeroEffectError):
             power_curve(1e-6, effects=(0.75, 1.0))
 
+    def test_rows_carry_both_mileages(self):
+        lam_h, alpha, power = 2e-6, 0.1, 0.9
+        z_power = norm_quantile(power)
+        for row in power_curve(lam_h, alpha=alpha, power=power):
+            lam_a = row.query.lambda_ads
+            for z_alpha, miles in (
+                (norm_quantile(alpha / 2), row.required_miles),
+                (norm_quantile(1 - alpha / 2), row.target_power_miles),
+            ):
+                expected = (math.sqrt(lam_a) * z_power + math.sqrt(lam_h) * z_alpha) ** 2
+                assert miles == expected / (lam_a - lam_h) ** 2
+            assert row == required_mileage(row.query)
+            assert row.target_power_miles == mileage_for_power(
+                lam_h, row.query.effect_ratio, alpha, power
+            )
+
 
 class TestMileageForPower:
     def test_conventional_reference_value(self):
