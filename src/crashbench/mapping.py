@@ -31,7 +31,6 @@ codes degrade to the Unknown member and are counted.
 from __future__ import annotations
 
 import re
-from configparser import ConfigParser
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -44,6 +43,7 @@ from .model import (
     KabcoLevel,
     MannerOfCollision,
     VehicleClass,
+    read_ini,
 )
 
 CRASH_REQUIRED = ("crash_id", "state", "county", "year")
@@ -161,11 +161,7 @@ class MappingConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "MappingConfig":
-        parser = ConfigParser(interpolation=None)
-        parser.optionxform = str  # source column names are case-sensitive
-        read = parser.read(path, encoding="utf-8")
-        if not read:
-            raise ConfigError(f"mapping config not found: {path}")
+        parser = read_ini(path, "mapping config")  # column names keep their case
         if not parser.has_section("source"):
             raise ConfigError(f"{path}: missing [source] section")
         name = parser.get("source", "name", fallback=None)

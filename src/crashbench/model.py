@@ -10,8 +10,11 @@ All types are immutable after construction.
 
 from __future__ import annotations
 
+import configparser
+import os
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 
@@ -25,6 +28,23 @@ class ConfigError(CrashBenchError):
 
 class DataError(CrashBenchError):
     """Input data violates a hard contract (not a per-row skip)."""
+
+
+def read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
+    """Parse the INI file at ``path``: options keep their case and values
+    are read literally (no '%' interpolation).  A missing file is a
+    ConfigError, and so is one configparser rejects (a repeated section
+    or option, a line outside any section); configparser's message,
+    which names the file and line, is kept."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        read = parser.read(os.fspath(path), encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
+    if not read:
+        raise ConfigError(f"{what} not found: {path}")
+    return parser
 
 
 class LatLon(NamedTuple):

@@ -19,7 +19,6 @@ reduce in a fixed order, so reports are byte-identical across runs.
 from __future__ import annotations
 
 import hashlib
-from configparser import ConfigParser
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -54,6 +53,7 @@ from .model import (
     VmtRecord,
     county_areas,
     county_key,
+    read_ini,
     validate_record,
 )
 from .power import DEFAULT_EFFECT_RATIOS, power_curve
@@ -186,10 +186,7 @@ def load_run_config(
     Referenced input files must exist at load time.
     """
     path = Path(path)
-    parser = ConfigParser(interpolation=None)
-    parser.optionxform = str
-    if not parser.read(path, encoding="utf-8"):
-        raise ConfigError(f"run config not found: {path}")
+    parser = read_ini(path, "run config")
     base = path.parent
 
     def file_option(section: str, option: str, required: bool = False) -> Optional[Path]:

@@ -14,6 +14,14 @@ Geometry: point-to-polyline distance uses a local planar
 or perpendicular foot), then the haversine distance to that point.
 Sub-meter accurate at city scale.  Coordinates are (lat, lon) degrees;
 no antimeridian handling (the study areas are far from it).
+
+Search: ``FreewaySegmentIndex`` finds candidates on a grid of segment
+bounding boxes, one grid per route (built on that route's first query;
+a query without a route uses a grid over all segments), and measures
+each candidate leg from constants computed on its segment's first query.
+Nothing of the search is built in the constructor.  Every distance it
+returns equals, bit for bit, the minimum of ``polyline_distance_m`` over
+the same segments, which stays the public reference.
 """
 
 from __future__ import annotations
@@ -21,13 +29,21 @@ from __future__ import annotations
 import json
 import math
 import re
-from configparser import ConfigParser
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .model import ConfigError, CrashBenchError, CrashRecord, DataError, LatLon, RoadClass
+from .model import (
+    ConfigError,
+    CrashBenchError,
+    CrashRecord,
+    DataError,
+    LatLon,
+    RoadClass,
+    read_ini,
+)
 
 EARTH_RADIUS_M = 6371000.0
 METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
@@ -182,18 +198,25 @@ class RoadClassification:
 class _SegmentGrid:
     """Uniform lat/lon grid of segment bounding boxes.
 
-    Queries return a superset of every segment having any point within
-    the given distance of the query point: latitude padding uses the
-    exact meridian bound (distance >= R * |dlat|) and longitude padding
-    a conservative pi/2 factor on the parallel bound, so no true
-    neighbor is ever pruned.
+    Built over any subset of an index's segments (one route's, or all of
+    them), keyed by each segment's index in the full set.  Queries return
+    a superset of every member segment having any point within the given
+    distance of the query point: latitude padding uses the exact meridian
+    bound (distance >= R * |dlat|) and longitude padding a conservative
+    pi/2 factor on the parallel bound, so no true neighbor is ever pruned.
+    A query visits whichever is fewer, the cells of its search window or
+    the grid's own non-empty cells, so a wide window over a small route
+    costs no more than the route's size.
     """
 
-    def __init__(self, segments: Sequence[FreewaySegment], cell_deg: float = 0.02):
+    def __init__(
+        self,
+        boxes: Iterable[tuple[int, tuple[float, float, float, float]]],
+        cell_deg: float = 0.02,
+    ):
         self.cell_deg = cell_deg
         self.cells: dict[tuple[int, int], list[int]] = {}
-        for idx, seg in enumerate(segments):
-            lat_lo, lon_lo, lat_hi, lon_hi = seg.bbox
+        for idx, (lat_lo, lon_lo, lat_hi, lon_hi) in boxes:
             for ci in range(self._c(lat_lo), self._c(lat_hi) + 1):
                 for cj in range(self._c(lon_lo), self._c(lon_hi) + 1):
                     self.cells.setdefault((ci, cj), []).append(idx)
@@ -206,17 +229,52 @@ class _SegmentGrid:
         lat_reach = min(89.99, abs(point.lat) + lat_pad)
         cos_bound = max(math.cos(math.radians(lat_reach)), 1e-6)
         lon_pad = radius_m / (METERS_PER_DEG * cos_bound) * (math.pi / 2.0) + 1e-9
+        i_lo, i_hi = self._c(point.lat - lat_pad), self._c(point.lat + lat_pad)
+        j_lo, j_hi = self._c(point.lon - lon_pad), self._c(point.lon + lon_pad)
         found: set[int] = set()
-        for ci in range(self._c(point.lat - lat_pad), self._c(point.lat + lat_pad) + 1):
-            for cj in range(self._c(point.lon - lon_pad), self._c(point.lon + lon_pad) + 1):
-                found.update(self.cells.get((ci, cj), ()))
+        if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) <= len(self.cells):
+            for ci in range(i_lo, i_hi + 1):
+                for cj in range(j_lo, j_hi + 1):
+                    found.update(self.cells.get((ci, cj), ()))
+        else:
+            for (ci, cj), members in self.cells.items():
+                if i_lo <= ci <= i_hi and j_lo <= cj <= j_hi:
+                    found.update(members)
         return found
+
+
+_LEG_FIELDS = 12  # values _leg_constants stores per leg
+_TWO_R = 2.0 * EARTH_RADIUS_M
+
+
+def _leg_constants(polyline: Sequence[LatLon]) -> array:
+    """Everything ``point_leg_distance_m`` derives from a leg alone, for
+    each leg of the polyline: the projection center (lat0, lon0 radians,
+    cos0), the projected first vertex (x1, y1), the projected leg (dx,
+    dy, length_sq), and the first vertex with the leg's extent in degrees
+    (for the foot).  Each value is computed by the same operations, in
+    the same order, as there."""
+    out = array("d")
+    for v1, v2 in zip(polyline, polyline[1:]):
+        lat0 = math.radians((v1.lat + v2.lat) / 2.0)
+        lon0 = math.radians((v1.lon + v2.lon) / 2.0)
+        cos0 = math.cos(math.radians((v1.lat + v2.lat) / 2.0))
+        x1 = EARTH_RADIUS_M * (math.radians(v1.lon) - lon0) * cos0
+        y1 = EARTH_RADIUS_M * (math.radians(v1.lat) - lat0)
+        x2 = EARTH_RADIUS_M * (math.radians(v2.lon) - lon0) * cos0
+        y2 = EARTH_RADIUS_M * (math.radians(v2.lat) - lat0)
+        dx, dy = x2 - x1, y2 - y1
+        out.extend(
+            (lat0, lon0, cos0, x1, y1, dx, dy, dx * dx + dy * dy,
+             v1.lat, v1.lon, v2.lat - v1.lat, v2.lon - v1.lon)
+        )
+    return out
 
 
 class FreewaySegmentIndex:
     """Freeway polylines plus the machinery to query them: a name
-    matcher (alias table + route-number patterns) and a spatial grid for
-    proximity tests."""
+    matcher (alias table + route-number patterns) and per-route spatial
+    grids with cached leg constants for proximity tests."""
 
     def __init__(
         self,
@@ -254,16 +312,21 @@ class FreewaySegmentIndex:
             for name in names:
                 self._register_alias(name, rid)
 
-        self._grid = _SegmentGrid(self.segments, cell_deg=cell_deg)
-        if self.segments:
-            lat_lo = min(s.bbox[0] for s in self.segments)
-            lat_hi = max(s.bbox[2] for s in self.segments)
-            lon_lo = min(s.bbox[1] for s in self.segments)
-            lon_hi = max(s.bbox[3] for s in self.segments)
+        self._cell_deg = cell_deg
+        self._bboxes = [seg.bbox for seg in self.segments]
+        if self._bboxes:
+            lat_lo = min(b[0] for b in self._bboxes)
+            lat_hi = max(b[2] for b in self._bboxes)
+            lon_lo = min(b[1] for b in self._bboxes)
+            lon_hi = max(b[3] for b in self._bboxes)
             span_deg = max(lat_hi - lat_lo, lon_hi - lon_lo, 1.0)
             self._cover_radius_m = 4.0 * span_deg * METERS_PER_DEG
         else:
             self._cover_radius_m = 0.0
+        # Built on first use: one grid per route queried (key None: all
+        # segments) and each segment's leg constants.
+        self._grids: dict[Optional[str], _SegmentGrid] = {}
+        self._legs: list[Optional[array]] = [None] * len(self.segments)
 
     def _register_canonical(self, key: str, route_id: str) -> None:
         existing = self._canonical.get(key)
@@ -317,38 +380,82 @@ class FreewaySegmentIndex:
         self, point: LatLon, route_id: Optional[str] = None
     ) -> float:
         """Minimum distance from the point to any segment (optionally
-        restricted to one route), meters.  Exact: equals the exhaustive
-        minimum over the same segments."""
+        restricted to one route), meters.  Exact: equals, bit for bit,
+        the minimum of ``polyline_distance_m`` over the same segments.
+
+        The search runs on a grid over the route's own segments (over
+        all segments without a route), built on the route's first query,
+        and measures each candidate leg from constants computed on the
+        segment's first query (``_leg_constants``)."""
         if route_id is None:
-            allowed = range(len(self.segments))
+            members: Sequence[int] = range(len(self.segments))
         else:
-            allowed = self._route_segments.get(route_id, [])
-        allowed = set(allowed)
-        if not allowed:
+            members = self._route_segments.get(route_id, ())
+        if not members:
             raise NoSegmentsError(
                 f"no segments for route {route_id!r}" if route_id else "empty index"
             )
+        grid = self._grids.get(route_id)
+        if grid is None:
+            grid = self._grids[route_id] = _SegmentGrid(
+                ((i, self._bboxes[i]) for i in members), cell_deg=self._cell_deg
+            )
 
         radius = max(4.0 * DEFAULT_PROXIMITY_THRESHOLD_M, 1000.0)
-        candidates: set[int] = set()
+        candidates: Iterable[int]
         while True:
-            candidates = self._grid.query(point, radius) & allowed
+            candidates = grid.query(point, radius)
             if candidates:
                 break
             radius *= 4.0
             if radius > self._cover_radius_m:
-                candidates = allowed
+                candidates = members
                 break
-        best = min(self._segment_distance(point, i) for i in candidates)
-        if best > radius and candidates is not allowed:
+        best = self._nearest(point, candidates)
+        if best > radius and candidates is not members:
             # The nearest candidate lies beyond the query box; re-query at
             # that distance so no closer segment outside the box is missed.
-            candidates = self._grid.query(point, best) & allowed or allowed
-            best = min(self._segment_distance(point, i) for i in candidates)
+            candidates = grid.query(point, best) or members
+            best = self._nearest(point, candidates)
         return best
 
-    def _segment_distance(self, point: LatLon, idx: int) -> float:
-        return polyline_distance_m(point, self.segments[idx].polyline)
+    def _nearest(self, point: LatLon, candidates: Iterable[int]) -> float:
+        """``min(polyline_distance_m(point, s.polyline))`` over the
+        candidate segments, from their leg constants: the point's
+        radians and cosine are computed once, and every remaining
+        operation of ``point_leg_distance_m`` and ``haversine_m`` runs in
+        the same order, so each leg distance is bit-identical."""
+        radians, cos, sin, asin, sqrt = math.radians, math.cos, math.sin, math.asin, math.sqrt
+        rlat, rlon = radians(point.lat), radians(point.lon)
+        cos_rlat = cos(rlat)
+        legs_of = self._legs
+        best = math.inf
+        for idx in candidates:
+            legs = legs_of[idx]
+            if legs is None:
+                legs = legs_of[idx] = _leg_constants(self.segments[idx].polyline)
+            fields = iter(legs)
+            for lat0, lon0, cos0, x1, y1, dx, dy, length_sq, vlat, vlon, dlat, dlon in zip(
+                *[fields] * _LEG_FIELDS
+            ):
+                if length_sq == 0.0:
+                    foot_lat, foot_lon = vlat, vlon
+                else:
+                    px = EARTH_RADIUS_M * (rlon - lon0) * cos0
+                    py = EARTH_RADIUS_M * (rlat - lat0)
+                    t = ((px - x1) * dx + (py - y1) * dy) / length_sq
+                    t = t if t > 0.0 else 0.0  # max(0.0, t)
+                    t = t if t < 1.0 else 1.0  # min(1.0, t)
+                    foot_lat, foot_lon = vlat + t * dlat, vlon + t * dlon
+                lat2 = radians(foot_lat)
+                h = (
+                    sin((lat2 - rlat) / 2.0) ** 2
+                    + cos_rlat * cos(lat2) * sin((radians(foot_lon) - rlon) / 2.0) ** 2
+                )
+                distance = _TWO_R * asin(sqrt(h))
+                if distance < best:
+                    best = distance
+        return best
 
 
 def distance_to_nearest_freeway(
@@ -427,12 +534,9 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
 
 def load_alias_table(path: str | Path) -> dict[str, list[str]]:
     """Read the route alias table: an [aliases] section mapping
-    route_id -> comma-separated local names."""
-    parser = ConfigParser()
-    parser.optionxform = str  # route ids are case-sensitive keys
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError(f"alias table not found: {path}")
+    route_id -> comma-separated local names, read literally ('%' is not
+    an interpolation marker)."""
+    parser = read_ini(path, "alias table")  # route ids keep their case
     if not parser.has_section("aliases"):
         raise ConfigError(f"{path}: missing [aliases] section")
     return {

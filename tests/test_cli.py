@@ -58,6 +58,30 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "name,old,new,line,option",
+        [
+            ("run.ini", "Round Rock = TX: Williamson", "Austin = TX: Williamson", 16,
+             "'Austin' in section 'areas'"),
+            ("roadclass_aliases.ini", "[aliases]\n", "[aliases]\nLOOP-1 = LOOP ONE\n", 3,
+             "'LOOP-1' in section 'aliases'"),
+        ],
+    )
+    def test_repeated_ini_option_exit_config_error(self, fixtures_dir, tmp_path, capsys,
+                                                   name, old, new, line, option):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        path = inputs / name
+        path.write_text(path.read_text().replace(old, new, 1))
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "crashbench-error" in err and "kind=config" in err
+        assert f"{name}' [line {line:2d}]: option {option} already exists" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
         "line", ["no tabs on this line", "TX|TRAVIS|I-35|\tnorth\t-97.74"]
     )
     def test_malformed_geocoder_cache_exit_data_error(self, fixtures_dir, tmp_path, capsys,

@@ -78,6 +78,20 @@ class TestMappingConfig:
         with pytest.raises(ConfigError):
             MappingConfig.load(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[source]\nname = bad\n[columns]\ncrash_id = ID\ncrash_id = OTHER\n",
+            "[source]\nname = bad\n[source]\nname = again\n",
+            "name = bad\n",
+        ],
+    )
+    def test_ini_syntax_errors_are_config_errors(self, tmp_path, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=r"(?s)malformed mapping config: .*'.*bad\.ini'"):
+            MappingConfig.load(bad)
+
     def test_derive_rule_syntax_errors(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(

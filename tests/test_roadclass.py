@@ -11,9 +11,11 @@ from crashbench.roadclass import (
     MatchKind,
     NoSegmentsError,
     Provenance,
+    _SegmentGrid,
     classify_road,
     distance_to_nearest_freeway,
     haversine_m,
+    load_alias_table,
     normalize_road_name,
     point_leg_distance_m,
     polyline_distance_m,
@@ -101,6 +103,13 @@ class TestNameMatching:
             FreewaySegmentIndex([seg], aliases={"SR-99": ["VALLEY FWY"]})
 
 
+class TestAliasTable:
+    def test_names_read_literally(self, tmp_path):
+        path = tmp_path / "aliases.ini"
+        path.write_text("[aliases]\nLOOP-1 = MOPAC 100%, LOOP %(x)s\n")
+        assert load_alias_table(path) == {"LOOP-1": ["MOPAC 100%", "LOOP %(x)s"]}
+
+
 class TestDistance:
     def test_vertex_coincidence_is_zero(self, road_index):
         assert road_index.distance_to_nearest(LatLon(30.32, -97.80)) == 0.0
@@ -167,7 +176,97 @@ class TestDistance:
             for _ in range(5):
                 point = LatLon(rng.uniform(29.8, 30.7), rng.uniform(-98.2, -97.3))
                 brute = min(polyline_distance_m(point, s.polyline) for s in segments)
-                assert index.distance_to_nearest(point) == pytest.approx(brute, abs=1e-6)
+                assert index.distance_to_nearest(point) == brute
+
+
+def _random_network(rng, routes):
+    """Segments on several routes; some legs are long and diagonal, so
+    their bounding boxes reach far from the polyline."""
+    segments = []
+    for r in range(routes):
+        for _ in range(rng.randint(1, 6)):
+            step = rng.choice([0.005, 0.02, 0.1])
+            poly = [LatLon(rng.uniform(30.0, 30.5), rng.uniform(-98.0, -97.5))]
+            for _ in range(rng.randint(1, 4)):
+                last = poly[-1]
+                poly.append(LatLon(last.lat + rng.uniform(-step, step),
+                                   last.lon + rng.uniform(-step, step)))
+            segments.append(FreewaySegment(f"SR-{r}", tuple(poly)))
+    return segments
+
+
+def _query_points(rng, segments, n):
+    """Points around the network, at bounding-box corners (near a box, far
+    from its polyline), on the polylines, and 5-10 degrees away."""
+    points = []
+    for _ in range(n):
+        draw = rng.random()
+        seg = rng.choice(segments)
+        if draw < 0.35:
+            points.append(LatLon(rng.uniform(29.8, 30.7), rng.uniform(-98.2, -97.3)))
+        elif draw < 0.65:
+            lat_lo, lon_lo, lat_hi, lon_hi = seg.bbox
+            points.append(LatLon(rng.choice((lat_lo, lat_hi)) + rng.uniform(-0.002, 0.002),
+                                 rng.choice((lon_lo, lon_hi)) + rng.uniform(-0.002, 0.002)))
+        elif draw < 0.8:
+            points.append(LatLon(30.25 + rng.choice((-1, 1)) * rng.uniform(5.0, 10.0),
+                                 rng.uniform(-100.0, -95.0)))
+        else:
+            v1, v2 = rng.choice(list(zip(seg.polyline, seg.polyline[1:])))
+            t = rng.random()
+            points.append(LatLon(v1.lat + t * (v2.lat - v1.lat), v1.lon + t * (v2.lon - v1.lon)))
+    return points
+
+
+class TestSearchIsExact:
+    """The grid search and the precomputed leg constants must return the
+    reference minimum bit for bit, whatever the order of queries."""
+
+    @pytest.mark.parametrize("cell_deg", [0.005, 0.02, 0.1])
+    def test_equals_reference_minimum(self, cell_deg, monkeypatch):
+        rng = random.Random(f"exact-{cell_deg}")
+        ladder = {1600.0 * 4.0 ** k for k in range(16)}  # the search's radius steps
+        radii = []
+        query = _SegmentGrid.query
+
+        def spy(grid, point, radius_m):
+            radii.append(radius_m)
+            return query(grid, point, radius_m)
+
+        monkeypatch.setattr(_SegmentGrid, "query", spy)
+        requeried = beyond_cover = 0
+        for _ in range(8):
+            segments = _random_network(rng, rng.randint(2, 6))
+            routes: dict[str, list] = {}
+            for seg in segments:
+                routes.setdefault(seg.route_id, []).append(seg)
+            queries = [
+                (point, route_id)
+                for point in _query_points(rng, segments, 25)
+                for route_id in (None, *routes)
+            ]
+            expected = {
+                (point, route_id): min(
+                    polyline_distance_m(point, s.polyline)
+                    for s in (segments if route_id is None else routes[route_id])
+                )
+                for point, route_id in queries
+            }
+            index = FreewaySegmentIndex(segments, cell_deg=cell_deg)
+            for point, route_id in queries:
+                radii.clear()
+                got = index.distance_to_nearest(point, route_id)
+                assert got == expected[point, route_id]
+                requeried += any(r not in ladder for r in radii)
+                beyond_cover += got > index._cover_radius_m
+            # Lazily built grids and leg constants: a fresh index queried
+            # in another order, and the warm index again, agree exactly.
+            fresh = FreewaySegmentIndex(segments, cell_deg=cell_deg)
+            for point, route_id in rng.sample(queries, len(queries)):
+                assert fresh.distance_to_nearest(point, route_id) == expected[point, route_id]
+                assert index.distance_to_nearest(point, route_id) == expected[point, route_id]
+        assert requeried > 0  # nearest candidate beyond the first box
+        assert beyond_cover > 0  # every radius step came back empty
 
 
 class TestClassifyRoad:
