@@ -1,10 +1,12 @@
 """In-transport passenger-vehicle cohort selection and VMT conversion.
 
 Counts are vehicle-level: each qualifying unit in a crash contributes
-one crashed vehicle.  Units whose class could not be determined are
-imputed fractionally from the distribution of known classes at the
-geographic level, and total VMT is scaled to passenger-vehicle VMT by
-the configured share table.
+one crashed vehicle.  ``select_units`` is the one place that decides
+which units qualify.  Units whose class could not be determined count
+as the passenger fraction of the known classes at the geographic level
+(optionally split by road class): counts stay whole numbers, and the
+fraction is applied once per cell, to its number of unknowns.  Total
+VMT is scaled to passenger-vehicle VMT by the configured share table.
 """
 
 from __future__ import annotations
@@ -30,59 +32,66 @@ class ImputationBasisMissingError(CrashBenchError):
 
 @dataclass(frozen=True)
 class UnitSelection:
-    """Qualifying and unknown-class in-transport units for one crash."""
+    """One crash's in-transport units by cohort role: passenger vehicles
+    (counted), units of unknown class (imputed) and units of another
+    known class (the imputation basis only)."""
 
     crash_id: str
     passenger_units: tuple[VehicleUnit, ...]
     unknown_units: tuple[VehicleUnit, ...]
+    other_known_units: tuple[VehicleUnit, ...]
+
+    def add_known_classes(self, histogram: dict[VehicleClass, int]) -> None:
+        """Add this crash's known-class units to a class histogram."""
+        for unit in self.passenger_units + self.other_known_units:
+            histogram[unit.vehicle_class] = histogram.get(unit.vehicle_class, 0) + 1
 
 
 @dataclass(frozen=True)
 class CohortCounts:
-    """Stratum tally: known passenger vehicles, unknown-class vehicles,
-    and the passenger share imputed to the unknowns."""
+    """One cell's tally: whole counts of known passenger vehicles and of
+    unknown-class vehicles, and the passenger fraction of the cell's
+    imputation key.  The unknowns' imputed passenger mass is one product,
+    ``unknown * passenger_fraction``."""
 
-    known_passenger_count: float
-    unknown_count: int
-    imputed_passenger_count: float
+    known: int
+    unknown: int
+    passenger_fraction: float
 
-    def __post_init__(self):
-        if self.imputed_passenger_count > self.unknown_count + 1e-9:
-            raise ValueError(
-                f"imputed {self.imputed_passenger_count} exceeds "
-                f"unknown count {self.unknown_count}"
-            )
+    @property
+    def imputed(self) -> float:
+        return self.unknown * self.passenger_fraction
 
     @property
     def final_count(self) -> float:
-        return self.known_passenger_count + self.imputed_passenger_count
+        return self.known + self.imputed
+
+
+def select_units(record: CrashRecord) -> UnitSelection:
+    """The cohort rule for one crash: of its in-transport units, passenger
+    vehicles count, units of unknown class are imputed, and other known
+    classes (motorcycles, heavy vehicles) only inform the imputation
+    basis.  Parked units and non-motorists count nowhere."""
+    passenger = []
+    unknown = []
+    other = []
+    for unit in record.units:
+        if not unit.in_transport:
+            continue
+        if unit.vehicle_class is VehicleClass.PASSENGER:
+            passenger.append(unit)
+        elif unit.vehicle_class is VehicleClass.UNKNOWN:
+            unknown.append(unit)
+        else:
+            other.append(unit)
+    return UnitSelection(record.crash_id, tuple(passenger), tuple(unknown), tuple(other))
 
 
 def filter_in_transport_passenger(
     records: Iterable[CrashRecord],
 ) -> list[UnitSelection]:
-    """Select in-transport passenger vehicles per record.
-
-    In-transport units of unknown class are returned separately (they
-    feed imputation).  Motorcycles, heavy vehicles, non-motorists, and
-    parked or otherwise not-in-transport units are excluded outright.
-    Output order matches input order.
-    """
-    selections = []
-    for record in records:
-        passenger = []
-        unknown = []
-        for unit in record.units:
-            if not unit.in_transport:
-                continue
-            if unit.vehicle_class is VehicleClass.PASSENGER:
-                passenger.append(unit)
-            elif unit.vehicle_class is VehicleClass.UNKNOWN:
-                unknown.append(unit)
-        selections.append(
-            UnitSelection(record.crash_id, tuple(passenger), tuple(unknown))
-        )
-    return selections
+    """``select_units`` of each record, in input order."""
+    return [select_units(record) for record in records]
 
 
 def known_class_histogram(
@@ -91,9 +100,7 @@ def known_class_histogram(
     """Histogram of known vehicle classes among in-transport units."""
     hist: dict[VehicleClass, int] = {}
     for record in records:
-        for unit in record.units:
-            if unit.in_transport and unit.vehicle_class is not VehicleClass.UNKNOWN:
-                hist[unit.vehicle_class] = hist.get(unit.vehicle_class, 0) + 1
+        select_units(record).add_known_classes(hist)
     return hist
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -197,12 +198,15 @@ def _mapped_table(
 
 
 def _float_or_none(raw: Optional[str]) -> Optional[float]:
+    """The finite number a field holds; None when it is empty,
+    unparseable, infinite or NaN."""
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
 
 
 def _int_or_none(raw: Optional[str]) -> Optional[int]:
@@ -229,9 +233,10 @@ def load_crash_table(
     One record per crash id; vehicle and person rows attach by the crash
     key.  A crash row lacking its key or year, or repeating an emitted
     crash id, is skipped and reported; so is a unit or person row whose
-    crash is absent or was skipped.  Field-level junk degrades instead:
-    unmapped codes go to Unknown, an unparseable coordinate leaves the
-    location absent (to be geocoded), both counted in the report.
+    crash is absent or was skipped, and a unit row repeating a unit of
+    its crash.  Field-level junk degrades instead: unmapped codes go to
+    Unknown, an unparseable or non-finite coordinate leaves the location
+    absent (to be geocoded), both counted in the report.
     """
     config.validate(CRASH_REQUIRED)
     report = IngestReport(source=config.name)
@@ -435,9 +440,11 @@ def _read_unit_rows(
     tracks_transport: bool,
     report: IngestReport,
 ) -> dict[str, list[VehicleUnit]]:
-    """Vehicle units by crash id, in row order.  A unit with no airbag
-    flag of its own takes its persons' (``airbags_by_unit``)."""
+    """Vehicle units by crash id, in row order.  A row repeating a
+    (crash, unit) pair is skipped: the first copy wins.  A unit with no
+    airbag flag of its own takes its persons' (``airbags_by_unit``)."""
     units_by_crash: dict[str, list[VehicleUnit]] = {}
+    seen: set[tuple[str, int]] = set()
     number = attached = 0
     for number, row in rows:
         key, _ = resolve["unit.crash_id"](row)
@@ -448,6 +455,10 @@ def _read_unit_rows(
         if key not in crashes:
             report.skip("unit", number, _orphan_reason(key, skipped_ids))
             continue
+        if (key, unit_id) in seen:
+            report.skip("unit", number, "duplicate unit_id")
+            continue
+        seen.add((key, unit_id))
         attached += 1
 
         class_token, was_unknown = resolve["unit.vehicle_class"](row)
@@ -654,9 +665,15 @@ def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]
             state, _ = resolve["state"](row)
             county, _ = resolve["county"](row)
             year = _int_or_none(resolve["year"](row)[0])
-            miles = _float_or_none(resolve["vmt_miles"](row)[0])
-            if not state or not county or year is None or miles is None or not class_token:
+            miles_raw, _ = resolve["vmt_miles"](row)
+            miles = _float_or_none(miles_raw)
+            if not state or not county or year is None or not miles_raw or not class_token:
                 raise DataError(f"{config.name}/vmt row {number}: incomplete row")
+            if miles is None:
+                raise DataError(
+                    f"{config.name}/vmt row {number}: vmt_miles {miles_raw!r} is not a "
+                    f"finite number"
+                )
             try:
                 fclass = FunctionalClass(class_token)
             except ValueError:

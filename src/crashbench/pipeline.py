@@ -10,8 +10,9 @@ stratum input from the module that owns it: a crash's area from
 the outcome order from ``taxonomy.OutcomeLevel``'s declaration order,
 and each grid row's mileages from ``power.power_curve``, called once per
 severity cell with a positive count.  The run is single-threaded and
-deterministic: record order follows the input files and fractional sums
-reduce in a fixed order, so reports are byte-identical across runs.
+deterministic: cells tally whole unit counts and apply their passenger
+fraction once, so no float sum depends on record or set order, and
+reports are byte-identical across runs and hash seeds.
 ``RunConfig.workers`` is validated but has no effect, and
 ``RunConfig.seed`` is only recorded in the report metadata.
 """
@@ -25,13 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import report as report_mod
-from .cohort import (
-    CohortCounts,
-    filter_in_transport_passenger,
-    known_class_histogram,
-    passenger_fraction,
-    passenger_vmt,
-)
+from .cohort import CohortCounts, passenger_fraction, passenger_vmt, select_units
 from .ingest import (
     FileCachedGeocoder,
     IngestReport,
@@ -50,6 +45,7 @@ from .model import (
     GeoArea,
     PassengerShareTable,
     RoadClass,
+    VehicleClass,
     VmtRecord,
     county_areas,
     county_key,
@@ -378,78 +374,78 @@ def build_benchmark(
     params: RunParams,
 ) -> BenchmarkTables:
     """Aggregate normalized records into rate cells, type distributions,
-    and the required-mileage grid."""
+    and the required-mileage grid.
+
+    One pass over ``records`` validates, road-classifies, places and
+    tallies each in-year record.  The tallies hold whole unit counts
+    only; each cell's passenger fraction is applied once afterwards.
+    """
     by_county = county_areas(areas)
-    in_year = [r for r in records if r.year == year]
-    classifications = [
-        classify_road(r, index, threshold_m=params.threshold_m, any_route=params.any_route)
-        for r in in_year
-    ]
+    records_in_year = outside = unresolved_road = 0
+    violation_rules: dict[str, int] = {}
+    # Per imputation key (area name, and road class with impute_by_road,
+    # else None): the known-class histogram and the unknown-class units.
+    imputation_key = lambda area_name, road: (
+        area_name, road if params.impute_by_road else None
+    )
+    known_classes: dict[tuple, dict[VehicleClass, int]] = {}
+    unknowns: dict[tuple, int] = {}
+    # Per (area, road, outcome, crash type) cell: known passenger and
+    # unknown-class units.
+    tallies: dict[tuple, list[int]] = {}
 
-    area_of = [by_county.get(county_key(r.state, r.county)) for r in in_year]
-    outside = sum(1 for a in area_of if a is None)
-
-    # Imputation basis: known-class histogram at the geographic level
-    # (optionally split by road class).
-    hist_key = lambda area, road: (area.name, road) if params.impute_by_road else area.name
-    histograms: dict = {}
-    for record, area, cls in zip(in_year, area_of, classifications):
-        if area is None:
+    for record in records:
+        if record.year != year:
             continue
-        histograms.setdefault(hist_key(area, cls.road_class), []).append(record)
-    fractions = {}
-    for key, recs in histograms.items():
-        hist = known_class_histogram(recs)
-        fractions[key] = passenger_fraction(hist) if hist else None
-
-    selections = filter_in_transport_passenger(in_year)
-
-    # Tallies per (area, road, outcome, crash type) as (known, unknown,
-    # imputed) triples.  Crash type None is the severity cell: every unit
-    # bumps it and then its own typed cell, so each severity count sums
-    # its typed counts.  Known units carry weight one, unknown-class
-    # units the area's passenger fraction.
-    tallies: dict = {}
-    imputed_mass: dict[str, float] = {}
-    unknown_units = 0
-    unresolved_road = 0
-
-    for record, area, cls, selection in zip(in_year, area_of, classifications, selections):
+        records_in_year += 1
+        for violation in validate_record(record):
+            violation_rules[violation.rule] = violation_rules.get(violation.rule, 0) + 1
+        area = by_county.get(county_key(record.state, record.county))
         if area is None:
+            outside += 1
             continue
+        cls = classify_road(
+            record, index, threshold_m=params.threshold_m, any_route=params.any_route
+        )
         road = cls.road_class
         if cls.provenance.value == "Unresolvable":
             unresolved_road += 1
-        outcomes = classify_outcome(record)
-        weighted_units = [(unit, 1.0, False) for unit in selection.passenger_units]
+        selection = select_units(record)
+        key = imputation_key(area.name, road)
+        selection.add_known_classes(known_classes.setdefault(key, {}))
         if selection.unknown_units:
-            fraction = fractions.get(hist_key(area, road))
-            if fraction is None:
-                raise DataError(
-                    f"area {area.name}: unknown-class units present but no known "
-                    f"classes to impute from"
+            unknowns[key] = unknowns.get(key, 0) + len(selection.unknown_units)
+        outcomes = classify_outcome(record)
+        for column, units in ((0, selection.passenger_units), (1, selection.unknown_units)):
+            for unit in units:
+                crash_type = classify_crash_type(
+                    record, unit.unit_id, road, gate_order=params.type_gate_order
                 )
-            for unit in selection.unknown_units:
-                weighted_units.append((unit, fraction, True))
-                imputed_mass[area.name] = imputed_mass.get(area.name, 0.0) + fraction
-                unknown_units += 1
-        for unit, weight, is_unknown in weighted_units:
-            crash_type = classify_crash_type(
-                record, unit.unit_id, road, gate_order=params.type_gate_order
-            )
-            for outcome in outcomes:
-                for key in (
-                    (area.name, road, outcome, None),
-                    (area.name, road, outcome, crash_type),
-                ):
-                    entry = tallies.setdefault(key, [0.0, 0, 0.0])
-                    if is_unknown:
-                        entry[1] += 1
-                        entry[2] += weight
-                    else:
-                        entry[0] += weight
+                for outcome in outcomes:
+                    cell = (area.name, road, outcome, crash_type)
+                    tallies.setdefault(cell, [0, 0])[column] += 1
 
-    cohort_counts = {key: CohortCounts(*entry) for key, entry in tallies.items()}
+    fractions = {key: passenger_fraction(hist) for key, hist in known_classes.items() if hist}
+    imputed_mass: dict[str, float] = {}
+    for key, n in unknowns.items():
+        area_name = key[0]
+        fraction = fractions.get(key)
+        if fraction is None:
+            raise DataError(
+                f"area {area_name}: unknown-class units present but no known "
+                f"classes to impute from"
+            )
+        imputed_mass[area_name] = imputed_mass.get(area_name, 0.0) + n * fraction
+
+    # Each severity cell (crash type None) sums the units of its typed cells.
+    for (area_name, road, outcome, _), (known, unknown) in list(tallies.items()):
+        entry = tallies.setdefault((area_name, road, outcome, None), [0, 0])
+        entry[0] += known
+        entry[1] += unknown
+    cohort_counts = {
+        key: CohortCounts(known, unknown, fractions[imputation_key(*key[:2])])
+        for key, (known, unknown) in tallies.items()
+    }
     counts = {key: cc.final_count for key, cc in cohort_counts.items()}
 
     # Underreporting adjustment: any-injury counts only, fatal portion
@@ -554,15 +550,10 @@ def build_benchmark(
                 }
             )
 
-    violation_rules: dict[str, int] = {}
-    for record in in_year:
-        for violation in validate_record(record):
-            violation_rules[violation.rule] = violation_rules.get(violation.rule, 0) + 1
-
     diagnostics = {
-        "records_in_year": len(in_year),
+        "records_in_year": records_in_year,
         "records_outside_areas": outside,
-        "unknown_class_units": unknown_units,
+        "unknown_class_units": sum(unknowns.values()),
         "imputed_passenger_mass": {k: imputed_mass[k] for k in sorted(imputed_mass)},
         "unresolvable_road_records": unresolved_road,
         "invariant_violations": dict(sorted(violation_rules.items())),

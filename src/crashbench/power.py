@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .model import CrashBenchError
 
@@ -40,49 +41,10 @@ DEFAULT_ALPHA = 0.05
 DEFAULT_POWER = 0.8
 
 
-def norm_quantile(p: float) -> float:
-    """Standard normal quantile function (inverse CDF).
-
-    Acklam's rational approximation refined by one Halley step against
-    the erfc-based CDF; absolute error is at machine-precision level,
-    far below the 1e-9 the callers need.
-    """
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError(f"p must be in (0, 1), got {p}")
-
-    # Coefficients for the central and tail rational approximations.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-    # One Halley refinement step.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+def _check_alpha(alpha: float) -> None:
+    # ndtri returns nan outside (0, 1) rather than raising.
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +67,7 @@ class PowerQuery:
             raise ValueError(f"effect_ratio must be > 0, got {self.effect_ratio}")
         if self.effect_ratio == 1.0:
             raise ZeroEffectError("effect ratio 1 has nothing to detect")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not 0.0 < self.power < 1.0:
             raise ValueError(f"power must be in (0, 1), got {self.power}")
 
@@ -157,9 +118,9 @@ def power_curve(
     values, the second its published mileage charts.
     """
     queries = [PowerQuery(lambda_human, effect, alpha, power) for effect in effects]
-    z_power = norm_quantile(power)
-    z_lower = norm_quantile(alpha / 2.0)
-    z_upper = norm_quantile(1.0 - alpha / 2.0)
+    z_power = float(ndtri(power))
+    z_lower = float(ndtri(alpha / 2.0))
+    z_upper = float(ndtri(1.0 - alpha / 2.0))
     return [
         PowerResult(query, _miles(query, z_power, z_lower), _miles(query, z_power, z_upper))
         for query in queries
@@ -181,7 +142,7 @@ def mileage_for_power(
     """Miles at which the two-sided benchmark-known test attains the
     target power (``target_power_miles`` of ``power_curve``)."""
     query = PowerQuery(lambda_human, effect_ratio, alpha, power)
-    return _miles(query, norm_quantile(power), norm_quantile(1.0 - alpha / 2.0))
+    return _miles(query, float(ndtri(power)), float(ndtri(1.0 - alpha / 2.0)))
 
 
 def analytic_power(
@@ -199,17 +160,14 @@ def analytic_power(
     """
     if miles <= 0:
         raise ValueError(f"miles must be > 0, got {miles}")
+    _check_alpha(alpha)
     r = effect_ratio
     mu = (r - 1.0) * math.sqrt(lambda_human * miles)
     sd = math.sqrt(r)
-    z_crit = norm_quantile(1.0 - alpha / 2.0)
-    lower = _norm_cdf((-z_crit - mu) / sd)
-    upper = 1.0 - _norm_cdf((z_crit - mu) / sd)
+    z_crit = float(ndtri(1.0 - alpha / 2.0))
+    lower = float(ndtr((-z_crit - mu) / sd))
+    upper = 1.0 - float(ndtr((z_crit - mu) / sd))
     return lower + upper
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def monte_carlo_power(
@@ -232,9 +190,10 @@ def monte_carlo_power(
         raise ValueError(f"need at least 1000 trials for a stable estimate, got {trials}")
     if lambda_human <= 0 or miles <= 0 or effect_ratio < 0:
         raise ValueError("lambda_human and miles must be > 0, effect_ratio >= 0")
+    _check_alpha(alpha)
     mu_null = lambda_human * miles
     mu_alt = effect_ratio * mu_null
-    z_crit = norm_quantile(1.0 - alpha / 2.0)
+    z_crit = float(ndtri(1.0 - alpha / 2.0))
     rng = np.random.default_rng(seed)
     counts = rng.poisson(lam=mu_alt, size=trials)
     z = (counts - mu_null) / math.sqrt(mu_null)

@@ -505,14 +505,15 @@ def classify_road(
 def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
     """Read freeway segments from a GeoJSON FeatureCollection of
     LineStrings with properties route_id, names[], always_freeway.
-    GeoJSON coordinate order is (lon, lat)."""
+    GeoJSON coordinate order is (lon, lat); a position that is not two
+    numbers with lon in [-180, 180] and lat in [-90, 90] is a ConfigError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     features = doc.get("features")
     if features is None:
         raise ConfigError(f"{path}: not a FeatureCollection")
     segments = []
-    for feature in features:
+    for number, feature in enumerate(features):
         geom = feature.get("geometry") or {}
         if geom.get("type") != "LineString":
             raise ConfigError(f"{path}: only LineString features are supported")
@@ -520,11 +521,28 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
         route_id = props.get("route_id")
         if not route_id:
             raise ConfigError(f"{path}: feature missing route_id")
-        polyline = tuple(LatLon(lat=c[1], lon=c[0]) for c in geom.get("coordinates", ()))
+        polyline = []
+        for index, position in enumerate(geom.get("coordinates", ())):
+            # The range check also rejects NaN, infinities and, across
+            # most of the US, positions written in (lat, lon) order.
+            if type(position) is list and len(position) == 2:
+                lon, lat = position
+                if (
+                    type(lon) in (int, float)
+                    and type(lat) in (int, float)
+                    and -180.0 <= lon <= 180.0
+                    and -90.0 <= lat <= 90.0
+                ):
+                    polyline.append(LatLon(lat, lon))
+                    continue
+            raise ConfigError(
+                f"{path}: feature {number} ({route_id}): position {index} {position!r} "
+                f"is not [lon, lat] with lon in [-180, 180] and lat in [-90, 90]"
+            )
         segments.append(
             FreewaySegment(
                 route_id=str(route_id),
-                polyline=polyline,
+                polyline=tuple(polyline),
                 display_names=tuple(props.get("names", ()) or ()),
                 always_freeway=bool(props.get("always_freeway", False)),
             )

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import shutil
 
 import pytest
@@ -97,6 +98,31 @@ class TestRun:
         assert "kind=data" in err
         assert f"geocache.tsv: line {line_no}: malformed geocoder cache line" in err
 
+    @pytest.mark.parametrize("miles", ["nan", "inf"])
+    def test_non_finite_vmt_exit_data_error(self, fixtures_dir, tmp_path, capsys, miles):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        vmt = inputs / "tx_vmt.csv"
+        vmt.write_text(vmt.read_text().replace("2023,2000000000", f"2023,{miles}", 1))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert f"vmt row 1: vmt_miles {miles!r} is not a finite number" in err
+        assert not out.exists()
+
+    def test_non_numeric_segment_coordinate_exit_config_error(self, fixtures_dir, tmp_path,
+                                                              capsys):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        segments = inputs / "roadclass_segments.geojson"
+        segments.write_text(segments.read_text().replace("-97.735", '"-97.735"', 1))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err
+        assert "roadclass_segments.geojson: feature 0 (I-35): position 0" in err
+
     def test_no_config_given(self, capsys, monkeypatch):
         monkeypatch.delenv("CRASHBENCH_CONFIG", raising=False)
         assert main(["run"]) == 2
@@ -178,6 +204,22 @@ class TestGoldenOutputs:
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == _pinned_digests(fixtures_dir)[name]
 
+
+    def test_repeated_unit_row_counts_once(self, fixtures_dir, tmp_path):
+        # A copied unit row is skipped, so the rate tables are the clean
+        # fixture's: C001's first unit is not counted twice.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        with open(inputs / "tx_units.csv", "a", encoding="utf-8") as fh:
+            fh.write("C001,1,P4,N,1,,,1,1,1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 0
+        pinned = _pinned_digests(fixtures_dir)
+        for path in out.glob("*.csv"):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name]
+        diagnostics = json.loads((out / "report_2023.json").read_text())["diagnostics"]
+        assert diagnostics["ingest"][0]["rows_skipped"] == 3
+        assert "DuplicateUnitId" not in diagnostics["invariant_violations"]
 
 class TestPowerCommand:
     def test_matches_library_exactly(self, capsys):

@@ -25,6 +25,7 @@ from crashbench.model import (
     MannerOfCollision,
     VehicleClass,
     build_event_sequence,
+    validate_record,
 )
 from crashbench.pipeline import resolve_mapping
 
@@ -230,6 +231,17 @@ class TestCrashLoading:
         assert records[0].location is None
         assert report.missing_location == 1
 
+    @pytest.mark.parametrize(
+        "lat,lon", [("nan", "-97.7"), ("30.1", "inf"), ("-inf", "-97.7"), ("NaN", "nan")]
+    )
+    def test_non_finite_coordinates_leave_location_absent(self, tx_mapping, lat, lon):
+        crash = [CRASH_HEADER, f"X1,2023,Travis,{lat},{lon},MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1"]
+        records, report = load_crash_table(crash, tx_mapping, units_source=units)
+        assert records[0].location is None
+        assert report.missing_location == 1
+        assert validate_record(records[0]) == []
+
     def test_malformed_header_is_hard_error(self, tx_mapping):
         with pytest.raises(DataError):
             load_crash_table(["Nope,Header", "x,y"], tx_mapping)
@@ -380,6 +392,25 @@ class TestRowAccounting:
         ]
         assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
 
+    def test_duplicate_unit_row_keeps_first_copy(self, tx_mapping):
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [
+            UNIT_HEADER,
+            "X1,1,P4,,1,,,1,1,1",
+            "X1,2,P4,,1,,,1,1,1",
+            "X1,1,SV,Y,1,,,1,1,1",
+        ]
+        records, report = load_crash_table(crash, tx_mapping, units_source=units)
+        assert [(u.unit_id, u.vehicle_class, u.in_transport) for u in records[0].units] == [
+            (1, VehicleClass.PASSENGER, True),
+            (2, VehicleClass.PASSENGER, True),
+        ]
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("unit", 3, "duplicate unit_id"),
+        ]
+        assert report.rows_read["unit"] == 3
+        assert all(report.conserves_rows(t) for t in ("crash", "unit"))
+
     def test_orphan_unit_and_person_rows_are_reported(self, tx_mapping):
         crash = [
             CRASH_HEADER,
@@ -511,6 +542,16 @@ class TestVmtLoading:
         rows = ["County,Class,Year,V", "X,ALL,2023,90", "X,FWY,2023,100"]
         with pytest.raises(InconsistentVmtError):
             load_vmt_table(rows, config)
+
+    @pytest.mark.parametrize("miles", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_vmt_is_data_error(self, tx_vmt_mapping, miles):
+        rows = [
+            "County,Functional_Class,Year,Annual_VMT",
+            "Travis,FREEWAY,2023,10",
+            f"Travis,SURFACE,2023,{miles}",
+        ]
+        with pytest.raises(DataError, match=f"vmt row 2: vmt_miles {miles!r} is not a finite"):
+            load_vmt_table(rows, tx_vmt_mapping)
 
     def test_unknown_functional_class_is_data_error(self, tx_vmt_mapping):
         rows = ["County,Functional_Class,Year,Annual_VMT", "Travis,GRAVEL,2023,10"]

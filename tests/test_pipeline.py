@@ -6,6 +6,11 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from crashbench import pipeline
+from crashbench.cohort import (
+    filter_in_transport_passenger,
+    known_class_histogram,
+    passenger_fraction,
+)
 from crashbench.model import (
     ConfigError,
     DataError,
@@ -16,7 +21,8 @@ from crashbench.model import (
     VmtRecord,
 )
 from crashbench.power import DEFAULT_EFFECT_RATIOS
-from crashbench.taxonomy import CrashType, OutcomeLevel
+from crashbench.roadclass import classify_road
+from crashbench.taxonomy import CrashType, OutcomeLevel, classify_outcome
 
 from corpus import make_corpus
 
@@ -142,16 +148,13 @@ class TestAggregation:
         )
         assert tables.cohort_counts
         for cc in tables.cohort_counts.values():
-            assert cc.imputed_passenger_count <= cc.unknown_count + 1e-9
-            assert cc.final_count == pytest.approx(
-                cc.known_passenger_count + cc.imputed_passenger_count
-            )
+            assert type(cc.known) is int and type(cc.unknown) is int
+            assert cc.imputed == cc.unknown * cc.passenger_fraction
+            assert cc.known <= cc.final_count <= cc.known + cc.unknown
         pr = tables.cohort_counts[
             ("Austin", pipeline.RoadClass.FREEWAY, OutcomeLevel.POLICE_REPORTED)
         ]
-        assert pr.known_passenger_count == pytest.approx(20.0)
-        assert pr.unknown_count == 1
-        assert pr.imputed_passenger_count == pytest.approx(40 / 43)
+        assert (pr.known, pr.unknown, pr.passenger_fraction) == (20, 1, 40 / 43)
 
     def test_diagnostics_reconcile_with_ingest(self, fixture_report):
         report, _ = fixture_report
@@ -401,6 +404,39 @@ class TestBuildBenchmarkProperties:
             )
 
     @settings(max_examples=40, deadline=None)
+    @given(records=corpora, impute_by_road=st.booleans())
+    def test_cohort_counts_match_recount(self, road_index, records, impute_by_road):
+        # Recount every severity cell from the cohort helpers, one record
+        # at a time: whole unit counts, and the imputation key's passenger
+        # fraction applied once to the cell's unknowns.
+        tables = _property_tables(records, road_index, impute_by_road=impute_by_road)
+        known: dict = {}
+        unknown: dict = {}
+        basis: dict = {}
+        for record in records:
+            areas = [a for a in PROPERTY_AREAS if a.contains(record.state, record.county)]
+            if not areas:
+                continue
+            (area,) = areas
+            road = classify_road(record, road_index).road_class
+            basis.setdefault((area.name, road if impute_by_road else None), []).append(record)
+            (selection,) = filter_in_transport_passenger([record])
+            if not selection.passenger_units + selection.unknown_units:
+                continue
+            for outcome in classify_outcome(record):
+                key = (area.name, road, outcome)
+                known[key] = known.get(key, 0) + len(selection.passenger_units)
+                unknown[key] = unknown.get(key, 0) + len(selection.unknown_units)
+        assert tables.cohort_counts.keys() == known.keys()
+        for key, counts in tables.cohort_counts.items():
+            assert (counts.known, counts.unknown) == (known[key], unknown[key])
+            records_of_key = basis[(key[0], key[1] if impute_by_road else None)]
+            assert counts.passenger_fraction == passenger_fraction(
+                known_class_histogram(records_of_key)
+            )
+            assert counts.imputed == counts.unknown * counts.passenger_fraction
+
+    @settings(max_examples=40, deadline=None)
     @given(records=corpora, rng=st.randoms(use_true_random=False))
     def test_unnormalized_state_and_county(self, road_index, records, rng):
         # Stray case and whitespace in a record's state or county must not
@@ -428,8 +464,8 @@ class TestBuildBenchmarkProperties:
         from crashbench import power
 
         calls = []
-        quantile = power.norm_quantile
-        monkeypatch.setattr(power, "norm_quantile", lambda p: calls.append(p) or quantile(p))
+        quantile = power.ndtri
+        monkeypatch.setattr(power, "ndtri", lambda p: calls.append(p) or quantile(p))
         tables = _property_tables(make_corpus(40), road_index)
         positive = sum(1 for cell in tables.cells if cell.count > 0)
         assert len(tables.power_grid) == len(DEFAULT_EFFECT_RATIOS) * positive

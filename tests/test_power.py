@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from scipy import stats
+from scipy.special import ndtri
 
 from crashbench.power import (
     DEFAULT_EFFECT_RATIOS,
@@ -10,44 +10,11 @@ from crashbench.power import (
     analytic_power,
     mileage_for_power,
     monte_carlo_power,
-    norm_quantile,
     power_curve,
     required_mileage,
 )
 
 ATLANTA_POLICE_RATE = 5.609e-6  # crashes per mile
-
-
-class TestNormQuantile:
-    # Reference values from an independent implementation (scipy).
-    TABLE = {
-        0.8: 0.8416212335729143,
-        0.975: 1.959963984540054,
-        0.025: -1.9599639845400545,
-        0.95: 1.6448536269514722,
-        0.5: 0.0,
-        0.1: -1.2815515655446004,
-        0.995: 2.5758293035489004,
-    }
-
-    def test_tabulated_values(self):
-        for p, expected in self.TABLE.items():
-            assert norm_quantile(p) == pytest.approx(expected, abs=1e-9)
-
-    def test_against_scipy_grid(self):
-        for i in range(1, 2000):
-            p = i / 2000.0
-            assert abs(norm_quantile(p) - stats.norm.ppf(p)) < 1e-9
-
-    def test_extreme_tails(self):
-        for p in (1e-12, 1e-9, 1 - 1e-9):
-            assert norm_quantile(p) == pytest.approx(stats.norm.ppf(p), rel=1e-9)
-
-    def test_domain(self):
-        assert norm_quantile(0.0) == -math.inf
-        assert norm_quantile(1.0) == math.inf
-        with pytest.raises(ValueError):
-            norm_quantile(1.5)
 
 
 class TestRequiredMileage:
@@ -111,12 +78,12 @@ class TestPowerCurve:
 
     def test_rows_carry_both_mileages(self):
         lam_h, alpha, power = 2e-6, 0.1, 0.9
-        z_power = norm_quantile(power)
+        z_power = float(ndtri(power))
         for row in power_curve(lam_h, alpha=alpha, power=power):
             lam_a = row.query.lambda_ads
             for z_alpha, miles in (
-                (norm_quantile(alpha / 2), row.required_miles),
-                (norm_quantile(1 - alpha / 2), row.target_power_miles),
+                (float(ndtri(alpha / 2)), row.required_miles),
+                (float(ndtri(1 - alpha / 2)), row.target_power_miles),
             ):
                 expected = (math.sqrt(lam_a) * z_power + math.sqrt(lam_h) * z_alpha) ** 2
                 assert miles == expected / (lam_a - lam_h) ** 2
@@ -146,6 +113,21 @@ class TestMileageForPower:
         assert analytic_power(ATLANTA_POLICE_RATE, 0.75, displayed) == pytest.approx(
             0.2, abs=0.01
         )
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            analytic_power(ATLANTA_POLICE_RATE, 0.75, 1e7, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            monte_carlo_power(ATLANTA_POLICE_RATE, 0.75, 1e7, alpha=alpha, trials=1000)
+
+    def test_results_are_python_floats(self):
+        # A numpy scalar would print as np.float64(...) in the report files.
+        (row,) = power_curve(ATLANTA_POLICE_RATE, (0.75,))
+        assert type(row.required_miles) is float
+        assert type(row.target_power_miles) is float
+        assert type(mileage_for_power(ATLANTA_POLICE_RATE, 0.75)) is float
+        assert type(analytic_power(ATLANTA_POLICE_RATE, 0.75, 1e7)) is float
 
 
 class TestMonteCarlo:

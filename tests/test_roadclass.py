@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -16,6 +17,7 @@ from crashbench.roadclass import (
     distance_to_nearest_freeway,
     haversine_m,
     load_alias_table,
+    load_segments_geojson,
     normalize_road_name,
     point_leg_distance_m,
     polyline_distance_m,
@@ -353,3 +355,30 @@ class TestSegmentValidation:
     def test_repeated_vertex_rejected(self):
         with pytest.raises(Exception):
             FreewaySegment("I-1", (LatLon(1.0, 1.0), LatLon(1.0, 1.0)))
+
+
+class TestSegmentsGeojson:
+    @pytest.mark.parametrize(
+        "position",
+        [
+            ["-97.7", 30.4],  # not a number
+            [-97.7, float("nan")],
+            [float("inf"), 30.4],
+            [True, 30.4],
+            [-97.7],
+            [-97.7, 30.4, 150.0],
+            [30.4, -97.7],  # lat, lon swapped: latitude out of range
+            [-197.7, 30.4],
+            "-97.7,30.4",
+        ],
+    )
+    def test_bad_position_is_config_error(self, tmp_path, position):
+        feature = {
+            "type": "Feature",
+            "properties": {"route_id": "I-35", "names": [], "always_freeway": True},
+            "geometry": {"type": "LineString", "coordinates": [[-97.7, 30.1], position]},
+        }
+        path = tmp_path / "segments.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+        with pytest.raises(ConfigError, match=r"segments.geojson: feature 0 \(I-35\): position 1"):
+            load_segments_geojson(path)
