@@ -553,7 +553,9 @@ class FileCachedGeocoder:
 
     With no inner client this is replay mode: only previously cached
     requests resolve, which keeps runs deterministic and offline.
-    Cache lines are 'key<TAB>lat<TAB>lon'.
+    Cache lines are 'key<TAB>lat<TAB>lon'; a line that does not parse, or
+    whose coordinates are not finite with lat in [-90, 90] and lon in
+    [-180, 180], is a DataError naming the line.
     """
 
     def __init__(self, path: str | Path, inner: Optional[GeocoderClient] = None):
@@ -568,12 +570,21 @@ class FileCachedGeocoder:
                         continue
                     try:
                         key, lat, lon = line.split("\t")
-                        self._cache[key] = LatLon(float(lat), float(lon))
+                        location = LatLon(float(lat), float(lon))
                     except ValueError as exc:
-                        raise DataError(
-                            f"{self.path}: line {line_no}: malformed geocoder cache line "
-                            f"({exc})"
-                        ) from None
+                        raise self._malformed(line_no, str(exc)) from None
+                    # The range check also rejects NaN and infinities.
+                    if not (-90.0 <= location.lat <= 90.0 and -180.0 <= location.lon <= 180.0):
+                        raise self._malformed(
+                            line_no,
+                            f"{lat!r}, {lon!r} is not lat in [-90, 90] and lon in [-180, 180]",
+                        )
+                    self._cache[key] = location
+
+    def _malformed(self, line_no: int, reason: str) -> DataError:
+        return DataError(
+            f"{self.path}: line {line_no}: malformed geocoder cache line ({reason})"
+        )
 
     def locate(self, request: GeocodeRequest) -> Optional[LatLon]:
         key = request.key()
@@ -725,7 +736,8 @@ def derive_surface_street_vmt(records: list[VmtRecord]) -> list[VmtRecord]:
 
 def load_share_table(path: str | Path) -> PassengerShareTable:
     """Read the passenger-VMT share table: delimited text with columns
-    state, functional_class, urban, share."""
+    state, functional_class, urban, share.  A share that is not a finite
+    number is a DataError naming the file and row."""
     shares: dict[tuple[str, FunctionalClass, bool], float] = {}
     with _open_table(path, ",") as (header, rows):
         index = {name: i for i, name in enumerate(header)}
@@ -733,9 +745,14 @@ def load_share_table(path: str | Path) -> PassengerShareTable:
         if missing:
             raise DataError(f"{path}: share table lacks column(s) {', '.join(missing)}")
         columns = itemgetter(*(index[name] for name in _SHARE_COLUMNS))
-        for _, row in rows:
-            state, fclass_raw, urban_raw, share = columns(row)
+        for number, row in rows:
+            state, fclass_raw, urban_raw, share_raw = columns(row)
             fclass = parse_enum_token("functional_class", fclass_raw.strip())
             urban = urban_raw.strip().lower() in ("true", "1", "yes", "urban")
-            shares[(state.strip(), fclass, urban)] = float(share)
+            share = _float_or_none(share_raw)
+            if share is None:
+                raise DataError(
+                    f"{path}: row {number}: share {share_raw!r} is not a finite number"
+                )
+            shares[(state.strip(), fclass, urban)] = share
     return PassengerShareTable(shares)

@@ -52,7 +52,17 @@ class LatLon(NamedTuple):
     lon: float
 
 
-class KabcoLevel(Enum):
+class IdentityEnum(Enum):
+    """Base of every crashbench enumeration.  Members hash by identity,
+    in C, rather than by name through ``Enum.__hash__``: members are
+    singletons, so equal members are the same object.  Iteration order
+    over a set of members is therefore per process; no output depends on
+    it, because tallies are whole counts and every table is sorted."""
+
+    __hash__ = object.__hash__
+
+
+class KabcoLevel(IdentityEnum):
     """Police injury scale: K fatal, A suspected serious, B suspected
     minor, C possible, O no injury.  UNKNOWN never participates in
     severity comparisons."""
@@ -99,7 +109,7 @@ def worst_injury(levels: Iterable[KabcoLevel]) -> KabcoLevel:
     return best if best is not None else KabcoLevel.UNKNOWN
 
 
-class VehicleClass(Enum):
+class VehicleClass(IdentityEnum):
     PASSENGER = "Passenger"
     MOTORCYCLE = "Motorcycle"
     HEAVY_VEHICLE = "HeavyVehicle"
@@ -112,14 +122,14 @@ class VehicleClass(Enum):
 VRU_CLASSES = frozenset({VehicleClass.PEDESTRIAN, VehicleClass.CYCLIST})
 
 
-class RoadClass(Enum):
+class RoadClass(IdentityEnum):
     """Binary road type used for rate stratification."""
 
     FREEWAY = "Freeway"
     SURFACE_STREET = "SurfaceStreet"
 
 
-class FunctionalClass(Enum):
+class FunctionalClass(IdentityEnum):
     """Functional class of a mileage record; ALL_ROADS appears only in
     sources that do not break VMT down by road type."""
 
@@ -136,14 +146,14 @@ class FunctionalClass(Enum):
         raise ValueError("AllRoads does not map to a single road class")
 
 
-class JunctionRelation(Enum):
+class JunctionRelation(IdentityEnum):
     INTERSECTION = "Intersection"
     NON_JUNCTION = "NonJunction"
     RAMP_RELATED = "RampRelated"
     UNKNOWN = "Unknown"
 
 
-class MannerOfCollision(Enum):
+class MannerOfCollision(IdentityEnum):
     FRONT_TO_REAR = "FrontToRear"
     LATERAL_SAME_DIRECTION = "LateralSameDirection"
     OPPOSITE_DIRECTION = "OppositeDirection"

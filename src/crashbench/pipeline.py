@@ -57,6 +57,7 @@ from .rates import RateCell, adjust_underreporting, crash_type_distribution
 from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
     FreewaySegmentIndex,
+    Provenance,
     classify_road,
     load_alias_table,
     load_segments_geojson,
@@ -65,8 +66,8 @@ from .taxonomy import (
     DEFAULT_GATE_ORDER,
     GATE_NAMES,
     OUTCOME_RANK,
+    CrashTypeCascade,
     OutcomeLevel,
-    classify_crash_type,
     classify_outcome,
 )
 
@@ -393,6 +394,7 @@ def build_benchmark(
     # Per (area, road, outcome, crash type) cell: known passenger and
     # unknown-class units.
     tallies: dict[tuple, list[int]] = {}
+    cascade = CrashTypeCascade(params.type_gate_order)
 
     for record in records:
         if record.year != year:
@@ -408,7 +410,7 @@ def build_benchmark(
             record, index, threshold_m=params.threshold_m, any_route=params.any_route
         )
         road = cls.road_class
-        if cls.provenance.value == "Unresolvable":
+        if cls.provenance is Provenance.UNRESOLVABLE:
             unresolved_road += 1
         selection = select_units(record)
         key = imputation_key(area.name, road)
@@ -416,14 +418,13 @@ def build_benchmark(
         if selection.unknown_units:
             unknowns[key] = unknowns.get(key, 0) + len(selection.unknown_units)
         outcomes = classify_outcome(record)
-        for column, units in ((0, selection.passenger_units), (1, selection.unknown_units)):
-            for unit in units:
-                crash_type = classify_crash_type(
-                    record, unit.unit_id, road, gate_order=params.type_gate_order
-                )
-                for outcome in outcomes:
-                    cell = (area.name, road, outcome, crash_type)
-                    tallies.setdefault(cell, [0, 0])[column] += 1
+        counted = selection.passenger_units + selection.unknown_units
+        crash_types = cascade.classify_units(record, [u.unit_id for u in counted], road)
+        for position, crash_type in enumerate(crash_types):
+            column = 0 if position < len(selection.passenger_units) else 1
+            for outcome in outcomes:
+                cell = (area.name, road, outcome, crash_type)
+                tallies.setdefault(cell, [0, 0])[column] += 1
 
     fractions = {key: passenger_fraction(hist) for key, hist in known_classes.items() if hist}
     imputed_mass: dict[str, float] = {}

@@ -15,6 +15,10 @@ or perpendicular foot), then the haversine distance to that point.
 Sub-meter accurate at city scale.  Coordinates are (lat, lon) degrees;
 no antimeridian handling (the study areas are far from it).
 
+Names: ``FreewaySegmentIndex.match_road_name`` matches each distinct raw
+road name once per index and keeps the result; ``normalize_road_name``
+and the route patterns stay the only definition of a match.
+
 Search: ``FreewaySegmentIndex`` finds candidates on a grid of segment
 bounding boxes, one grid per route (built on that route's first query;
 a query without a route uses a grid over all segments), and measures
@@ -31,7 +35,6 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -40,6 +43,7 @@ from .model import (
     CrashBenchError,
     CrashRecord,
     DataError,
+    IdentityEnum,
     LatLon,
     RoadClass,
     read_ini,
@@ -165,7 +169,7 @@ def normalize_road_name(name: str) -> str:
     return " ".join(tokens)
 
 
-class MatchKind(Enum):
+class MatchKind(IdentityEnum):
     NON_FREEWAY = "NonFreeway"
     ALWAYS_FREEWAY = "AlwaysFreeway"
     AMBIGUOUS = "Ambiguous"
@@ -177,7 +181,7 @@ class NameMatch:
     route_id: Optional[str] = None
 
 
-class Provenance(Enum):
+class Provenance(IdentityEnum):
     BY_NAME_ALWAYS = "ByNameAlways"
     BY_PROXIMITY = "ByProximity"
     BY_NAME_NON_FREEWAY = "ByNameNonFreeway"
@@ -273,8 +277,10 @@ def _leg_constants(polyline: Sequence[LatLon]) -> array:
 
 class FreewaySegmentIndex:
     """Freeway polylines plus the machinery to query them: a name
-    matcher (alias table + route-number patterns) and per-route spatial
-    grids with cached leg constants for proximity tests."""
+    matcher (alias table + route-number patterns) that keeps each raw
+    name's match, and per-route spatial grids with cached leg constants
+    for proximity tests.  All three are filled on first use, so an index
+    costs nothing for names and routes no record mentions."""
 
     def __init__(
         self,
@@ -323,8 +329,10 @@ class FreewaySegmentIndex:
             self._cover_radius_m = 4.0 * span_deg * METERS_PER_DEG
         else:
             self._cover_radius_m = 0.0
-        # Built on first use: one grid per route queried (key None: all
-        # segments) and each segment's leg constants.
+        # Built on first use: each raw road name's match, one grid per
+        # route queried (key None: all segments) and each segment's leg
+        # constants.
+        self._matches: dict[str, NameMatch] = {}
         self._grids: dict[Optional[str], _SegmentGrid] = {}
         self._legs: list[Optional[array]] = [None] * len(self.segments)
 
@@ -360,8 +368,16 @@ class FreewaySegmentIndex:
         """Resolve a free-text road name to a freeway route, if any.
 
         Alias table first, then route-number patterns; anything
-        unmatched is a non-freeway name.
+        unmatched is a non-freeway name.  Each distinct raw name is
+        matched once per index: the result is kept, like the route
+        grids, and returned again for every later record with that name.
         """
+        match = self._matches.get(name)
+        if match is None:
+            match = self._matches[name] = self._match_name(name)
+        return match
+
+    def _match_name(self, name: str) -> NameMatch:
         norm = normalize_road_name(name or "")
         if not norm:
             return NameMatch(MatchKind.NON_FREEWAY)

@@ -8,15 +8,23 @@ Crash types are assigned per (crash, ego unit) by a fixed decision
 cascade; the intersection bucket applies on surface streets only, and a
 vehicle first involved in a second-or-later contact event is a
 secondary crash regardless of its collision partner.
+
+``CrashTypeCascade`` resolves a gate order to its gates once and types
+all the counted units of a crash in one call, deriving what the gates
+read from the crash (first contact event, events and units by id,
+in-transport units) once per crash rather than per unit and per gate.
+``classify_crash_type`` is the same cascade for a single unit.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from functools import lru_cache
+from typing import Iterable
 
 from .model import (
     CrashBenchError,
     CrashRecord,
+    IdentityEnum,
     JunctionRelation,
     KabcoLevel,
     MannerOfCollision,
@@ -26,7 +34,7 @@ from .model import (
 )
 
 
-class OutcomeLevel(Enum):
+class OutcomeLevel(IdentityEnum):
     POLICE_REPORTED = "PoliceReported"
     ANY_INJURY_REPORTED = "AnyInjuryReported"
     ANY_AIRBAG_DEPLOYMENT = "AnyAirbagDeployment"
@@ -46,7 +54,7 @@ INJURY_CHAIN = (
 )
 
 
-class CrashType(Enum):
+class CrashType(IdentityEnum):
     V2V_FRONT_TO_REAR = "V2VFrontToRear"
     V2V_LATERAL = "V2VLateral"
     V2V_OPPOSITE_DIRECTION = "V2VOppositeDirection"
@@ -83,6 +91,8 @@ def classify_outcome(record: CrashRecord) -> set[OutcomeLevel]:
     return levels
 
 
+# In precedence order: a pedestrian partner outranks a cyclist, and a
+# cyclist a motorcyclist.
 _VRU_TYPE = {
     VehicleClass.PEDESTRIAN: CrashType.PEDESTRIAN,
     VehicleClass.CYCLIST: CrashType.CYCLIST,
@@ -96,31 +106,47 @@ _MANNER_TYPE = {
 }
 
 
-def _collision_partners(record: CrashRecord, ego: VehicleUnit) -> list[VehicleUnit]:
+class _CrashFacts:
+    """What the gates read from one crash, derived once for all its
+    units: the first contact event, events and units by id (the first
+    copy of a repeated id wins, as in ``CrashRecord.unit_by_id``) and
+    the in-transport units."""
+
+    __slots__ = ("record", "first_event", "events", "units", "in_transport")
+
+    def __init__(self, record: CrashRecord):
+        self.record = record
+        self.first_event = record.event_sequence[0] if record.event_sequence else None
+        # Built in reverse, so that the first copy of a key is stored last.
+        self.events = {event.index: event for event in reversed(record.event_sequence)}
+        self.units = {unit.unit_id: unit for unit in reversed(record.units)}
+        self.in_transport = [u for u in record.units if u.in_transport]
+
+
+def _collision_partners(facts: _CrashFacts, ego: VehicleUnit) -> list[VehicleUnit]:
     """Units sharing the ego's first contact event; every other unit if
     no event data is recorded."""
-    if record.event_sequence and ego.first_contact_event_index is not None:
-        for event in record.event_sequence:
-            if event.index == ego.first_contact_event_index:
-                return [
-                    u
-                    for uid in event.unit_ids
-                    if uid != ego.unit_id
-                    for u in (record.unit_by_id(uid),)
-                    if u is not None
-                ]
-    return [u for u in record.units if u.unit_id != ego.unit_id]
+    event = facts.events.get(ego.first_contact_event_index)
+    if event is not None:
+        return [
+            u
+            for uid in event.unit_ids
+            if uid != ego.unit_id
+            for u in (facts.units.get(uid),)
+            if u is not None
+        ]
+    return [u for u in facts.record.units if u.unit_id != ego.unit_id]
 
 
-# Each gate inspects the record and either claims the crash or passes
-# (returns None); a gate whose required fields are missing passes.
+# Each gate inspects the crash and either claims it for the ego or
+# passes (returns None); a gate whose required fields are missing passes.
 
 
-def _gate_secondary(record: CrashRecord, ego: VehicleUnit, road: RoadClass):
+def _gate_secondary(facts: _CrashFacts, ego: VehicleUnit, road: RoadClass):
     """Ego not involved in the first contact event of the sequence."""
-    if not record.event_sequence:
+    first = facts.first_event
+    if first is None:
         return None
-    first = record.event_sequence[0]
     if ego.first_contact_event_index is not None:
         if ego.first_contact_event_index > first.index:
             return CrashType.SECONDARY_CRASH
@@ -129,18 +155,19 @@ def _gate_secondary(record: CrashRecord, ego: VehicleUnit, road: RoadClass):
     return None
 
 
-def _gate_vru(record: CrashRecord, ego: VehicleUnit, road: RoadClass):
+def _gate_vru(facts: _CrashFacts, ego: VehicleUnit, road: RoadClass):
     """Vulnerable-road-user collision partners."""
-    partners = _collision_partners(record, ego)
-    for cls in (VehicleClass.PEDESTRIAN, VehicleClass.CYCLIST, VehicleClass.MOTORCYCLE):
-        if any(p.vehicle_class is cls for p in partners):
-            return _VRU_TYPE[cls]
+    partner_classes = {p.vehicle_class for p in _collision_partners(facts, ego)}
+    for cls, crash_type in _VRU_TYPE.items():
+        if cls in partner_classes:
+            return crash_type
     return None
 
 
-def _gate_intersection(record: CrashRecord, ego: VehicleUnit, road: RoadClass):
+def _gate_intersection(facts: _CrashFacts, ego: VehicleUnit, road: RoadClass):
     """Crossing paths at a surface-street junction.  Freeways have no
     cross traffic, so the bucket never applies there."""
+    record = facts.record
     if (
         road is RoadClass.SURFACE_STREET
         and record.junction_relation is JunctionRelation.INTERSECTION
@@ -150,21 +177,23 @@ def _gate_intersection(record: CrashRecord, ego: VehicleUnit, road: RoadClass):
     return None
 
 
-def _gate_single_vehicle(record: CrashRecord, ego: VehicleUnit, road: RoadClass):
+def _gate_single_vehicle(facts: _CrashFacts, ego: VehicleUnit, road: RoadClass):
     """Single in-transport vehicle: fixed object, rollover, departure."""
-    in_transport = [u for u in record.units if u.in_transport]
+    in_transport = facts.in_transport
     if len(in_transport) == 1 and in_transport[0].unit_id == ego.unit_id:
         return CrashType.SINGLE_VEHICLE
-    if not in_transport and record.manner_of_collision is MannerOfCollision.SINGLE_VEHICLE:
+    if (
+        not in_transport
+        and facts.record.manner_of_collision is MannerOfCollision.SINGLE_VEHICLE
+    ):
         return CrashType.SINGLE_VEHICLE
     return None
 
 
-def _gate_v2v_geometry(record: CrashRecord, ego: VehicleUnit, road: RoadClass):
+def _gate_v2v_geometry(facts: _CrashFacts, ego: VehicleUnit, road: RoadClass):
     """Two or more vehicles: collision geometry from the manner code."""
-    in_transport = [u for u in record.units if u.in_transport]
-    if len(in_transport) >= 2:
-        return _MANNER_TYPE.get(record.manner_of_collision)
+    if len(facts.in_transport) >= 2:
+        return _MANNER_TYPE.get(facts.record.manner_of_collision)
     return None
 
 
@@ -184,27 +213,60 @@ GATE_NAMES = frozenset(_GATES)
 DEFAULT_GATE_ORDER = ("secondary", "vru", "intersection", "single_vehicle", "v2v_geometry")
 
 
+class CrashTypeCascade:
+    """The crash-type decision cascade for one gate order, whose names
+    are resolved to gates once; an unknown name is a CrashBenchError.
+
+    Gates run in the given precedence order (the default resolves, for
+    example, a VRU struck in a secondary contact as SecondaryCrash);
+    anything no gate claims lands in UnknownOther.
+    """
+
+    def __init__(self, gate_order: tuple[str, ...] = DEFAULT_GATE_ORDER):
+        gates = []
+        for name in gate_order:
+            gate = _GATES.get(name)
+            if gate is None:
+                raise CrashBenchError(f"unknown crash-type gate {name!r}")
+            gates.append(gate)
+        self._gates = tuple(gates)
+
+    def classify_units(
+        self, record: CrashRecord, unit_ids: Iterable[int], road: RoadClass
+    ) -> list[CrashType]:
+        """The crash type of each given unit of this crash, in order.
+        What the gates read from the crash is derived once for all the
+        units.  A unit id not in the record is an UnknownEgoError."""
+        facts = _CrashFacts(record)
+        types = []
+        for unit_id in unit_ids:
+            ego = facts.units.get(unit_id)
+            if ego is None:
+                raise UnknownEgoError(f"unit {unit_id} not in crash {record.crash_id}")
+            for gate in self._gates:
+                result = gate(facts, ego, road)
+                if result is not None:
+                    break
+            else:
+                result = CrashType.UNKNOWN_OTHER
+            types.append(result)
+        return types
+
+
 def classify_crash_type(
     record: CrashRecord,
     ego: int,
     road: RoadClass,
     gate_order: tuple[str, ...] = DEFAULT_GATE_ORDER,
 ) -> CrashType:
-    """Assign exactly one crash type to the ego unit in this crash.
+    """Assign exactly one crash type to the ego unit in this crash: the
+    ``CrashTypeCascade`` of ``gate_order`` for that one unit.  Total:
+    never raises for a valid ego and gate order, always returns an
+    enumeration member."""
+    (crash_type,) = _cascade(tuple(gate_order)).classify_units(record, (ego,), road)
+    return crash_type
 
-    Gates run in the given precedence order (the default resolves, for
-    example, a VRU struck in a secondary contact as SecondaryCrash);
-    anything no gate claims lands in UnknownOther.  Total: never raises
-    for a valid ego, always returns an enumeration member.
-    """
-    ego_unit = record.unit_by_id(ego)
-    if ego_unit is None:
-        raise UnknownEgoError(f"unit {ego} not in crash {record.crash_id}")
-    for name in gate_order:
-        gate = _GATES.get(name)
-        if gate is None:
-            raise CrashBenchError(f"unknown crash-type gate {name!r}")
-        result = gate(record, ego_unit, road)
-        if result is not None:
-            return result
-    return CrashType.UNKNOWN_OTHER
+
+@lru_cache(maxsize=128)
+def _cascade(gate_order: tuple[str, ...]) -> CrashTypeCascade:
+    return CrashTypeCascade(gate_order)

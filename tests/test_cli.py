@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crashbench
 from crashbench.cli import main
 from crashbench.power import PowerQuery, required_mileage
 
@@ -83,7 +88,16 @@ class TestRun:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
-        "line", ["no tabs on this line", "TX|TRAVIS|I-35|\tnorth\t-97.74"]
+        "line",
+        [
+            "no tabs on this line",
+            "TX|TRAVIS|I-35|\tnorth\t-97.74",
+            # Parseable but not a location: non-finite, out of range, or
+            # written in (lon, lat) order.
+            "TX|TRAVIS|FOO|\tnan\tinf",
+            "TX|TRAVIS|FOO|\t30.3\t-197.7",
+            "TX|TRAVIS|FOO|\t-97.7\t30.3",
+        ],
     )
     def test_malformed_geocoder_cache_exit_data_error(self, fixtures_dir, tmp_path, capsys,
                                                       line):
@@ -97,6 +111,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "kind=data" in err
         assert f"geocache.tsv: line {line_no}: malformed geocoder cache line" in err
+
+    @pytest.mark.parametrize("share", ["abc", "", "nan"])
+    def test_non_numeric_share_exit_data_error(self, fixtures_dir, tmp_path, capsys, share):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        shares = inputs / "shares.csv"
+        shares.write_text(shares.read_text().replace("TX,Freeway,true,0.92",
+                                                     f"TX,Freeway,true,{share}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "kind=data" in err
+        assert f"shares.csv: row 1: share {share!r} is not a finite number" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("miles", ["nan", "inf"])
     def test_non_finite_vmt_exit_data_error(self, fixtures_dir, tmp_path, capsys, miles):
@@ -196,6 +225,26 @@ class TestGoldenOutputs:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
         }
         assert emitted == {k: v for k, v in pinned.items() if k != "road_classes_2023.csv"}
+
+    def test_same_bytes_in_fresh_interpreters_under_two_hash_seeds(self, fixtures_dir,
+                                                                   tmp_path):
+        # Enum members hash by identity and strings by the hash seed, so
+        # set order differs between processes; the outputs must not.
+        src = Path(crashbench.__file__).resolve().parents[1]
+        emitted = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            for command in ("run", "classify-roads"):
+                subprocess.run(
+                    [sys.executable, "-m", "crashbench.cli", command,
+                     "--config", str(fixtures_dir / "run.ini"), "--out", str(out)],
+                    env=env, check=True, capture_output=True,
+                )
+            emitted.append(
+                {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            )
+        assert emitted[0] == emitted[1] == _pinned_digests(fixtures_dir)
 
     def test_classify_roads_output(self, run_args, fixtures_dir):
         args, out = run_args

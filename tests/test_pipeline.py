@@ -460,6 +460,31 @@ class TestBuildBenchmarkProperties:
         )
         assert tables.diagnostics["records_outside_areas"] == outside
 
+    def test_road_names_normalized_once(self, fixtures_dir, monkeypatch):
+        # The index keeps each raw name's match, so a name that recurs
+        # across crashes is normalized once per index.
+        from collections import Counter
+
+        from crashbench import roadclass
+
+        config = pipeline.load_run_config(fixtures_dir / "run.ini")
+        records, _, _ = pipeline.load_crashes(config)
+        vmt_records, shares = pipeline.load_exposure(config)
+        index = pipeline.build_index(config)  # registers its own names first
+        calls = Counter()
+        normalize = roadclass.normalize_road_name
+        monkeypatch.setattr(
+            roadclass, "normalize_road_name", lambda n: calls.update([n]) or normalize(n)
+        )
+        tables = pipeline.build_benchmark(
+            records, index, vmt_records, shares, config.areas, config.year, config.params
+        )
+        classified = tables.diagnostics["records_in_year"] - tables.diagnostics[
+            "records_outside_areas"
+        ]
+        assert calls and max(calls.values()) == 1
+        assert len(calls) < classified  # the fixture repeats names
+
     def test_power_grid_quantiles_once_per_cell(self, road_index, monkeypatch):
         from crashbench import power
 

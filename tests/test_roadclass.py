@@ -105,6 +105,45 @@ class TestNameMatching:
             FreewaySegmentIndex([seg], aliases={"SR-99": ["VALLEY FWY"]})
 
 
+class TestNameMemo:
+    """Each index keeps the match of every raw name it has seen; a kept
+    match must be the one a fresh index computes."""
+
+    PREFIXES = ("I-", "IH ", "interstate ", "US ", "U S HWY ", "US-", "LOOP ", "LP ",
+                "SR ", "SH ", "STATE HWY ", "FM ", "TX ", "", "RM ")
+    NUMBERS = ("35", "035", "290", "1", "0001", "71", "183", "9")
+    SUFFIXES = ("", " N/B", " S / B", " SB", " NORTHBOUND", " E", " west", " N SB", " EXPY")
+    OTHERS = ("MOPAC", "mo-pac expy", "MOPAC EXPY", "MOPAC NB", "MAIN ST", "N", "SB", "",
+              "   ", "-", "/", "AVENUE B", "None", None, "I", "US", "loop-1", "LOOP-1 ")
+
+    def random_names(self, rng, count):
+        names = []
+        for _ in range(count):
+            if rng.random() < 0.3:
+                names.append(rng.choice(self.OTHERS))
+            else:
+                names.append(rng.choice(self.PREFIXES) + rng.choice(self.NUMBERS)
+                             + rng.choice(self.SUFFIXES))
+        return names
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kept_match_equals_fresh_index(self, fixtures_dir, seed):
+        segments = load_segments_geojson(fixtures_dir / "roadclass_segments.geojson")
+        aliases = load_alias_table(fixtures_dir / "roadclass_aliases.ini")
+        rng = random.Random(seed)
+        names = self.random_names(rng, 300)
+        warm = FreewaySegmentIndex(segments, aliases=aliases)
+        kinds = set()
+        # The first pass asks each name first once, then again wherever it
+        # repeats; the second pass, in another order, only repeats.
+        for order in (names, rng.sample(names, len(names))):
+            for name in order:
+                fresh = FreewaySegmentIndex(segments, aliases=aliases).match_road_name(name)
+                assert warm.match_road_name(name) == fresh, name
+                kinds.add(fresh.kind)
+        assert kinds == set(MatchKind)
+
+
 class TestAliasTable:
     def test_names_read_literally(self, tmp_path):
         path = tmp_path / "aliases.ini"

@@ -1,8 +1,12 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from crashbench.model import (
+    ContactEvent,
+    CrashBenchError,
     CrashRecord,
     JunctionRelation,
     KabcoLevel,
@@ -14,7 +18,9 @@ from crashbench.model import (
     build_event_sequence,
 )
 from crashbench.taxonomy import (
+    DEFAULT_GATE_ORDER,
     CrashType,
+    CrashTypeCascade,
     OutcomeLevel,
     UnknownEgoError,
     classify_crash_type,
@@ -211,3 +217,151 @@ class TestInvariants:
             for unit in record.units:
                 result = classify_crash_type(record, unit.unit_id, road)
                 assert isinstance(result, CrashType)
+
+
+# --- oracle: the cascade as it ran per unit and per gate ---------------------
+# Each gate re-derives what it reads from the record, and partners are found
+# by linear scans, so nothing is shared between units or gates.
+
+
+def _oracle_partners(record, ego):
+    if record.event_sequence and ego.first_contact_event_index is not None:
+        for event in record.event_sequence:
+            if event.index == ego.first_contact_event_index:
+                return [
+                    u
+                    for uid in event.unit_ids
+                    if uid != ego.unit_id
+                    for u in (record.unit_by_id(uid),)
+                    if u is not None
+                ]
+    return [u for u in record.units if u.unit_id != ego.unit_id]
+
+
+def _oracle_secondary(record, ego, road):
+    if not record.event_sequence:
+        return None
+    first = record.event_sequence[0]
+    if ego.first_contact_event_index is not None:
+        if ego.first_contact_event_index > first.index:
+            return CrashType.SECONDARY_CRASH
+    elif ego.unit_id not in first.unit_ids:
+        return CrashType.SECONDARY_CRASH
+    return None
+
+
+def _oracle_vru(record, ego, road):
+    partners = _oracle_partners(record, ego)
+    for cls, crash_type in (
+        (VehicleClass.PEDESTRIAN, CrashType.PEDESTRIAN),
+        (VehicleClass.CYCLIST, CrashType.CYCLIST),
+        (VehicleClass.MOTORCYCLE, CrashType.MOTORCYCLIST),
+    ):
+        if any(p.vehicle_class is cls for p in partners):
+            return crash_type
+    return None
+
+
+def _oracle_intersection(record, ego, road):
+    if (
+        road is RoadClass.SURFACE_STREET
+        and record.junction_relation is JunctionRelation.INTERSECTION
+        and record.manner_of_collision is MannerOfCollision.CROSSING_PATH
+    ):
+        return CrashType.INTERSECTION
+    return None
+
+
+def _oracle_single_vehicle(record, ego, road):
+    in_transport = [u for u in record.units if u.in_transport]
+    if len(in_transport) == 1 and in_transport[0].unit_id == ego.unit_id:
+        return CrashType.SINGLE_VEHICLE
+    if not in_transport and record.manner_of_collision is MannerOfCollision.SINGLE_VEHICLE:
+        return CrashType.SINGLE_VEHICLE
+    return None
+
+
+def _oracle_v2v_geometry(record, ego, road):
+    in_transport = [u for u in record.units if u.in_transport]
+    if len(in_transport) >= 2:
+        return {
+            MannerOfCollision.OPPOSITE_DIRECTION: CrashType.V2V_OPPOSITE_DIRECTION,
+            MannerOfCollision.FRONT_TO_REAR: CrashType.V2V_FRONT_TO_REAR,
+            MannerOfCollision.LATERAL_SAME_DIRECTION: CrashType.V2V_LATERAL,
+        }.get(record.manner_of_collision)
+    return None
+
+
+_ORACLE_GATES = {
+    "secondary": _oracle_secondary,
+    "vru": _oracle_vru,
+    "intersection": _oracle_intersection,
+    "single_vehicle": _oracle_single_vehicle,
+    "v2v_geometry": _oracle_v2v_geometry,
+}
+
+
+def _oracle_crash_type(record, ego, road, gate_order):
+    ego_unit = record.unit_by_id(ego)
+    for name in gate_order:
+        result = _ORACLE_GATES[name](record, ego_unit, road)
+        if result is not None:
+            return result
+    return CrashType.UNKNOWN_OTHER
+
+
+def _typing_corpus():
+    """Corpus records, plus copies in which a unit id or an event index
+    repeats (the first copy is the one that counts) or the event list is
+    dropped."""
+    rng = random.Random(29)
+    records = make_corpus(80, seed=17)
+    extra = []
+    for record in records[:30]:
+        first = record.units[0]
+        twin = replace(
+            first,
+            vehicle_class=rng.choice(list(VehicleClass)),
+            in_transport=not first.in_transport,
+            first_contact_event_index=rng.choice([None, 1, 2, 3]),
+        )
+        extra.append(replace(record, units=record.units + (twin,)))
+        extra.append(replace(record, event_sequence=()))
+        everyone = tuple(unit.unit_id for unit in record.units)
+        extra.append(
+            replace(
+                record,
+                event_sequence=tuple(
+                    event
+                    for original in record.event_sequence
+                    for event in (original, ContactEvent(original.index, everyone))
+                ),
+            )
+        )
+    return records + extra
+
+
+class TestPerRecordTyping:
+    @pytest.mark.parametrize("road", list(RoadClass))
+    def test_every_gate_order_matches_per_unit_oracle(self, road):
+        records = _typing_corpus()
+        orders = list(itertools.permutations(DEFAULT_GATE_ORDER))
+        assert len(orders) == 120
+        for order in orders:
+            cascade = CrashTypeCascade(order)
+            for record in records:
+                unit_ids = [unit.unit_id for unit in record.units]
+                expected = [_oracle_crash_type(record, uid, road, order) for uid in unit_ids]
+                assert cascade.classify_units(record, unit_ids, road) == expected
+                assert [
+                    classify_crash_type(record, uid, road, gate_order=order) for uid in unit_ids
+                ] == expected
+
+    def test_unknown_unit_raises(self):
+        record = crash([vehicle(1), vehicle(2)])
+        with pytest.raises(UnknownEgoError, match="unit 9 not in crash T1"):
+            CrashTypeCascade().classify_units(record, [1, 9], RoadClass.FREEWAY)
+
+    def test_unknown_gate_name_rejected_when_resolved(self):
+        with pytest.raises(CrashBenchError, match="unknown crash-type gate 'nope'"):
+            CrashTypeCascade(("secondary", "nope"))
