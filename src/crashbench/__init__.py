@@ -18,7 +18,6 @@ from .model import (
     VehicleClass,
     VehicleUnit,
     VmtRecord,
-    validate_record,
     worst_injury,
 )
 from .power import (
@@ -38,12 +37,7 @@ from .rates import (
     poisson_ci,
     safety_impact,
 )
-from .roadclass import (
-    FreewaySegment,
-    FreewaySegmentIndex,
-    classify_road,
-    distance_to_nearest_freeway,
-)
+from .roadclass import FreewaySegment, FreewaySegmentIndex, classify_road
 from .taxonomy import CrashType, OutcomeLevel, classify_crash_type, classify_outcome
 
 __version__ = "0.1.0"
@@ -73,7 +67,6 @@ __all__ = [
     "classify_road",
     "compute_rate",
     "crash_type_distribution",
-    "distance_to_nearest_freeway",
     "filter_in_transport_passenger",
     "mileage_for_power",
     "monte_carlo_power",
@@ -82,6 +75,5 @@ __all__ = [
     "power_curve",
     "required_mileage",
     "safety_impact",
-    "validate_record",
     "worst_injury",
 ]

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import pipeline
+from .ingest import load_ads_table
 from .model import ConfigError, CrashBenchError, DataError
 from .power import DEFAULT_ALPHA, DEFAULT_POWER, monte_carlo_power, power_curve
 from .rates import safety_impact
@@ -154,12 +155,32 @@ def cmd_compare(args) -> int:
         for c in parse_rate_table(args.benchmark)
         if c.crash_type is None
     }
+    rows = []
+    for key, ads_count, ads_vmt in load_ads_table(args.ads):
+        cell = benchmark.get(key)
+        if cell is None:
+            raise DataError(f"no benchmark cell for {key}")
+        ads_rate = ads_count / ads_vmt * 1e6
+        impact = safety_impact(ads_rate, cell.rate_ipmm)
+        low, high = cell.ci95
+        rows.append(
+            [
+                *key,
+                repr(ads_count),
+                repr(ads_vmt),
+                repr(ads_rate),
+                repr(cell.rate_ipmm),
+                repr(low),
+                repr(high),
+                repr(impact),
+            ]
+        )
+    if not rows:
+        raise DataError(f"{args.ads}: no ADS rows")
+    # Every row is computed before the output is opened, so a failed
+    # compare writes nothing.
     out_path = Path(args.out or ".") / "safety_impact.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(args.ads, newline="", encoding="utf-8") as fh:
-        ads_rows = list(csv.DictReader(fh))
-    if not ads_rows:
-        raise DataError(f"{args.ads}: no ADS rows")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -176,30 +197,7 @@ def cmd_compare(args) -> int:
                 "percent_difference",
             ]
         )
-        for row in ads_rows:
-            key = (row["geo"], row["road"], row["outcome"])
-            cell = benchmark.get(key)
-            if cell is None:
-                raise DataError(f"no benchmark cell for {key}")
-            ads_count = float(row["ads_count"])
-            ads_vmt = float(row["ads_vmt_miles"])
-            if ads_vmt <= 0:
-                raise DataError(f"ADS VMT must be > 0 for {key}")
-            ads_rate = ads_count / ads_vmt * 1e6
-            impact = safety_impact(ads_rate, cell.rate_ipmm)
-            low, high = cell.ci95
-            writer.writerow(
-                [
-                    *key,
-                    repr(ads_count),
-                    repr(ads_vmt),
-                    repr(ads_rate),
-                    repr(cell.rate_ipmm),
-                    repr(low),
-                    repr(high),
-                    repr(impact),
-                ]
-            )
+        writer.writerows(rows)
     print(f"wrote {out_path}")
     return 0
 

@@ -5,7 +5,9 @@ deterministic: identical source bytes and config yield the identical
 record list and report, and record order follows crash-row input order.
 Rows are never silently dropped: every crash, unit and person row is
 either used or skipped with a reason in the ingest report, so for each
-table rows read equals rows used plus rows skipped.
+table rows read equals rows used plus rows skipped.  Ingest is where the
+crash-record contract is decided (see ``load_crash_table``); nothing
+downstream validates a record again.
 
 Each table's header is read once and the mapping config is compiled
 against it (``MappingConfig.compile``); rows are then read as plain lists.
@@ -56,6 +58,7 @@ from .model import (
     VmtRecord,
     VRU_CLASSES,
     build_event_sequence,
+    valid_coordinate,
     worst_injury,
 )
 
@@ -75,6 +78,7 @@ _PERSON_FIELDS = PERSON_REQUIRED + ("person.unit_id", "person.injury", "person.a
 # Order of IngestReport.skipped across tables; within a table, row order.
 _SKIP_ORDER = {"unit": 0, "person": 1, "crash": 2}
 _SHARE_COLUMNS = ("state", "functional_class", "urban", "share")
+_ADS_COLUMNS = ("geo", "road", "outcome", "ads_count", "ads_vmt_miles")
 _EVENT_KEY = attrgetter("unit_id", "first_contact_event_index")
 
 
@@ -115,6 +119,9 @@ class IngestReport:
     skipped: list[SkippedRow] = field(default_factory=list)
     unknown_counts: dict[str, int] = field(default_factory=dict)
     missing_location: int = 0
+    # Emitted records with no unit row: valid (a crash table may be loaded
+    # without a units table) but never counted in a rate.
+    crashes_without_units: int = 0
     # Unit and person rows joined to an emitted crash record.
     rows_attached: dict[str, int] = field(default_factory=dict)
 
@@ -214,7 +221,7 @@ def _int_or_none(raw: Optional[str]) -> Optional[int]:
         return None
     try:
         return int(float(raw))
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
 
 
@@ -235,8 +242,16 @@ def load_crash_table(
     crash id, is skipped and reported; so is a unit or person row whose
     crash is absent or was skipped, and a unit row repeating a unit of
     its crash.  Field-level junk degrades instead: unmapped codes go to
-    Unknown, an unparseable or non-finite coordinate leaves the location
-    absent (to be geocoded), both counted in the report.
+    Unknown, and a coordinate that is unparseable or fails
+    ``valid_coordinate`` leaves the location absent (to be geocoded),
+    both counted in the report; a first-contact ordinal below 1 reads as
+    absent.  A crash with no unit row is emitted and counted in
+    ``crashes_without_units``.
+
+    So every emitted record meets the record contract: a valid location
+    or none, unit ids unique within the crash, no pedestrian or cyclist
+    in transport, travel directions that are compass octants, and
+    first-contact ordinals of at least 1.
     """
     config.validate(CRASH_REQUIRED)
     report = IngestReport(source=config.name)
@@ -280,6 +295,8 @@ def load_crash_table(
     event_sequences: dict[tuple, tuple[ContactEvent, ...]] = {}
     for crash_id, crash in crashes.items():
         units = units_by_crash.get(crash_id, [])
+        if not units:
+            report.crashes_without_units += 1
         units.sort(key=attrgetter("unit_id"))
         events_key = tuple(map(_EVENT_KEY, units))
         event_sequence = event_sequences.get(events_key)
@@ -344,8 +361,10 @@ def _read_crash_rows(
 
         lat = _float_or_none(resolve["latitude"](row)[0])
         lon = _float_or_none(resolve["longitude"](row)[0])
-        location = LatLon(lat, lon) if lat is not None and lon is not None else None
-        if location is None:
+        if lat is not None and lon is not None and valid_coordinate(lat, lon):
+            location = LatLon(lat, lon)
+        else:
+            location = None
             report.missing_location += 1
 
         injury_token, was_unknown = resolve["worst_injury"](row)
@@ -492,7 +511,7 @@ def _read_unit_rows(
         )
 
         maneuver_token, _ = resolve["unit.maneuver"](row)
-        event_raw, _ = resolve["unit.first_contact_event"](row)
+        event = _int_or_none(resolve["unit.first_contact_event"](row)[0])
 
         units_by_crash.setdefault(key, []).append(
             VehicleUnit(
@@ -502,7 +521,7 @@ def _read_unit_rows(
                 airbag_deployed=airbag,
                 maneuver=maneuver_token or "",
                 travel_direction=direction,
-                first_contact_event_index=_int_or_none(event_raw),
+                first_contact_event_index=event if event is not None and event >= 1 else None,
             )
         )
     if number:
@@ -554,8 +573,9 @@ class FileCachedGeocoder:
     With no inner client this is replay mode: only previously cached
     requests resolve, which keeps runs deterministic and offline.
     Cache lines are 'key<TAB>lat<TAB>lon'; a line that does not parse, or
-    whose coordinates are not finite with lat in [-90, 90] and lon in
-    [-180, 180], is a DataError naming the line.
+    whose coordinates fail ``valid_coordinate``, is a DataError naming the
+    line.  An inner client's answer that fails ``valid_coordinate`` counts
+    as unresolved and is not cached.
     """
 
     def __init__(self, path: str | Path, inner: Optional[GeocoderClient] = None):
@@ -573,8 +593,7 @@ class FileCachedGeocoder:
                         location = LatLon(float(lat), float(lon))
                     except ValueError as exc:
                         raise self._malformed(line_no, str(exc)) from None
-                    # The range check also rejects NaN and infinities.
-                    if not (-90.0 <= location.lat <= 90.0 and -180.0 <= location.lon <= 180.0):
+                    if not valid_coordinate(*location):
                         raise self._malformed(
                             line_no,
                             f"{lat!r}, {lon!r} is not lat in [-90, 90] and lon in [-180, 180]",
@@ -593,10 +612,11 @@ class FileCachedGeocoder:
         if self.inner is None:
             return None
         result = self.inner.locate(request)
-        if result is not None:
-            self._cache[key] = result
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(f"{key}\t{result.lat!r}\t{result.lon!r}\n")
+        if result is None or not valid_coordinate(*result):
+            return None
+        self._cache[key] = result
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(f"{key}\t{result.lat!r}\t{result.lon!r}\n")
         return result
 
 
@@ -614,7 +634,8 @@ def geocode_missing(
 
     Records with a location pass through untouched.  A client transport
     failure is recorded against the record and the run continues;
-    unresolved records stay location-absent and are counted.
+    unresolved records, and those whose answer fails
+    ``valid_coordinate``, stay location-absent and are counted.
     """
     report = GeocodeReport()
     out: list[CrashRecord] = []
@@ -635,7 +656,7 @@ def geocode_missing(
             report.unresolved += 1
             out.append(record)
             continue
-        if located is None:
+        if located is None or not valid_coordinate(*located):
             report.unresolved += 1
             out.append(record)
         else:
@@ -734,25 +755,59 @@ def derive_surface_street_vmt(records: list[VmtRecord]) -> list[VmtRecord]:
     return out
 
 
+def _columns(path: str | Path, header: list[str], names: tuple[str, ...], what: str):
+    """An itemgetter for the named columns of a table's header; a
+    missing column is a DataError naming the file."""
+    index = {name: i for i, name in enumerate(header)}
+    missing = [name for name in names if name not in index]
+    if missing:
+        raise DataError(f"{path}: {what} lacks column(s) {', '.join(missing)}")
+    return itemgetter(*(index[name] for name in names))
+
+
 def load_share_table(path: str | Path) -> PassengerShareTable:
     """Read the passenger-VMT share table: delimited text with columns
     state, functional_class, urban, share.  A share that is not a finite
-    number is a DataError naming the file and row."""
+    number in (0, 1] is a DataError naming the file and row."""
     shares: dict[tuple[str, FunctionalClass, bool], float] = {}
     with _open_table(path, ",") as (header, rows):
-        index = {name: i for i, name in enumerate(header)}
-        missing = [name for name in _SHARE_COLUMNS if name not in index]
-        if missing:
-            raise DataError(f"{path}: share table lacks column(s) {', '.join(missing)}")
-        columns = itemgetter(*(index[name] for name in _SHARE_COLUMNS))
+        columns = _columns(path, header, _SHARE_COLUMNS, "share table")
         for number, row in rows:
             state, fclass_raw, urban_raw, share_raw = columns(row)
             fclass = parse_enum_token("functional_class", fclass_raw.strip())
             urban = urban_raw.strip().lower() in ("true", "1", "yes", "urban")
             share = _float_or_none(share_raw)
-            if share is None:
+            if share is None or not 0.0 < share <= 1.0:
                 raise DataError(
-                    f"{path}: row {number}: share {share_raw!r} is not a finite number"
+                    f"{path}: row {number}: share {share_raw!r} is not a finite number "
+                    f"in (0, 1]"
                 )
             shares[(state.strip(), fclass, urban)] = share
     return PassengerShareTable(shares)
+
+
+def load_ads_table(path: str | Path) -> list[tuple[tuple[str, str, str], float, float]]:
+    """Read an ADS exposure table: delimited text with columns geo, road,
+    outcome, ads_count, ads_vmt_miles.  Returns ((geo, road, outcome),
+    count, VMT) per row, in row order.  A missing column is a DataError
+    naming the file; a count that is not a finite number >= 0, or a VMT
+    that is not a finite number > 0, is a DataError naming the file and
+    row."""
+    out = []
+    with _open_table(path, ",") as (header, rows):
+        columns = _columns(path, header, _ADS_COLUMNS, "ADS table")
+        for number, row in rows:
+            geo, road, outcome, count_raw, vmt_raw = columns(row)
+            count, vmt = _float_or_none(count_raw), _float_or_none(vmt_raw)
+            if count is None or count < 0:
+                raise DataError(
+                    f"{path}: row {number}: ads_count {count_raw!r} is not a finite "
+                    f"number >= 0"
+                )
+            if vmt is None or vmt <= 0:
+                raise DataError(
+                    f"{path}: row {number}: ads_vmt_miles {vmt_raw!r} is not a finite "
+                    f"number > 0"
+                )
+            out.append(((geo, road, outcome), count, vmt))
+    return out

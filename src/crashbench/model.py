@@ -52,6 +52,12 @@ class LatLon(NamedTuple):
     lon: float
 
 
+def valid_coordinate(lat: float, lon: float) -> bool:
+    """The one definition of a usable position: lat in [-90, 90] and lon
+    in [-180, 180].  The range check also rejects NaN and infinities."""
+    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+
+
 class IdentityEnum(Enum):
     """Base of every crashbench enumeration.  Members hash by identity,
     in C, rather than by name through ``Enum.__hash__``: members are
@@ -136,14 +142,6 @@ class FunctionalClass(IdentityEnum):
     FREEWAY = "Freeway"
     SURFACE_STREET = "SurfaceStreet"
     ALL_ROADS = "AllRoads"
-
-    @property
-    def road_class(self) -> RoadClass:
-        if self is FunctionalClass.FREEWAY:
-            return RoadClass.FREEWAY
-        if self is FunctionalClass.SURFACE_STREET:
-            return RoadClass.SURFACE_STREET
-        raise ValueError("AllRoads does not map to a single road class")
 
 
 class JunctionRelation(IdentityEnum):
@@ -339,73 +337,3 @@ class PassengerShareTable:
                 f"no passenger share for state={key[0]} class={fclass.value} "
                 f"urban={urban}"
             ) from None
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found in a record.  Violations are data,
-    not exceptions: validation never raises."""
-
-    rule: str
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.rule}({self.field}): {self.message}"
-
-
-def validate_record(record: CrashRecord) -> list[Violation]:
-    """Check a crash record against the type invariants.
-
-    Returns an empty list iff every invariant holds.
-    """
-    violations: list[Violation] = []
-    if not record.units:
-        violations.append(Violation("NoUnits", "units", "record has no units"))
-    if record.location is not None:
-        lat, lon = record.location
-        if not -90.0 <= lat <= 90.0:
-            violations.append(
-                Violation("LatitudeOutOfRange", "location.lat", f"{lat} not in [-90, 90]")
-            )
-        if not -180.0 <= lon <= 180.0:
-            violations.append(
-                Violation(
-                    "LongitudeOutOfRange", "location.lon", f"{lon} not in [-180, 180]"
-                )
-            )
-    seen_ids = set()
-    for unit in record.units:
-        if unit.unit_id in seen_ids:
-            violations.append(
-                Violation("DuplicateUnitId", "units", f"unit_id {unit.unit_id} repeats")
-            )
-        seen_ids.add(unit.unit_id)
-        if unit.vehicle_class in VRU_CLASSES and unit.in_transport:
-            violations.append(
-                Violation(
-                    "VruInTransport",
-                    f"units[{unit.unit_id}].in_transport",
-                    f"{unit.vehicle_class.value} unit flagged as in-transport vehicle",
-                )
-            )
-        if (
-            unit.first_contact_event_index is not None
-            and unit.first_contact_event_index < 1
-        ):
-            violations.append(
-                Violation(
-                    "BadEventIndex",
-                    f"units[{unit.unit_id}].first_contact_event_index",
-                    "event ordinals are 1-based",
-                )
-            )
-        if unit.travel_direction is not None and unit.travel_direction not in COMPASS_OCTANTS:
-            violations.append(
-                Violation(
-                    "BadTravelDirection",
-                    f"units[{unit.unit_id}].travel_direction",
-                    f"{unit.travel_direction!r} is not a compass octant",
-                )
-            )
-    return violations

@@ -14,7 +14,8 @@ deterministic: cells tally whole unit counts and apply their passenger
 fraction once, so no float sum depends on record or set order, and
 reports are byte-identical across runs and hash seeds.
 ``RunConfig.workers`` is validated but has no effect, and
-``RunConfig.seed`` is only recorded in the report metadata.
+``RunConfig.seed`` is only recorded in the report metadata.  Ingest
+decides the crash-record contract, so no later stage validates a record.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .model import (
     county_areas,
     county_key,
     read_ini,
-    validate_record,
 )
 from .power import DEFAULT_EFFECT_RATIOS, power_curve
 from .rates import RateCell, adjust_underreporting, crash_type_distribution
@@ -377,13 +377,14 @@ def build_benchmark(
     """Aggregate normalized records into rate cells, type distributions,
     and the required-mileage grid.
 
-    One pass over ``records`` validates, road-classifies, places and
-    tallies each in-year record.  The tallies hold whole unit counts
-    only; each cell's passenger fraction is applied once afterwards.
+    One pass over ``records`` road-classifies, places and tallies each
+    in-year record.  Records are taken as ``ingest.load_crash_table``
+    emits them, already meeting the record contract, so none is
+    validated here.  The tallies hold whole unit counts only; each
+    cell's passenger fraction is applied once afterwards.
     """
     by_county = county_areas(areas)
     records_in_year = outside = unresolved_road = 0
-    violation_rules: dict[str, int] = {}
     # Per imputation key (area name, and road class with impute_by_road,
     # else None): the known-class histogram and the unknown-class units.
     imputation_key = lambda area_name, road: (
@@ -400,8 +401,6 @@ def build_benchmark(
         if record.year != year:
             continue
         records_in_year += 1
-        for violation in validate_record(record):
-            violation_rules[violation.rule] = violation_rules.get(violation.rule, 0) + 1
         area = by_county.get(county_key(record.state, record.county))
         if area is None:
             outside += 1
@@ -557,7 +556,6 @@ def build_benchmark(
         "unknown_class_units": sum(unknowns.values()),
         "imputed_passenger_mass": {k: imputed_mass[k] for k in sorted(imputed_mass)},
         "unresolvable_road_records": unresolved_road,
-        "invariant_violations": dict(sorted(violation_rules.items())),
     }
     severity_counts = {key[:3]: cc for key, cc in cohort_counts.items() if key[3] is None}
     return BenchmarkTables(
@@ -620,6 +618,7 @@ def run(config: RunConfig) -> report_mod.BenchmarkReport:
             "rows_skipped": len(r.skipped),
             "unknown_counts": dict(sorted(r.unknown_counts.items())),
             "missing_location": r.missing_location,
+            "crashes_without_units": r.crashes_without_units,
         }
         for r in ingest_reports
     ]

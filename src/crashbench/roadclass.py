@@ -47,6 +47,7 @@ from .model import (
     LatLon,
     RoadClass,
     read_ini,
+    valid_coordinate,
 )
 
 EARTH_RADIUS_M = 6371000.0
@@ -144,7 +145,7 @@ _DIRECTIONAL_TOKENS = frozenset(
 
 # Route-number recognition: each pattern maps a normalized name to a
 # canonical route key.  Order matters (interstate and US forms before the
-# generic state-prefix form).  Replaceable per index for other regions.
+# generic state-prefix form).
 DEFAULT_ROUTE_PATTERNS: tuple[tuple[str, str], ...] = (
     (r"^(?:I|IH|INTERSTATE)\s*0*(\d+)$", "I-{0}"),
     (r"^(?:US|U\s*S|US\s*HWY|US\s*HIGHWAY|US\s*ROUTE|US\s*RTE)\s*0*(\d+)$", "US-{0}"),
@@ -286,11 +287,9 @@ class FreewaySegmentIndex:
         self,
         segments: Iterable[FreewaySegment],
         aliases: Optional[dict[str, Sequence[str]]] = None,
-        patterns: tuple[tuple[str, str], ...] = DEFAULT_ROUTE_PATTERNS,
         cell_deg: float = 0.02,
     ):
         self.segments: tuple[FreewaySegment, ...] = tuple(segments)
-        self._patterns = [(re.compile(rx), tpl) for rx, tpl in patterns]
 
         self._route_segments: dict[str, list[int]] = {}
         for idx, seg in enumerate(self.segments):
@@ -354,8 +353,8 @@ class FreewaySegmentIndex:
         self._aliases[norm] = route_id
 
     def _canonical_key(self, normalized: str) -> Optional[str]:
-        for rx, template in self._patterns:
-            m = rx.match(normalized)
+        for pattern, template in DEFAULT_ROUTE_PATTERNS:
+            m = re.match(pattern, normalized)
             if m:
                 return template.format(*m.groups())
         return None
@@ -474,12 +473,6 @@ class FreewaySegmentIndex:
         return best
 
 
-def distance_to_nearest_freeway(
-    point: LatLon, index: FreewaySegmentIndex, route_id: Optional[str] = None
-) -> float:
-    return index.distance_to_nearest(point, route_id=route_id)
-
-
 def classify_road(
     record: CrashRecord,
     index: FreewaySegmentIndex,
@@ -539,15 +532,14 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
             raise ConfigError(f"{path}: feature missing route_id")
         polyline = []
         for index, position in enumerate(geom.get("coordinates", ())):
-            # The range check also rejects NaN, infinities and, across
-            # most of the US, positions written in (lat, lon) order.
+            # The range check also rejects, across most of the US,
+            # positions written in (lat, lon) order.
             if type(position) is list and len(position) == 2:
                 lon, lat = position
                 if (
                     type(lon) in (int, float)
                     and type(lat) in (int, float)
-                    and -180.0 <= lon <= 180.0
-                    and -90.0 <= lat <= 90.0
+                    and valid_coordinate(lat, lon)
                 ):
                     polyline.append(LatLon(lat, lon))
                     continue

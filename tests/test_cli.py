@@ -127,6 +127,20 @@ class TestRun:
         assert f"shares.csv: row 1: share {share!r} is not a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("share", ["0", "1.5"])
+    def test_share_out_of_range_exit_data_error(self, fixtures_dir, tmp_path, capsys, share):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        shares = inputs / "shares.csv"
+        shares.write_text(shares.read_text().replace("TX,Freeway,true,0.92",
+                                                     f"TX,Freeway,true,{share}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert f"shares.csv: row 1: share {share!r} is not a finite number in (0, 1]" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("miles", ["nan", "inf"])
     def test_non_finite_vmt_exit_data_error(self, fixtures_dir, tmp_path, capsys, miles):
         inputs = tmp_path / "inputs"
@@ -268,7 +282,6 @@ class TestGoldenOutputs:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name]
         diagnostics = json.loads((out / "report_2023.json").read_text())["diagnostics"]
         assert diagnostics["ingest"][0]["rows_skipped"] == 3
-        assert "DuplicateUnitId" not in diagnostics["invariant_violations"]
 
 class TestPowerCommand:
     def test_matches_library_exactly(self, capsys):
@@ -334,3 +347,54 @@ class TestCompare:
         assert main(["compare", "--benchmark", str(out / "benchmark_rates_2023.csv"),
                      "--ads", str(ads), "--out", str(tmp_path / "c")]) == 3
         assert "kind=data" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "safety_impact.csv").exists()
+
+    def _compare_fails(self, run_args, tmp_path, capsys, table: str) -> str:
+        """Run compare on an ADS table whose last row fails; it must exit
+        3 as a data error and write no file.  Returns the error line."""
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        ads = tmp_path / "ads.csv"
+        ads.write_text(table)
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--benchmark", str(out / "benchmark_rates_2023.csv"),
+                     "--ads", str(ads), "--out", str(cmp_out)]) == 3
+        assert not (cmp_out / "safety_impact.csv").exists()
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        return err
+
+    def test_missing_ads_column_is_data_error(self, run_args, tmp_path, capsys):
+        err = self._compare_fails(run_args, tmp_path, capsys,
+                                  "geo,road,outcome,ads_count\nAustin,Freeway,Fatal,1\n")
+        assert "ads.csv: ADS table lacks column(s) ads_vmt_miles" in err
+
+    @pytest.mark.parametrize("count", ["abc", "", "nan", "inf", "-1"])
+    def test_bad_ads_count_is_data_error(self, run_args, tmp_path, capsys, count):
+        err = self._compare_fails(
+            run_args, tmp_path, capsys,
+            "geo,road,outcome,ads_count,ads_vmt_miles\n"
+            "Austin,Freeway,PoliceReported,10,1e9\n"
+            f"Austin,Freeway,Fatal,{count},1e9\n",
+        )
+        assert f"ads.csv: row 2: ads_count {count!r} is not a finite number >= 0" in err
+
+    @pytest.mark.parametrize("miles", ["abc", "nan", "inf", "0", "-5"])
+    def test_bad_ads_vmt_is_data_error(self, run_args, tmp_path, capsys, miles):
+        err = self._compare_fails(
+            run_args, tmp_path, capsys,
+            "geo,road,outcome,ads_count,ads_vmt_miles\n"
+            "Austin,Freeway,PoliceReported,10,1e9\n"
+            f"Austin,Freeway,Fatal,1,{miles}\n",
+        )
+        assert f"ads.csv: row 2: ads_vmt_miles {miles!r} is not a finite number > 0" in err
+
+    def test_zero_benchmark_rate_writes_no_file(self, run_args, tmp_path, capsys):
+        # The fixture has no fatal surface-street crash in Round Rock.
+        err = self._compare_fails(
+            run_args, tmp_path, capsys,
+            "geo,road,outcome,ads_count,ads_vmt_miles\n"
+            "Austin,Freeway,PoliceReported,10,1e9\n"
+            "Round Rock,SurfaceStreet,Fatal,1,1e9\n",
+        )
+        assert "baseline rate must be > 0" in err

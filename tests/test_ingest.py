@@ -1,7 +1,8 @@
 import io
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from crashbench.ingest import (
     FileCachedGeocoder,
@@ -16,7 +17,9 @@ from crashbench.ingest import (
 )
 from crashbench.mapping import Column, MappingConfig
 from crashbench.model import (
+    COMPASS_OCTANTS,
     ConfigError,
+    CrashRecord,
     DataError,
     FunctionalClass,
     JunctionRelation,
@@ -25,7 +28,6 @@ from crashbench.model import (
     MannerOfCollision,
     VehicleClass,
     build_event_sequence,
-    validate_record,
 )
 from crashbench.pipeline import resolve_mapping
 
@@ -40,6 +42,32 @@ UNIT_HEADER = (
     "Cmv_Fiveton_Fl,Gvwr_Class,Veh_Trvl_Dir_ID,First_Contact_Evt_Num"
 )
 PERSON_HEADER = "Crash_ID,Unit_Nbr,Prsn_Injry_Sev_ID,Prsn_Airbag_ID"
+
+
+def contract_breaches(record: CrashRecord) -> list[str]:
+    """Each rule of the crash-record contract that ``record`` breaks,
+    written out independently of the loader: ingest emits only records
+    for which this is empty."""
+    breaches = []
+    if record.location is not None:
+        lat, lon = record.location
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            breaches.append("non-finite location")
+        elif abs(lat) > 90.0 or abs(lon) > 180.0:
+            breaches.append("location out of range")
+    unit_ids = [unit.unit_id for unit in record.units]
+    if len(unit_ids) != len(set(unit_ids)):
+        breaches.append("repeated unit_id")
+    for unit in record.units:
+        if unit.in_transport and unit.vehicle_class in (
+            VehicleClass.PEDESTRIAN, VehicleClass.CYCLIST
+        ):
+            breaches.append(f"unit {unit.unit_id}: non-motorist in transport")
+        if unit.first_contact_event_index is not None and unit.first_contact_event_index < 1:
+            breaches.append(f"unit {unit.unit_id}: ordinal below 1")
+        if unit.travel_direction is not None and unit.travel_direction not in COMPASS_OCTANTS:
+            breaches.append(f"unit {unit.unit_id}: direction not an octant")
+    return breaches
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +268,7 @@ class TestCrashLoading:
         records, report = load_crash_table(crash, tx_mapping, units_source=units)
         assert records[0].location is None
         assert report.missing_location == 1
-        assert validate_record(records[0]) == []
+        assert contract_breaches(records[0]) == []
 
     def test_malformed_header_is_hard_error(self, tx_mapping):
         with pytest.raises(DataError):
@@ -411,6 +439,13 @@ class TestRowAccounting:
         assert report.rows_read["unit"] == 3
         assert all(report.conserves_rows(t) for t in ("crash", "unit"))
 
+    @pytest.mark.parametrize("year", ["inf", "1e400", "nan"])
+    def test_non_finite_year_is_skipped_as_unparseable(self, tx_mapping, year):
+        crash = [CRASH_HEADER, f"X1,{year},Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        records, report = load_crash_table(crash, tx_mapping)
+        assert records == []
+        assert [s.reason for s in report.skipped] == [f"unparseable year {year!r}"]
+
     def test_orphan_unit_and_person_rows_are_reported(self, tx_mapping):
         crash = [
             CRASH_HEADER,
@@ -441,6 +476,239 @@ class TestRowAccounting:
         assert report.rows_read == {"crash": 2, "unit": 4, "person": 3}
         assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
         assert "unit.vehicle_class" not in report.unknown_counts  # orphan not parsed
+
+
+class TestRecordContract:
+    """Ingest decides the crash-record contract where each row is read:
+    a row that would break it is skipped, read as absent or counted, so
+    every emitted record meets it and no later stage checks it again."""
+
+    def test_fixture_records_meet_contract(self, tx_mapping, fixtures_dir):
+        records, report = load_crash_table(
+            fixtures_dir / "tx_crashes.csv",
+            tx_mapping,
+            units_source=fixtures_dir / "tx_units.csv",
+            persons_source=fixtures_dir / "tx_persons.csv",
+        )
+        assert [contract_breaches(r) for r in records] == [[]] * len(records)
+        assert report.crashes_without_units == 0
+
+    @pytest.mark.parametrize("lat", ["91.0", "-90.5", "1e308"])
+    def test_latitude_out_of_range_reads_as_absent(self, tx_mapping, lat):
+        crash = [
+            CRASH_HEADER,
+            f"X1,2023,Travis,{lat},-97.7,MAIN ST,,N,3,24",
+            "X2,2023,Travis,90,-97.7,MAIN ST,,N,3,24",  # the bounds are inclusive
+        ]
+        records, report = load_crash_table(crash, tx_mapping)
+        assert [r.location for r in records] == [None, LatLon(90.0, -97.7)]
+        assert report.missing_location == 1
+
+    @pytest.mark.parametrize("lon", ["-200", "180.5", "-1e400"])
+    def test_longitude_out_of_range_reads_as_absent(self, tx_mapping, lon):
+        crash = [
+            CRASH_HEADER,
+            f"X1,2023,Travis,30.3,{lon},MAIN ST,,N,3,24",
+            "X2,2023,Travis,30.3,-180,MAIN ST,,N,3,24",
+        ]
+        records, report = load_crash_table(crash, tx_mapping)
+        assert [r.location for r in records] == [None, LatLon(30.3, -180.0)]
+        assert report.missing_location == 1
+
+    def test_crash_without_units_is_emitted_and_counted(self, tx_mapping):
+        crash = [
+            CRASH_HEADER,
+            "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "X2,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "X3,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+        ]
+        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1", "X3,,P4,,1,,,1,1,1"]
+        records, report = load_crash_table(crash, tx_mapping, units_source=units)
+        assert [(r.crash_id, len(r.units)) for r in records] == [("X1", 1), ("X2", 0), ("X3", 0)]
+        assert report.crashes_without_units == 2
+        _, without_table = load_crash_table(crash, tx_mapping)
+        assert without_table.crashes_without_units == 3
+
+    def test_pedestrian_and_cyclist_never_in_transport(self, tx_mapping):
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        # Unit_Desc_ID 4 is a pedestrian and 3 a cyclist; with the parked
+        # flag unset the mapping derives them in transport.
+        units = [UNIT_HEADER, "X1,1,P4,,4,,,1,1,1", "X1,2,P4,,3,,,1,1,1", "X1,3,P4,,1,,,1,1,1"]
+        records, _ = load_crash_table(crash, tx_mapping, units_source=units)
+        assert [(u.vehicle_class, u.in_transport) for u in records[0].units] == [
+            (VehicleClass.PEDESTRIAN, False),
+            (VehicleClass.CYCLIST, False),
+            (VehicleClass.PASSENGER, True),
+        ]
+
+    @pytest.mark.parametrize("ordinal", ["0", "-2", "0.5", "inf", "x"])
+    def test_ordinal_below_one_reads_as_absent(self, tx_mapping, ordinal):
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER, f"X1,1,P4,,1,,,1,1,{ordinal}", "X1,2,P4,,1,,,1,1,1"]
+        records, _ = load_crash_table(crash, tx_mapping, units_source=units)
+        record = records[0]
+        assert [u.first_contact_event_index for u in record.units] == [None, 1]
+        assert [(e.index, e.unit_ids) for e in record.event_sequence] == [(1, (2,))]
+
+    def test_direction_not_an_octant_reads_as_absent(self, tx_mapping):
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,9,1", "X1,2,P4,,1,,,1,2,1"]
+        records, _ = load_crash_table(crash, tx_mapping, units_source=units)
+        assert [u.travel_direction for u in records[0].units] == [None, "NE"]
+
+    def test_repeated_unit_id_is_kept_once_per_crash(self, tx_mapping):
+        crash = [
+            CRASH_HEADER,
+            "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "X2,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+        ]
+        # Unit numbers restart in each crash; only a repeat within one
+        # crash breaks the contract, and the repeat need not be adjacent.
+        units = [
+            UNIT_HEADER,
+            "X2,1,P4,,1,,,1,1,1",
+            "X1,1,P4,,1,,,1,1,1",
+            "X2,2,P4,,1,,,1,1,1",
+            "X2,1,P4,,4,,,1,1,1",
+        ]
+        records, report = load_crash_table(crash, tx_mapping, units_source=units)
+        assert [[u.unit_id for u in r.units] for r in records] == [[1], [1, 2]]
+        assert [contract_breaches(r) for r in records] == [[], []]
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("unit", 4, "duplicate unit_id"),
+        ]
+
+    def test_skipped_row_names_table_row_and_reason(self, tx_mapping):
+        # Row numbers are 1-based after the header, and a blank line does
+        # not advance them, so a reported row can be found in the source.
+        crash = [
+            CRASH_HEADER,
+            "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "",
+            "X2,20x3,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+        ]
+        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1", "", "X1,1,P4,,1,,,1,1,1"]
+        _, report = load_crash_table(crash, tx_mapping, units_source=units)
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("unit", 2, "duplicate unit_id"),
+            ("crash", 2, "unparseable year '20x3'"),
+        ]
+
+
+# A mapping that reads every contract-relevant field straight from its
+# column, so generated tables can hold any raw value.
+_GENERATED_MAPPING = """[source]
+name = generated
+[columns]
+crash_id = ID
+state = const:TX
+county = County
+year = Year
+latitude = Lat
+longitude = Lon
+unit.crash_id = ID
+unit.unit_id = Unit
+unit.vehicle_class = Class
+unit.in_transport = Moving
+unit.travel_direction = Dir
+unit.first_contact_event = Event
+person.crash_id = ID
+person.unit_id = Unit
+person.injury = Injury
+person.airbag = Airbag
+"""
+
+_IDS = ["C1", "C2", "C3"]
+_COORDINATES = st.sampled_from(
+    ["30.3", "-97.7", "90", "-180", "91", "-90.01", "180.5", "-200", "1e308",
+     "nan", "inf", "-inf", "", "abc"]
+)
+_CRASH_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(_IDS + [""]),
+        st.sampled_from(["2023", "2023", "2023", "20x3", "inf"]),
+        st.sampled_from(["Travis", "Travis", ""]),
+        _COORDINATES,
+        _COORDINATES,
+    ),
+    max_size=6,
+)
+_UNIT_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(_IDS + ["", "Z9"]),  # Z9 never has a crash row
+        st.sampled_from(["1", "2", "3", "4", ""]),
+        st.sampled_from(["Passenger", "Pedestrian", "Cyclist", "Motorcycle", "Junk", ""]),
+        st.sampled_from(["true", "false", "", "maybe"]),
+        st.sampled_from(["N", "ne", "NNE", "x", "Unknown", ""]),
+        st.sampled_from(["1", "2", "0", "-1", "0.5", "inf", "x", ""]),
+    ),
+    max_size=12,
+)
+_PERSON_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(_IDS + ["", "Z9"]),
+        st.sampled_from(["1", "2", ""]),
+        st.sampled_from(["K", "A", "O", "Q", ""]),
+        st.sampled_from(["true", "false", ""]),
+    ),
+    max_size=8,
+)
+
+
+@pytest.fixture(scope="module")
+def generated_mapping(tmp_path_factory) -> MappingConfig:
+    path = tmp_path_factory.mktemp("mapping") / "generated.ini"
+    path.write_text(_GENERATED_MAPPING)
+    return MappingConfig.load(path)
+
+
+def _table(header: str, rows) -> list[str]:
+    return [header] + [",".join(row) for row in rows]
+
+
+class TestGeneratedTables:
+    """Properties over generated crash, unit and person tables that hold
+    every kind of contract breach: out-of-range and non-finite
+    coordinates, ordinals of 0 or less, repeated (crash, unit) pairs,
+    non-motorists flagged in transport, directions that are not
+    octants, crashes without units, and unit or person rows with no
+    crash."""
+
+    # Hypothesis's explain phase takes minutes on a failing example of
+    # these tables, so a failure is reported once shrunk.
+    @settings(max_examples=150, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(crash_rows=_CRASH_ROWS, unit_rows=_UNIT_ROWS, person_rows=_PERSON_ROWS,
+           rng=st.randoms())
+    def test_ingest_decides_the_contract(
+        self, generated_mapping, crash_rows, unit_rows, person_rows, rng
+    ):
+        def load(units, persons):
+            return load_crash_table(
+                _table("ID,Year,County,Lat,Lon", crash_rows),
+                generated_mapping,
+                units_source=_table("ID,Unit,Class,Moving,Dir,Event", units),
+                persons_source=_table("ID,Unit,Injury,Airbag", persons),
+            )
+
+        records, report = load(unit_rows, person_rows)
+        assert [contract_breaches(r) for r in records] == [[]] * len(records)
+        for table, rows in (("crash", crash_rows), ("unit", unit_rows), ("person", person_rows)):
+            assert report.rows_read.get(table, 0) == len(rows)
+            assert report.conserves_rows(table), table
+        assert report.rows_attached.get("unit", 0) == sum(len(r.units) for r in records)
+        assert report.crashes_without_units == sum(1 for r in records if not r.units)
+
+        # Once no (crash, unit) pair repeats, row order changes no record.
+        first_rows = {}
+        for row in unit_rows:
+            first_rows.setdefault(row[:2], row)
+        unique_units = list(first_rows.values())
+        shuffled = load(
+            rng.sample(unique_units, len(unique_units)),
+            rng.sample(person_rows, len(person_rows)),
+        )
+        assert shuffled[0] == load(unique_units, person_rows)[0]
 
 
 class TestGeocoding:
@@ -488,6 +756,27 @@ class TestGeocoding:
         replay = FileCachedGeocoder(cache_path)  # no inner client
         assert replay.locate(request) == LatLon(30.32, -97.66)
         assert replay.locate(GeocodeRequest("TX", "TRAVIS", "ELSEWHERE", "")) is None
+
+    @pytest.mark.parametrize(
+        "answer", [LatLon(95.0, -97.7), LatLon(30.3, 180.5), LatLon(float("nan"), -97.7)]
+    )
+    def test_out_of_range_inner_answer_is_unresolved_and_not_cached(self, tmp_path, answer):
+        cache_path = tmp_path / "cache.tsv"
+        request = GeocodeRequest("TX", "TRAVIS", "MAIN ST", "")
+        caching = FileCachedGeocoder(cache_path, inner=StubGeocoder({request: answer}))
+        record = make_record(location=None, primary_road_name="MAIN ST")
+        out, report = geocode_missing([record], caching)
+        assert out[0].location is None
+        assert (report.resolved, report.unresolved) == (0, 1)
+        assert not cache_path.exists()
+        FileCachedGeocoder(cache_path)  # replay still loads
+
+    def test_out_of_range_answer_of_any_client_is_unresolved(self):
+        record = make_record(location=None, primary_road_name="MAIN ST")
+        client = StubGeocoder({GeocodeRequest("TX", "TRAVIS", "MAIN ST"): LatLon(30.3, -200.0)})
+        out, report = geocode_missing([record], client)
+        assert out[0].location is None
+        assert report.unresolved == 1
 
     def test_key_normalization(self):
         a = GeocodeRequest("tx", " travis ", "us-290", "springdale  rd").key()
@@ -563,6 +852,15 @@ def test_load_share_table(fixtures_dir):
     table = load_share_table(fixtures_dir / "shares.csv")
     assert table.share_for("TX", FunctionalClass.FREEWAY, True) == 0.92
     assert table.share_for("TX", FunctionalClass.SURFACE_STREET, True) == 0.95
+
+
+@pytest.mark.parametrize("share", ["0", "-0.1", "1.5"])
+def test_share_out_of_range_is_data_error(tmp_path, share):
+    path = tmp_path / "shares.csv"
+    path.write_text(f"state,functional_class,urban,share\nTX,Freeway,true,0.9\n"
+                    f"TX,SurfaceStreet,true,{share}\n")
+    with pytest.raises(DataError, match=rf"shares.csv: row 2: share '{share}' .* in \(0, 1\]"):
+        load_share_table(path)
 
 
 def test_share_table_missing_column_is_data_error(tmp_path):

@@ -16,7 +16,6 @@ from crashbench.model import (
     VehicleUnit,
     VmtRecord,
     build_event_sequence,
-    validate_record,
     worst_injury,
 )
 
@@ -60,45 +59,6 @@ class TestKabco:
         assert worst_injury([KabcoLevel.UNKNOWN, KabcoLevel.C]) is KabcoLevel.C
         assert worst_injury([KabcoLevel.UNKNOWN]) is KabcoLevel.UNKNOWN
         assert worst_injury([]) is KabcoLevel.UNKNOWN
-
-
-class TestValidateRecord:
-    def test_valid_record_has_no_violations(self):
-        assert validate_record(make_record()) == []
-
-    def test_latitude_out_of_range(self):
-        record = make_record(location=LatLon(91.0, -97.7))
-        rules = [v.rule for v in validate_record(record)]
-        assert rules == ["LatitudeOutOfRange"]
-
-    def test_longitude_out_of_range(self):
-        record = make_record(location=LatLon(30.0, -200.0))
-        assert [v.rule for v in validate_record(record)] == ["LongitudeOutOfRange"]
-
-    def test_no_units(self):
-        record = make_record(units=())
-        assert [v.rule for v in validate_record(record)] == ["NoUnits"]
-
-    def test_vru_in_transport_flagged(self):
-        unit = VehicleUnit(unit_id=1, vehicle_class=VehicleClass.PEDESTRIAN, in_transport=True)
-        record = make_record(units=(unit,))
-        assert "VruInTransport" in [v.rule for v in validate_record(record)]
-
-    def test_duplicate_unit_ids_flagged(self):
-        units = (
-            VehicleUnit(unit_id=1, vehicle_class=VehicleClass.PASSENGER, in_transport=True),
-            VehicleUnit(unit_id=1, vehicle_class=VehicleClass.PASSENGER, in_transport=True),
-        )
-        assert "DuplicateUnitId" in [v.rule for v in validate_record(make_record(units=units))]
-
-    def test_bad_event_index_flagged(self):
-        unit = VehicleUnit(unit_id=1, first_contact_event_index=0)
-        assert "BadEventIndex" in [v.rule for v in validate_record(make_record(units=(unit,)))]
-
-    def test_violations_name_field_and_rule(self):
-        violation = validate_record(make_record(units=()))[0]
-        assert violation.field == "units"
-        assert "NoUnits" in str(violation)
 
 
 class TestGeoArea:

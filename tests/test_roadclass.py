@@ -14,7 +14,6 @@ from crashbench.roadclass import (
     Provenance,
     _SegmentGrid,
     classify_road,
-    distance_to_nearest_freeway,
     haversine_m,
     load_alias_table,
     load_segments_geojson,
@@ -175,9 +174,9 @@ class TestDistance:
         with pytest.raises(NoSegmentsError):
             FreewaySegmentIndex([]).distance_to_nearest(LatLon(0.0, 0.0))
 
-    def test_module_level_wrapper(self, road_index):
+    def test_point_on_route_is_at_zero_distance(self, road_index):
         point = LatLon(30.32, -97.80)
-        assert distance_to_nearest_freeway(point, road_index) == 0.0
+        assert road_index.distance_to_nearest(point) == 0.0
 
     def test_reversal_symmetry(self):
         rng = random.Random(17)
