@@ -24,6 +24,7 @@ from .power import (
     PowerQuery,
     PowerResult,
     mileage_for_power,
+    mileage_grid,
     monte_carlo_power,
     power_curve,
     required_mileage,
@@ -35,6 +36,7 @@ from .rates import (
     compute_rate,
     crash_type_distribution,
     poisson_ci,
+    poisson_intervals,
     safety_impact,
 )
 from .roadclass import FreewaySegment, FreewaySegmentIndex, classify_road
@@ -69,9 +71,11 @@ __all__ = [
     "crash_type_distribution",
     "filter_in_transport_passenger",
     "mileage_for_power",
+    "mileage_grid",
     "monte_carlo_power",
     "passenger_vmt",
     "poisson_ci",
+    "poisson_intervals",
     "power_curve",
     "required_mileage",
     "safety_impact",

@@ -20,7 +20,7 @@ from . import pipeline
 from .ingest import load_ads_table
 from .model import ConfigError, CrashBenchError, DataError
 from .power import DEFAULT_ALPHA, DEFAULT_POWER, monte_carlo_power, power_curve
-from .rates import safety_impact
+from .rates import poisson_intervals, safety_impact
 from .report import TOOL_VERSION, parse_rate_table
 from .roadclass import classify_road
 
@@ -155,28 +155,33 @@ def cmd_compare(args) -> int:
         for c in parse_rate_table(args.benchmark)
         if c.crash_type is None
     }
-    rows = []
+    matched = []
     for key, ads_count, ads_vmt in load_ads_table(args.ads):
         cell = benchmark.get(key)
         if cell is None:
             raise DataError(f"no benchmark cell for {key}")
+        matched.append((key, ads_count, ads_vmt, cell))
+    if not matched:
+        raise DataError(f"{args.ads}: no ADS rows")
+    lows, highs = poisson_intervals(
+        [cell.count for *_, cell in matched], [cell.vmt_miles for *_, cell in matched]
+    )
+    rows = []
+    for (key, ads_count, ads_vmt, cell), low, high in zip(matched, lows.tolist(), highs.tolist()):
         ads_rate = ads_count / ads_vmt * 1e6
-        impact = safety_impact(ads_rate, cell.rate_ipmm)
-        low, high = cell.ci95
+        baseline = cell.rate_ipmm
         rows.append(
             [
                 *key,
                 repr(ads_count),
                 repr(ads_vmt),
                 repr(ads_rate),
-                repr(cell.rate_ipmm),
+                repr(baseline),
                 repr(low),
                 repr(high),
-                repr(impact),
+                repr(safety_impact(ads_rate, baseline)),
             ]
         )
-    if not rows:
-        raise DataError(f"{args.ads}: no ADS rows")
     # Every row is computed before the output is opened, so a failed
     # compare writes nothing.
     out_path = Path(args.out or ".") / "safety_impact.csv"
@@ -266,8 +271,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        return _fail("config", exc, 2)
-    except ValueError as exc:  # out-of-range parameter values
         return _fail("config", exc, 2)
     except (DataError, CrashBenchError) as exc:
         return _fail("data", exc, 3)

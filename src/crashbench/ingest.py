@@ -145,7 +145,8 @@ def _open_table(source: RowSource, delimiter: str) -> Iterator[tuple[list[str], 
 
     Blank lines are skipped and do not advance the row number.  Short rows
     are padded with empty values to the header's width, so their missing
-    trailing fields read as absent.
+    trailing fields read as absent.  A file that is not UTF-8 text is a
+    DataError naming it.
     """
     opened = (
         open(source, newline="", encoding="utf-8")
@@ -154,8 +155,11 @@ def _open_table(source: RowSource, delimiter: str) -> Iterator[tuple[list[str], 
     )
     with opened as lines:
         reader = csv.reader(lines, delimiter=delimiter)
-        header = next(reader, [])
-        yield header, _numbered(reader, len(header))
+        try:
+            header = next(reader, [])
+            yield header, _numbered(reader, len(header))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{source}: not UTF-8 text ({exc})") from None
 
 
 def _numbered(reader: Iterator[list[str]], width: int) -> Rows:
@@ -217,12 +221,18 @@ def _float_or_none(raw: Optional[str]) -> Optional[float]:
 
 
 def _int_or_none(raw: Optional[str]) -> Optional[int]:
+    """The integer a field holds, for ids, years and ordinals: ``2`` and
+    ``2.0`` read as 2.  None when the field is empty or holds anything
+    else, ``2.5`` included: truncating it would read a year of 2023.9 as
+    2023, or make unit 1.5 collide with unit 1."""
     if raw is None or raw == "":
         return None
     try:
-        return int(float(raw))
-    except (ValueError, OverflowError):
-        return None
+        return int(raw)
+    except ValueError:
+        pass
+    value = _float_or_none(raw)
+    return int(value) if value is not None and value.is_integer() else None
 
 
 def _orphan_reason(crash_key: str, skipped_ids: set[str]) -> str:
@@ -432,6 +442,11 @@ def _read_person_rows(
         if key not in crashes:
             report.skip("person", number, _orphan_reason(key, skipped_ids))
             continue
+        unit_raw, _ = resolve["person.unit_id"](row)
+        unit_id = _int_or_none(unit_raw)
+        if unit_id is None and unit_raw:
+            report.skip("person", number, f"unparseable unit_id {unit_raw!r}")
+            continue
         attached += 1
         injury_token, was_unknown = resolve["person.injury"](row)
         if injury_token is not None:
@@ -440,7 +455,6 @@ def _read_person_rows(
                 report.count_unknown("person.injury")
             injuries_by_crash.setdefault(key, []).append(level)
         airbag_token, _ = resolve["person.airbag"](row)
-        unit_id = _int_or_none(resolve["person.unit_id"](row)[0])
         airbag = parse_bool_token(airbag_token) if airbag_token else None
         if unit_id is not None and airbag is not None:
             airbags_by_unit[key, unit_id] = airbag or airbags_by_unit.get((key, unit_id), False)
@@ -467,12 +481,16 @@ def _read_unit_rows(
     number = attached = 0
     for number, row in rows:
         key, _ = resolve["unit.crash_id"](row)
-        unit_id = _int_or_none(resolve["unit.unit_id"](row)[0]) if key else None
-        if unit_id is None:
+        unit_raw, _ = resolve["unit.unit_id"](row)
+        if not key or not unit_raw:
             report.skip("unit", number, "missing crash or unit key")
             continue
         if key not in crashes:
             report.skip("unit", number, _orphan_reason(key, skipped_ids))
+            continue
+        unit_id = _int_or_none(unit_raw)
+        if unit_id is None:
+            report.skip("unit", number, f"unparseable unit_id {unit_raw!r}")
             continue
         if (key, unit_id) in seen:
             report.skip("unit", number, "duplicate unit_id")
@@ -583,22 +601,28 @@ class FileCachedGeocoder:
         self.inner = inner
         self._cache: dict[str, LatLon] = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    try:
-                        key, lat, lon = line.split("\t")
-                        location = LatLon(float(lat), float(lon))
-                    except ValueError as exc:
-                        raise self._malformed(line_no, str(exc)) from None
-                    if not valid_coordinate(*location):
-                        raise self._malformed(
-                            line_no,
-                            f"{lat!r}, {lon!r} is not lat in [-90, 90] and lon in [-180, 180]",
-                        )
-                    self._cache[key] = location
+            try:
+                self._load()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{self.path}: not UTF-8 text ({exc})") from None
+
+    def _load(self) -> None:
+        with open(self.path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    key, lat, lon = line.split("\t")
+                    location = LatLon(float(lat), float(lon))
+                except ValueError as exc:
+                    raise self._malformed(line_no, str(exc)) from None
+                if not valid_coordinate(*location):
+                    raise self._malformed(
+                        line_no,
+                        f"{lat!r}, {lon!r} is not lat in [-90, 90] and lon in [-180, 180]",
+                    )
+                self._cache[key] = location
 
     def _malformed(self, line_no: int, reason: str) -> DataError:
         return DataError(
@@ -696,11 +720,16 @@ def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]
             class_token, _ = resolve["functional_class"](row)
             state, _ = resolve["state"](row)
             county, _ = resolve["county"](row)
-            year = _int_or_none(resolve["year"](row)[0])
+            year_raw, _ = resolve["year"](row)
+            year = _int_or_none(year_raw)
             miles_raw, _ = resolve["vmt_miles"](row)
             miles = _float_or_none(miles_raw)
-            if not state or not county or year is None or not miles_raw or not class_token:
+            if not state or not county or not year_raw or not miles_raw or not class_token:
                 raise DataError(f"{config.name}/vmt row {number}: incomplete row")
+            if year is None:
+                raise DataError(
+                    f"{config.name}/vmt row {number}: year {year_raw!r} is not an integer"
+                )
             if miles is None:
                 raise DataError(
                     f"{config.name}/vmt row {number}: vmt_miles {miles_raw!r} is not a "
@@ -768,8 +797,10 @@ def _columns(path: str | Path, header: list[str], names: tuple[str, ...], what: 
 def load_share_table(path: str | Path) -> PassengerShareTable:
     """Read the passenger-VMT share table: delimited text with columns
     state, functional_class, urban, share.  A share that is not a finite
-    number in (0, 1] is a DataError naming the file and row."""
+    number in (0, 1], or a second row for the same (state, class, urban)
+    key, is a DataError naming the file and row(s)."""
     shares: dict[tuple[str, FunctionalClass, bool], float] = {}
+    row_of: dict[tuple[str, FunctionalClass, bool], int] = {}
     with _open_table(path, ",") as (header, rows):
         columns = _columns(path, header, _SHARE_COLUMNS, "share table")
         for number, row in rows:
@@ -782,7 +813,14 @@ def load_share_table(path: str | Path) -> PassengerShareTable:
                     f"{path}: row {number}: share {share_raw!r} is not a finite number "
                     f"in (0, 1]"
                 )
-            shares[(state.strip(), fclass, urban)] = share
+            key = (state.strip(), fclass, urban)
+            if key in row_of:
+                raise DataError(
+                    f"{path}: rows {row_of[key]} and {number} both give the share for "
+                    f"({key[0]}, {fclass.value}, urban={urban})"
+                )
+            row_of[key] = number
+            shares[key] = share
     return PassengerShareTable(shares)
 
 

@@ -26,6 +26,12 @@ class ConfigError(CrashBenchError):
     """A configuration file is missing, malformed, or inconsistent."""
 
 
+class InvalidOptionError(ConfigError, ValueError):
+    """A parameter or config option holds a value outside its domain;
+    the message names the option.  Also a ValueError, so callers that
+    validate arguments the usual way still catch it."""
+
+
 class DataError(CrashBenchError):
     """Input data violates a hard contract (not a per-row skip)."""
 
@@ -33,15 +39,17 @@ class DataError(CrashBenchError):
 def read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
     """Parse the INI file at ``path``: options keep their case and values
     are read literally (no '%' interpolation).  A missing file is a
-    ConfigError, and so is one configparser rejects (a repeated section
-    or option, a line outside any section); configparser's message,
-    which names the file and line, is kept."""
+    ConfigError, and so is one that is not UTF-8 text or that configparser
+    rejects (a repeated section or option, a line outside any section);
+    configparser's message, which names the file and line, is kept."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         read = parser.read(os.fspath(path), encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"malformed {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"malformed {what}: {path} is not UTF-8 text ({exc})") from None
     if not read:
         raise ConfigError(f"{what} not found: {path}")
     return parser

@@ -8,7 +8,7 @@ power grid), then report emission.  ``build_benchmark`` takes each
 stratum input from the module that owns it: a crash's area from
 ``model.county_areas`` (areas that share a county are a ConfigError),
 the outcome order from ``taxonomy.OutcomeLevel``'s declaration order,
-and each grid row's mileages from ``power.power_curve``, called once per
+and the grid's mileages from one ``power.mileage_grid`` call over every
 severity cell with a positive count.  The run is single-threaded and
 deterministic: cells tally whole unit counts and apply their passenger
 fraction once, so no float sum depends on record or set order, and
@@ -20,7 +20,9 @@ decides the crash-record contract, so no later stage validates a record.
 
 from __future__ import annotations
 
+import configparser
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -44,6 +46,7 @@ from .model import (
     DEFAULT_GEO_AREAS,
     FunctionalClass,
     GeoArea,
+    InvalidOptionError,
     PassengerShareTable,
     RoadClass,
     VehicleClass,
@@ -52,7 +55,7 @@ from .model import (
     county_key,
     read_ini,
 )
-from .power import DEFAULT_EFFECT_RATIOS, power_curve
+from .power import DEFAULT_EFFECT_RATIOS, mileage_grid
 from .rates import RateCell, adjust_underreporting, crash_type_distribution
 from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
@@ -65,6 +68,7 @@ from .roadclass import (
 from .taxonomy import (
     DEFAULT_GATE_ORDER,
     GATE_NAMES,
+    LABEL,
     OUTCOME_RANK,
     CrashTypeCascade,
     OutcomeLevel,
@@ -85,8 +89,8 @@ class RunParams:
     type_gate_order: tuple[str, ...] = DEFAULT_GATE_ORDER
 
     def __post_init__(self):
-        if self.threshold_m <= 0:
-            raise ConfigError(f"threshold_m must be > 0, got {self.threshold_m}")
+        if not 0.0 < self.threshold_m < math.inf:
+            raise ConfigError(f"threshold_m must be a finite number > 0, got {self.threshold_m}")
         if not 0.0 <= self.underreport_fraction < 1.0:
             raise ConfigError(
                 f"underreport fraction must be in [0, 1), got {self.underreport_fraction}"
@@ -96,8 +100,10 @@ class RunParams:
         if not 0.0 < self.power < 1.0:
             raise ConfigError(f"power must be in (0, 1), got {self.power}")
         for effect in self.effects:
-            if effect <= 0 or effect == 1.0:
-                raise ConfigError(f"effect ratios must be positive and != 1, got {effect}")
+            if not 0.0 < effect < math.inf or effect == 1.0:
+                raise ConfigError(
+                    f"effect ratios must be finite, positive and != 1, got {effect}"
+                )
         unknown_gates = set(self.type_gate_order) - GATE_NAMES
         if unknown_gates:
             raise ConfigError(f"unknown crash-type gates: {sorted(unknown_gates)}")
@@ -158,14 +164,26 @@ def resolve_mapping(reference: str, base_dir: Path) -> MappingConfig:
 
 
 def _parse_area(name: str, raw: str) -> GeoArea:
-    state, _, counties = raw.partition(":")
+    state, _, listed = raw.partition(":")
+    counties = frozenset(c.strip() for c in listed.split(",") if c.strip())
     if not counties:
         raise ConfigError(f"area {name!r} must look like 'ST: County, County'")
-    return GeoArea(
-        name=name,
-        state=state.strip(),
-        counties=frozenset(c.strip() for c in counties.split(",") if c.strip()),
-    )
+    return GeoArea(name=name, state=state.strip(), counties=counties)
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in _names(raw))
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in raw.split(",") if item.strip())
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def load_run_config(
@@ -197,9 +215,20 @@ def load_run_config(
             raise ConfigError(f"{path}: input file not found: {resolved}")
         return resolved
 
+    def option(section: str, name: str, convert, default=None, override=None):
+        """The override, else the file's value, through ``convert``; a
+        value it rejects is an InvalidOptionError naming the option."""
+        raw = override if override is not None else parser.get(section, name, fallback=None)
+        if raw is None:
+            return default
+        try:
+            return convert(raw)
+        except ValueError:
+            raise InvalidOptionError(f"{path}: [{section}] {name}: bad value {raw!r}") from None
+
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
-    year = parser.getint("run", "year", fallback=None)
+    year = option("run", "year", int)
     if year is None:
         raise ConfigError(f"{path}: [run] needs a year")
 
@@ -229,34 +258,18 @@ def load_run_config(
             )
         )
 
-    def param(option: str, override, convert, default):
-        if override is not None:
-            return convert(override)
-        raw = parser.get("params", option, fallback=None)
-        return convert(raw) if raw is not None else default
-
-    effects_raw = parser.get("params", "effects", fallback=None)
-    effects = (
-        tuple(float(e.strip()) for e in effects_raw.split(",") if e.strip())
-        if effects_raw
-        else DEFAULT_EFFECT_RATIOS
-    )
-    gates_raw = parser.get("params", "type_gate_order", fallback=None)
-    gate_order = (
-        tuple(g.strip() for g in gates_raw.split(",") if g.strip())
-        if gates_raw
-        else DEFAULT_GATE_ORDER
-    )
     params = RunParams(
-        threshold_m=param("threshold_m", threshold_m, float, DEFAULT_PROXIMITY_THRESHOLD_M),
-        underreport_fraction=param("underreport", underreport, float, 0.32),
-        alpha=param("alpha", alpha, float, 0.05),
-        power=param("power", power, float, 0.8),
-        effects=effects,
-        any_route=parser.getboolean("params", "any_route", fallback=False),
-        impute_by_road=parser.getboolean("params", "impute_by_road", fallback=False),
-        urban=parser.getboolean("params", "urban", fallback=True),
-        type_gate_order=gate_order,
+        threshold_m=option(
+            "params", "threshold_m", float, DEFAULT_PROXIMITY_THRESHOLD_M, threshold_m
+        ),
+        underreport_fraction=option("params", "underreport", float, 0.32, underreport),
+        alpha=option("params", "alpha", float, 0.05, alpha),
+        power=option("params", "power", float, 0.8, power),
+        effects=option("params", "effects", _floats) or DEFAULT_EFFECT_RATIOS,
+        any_route=option("params", "any_route", _boolean, False),
+        impute_by_road=option("params", "impute_by_road", _boolean, False),
+        urban=option("params", "urban", _boolean, True),
+        type_gate_order=option("params", "type_gate_order", _names) or DEFAULT_GATE_ORDER,
     )
 
     raw_out = out_dir if out_dir is not None else parser.get("run", "out_dir", fallback="out")
@@ -273,8 +286,8 @@ def load_run_config(
         aliases_path=file_option("inputs", "aliases"),
         geocoder_cache=file_option("inputs", "geocoder_cache"),
         out_dir=resolved_out,
-        seed=seed if seed is not None else parser.getint("run", "seed", fallback=0),
-        workers=workers if workers is not None else parser.getint("run", "workers", fallback=1),
+        seed=option("run", "seed", int, 0, seed),
+        workers=option("run", "workers", int, 1, workers),
         params=params,
         config_path=path,
     )
@@ -512,7 +525,7 @@ def build_benchmark(
     strata: dict[tuple[str, RoadClass, OutcomeLevel], list[RateCell]] = {}
     for key in sorted(
         (key for key in adjusted if key[3] is not None),
-        key=lambda k: (k[0], k[1].value, OUTCOME_RANK[k[2]], k[3].value),
+        key=lambda k: (k[0], LABEL[k[1]], OUTCOME_RANK[k[2]], LABEL[k[3]]),
     ):
         area_name, road, outcome, crash_type = key
         cell = RateCell(
@@ -532,21 +545,23 @@ def build_benchmark(
         if sum(c.count for c in stratum) > 0
     ]
 
+    # One mileage grid over every severity cell with a positive rate.
+    powered = [cell for cell in cells if cell.count > 0]
+    lambdas = [cell.count / cell.vmt_miles for cell in powered]  # crashes per mile
+    required, target = mileage_grid(lambdas, params.effects, params.alpha, params.power)
     power_grid = []
-    for cell in cells:
-        if cell.count <= 0:
-            continue
-        lam = cell.count / cell.vmt_miles  # crashes per mile
-        for result in power_curve(lam, params.effects, params.alpha, params.power):
+    for cell, lam, required_row, target_row in zip(
+        powered, lambdas, required.tolist(), target.tolist()
+    ):
+        labels = {"geo": cell.geo.name, "road": LABEL[cell.road], "outcome": LABEL[cell.outcome]}
+        for effect, miles, target_miles in zip(params.effects, required_row, target_row):
             power_grid.append(
                 {
-                    "geo": cell.geo.name,
-                    "road": cell.road.value,
-                    "outcome": cell.outcome.value,
-                    "effect_ratio": result.query.effect_ratio,
-                    "required_miles": result.required_miles,
-                    "expected_ads_crashes": result.expected_ads_crashes,
-                    "target_power_miles": result.target_power_miles,
+                    **labels,
+                    "effect_ratio": effect,
+                    "required_miles": miles,
+                    "expected_ads_crashes": effect * lam * miles,  # lambda_ads * miles
+                    "target_power_miles": target_miles,
                 }
             )
 

@@ -4,11 +4,12 @@ The driving question: how many ADS miles are needed before a two-sided
 test of the ADS crash rate against a known human benchmark rate reaches
 a target rejection probability?  The module provides
 
-* ``power_curve`` - for each effect ratio, ``required_miles`` (the
-  benchmark methodology's displayed formula, evaluated exactly as
-  written) and ``target_power_miles`` (the conventional form that
-  attains the target power under the test below); ``required_mileage``
-  and ``mileage_for_power`` give one effect ratio's values,
+* ``mileage_grid`` - for every (benchmark rate, effect ratio) pair,
+  ``required_miles`` (the benchmark methodology's displayed formula,
+  evaluated exactly as written) and ``target_power_miles`` (the
+  conventional form that attains the target power under the test
+  below), as arrays; ``power_curve`` (one rate), ``required_mileage``
+  and ``mileage_for_power`` (one pair) wrap it,
 * ``analytic_power`` / ``monte_carlo_power`` - normal-approximation and
   simulated power of the test at any mileage, the latter serving as an
   independent oracle for the closed forms.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import CrashBenchError
+from .model import CrashBenchError, InvalidOptionError
 
 
 class ZeroEffectError(CrashBenchError):
@@ -44,7 +45,21 @@ DEFAULT_POWER = 0.8
 def _check_alpha(alpha: float) -> None:
     # ndtri returns nan outside (0, 1) rather than raising.
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise InvalidOptionError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_grid(lambdas: np.ndarray, effects: np.ndarray, alpha: float, power: float) -> None:
+    """The domain of the closed forms: every rate and effect ratio
+    positive, no effect ratio 1, alpha and power in (0, 1)."""
+    for name, values in (("lambda_human", lambdas), ("effect_ratio", effects)):
+        bad = values[~(values > 0)]
+        if bad.size:
+            raise InvalidOptionError(f"{name} must be > 0, got {bad[0].item()}")
+    if (effects == 1.0).any():
+        raise ZeroEffectError("effect ratio 1 has nothing to detect")
+    _check_alpha(alpha)
+    if not 0.0 < power < 1.0:
+        raise InvalidOptionError(f"power must be in (0, 1), got {power}")
 
 
 @dataclass(frozen=True)
@@ -61,15 +76,9 @@ class PowerQuery:
     power: float = DEFAULT_POWER
 
     def __post_init__(self):
-        if self.lambda_human <= 0:
-            raise ValueError(f"lambda_human must be > 0, got {self.lambda_human}")
-        if self.effect_ratio <= 0:
-            raise ValueError(f"effect_ratio must be > 0, got {self.effect_ratio}")
-        if self.effect_ratio == 1.0:
-            raise ZeroEffectError("effect ratio 1 has nothing to detect")
-        _check_alpha(self.alpha)
-        if not 0.0 < self.power < 1.0:
-            raise ValueError(f"power must be in (0, 1), got {self.power}")
+        _check_grid(
+            np.array([self.lambda_human]), np.array([self.effect_ratio]), self.alpha, self.power
+        )
 
     @property
     def lambda_ads(self) -> float:
@@ -90,16 +99,46 @@ class PowerResult:
         return self.query.lambda_ads * self.required_miles
 
 
-def _miles(query: PowerQuery, z_power: float, z_alpha: float) -> float:
-    """The closed form both mileages share.
+def mileage_grid(
+    lambdas,
+    effects,
+    alpha: float = DEFAULT_ALPHA,
+    power: float = DEFAULT_POWER,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both mileages for every (lambda_human, effect ratio) pair, as
+    ``(required_miles, target_power_miles)`` arrays of shape
+    ``(len(lambdas), len(effects))``.
 
-    m = (sqrt(lambda_ads) * z_power + sqrt(lambda_human) * z_alpha)^2
-        / (lambda_ads - lambda_human)^2
+    Each is the closed form
+
+        m = (sqrt(lambda_ads) * z_power + sqrt(lambda_human) * z_alpha)^2
+            / (lambda_ads - lambda_human)^2
+
+    with lambda_ads = effect * lambda_human and z_power = Phi^-1(power).
+    ``required_miles`` takes z_alpha = Phi^-1(alpha/2) as displayed.  It
+    is negative, so the numerator terms partially cancel and the result
+    is about 4.8x smaller (at the default alpha and power) than
+    ``target_power_miles``, whose z_alpha = Phi^-1(1 - alpha/2) reaches
+    the target power.  The first reproduces the published formula's
+    values, the second its published mileage charts.  The three
+    quantiles are computed once per grid, and squares are exact
+    products ``t * t``.
     """
-    lam_h = query.lambda_human
-    lam_a = query.lambda_ads
-    numerator = (math.sqrt(lam_a) * z_power + math.sqrt(lam_h) * z_alpha) ** 2
-    return numerator / (lam_a - lam_h) ** 2
+    lam_h = np.asarray(lambdas, dtype=float)
+    ratios = np.asarray(effects, dtype=float)
+    _check_grid(lam_h, ratios, alpha, power)
+    lam_h = lam_h[:, np.newaxis]
+    lam_a = ratios * lam_h
+    power_term = np.sqrt(lam_a) * float(ndtri(power))
+    root_h = np.sqrt(lam_h)
+    gap = lam_a - lam_h
+    gap_sq = gap * gap
+
+    def miles(z_alpha: float) -> np.ndarray:
+        t = power_term + root_h * z_alpha
+        return t * t / gap_sq
+
+    return miles(float(ndtri(alpha / 2.0))), miles(float(ndtri(1.0 - alpha / 2.0)))
 
 
 def power_curve(
@@ -108,29 +147,20 @@ def power_curve(
     alpha: float = DEFAULT_ALPHA,
     power: float = DEFAULT_POWER,
 ) -> list[PowerResult]:
-    """Both mileages for each effect ratio, with z_power = Phi^-1(power).
-
-    ``required_miles`` takes z_alpha = Phi^-1(alpha/2) as displayed.  It
-    is negative, so the numerator terms partially cancel and the result
-    is about 4.8x smaller (at the default alpha and power) than
-    ``target_power_miles``, whose z_alpha = Phi^-1(1 - alpha/2) reaches
-    the target power.  The first reproduces the published formula's
-    values, the second its published mileage charts.
-    """
-    queries = [PowerQuery(lambda_human, effect, alpha, power) for effect in effects]
-    z_power = float(ndtri(power))
-    z_lower = float(ndtri(alpha / 2.0))
-    z_upper = float(ndtri(1.0 - alpha / 2.0))
+    """Both mileages for each effect ratio: one row of ``mileage_grid``."""
+    required, target = mileage_grid([lambda_human], effects, alpha, power)
     return [
-        PowerResult(query, _miles(query, z_power, z_lower), _miles(query, z_power, z_upper))
-        for query in queries
+        PowerResult(PowerQuery(lambda_human, effect, alpha, power), miles, target_miles)
+        for effect, miles, target_miles in zip(effects, required[0].tolist(), target[0].tolist())
     ]
 
 
 def required_mileage(query: PowerQuery) -> PowerResult:
-    """Both mileages for one query (see ``power_curve``)."""
-    (result,) = power_curve(query.lambda_human, (query.effect_ratio,), query.alpha, query.power)
-    return result
+    """Both mileages for one query (see ``mileage_grid``)."""
+    required, target = mileage_grid(
+        [query.lambda_human], [query.effect_ratio], query.alpha, query.power
+    )
+    return PowerResult(query, required.item(), target.item())
 
 
 def mileage_for_power(
@@ -140,9 +170,9 @@ def mileage_for_power(
     power: float = DEFAULT_POWER,
 ) -> float:
     """Miles at which the two-sided benchmark-known test attains the
-    target power (``target_power_miles`` of ``power_curve``)."""
-    query = PowerQuery(lambda_human, effect_ratio, alpha, power)
-    return _miles(query, float(ndtri(power)), float(ndtri(1.0 - alpha / 2.0)))
+    target power (``target_power_miles`` of ``mileage_grid``)."""
+    _, target = mileage_grid([lambda_human], [effect_ratio], alpha, power)
+    return target.item()
 
 
 def analytic_power(
@@ -158,8 +188,11 @@ def analytic_power(
     use the null variance lambda*m, so the standardized statistic has
     mean (r-1)*sqrt(lambda*m) and standard deviation sqrt(r).
     """
-    if miles <= 0:
-        raise ValueError(f"miles must be > 0, got {miles}")
+    for name, value in (
+        ("lambda_human", lambda_human), ("effect_ratio", effect_ratio), ("miles", miles)
+    ):
+        if not value > 0:
+            raise InvalidOptionError(f"{name} must be > 0, got {value}")
     _check_alpha(alpha)
     r = effect_ratio
     mu = (r - 1.0) * math.sqrt(lambda_human * miles)
@@ -187,9 +220,13 @@ def monte_carlo_power(
     calibration check and should reject at about alpha.
     """
     if trials < 1000:
-        raise ValueError(f"need at least 1000 trials for a stable estimate, got {trials}")
+        raise InvalidOptionError(
+            f"trials: need at least 1000 for a stable estimate, got {trials}"
+        )
     if lambda_human <= 0 or miles <= 0 or effect_ratio < 0:
-        raise ValueError("lambda_human and miles must be > 0, effect_ratio >= 0")
+        raise InvalidOptionError("lambda_human and miles must be > 0, effect_ratio >= 0")
+    if seed < 0:
+        raise InvalidOptionError(f"seed must be >= 0, got {seed}")
     _check_alpha(alpha)
     mu_null = lambda_human * miles
     mu_alt = effect_ratio * mu_null

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
 from scipy.special import gammaincinv
 
 from .model import CrashBenchError, GeoArea, RoadClass
@@ -64,29 +65,44 @@ def adjust_underreporting(
     return nonfatal_injury_count / (1.0 - u) + fatal_count
 
 
-def poisson_ci(
-    count: float, vmt_miles: float, level: float = 0.95
-) -> tuple[float, float]:
-    """Exact Poisson interval for the rate, in IPMM.
+def poisson_intervals(
+    counts, vmts, level: float = 0.95
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Poisson intervals for many rates at once, in IPMM: arrays
+    ``(low, high)`` with one entry per (count, VMT) pair.
 
     Garwood construction on the mean scale: the lower bound is the mean
     whose upper tail P(X >= count) equals (1-level)/2, the upper bound
     the mean whose lower tail P(X <= count) equals (1-level)/2.  Via the
     gamma-quantile identity this is gammaincinv(count, a/2) and
     gammaincinv(count + 1, 1 - a/2), which extends to fractional counts.
-    count = 0 has a zero lower bound.
+    count = 0 has a zero lower bound.  Each bound is the same float that
+    a scalar gammaincinv call on that count gives.
     """
-    if vmt_miles <= 0:
-        raise InvalidExposureError(f"vmt_miles must be > 0, got {vmt_miles}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    counts = np.asarray(counts, dtype=float)
+    vmts = np.asarray(vmts, dtype=float)
+    if (vmts <= 0).any():
+        raise InvalidExposureError(f"vmt_miles must be > 0, got {vmts[vmts <= 0][0].item()}")
+    if (counts < 0).any():
+        raise ValueError(f"count must be >= 0, got {counts[counts < 0][0].item()}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     alpha = 1.0 - level
-    low = 0.0 if count == 0 else float(gammaincinv(count, alpha / 2.0))
-    high = float(gammaincinv(count + 1.0, 1.0 - alpha / 2.0))
-    scale = MILLION / vmt_miles
+    low = np.zeros_like(counts)
+    nonzero = counts != 0
+    low[nonzero] = gammaincinv(counts[nonzero], alpha / 2.0)
+    high = gammaincinv(counts + 1.0, 1.0 - alpha / 2.0)
+    scale = MILLION / vmts
     return low * scale, high * scale
+
+
+def poisson_ci(
+    count: float, vmt_miles: float, level: float = 0.95
+) -> tuple[float, float]:
+    """Exact Poisson interval for one rate, in IPMM (see
+    ``poisson_intervals``)."""
+    low, high = poisson_intervals([count], [vmt_miles], level)
+    return low.item(), high.item()
 
 
 def safety_impact(ads_rate: float, baseline_rate: float) -> float:

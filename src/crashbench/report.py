@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .model import GeoArea, RoadClass
-from .rates import RateCell, format_rate
-from .taxonomy import OUTCOME_RANK, CrashType, OutcomeLevel
+from .model import CrashBenchError, DataError, GeoArea, RoadClass
+from .rates import RateCell, format_rate, poisson_intervals
+from .taxonomy import LABEL, OUTCOME_RANK, CrashType, OutcomeLevel
 
 TOOL_VERSION = "0.1.0"
 
@@ -76,9 +76,9 @@ class BenchmarkReport:
 def _cell_sort_key(cell: RateCell):
     return (
         cell.geo.name,
-        cell.road.value,
+        LABEL[cell.road],
         OUTCOME_RANK[cell.outcome],
-        cell.crash_type.value if cell.crash_type else "",
+        LABEL[cell.crash_type] if cell.crash_type else "",
     )
 
 
@@ -86,22 +86,34 @@ def _fmt_count(count: float) -> str:
     return str(int(count)) if float(count).is_integer() else f"{count:.3f}"
 
 
-def _cell_row(cell: RateCell) -> list[str]:
-    low, high = cell.ci95
-    return [
-        cell.geo.name,
-        cell.geo.state,
-        ";".join(sorted(cell.geo.counties)),
-        cell.road.value,
-        cell.outcome.value,
-        cell.crash_type.value if cell.crash_type else "",
-        repr(cell.count),
-        repr(cell.vmt_miles),
-        repr(cell.rate_ipmm),
-        repr(low),
-        repr(high),
-        f"{_fmt_count(cell.count)} ({format_rate(cell.rate_ipmm)})",
-    ]
+def _rate_rows(cells: list[RateCell]) -> list[list[str]]:
+    """One rate-table row per cell; the intervals of all cells come from
+    one ``poisson_intervals`` call."""
+    lows, highs = poisson_intervals(
+        [c.count for c in cells], [c.vmt_miles for c in cells], level=0.95
+    )
+    rows = []
+    geo = None
+    for cell, low, high in zip(cells, lows.tolist(), highs.tolist()):
+        if cell.geo is not geo:  # cells come sorted, so grouped by area
+            geo = cell.geo
+            geo_columns = (geo.name, geo.state, ";".join(sorted(geo.counties)))
+        rate = cell.rate_ipmm
+        rows.append(
+            [
+                *geo_columns,
+                LABEL[cell.road],
+                LABEL[cell.outcome],
+                LABEL[cell.crash_type] if cell.crash_type else "",
+                repr(cell.count),
+                repr(cell.vmt_miles),
+                repr(rate),
+                repr(low),
+                repr(high),
+                f"{_fmt_count(cell.count)} ({format_rate(rate)})",
+            ]
+        )
+    return rows
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -136,17 +148,17 @@ def emit_report(
     typed_cells = sorted(
         (c for c in report.cells if c.crash_type is not None), key=_cell_sort_key
     )
-    _write_csv(paths["rates"], RATE_COLUMNS, [_cell_row(c) for c in severity_cells])
-    _write_csv(paths["typed_rates"], RATE_COLUMNS, [_cell_row(c) for c in typed_cells])
+    _write_csv(paths["rates"], RATE_COLUMNS, _rate_rows(severity_cells))
+    _write_csv(paths["typed_rates"], RATE_COLUMNS, _rate_rows(typed_cells))
 
     dist_rows = []
     for geo, road, outcome, fractions in sorted(
         report.distributions,
-        key=lambda d: (d[0].name, d[1].value, OUTCOME_RANK[d[2]]),
+        key=lambda d: (d[0].name, LABEL[d[1]], OUTCOME_RANK[d[2]]),
     ):
-        for crash_type in sorted(fractions, key=lambda t: t.value):
+        for crash_type in sorted(fractions, key=LABEL.__getitem__):
             dist_rows.append(
-                [geo.name, road.value, outcome.value, crash_type.value,
+                [geo.name, LABEL[road], LABEL[outcome], LABEL[crash_type],
                  repr(fractions[crash_type])]
             )
     _write_csv(
@@ -196,27 +208,43 @@ def emit_report(
     return paths
 
 
+def _parse_cell(row: dict) -> RateCell:
+    return RateCell(
+        geo=GeoArea(
+            name=row["geo"],
+            state=row["state"],
+            counties=frozenset(row["counties"].split(";")),
+        ),
+        road=RoadClass(row["road"]),
+        outcome=OutcomeLevel(row["outcome"]),
+        crash_type=CrashType(row["crash_type"]) if row["crash_type"] else None,
+        count=float(row["count"]),
+        vmt_miles=float(row["vmt_miles"]),
+    )
+
+
 def parse_rate_table(path: str | Path) -> list[RateCell]:
     """Read a rate table back into cells.
 
     Exact recovery: counts, VMT, and therefore rates and intervals
-    round-trip bit-for-bit (floats are emitted with repr).
+    round-trip bit-for-bit (floats are emitted with repr).  A file that
+    is not UTF-8 text or lacks a column, and a row that does not read
+    back into a cell, is a DataError naming the file (and the row).
     """
     cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cells.append(
-                RateCell(
-                    geo=GeoArea(
-                        name=row["geo"],
-                        state=row["state"],
-                        counties=frozenset(row["counties"].split(";")),
-                    ),
-                    road=RoadClass(row["road"]),
-                    outcome=OutcomeLevel(row["outcome"]),
-                    crash_type=CrashType(row["crash_type"]) if row["crash_type"] else None,
-                    count=float(row["count"]),
-                    vmt_miles=float(row["vmt_miles"]),
-                )
-            )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in RATE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}: rate table lacks column(s) {', '.join(missing)}")
+            for number, row in enumerate(reader, start=1):
+                if None in row.values():
+                    raise DataError(f"{path}: row {number}: fewer fields than the header")
+                try:
+                    cells.append(_parse_cell(row))
+                except (ValueError, CrashBenchError) as exc:
+                    raise DataError(f"{path}: row {number}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     return cells

@@ -515,9 +515,15 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
     """Read freeway segments from a GeoJSON FeatureCollection of
     LineStrings with properties route_id, names[], always_freeway.
     GeoJSON coordinate order is (lon, lat); a position that is not two
-    numbers with lon in [-180, 180] and lat in [-90, 90] is a ConfigError."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    numbers with lon in [-180, 180] and lat in [-90, 90] is a ConfigError,
+    and so is a file that is not UTF-8 text or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: malformed GeoJSON ({exc})") from None
     features = doc.get("features")
     if features is None:
         raise ConfigError(f"{path}: not a FeatureCollection")

@@ -67,6 +67,13 @@ class CrashType(IdentityEnum):
     UNKNOWN_OTHER = "UnknownOther"
 
 
+# The string of each stratum member, as the tables print it, read once:
+# ``Enum.value`` is a Python-level property on every access.
+LABEL = {
+    member: member.value for enum in (RoadClass, OutcomeLevel, CrashType) for member in enum
+}
+
+
 class UnknownEgoError(CrashBenchError):
     """The requested ego unit id is not present in the record."""
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import crashbench
+from crashbench import cli
 from crashbench.cli import main
 from crashbench.power import PowerQuery, required_mileage
 
@@ -175,6 +176,53 @@ class TestRun:
         args, _ = run_args
         assert main(["run", *args, "--underreport", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "old,new,option",
+        [
+            ("workers = 1", "workers = two", "[run] workers: bad value 'two'"),
+            ("effects = 0.75, 0.5,", "effects = 0.75, half,", "[params] effects: bad value"),
+            ("alpha = 0.05", "alpha = 5%", "[params] alpha: bad value '5%'"),
+        ],
+    )
+    def test_bad_config_value_exit_config_error(self, fixtures_dir, tmp_path, capsys,
+                                                old, new, option):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        config = inputs / "run.ini"
+        config.write_text(config.read_text().replace(old, new, 1))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "kind=config" in err and f"run.ini: {option}" in err
+
+    @pytest.mark.parametrize(
+        "name,code,kind",
+        [("run.ini", 2, "config"), ("roadclass_aliases.ini", 2, "config"),
+         ("roadclass_segments.geojson", 2, "config"), ("shares.csv", 3, "data"),
+         ("tx_crashes.csv", 3, "data"), ("geocache.tsv", 3, "data")],
+    )
+    def test_input_not_utf8_names_the_file(self, fixtures_dir, tmp_path, capsys, name, code,
+                                           kind):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        path = inputs / name
+        path.write_bytes(path.read_bytes() + "# PE\u00d1A\n".encode("latin-1"))
+        config = inputs / "run.ini"
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"kind={kind}" in err and name in err and "UTF-8" in err
+
+    def test_malformed_geojson_exit_config_error(self, fixtures_dir, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        segments = inputs / "roadclass_segments.geojson"
+        segments.write_text(segments.read_text()[:-20])
+        assert main(["run", "--config", str(inputs / "run.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err and "roadclass_segments.geojson: malformed GeoJSON" in err
+
     def test_env_overrides(self, fixtures_dir, tmp_path, monkeypatch):
         out = tmp_path / "env_out"
         monkeypatch.setenv("CRASHBENCH_CONFIG", str(fixtures_dir / "run.ini"))
@@ -309,6 +357,31 @@ class TestPowerCommand:
                      "--alpha", "1.5"]) == 2
         assert "kind=config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,option",
+        [
+            (["--lambda-human", "0"], "lambda_human"),
+            (["--lambda-human", "nan"], "lambda_human"),
+            (["--lambda-human", "1e-6", "--effect", "-0.5"], "effect_ratio"),
+            (["--lambda-human", "1e-6", "--power", "1"], "power"),
+            (["--lambda-human", "1e-6", "--validate", "500"], "trials"),
+            (["--lambda-human", "1e-6", "--validate", "2000", "--seed", "-1"], "seed"),
+        ],
+    )
+    def test_out_of_range_input_is_config_error_naming_it(self, capsys, args, option):
+        assert main(["power", *args]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err and f'message="{option}' in err
+
+    def test_stray_value_error_is_not_reported_as_config_error(self, monkeypatch):
+        # Only typed errors become exit codes; anything else is a bug.
+        def broken(*args, **kwargs):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "power_curve", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["power", "--lambda-human", "1e-6"])
+
     def test_junk_env_value_is_config_error(self, fixtures_dir, monkeypatch, capsys):
         monkeypatch.setenv("CRASHBENCH_WORKERS", "many")
         code = main(["run", "--config", str(fixtures_dir / "run.ini")])
@@ -388,6 +461,29 @@ class TestCompare:
             f"Austin,Freeway,Fatal,1,{miles}\n",
         )
         assert f"ads.csv: row 2: ads_vmt_miles {miles!r} is not a finite number > 0" in err
+
+    @pytest.mark.parametrize(
+        "column,value", [("count", "many"), ("road", "Tollway"), ("vmt_miles", "0")]
+    )
+    def test_malformed_benchmark_row_is_data_error(self, run_args, tmp_path, capsys, column,
+                                                   value):
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        with open(out / "benchmark_rates_2023.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1][column] = value
+        benchmark = tmp_path / "benchmark.csv"
+        with open(benchmark, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        ads = tmp_path / "ads.csv"
+        ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\n"
+                       "Austin,Freeway,PoliceReported,10,1e9\n")
+        assert main(["compare", "--benchmark", str(benchmark), "--ads", str(ads),
+                     "--out", str(tmp_path / "cmp")]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err and "benchmark.csv: row 2:" in err
 
     def test_zero_benchmark_rate_writes_no_file(self, run_args, tmp_path, capsys):
         # The fixture has no fatal surface-street crash in Round Rock.

@@ -439,12 +439,48 @@ class TestRowAccounting:
         assert report.rows_read["unit"] == 3
         assert all(report.conserves_rows(t) for t in ("crash", "unit"))
 
-    @pytest.mark.parametrize("year", ["inf", "1e400", "nan"])
+    # A non-integral year used to be truncated: 2023.9 read as 2023.
+    @pytest.mark.parametrize("year", ["inf", "1e400", "nan", "2023.9", "2022.5", "2023.0000001"])
     def test_non_finite_year_is_skipped_as_unparseable(self, tx_mapping, year):
         crash = [CRASH_HEADER, f"X1,{year},Travis,30.1,-97.7,MAIN ST,,N,3,24"]
         records, report = load_crash_table(crash, tx_mapping)
         assert records == []
         assert [s.reason for s in report.skipped] == [f"unparseable year {year!r}"]
+
+    def test_integral_numbers_read_as_integers(self, tx_mapping):
+        crash = [CRASH_HEADER, "X1,2023.0,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER, "X1,1.0,P4,,1,,,1,1,2.0", "X1,2,P4,,1,,,1,1,1"]
+        persons = [PERSON_HEADER, "X1,2.0,5,2"]
+        records, report = load_crash_table(
+            crash, tx_mapping, units_source=units, persons_source=persons
+        )
+        (record,) = records
+        assert record.year == 2023 and type(record.year) is int
+        assert [(u.unit_id, u.first_contact_event_index) for u in record.units] == [
+            (1, 2), (2, 1),
+        ]
+        assert [u.airbag_deployed for u in record.units] == [None, True]
+        assert report.skipped == []
+
+    def test_non_integral_unit_id_is_skipped_naming_the_value(self, tx_mapping):
+        # Truncated, 1.5 would collide with unit 1 as a "duplicate unit_id".
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1", "X1,1.5,SV,,1,,,1,1,1"]
+        persons = [PERSON_HEADER, "X1,1,5,1", "X1,1.5,1,2", "X1,,5,"]
+        records, report = load_crash_table(
+            crash, tx_mapping, units_source=units, persons_source=persons
+        )
+        (record,) = records
+        assert [(u.unit_id, u.vehicle_class) for u in record.units] == [
+            (1, VehicleClass.PASSENGER),
+        ]
+        assert record.units[0].airbag_deployed is False
+        assert record.worst_injury is KabcoLevel.O
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("unit", 2, "unparseable unit_id '1.5'"),
+            ("person", 2, "unparseable unit_id '1.5'"),
+        ]
+        assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
 
     def test_orphan_unit_and_person_rows_are_reported(self, tx_mapping):
         crash = [
@@ -541,7 +577,7 @@ class TestRecordContract:
             (VehicleClass.PASSENGER, True),
         ]
 
-    @pytest.mark.parametrize("ordinal", ["0", "-2", "0.5", "inf", "x"])
+    @pytest.mark.parametrize("ordinal", ["0", "-2", "0.5", "inf", "x", "2.5", "1.0000001"])
     def test_ordinal_below_one_reads_as_absent(self, tx_mapping, ordinal):
         crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
         units = [UNIT_HEADER, f"X1,1,P4,,1,,,1,1,{ordinal}", "X1,2,P4,,1,,,1,1,1"]
@@ -842,6 +878,11 @@ class TestVmtLoading:
         with pytest.raises(DataError, match=f"vmt row 2: vmt_miles {miles!r} is not a finite"):
             load_vmt_table(rows, tx_vmt_mapping)
 
+    def test_non_integral_vmt_year_is_data_error(self, tx_vmt_mapping):
+        rows = ["County,Functional_Class,Year,Annual_VMT", "Travis,FREEWAY,2023.5,10"]
+        with pytest.raises(DataError, match="vmt row 1: year '2023.5' is not an integer"):
+            load_vmt_table(rows, tx_vmt_mapping)
+
     def test_unknown_functional_class_is_data_error(self, tx_vmt_mapping):
         rows = ["County,Functional_Class,Year,Annual_VMT", "Travis,GRAVEL,2023,10"]
         with pytest.raises(DataError):
@@ -860,6 +901,16 @@ def test_share_out_of_range_is_data_error(tmp_path, share):
     path.write_text(f"state,functional_class,urban,share\nTX,Freeway,true,0.9\n"
                     f"TX,SurfaceStreet,true,{share}\n")
     with pytest.raises(DataError, match=rf"shares.csv: row 2: share '{share}' .* in \(0, 1\]"):
+        load_share_table(path)
+
+
+def test_repeated_share_row_is_data_error(tmp_path):
+    # The last copy used to win silently.
+    path = tmp_path / "shares.csv"
+    path.write_text("state,functional_class,urban,share\nTX,Freeway,true,0.92\n"
+                    "TX,SurfaceStreet,true,0.95\nTX,Freeway,true,0.5\n")
+    message = r"shares.csv: rows 1 and 3 both give the share for \(TX, Freeway, urban=True\)"
+    with pytest.raises(DataError, match=message):
         load_share_table(path)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from crashbench.model import (
     DataError,
     FunctionalClass,
     GeoArea,
+    InvalidOptionError,
     PassengerShareTable,
     VehicleClass,
     VmtRecord,
@@ -218,10 +220,44 @@ class TestRunConfig:
     def test_area_syntax_validation(self):
         with pytest.raises(ConfigError):
             pipeline._parse_area("X", "TX")
+        with pytest.raises(ConfigError, match="'X' must look like"):
+            pipeline._parse_area("X", "TX: , ")
 
     def test_workers_validated(self, fixtures_dir):
         with pytest.raises(ConfigError):
             pipeline.load_run_config(fixtures_dir / "run.ini", workers=0)
+
+    @pytest.mark.parametrize(
+        "section,option,old,new",
+        [
+            ("run", "year", "year = 2023", "year = 2023.5"),
+            ("run", "seed", "seed = 7", "seed = seven"),
+            ("run", "workers", "workers = 1", "workers = two"),
+            ("params", "threshold_m", "threshold_m = 400", "threshold_m = far"),
+            ("params", "underreport", "underreport = 0.32", "underreport = 32%"),
+            ("params", "alpha", "alpha = 0.05", "alpha = 5e-2x"),
+            ("params", "power", "power = 0.8", "power = high"),
+            ("params", "effects", "effects = 0.75, 0.5,", "effects = 0.75, half,"),
+            ("params", "any_route", "power = 0.8", "power = 0.8\nany_route = maybe"),
+        ],
+    )
+    def test_bad_option_value_is_config_error_naming_it(
+        self, fixtures_dir, tmp_path, section, option, old, new
+    ):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        path = inputs / "run.ini"
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(InvalidOptionError, match=rf"run.ini: \[{section}\] {option}: "):
+            pipeline.load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "field,value", [("effects", (0.75, float("nan"))), ("effects", (math.inf,)),
+                        ("threshold_m", math.nan), ("threshold_m", math.inf)],
+    )
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field.rstrip("s")):
+            pipeline.RunParams(**{field: value})
 
     def test_unknown_gate_order_rejected(self):
         with pytest.raises(ConfigError):
@@ -493,5 +529,7 @@ class TestBuildBenchmarkProperties:
         monkeypatch.setattr(power, "ndtri", lambda p: calls.append(p) or quantile(p))
         tables = _property_tables(make_corpus(40), road_index)
         positive = sum(1 for cell in tables.cells if cell.count > 0)
+        assert positive > 1
         assert len(tables.power_grid) == len(DEFAULT_EFFECT_RATIOS) * positive
-        assert len(calls) == 3 * positive
+        # One mileage grid per run: the three quantiles once, not per cell.
+        assert len(calls) == 3

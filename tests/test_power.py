@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from crashbench.power import (
@@ -9,6 +10,7 @@ from crashbench.power import (
     ZeroEffectError,
     analytic_power,
     mileage_for_power,
+    mileage_grid,
     monte_carlo_power,
     power_curve,
     required_mileage,
@@ -85,12 +87,64 @@ class TestPowerCurve:
                 (float(ndtri(alpha / 2)), row.required_miles),
                 (float(ndtri(1 - alpha / 2)), row.target_power_miles),
             ):
-                expected = (math.sqrt(lam_a) * z_power + math.sqrt(lam_h) * z_alpha) ** 2
-                assert miles == expected / (lam_a - lam_h) ** 2
+                # Squares are exact products, not pow(x, 2).
+                t = math.sqrt(lam_a) * z_power + math.sqrt(lam_h) * z_alpha
+                gap = lam_a - lam_h
+                assert miles == t * t / (gap * gap)
             assert row == required_mileage(row.query)
             assert row.target_power_miles == mileage_for_power(
                 lam_h, row.query.effect_ratio, alpha, power
             )
+
+
+class TestMileageGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lambdas=st.lists(st.floats(1e-12, 1e-2), min_size=1, max_size=12),
+        effects=st.lists(
+            st.floats(0.01, 5.0).filter(lambda e: e != 1.0), min_size=1, max_size=8
+        ),
+        alpha=st.floats(0.001, 0.5),
+        power=st.floats(0.05, 0.99),
+    )
+    def test_rows_equal_power_curve(self, lambdas, effects, alpha, power):
+        required, target = mileage_grid(lambdas, effects, alpha, power)
+        assert required.shape == target.shape == (len(lambdas), len(effects))
+        z_power = float(ndtri(power))
+        z_alphas = (float(ndtri(alpha / 2)), float(ndtri(1 - alpha / 2)))
+        for lam, required_row, target_row in zip(lambdas, required.tolist(), target.tolist()):
+            # Each entry is the scalar closed form, evaluated on its own.
+            for effect, *miles in zip(effects, required_row, target_row):
+                lam_a = effect * lam
+                gap = lam_a - lam
+                for z_alpha, m in zip(z_alphas, miles):
+                    t = math.sqrt(lam_a) * z_power + math.sqrt(lam) * z_alpha
+                    assert m == t * t / (gap * gap)
+            curve = power_curve(lam, tuple(effects), alpha, power)
+            assert [r.required_miles for r in curve] == required_row
+            assert [r.target_power_miles for r in curve] == target_row
+            for row in curve:
+                assert row == required_mileage(row.query)
+                assert row.target_power_miles == mileage_for_power(
+                    lam, row.query.effect_ratio, alpha, power
+                )
+
+    def test_empty_grid(self):
+        required, target = mileage_grid([], DEFAULT_EFFECT_RATIOS)
+        assert required.shape == target.shape == (0, len(DEFAULT_EFFECT_RATIOS))
+
+    @pytest.mark.parametrize(
+        "lambdas,effects,error,match",
+        [
+            ([1e-6, 0.0], (0.75,), ValueError, "lambda_human must be > 0, got 0.0"),
+            ([1e-6, math.nan], (0.75,), ValueError, "lambda_human must be > 0, got nan"),
+            ([1e-6], (0.75, -0.5), ValueError, "effect_ratio must be > 0, got -0.5"),
+            ([1e-6], (0.75, 1.0), ZeroEffectError, "effect ratio 1"),
+        ],
+    )
+    def test_validation(self, lambdas, effects, error, match):
+        with pytest.raises(error, match=match):
+            mileage_grid(lambdas, effects)
 
 
 class TestMileageForPower:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gammaincinv
 
 from crashbench.model import GeoArea, RoadClass
 from crashbench.rates import (
@@ -16,6 +18,7 @@ from crashbench.rates import (
     crash_type_distribution,
     format_rate,
     poisson_ci,
+    poisson_intervals,
     safety_impact,
 )
 from crashbench.taxonomy import CrashType, OutcomeLevel
@@ -145,6 +148,51 @@ class TestPoissonCi:
             vmt = rng.uniform(1e4, 1e9)
             low, high = poisson_ci(count, vmt)
             assert low <= compute_rate(count, vmt) <= high
+
+
+# Zero, whole and fractional counts, as the rate tables hold them.
+interval_counts = st.one_of(
+    st.just(0.0),
+    st.integers(0, 10**6).map(float),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPoissonIntervals:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(interval_counts, st.floats(1.0, 1e13)), min_size=1, max_size=40
+        ),
+        level=st.sampled_from([0.8, 0.9, 0.95, 0.99, 0.999]),
+    )
+    def test_arrays_equal_scalar_gammaincinv_bit_for_bit(self, cells, level):
+        counts = [count for count, _ in cells]
+        vmts = [vmt for _, vmt in cells]
+        lows, highs = poisson_intervals(counts, vmts, level)
+        alpha = 1.0 - level
+        for (count, vmt), low, high in zip(cells, lows.tolist(), highs.tolist()):
+            scale = 1e6 / vmt
+            expected_low = 0.0 if count == 0 else float(gammaincinv(count, alpha / 2.0)) * scale
+            expected_high = float(gammaincinv(count + 1.0, 1.0 - alpha / 2.0)) * scale
+            bits = (low.hex(), high.hex())
+            assert bits == (expected_low.hex(), expected_high.hex())
+            assert bits == tuple(bound.hex() for bound in poisson_ci(count, vmt, level))
+
+    def test_results_are_python_floats(self):
+        assert all(type(bound) is float for bound in poisson_ci(3.5, 1e6))
+
+    def test_empty_input(self):
+        lows, highs = poisson_intervals([], [])
+        assert lows.shape == highs.shape == (0,)
+
+    def test_validation_names_the_bad_entry(self):
+        with pytest.raises(InvalidExposureError, match="got -1.0"):
+            poisson_intervals([1.0, 2.0], [1e6, -1.0])
+        with pytest.raises(ValueError, match="count must be >= 0, got -2.0"):
+            poisson_intervals([1.0, -2.0], [1e6, 1e6])
+        with pytest.raises(ValueError, match="level"):
+            poisson_intervals([1.0], [1e6], level=1.0)
 
 
 class TestSafetyImpact:
