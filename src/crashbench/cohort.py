@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 from .model import (
     CrashBenchError,
     CrashRecord,
-    FunctionalClass,
     PassengerShareTable,
     VehicleClass,
     VehicleUnit,

@@ -35,14 +35,13 @@ from .mapping import (
     PERSON_REQUIRED,
     UNIT_REQUIRED,
     VMT_REQUIRED,
+    FLAGS,
+    VOCABULARIES,
     Column,
     MappingConfig,
     Resolver,
-    parse_bool_token,
-    parse_enum_token,
 )
 from .model import (
-    COMPASS_OCTANTS,
     CrashBenchError,
     ContactEvent,
     CrashRecord,
@@ -53,7 +52,6 @@ from .model import (
     LatLon,
     MannerOfCollision,
     PassengerShareTable,
-    VehicleClass,
     VehicleUnit,
     VmtRecord,
     VRU_CLASSES,
@@ -78,6 +76,8 @@ _PERSON_FIELDS = PERSON_REQUIRED + ("person.unit_id", "person.injury", "person.a
 # Order of IngestReport.skipped across tables; within a table, row order.
 _SKIP_ORDER = {"unit": 0, "person": 1, "crash": 2}
 _SHARE_COLUMNS = ("state", "functional_class", "urban", "share")
+# The share table's urban column: a flag, or urban/rural (any case).
+_URBAN = {**FLAGS.values, "URBAN": True, "RURAL": False}
 _ADS_COLUMNS = ("geo", "road", "outcome", "ads_count", "ads_vmt_miles")
 _EVENT_KEY = attrgetter("unit_id", "first_contact_event_index")
 
@@ -377,12 +377,8 @@ def _read_crash_rows(
             location = None
             report.missing_location += 1
 
-        injury_token, was_unknown = resolve["worst_injury"](row)
-        if injury_token is None:
-            worst = (KabcoLevel.UNKNOWN, True)
-        else:
-            level = parse_enum_token("worst_injury", injury_token)
-            worst = (level, was_unknown or level is KabcoLevel.UNKNOWN)
+        level, degraded = resolve["worst_injury"](row)
+        worst = (KabcoLevel.UNKNOWN, True) if level is None else (level, degraded)
 
         crashes[crash_id] = _CrashRow(
             state=state.strip().upper(),
@@ -391,12 +387,8 @@ def _read_crash_rows(
             location=location,
             primary_road=resolve["primary_road"](row)[0],
             secondary_road=resolve["secondary_road"](row)[0],
-            junction=_coded_member(
-                "junction_relation", resolve, row, JunctionRelation.UNKNOWN, report
-            ),
-            manner=_coded_member(
-                "manner_of_collision", resolve, row, MannerOfCollision.UNKNOWN, report
-            ),
+            junction=_coded_member("junction_relation", resolve, row, report),
+            manner=_coded_member("manner_of_collision", resolve, row, report),
             worst=worst,
         )
     if number:
@@ -405,21 +397,14 @@ def _read_crash_rows(
 
 
 def _coded_member(
-    fname: str,
-    resolve: Mapping[str, Resolver],
-    row: list[str],
-    unknown: Enum,
-    report: IngestReport,
+    fname: str, resolve: Mapping[str, Resolver], row: list[str], report: IngestReport
 ) -> Enum:
-    """Enum member of a coded crash field; absent or degraded codes count
-    as unknown."""
-    token, was_unknown = resolve[fname](row)
-    if not token:
+    """Enum member of a coded field; an absent one reads as the field's
+    unknown member, and an absent or degraded one counts as unknown."""
+    member, degraded = resolve[fname](row)
+    if member is None or degraded:
         report.count_unknown(fname)
-        return unknown
-    if was_unknown:
-        report.count_unknown(fname)
-    return parse_enum_token(fname, token)
+    return VOCABULARIES[fname].unknown if member is None else member
 
 
 def _read_person_rows(
@@ -448,14 +433,12 @@ def _read_person_rows(
             report.skip("person", number, f"unparseable unit_id {unit_raw!r}")
             continue
         attached += 1
-        injury_token, was_unknown = resolve["person.injury"](row)
-        if injury_token is not None:
-            level = parse_enum_token("person.injury", injury_token)
-            if was_unknown or level is KabcoLevel.UNKNOWN:
+        level, degraded = resolve["person.injury"](row)
+        if level is not None:
+            if degraded:
                 report.count_unknown("person.injury")
             injuries_by_crash.setdefault(key, []).append(level)
-        airbag_token, _ = resolve["person.airbag"](row)
-        airbag = parse_bool_token(airbag_token) if airbag_token else None
+        airbag, _ = resolve["person.airbag"](row)
         if unit_id is not None and airbag is not None:
             airbags_by_unit[key, unit_id] = airbag or airbags_by_unit.get((key, unit_id), False)
     if number:
@@ -498,17 +481,9 @@ def _read_unit_rows(
         seen.add((key, unit_id))
         attached += 1
 
-        class_token, was_unknown = resolve["unit.vehicle_class"](row)
-        if class_token is None:
-            vehicle_class = VehicleClass.UNKNOWN
-            report.count_unknown("unit.vehicle_class")
-        else:
-            vehicle_class = parse_enum_token("unit.vehicle_class", class_token)
-            if was_unknown or vehicle_class is VehicleClass.UNKNOWN:
-                report.count_unknown("unit.vehicle_class")
-
-        transport_token, _ = resolve["unit.in_transport"](row)
-        in_transport = parse_bool_token(transport_token) if transport_token else None
+        vehicle_class = _coded_member("unit.vehicle_class", resolve, row, report)
+        # Only an unknown status counts, not a '*' fallback to a definite flag.
+        in_transport, _ = resolve["unit.in_transport"](row)
         if in_transport is None:
             if tracks_transport:
                 report.count_unknown("unit.in_transport")
@@ -516,18 +491,10 @@ def _read_unit_rows(
         if vehicle_class in VRU_CLASSES:
             in_transport = False  # non-motorists are never in-transport vehicles
 
-        airbag_token, _ = resolve["unit.airbag"](row)
-        airbag = parse_bool_token(airbag_token) if airbag_token else None
+        airbag, _ = resolve["unit.airbag"](row)
         if airbag is None:
             airbag = airbags_by_unit.get((key, unit_id))
-
-        direction_token, _ = resolve["unit.travel_direction"](row)
-        direction = (
-            direction_token.upper()
-            if direction_token and direction_token.upper() in COMPASS_OCTANTS
-            else None
-        )
-
+        direction, _ = resolve["unit.travel_direction"](row)
         maneuver_token, _ = resolve["unit.maneuver"](row)
         event = _int_or_none(resolve["unit.first_contact_event"](row)[0])
 
@@ -735,13 +702,7 @@ def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]
                     f"{config.name}/vmt row {number}: vmt_miles {miles_raw!r} is not a "
                     f"finite number"
                 )
-            try:
-                fclass = FunctionalClass(class_token)
-            except ValueError:
-                raise DataError(
-                    f"{config.name}/vmt row {number}: unknown functional class "
-                    f"{class_token!r}"
-                ) from None
+            fclass = _functional_class(class_token, f"{config.name}/vmt row {number}")
             records.append(
                 VmtRecord(
                     state=state,
@@ -784,6 +745,15 @@ def derive_surface_street_vmt(records: list[VmtRecord]) -> list[VmtRecord]:
     return out
 
 
+def _functional_class(token: str, where: str) -> FunctionalClass:
+    """The functional class a VMT or share row names; any other token is
+    a DataError naming ``where``."""
+    try:
+        return FunctionalClass(token)
+    except ValueError:
+        raise DataError(f"{where}: unknown functional class {token!r}") from None
+
+
 def _columns(path: str | Path, header: list[str], names: tuple[str, ...], what: str):
     """An itemgetter for the named columns of a table's header; a
     missing column is a DataError naming the file."""
@@ -796,17 +766,22 @@ def _columns(path: str | Path, header: list[str], names: tuple[str, ...], what: 
 
 def load_share_table(path: str | Path) -> PassengerShareTable:
     """Read the passenger-VMT share table: delimited text with columns
-    state, functional_class, urban, share.  A share that is not a finite
-    number in (0, 1], or a second row for the same (state, class, urban)
-    key, is a DataError naming the file and row(s)."""
+    state, functional_class, urban, share.  An unknown functional class,
+    an urban value that is neither a flag nor urban/rural, a share that is
+    not a finite number in (0, 1], or a second row for the same (state,
+    class, urban) key, is a DataError naming the file and row(s)."""
     shares: dict[tuple[str, FunctionalClass, bool], float] = {}
     row_of: dict[tuple[str, FunctionalClass, bool], int] = {}
     with _open_table(path, ",") as (header, rows):
         columns = _columns(path, header, _SHARE_COLUMNS, "share table")
         for number, row in rows:
             state, fclass_raw, urban_raw, share_raw = columns(row)
-            fclass = parse_enum_token("functional_class", fclass_raw.strip())
-            urban = urban_raw.strip().lower() in ("true", "1", "yes", "urban")
+            fclass = _functional_class(fclass_raw.strip(), f"{path}: row {number}")
+            urban = _URBAN.get(urban_raw.strip().upper())
+            if urban is None:
+                raise DataError(
+                    f"{path}: row {number}: urban {urban_raw!r} is not true/false or urban/rural"
+                )
             share = _float_or_none(share_raw)
             if share is None or not 0.0 < share <= 1.0:
                 raise DataError(

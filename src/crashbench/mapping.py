@@ -24,21 +24,23 @@ tables translate into the canonical schema:
 Unprefixed fields are crash-level; ``unit.`` and ``person.`` prefixes
 bind the vehicle and person tables.  Derive rules are evaluated in
 order against the raw row; the first match wins, and a miss falls back
-to the column/dictionary path.  Normalization never fails: unmapped
-codes degrade to the Unknown member and are counted.
+to the column/dictionary path.  A coded field's dictionary values and
+derive results must be tokens of its vocabulary (``VOCABULARIES``), and
+``resolve`` returns its value.  Normalization never fails: unmapped codes
+degrade to the field's unknown value and are counted.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
+    COMPASS_OCTANTS,
     ConfigError,
-    FunctionalClass,
     JunctionRelation,
     KabcoLevel,
     MannerOfCollision,
@@ -66,8 +68,53 @@ class Const:
 
 
 Binding = Union[Column, Const]
-# A field compiled against one header: raw row values -> (value, was_unknown).
-Resolver = Callable[[Sequence[str]], tuple[Optional[str], bool]]
+# A field compiled against one header: raw row values -> (value, degraded).
+Resolver = Callable[[Sequence[str]], tuple[Any, bool]]
+
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """The canonical tokens of one coded field: token -> value, and the
+    value that any other token degrades to.  With ``ignore_case`` the
+    tokens are matched upper-cased."""
+
+    values: Mapping[str, Any]
+    unknown: Any
+    ignore_case: bool = False
+
+    def key(self, token: str) -> str:
+        return token.upper() if self.ignore_case else token
+
+    def read(self, token: str) -> Any:
+        return self.values.get(self.key(token), self.unknown)
+
+
+def _members(enum) -> Vocabulary:
+    """An enum's values, exact case, plus ``Unknown`` for its UNKNOWN member."""
+    return Vocabulary({m.value: m for m in enum} | {UNKNOWN_TOKEN: enum.UNKNOWN}, enum.UNKNOWN)
+
+
+# true/1/yes, false/0/no and unknown, in any case.
+_FLAG_VALUES = {"TRUE": True, "1": True, "YES": True, "FALSE": False, "0": False, "NO": False}
+FLAGS = Vocabulary(_FLAG_VALUES | {"UNKNOWN": None}, None, ignore_case=True)
+_OCTANTS = Vocabulary({o: o for o in COMPASS_OCTANTS} | {"UNKNOWN": None}, None, ignore_case=True)
+_KABCO = _members(KabcoLevel)
+
+# Every coded field and its vocabulary.  functional_class is not here: it
+# has no unknown value, so a VMT row holding another token is an error.
+VOCABULARIES: dict[str, Vocabulary] = {
+    "worst_injury": _KABCO,
+    "junction_relation": _members(JunctionRelation),
+    "manner_of_collision": _members(MannerOfCollision),
+    "unit.vehicle_class": _members(VehicleClass),
+    "unit.in_transport": FLAGS,
+    "unit.airbag": FLAGS,
+    "unit.travel_direction": _OCTANTS,
+    "person.injury": _KABCO,
+    "person.airbag": FLAGS,
+}
+
+_COMPARE = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq, "!=": ne}
 
 
 @dataclass(frozen=True)
@@ -89,24 +136,11 @@ class Condition:
             return raw.upper() in self.values
         if self.op == "not in":
             return raw.upper() not in self.values
-        # numeric comparisons
+        compare = _COMPARE[self.op]
         try:
-            left = float(raw)
-            right = float(self.values[0])
-        except ValueError:
-            if self.op == "==":
-                return raw.upper() == self.values[0]
-            if self.op == "!=":
-                return raw.upper() != self.values[0]
-            return False
-        return {
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-            "==": left == right,
-            "!=": left != right,
-        }[self.op]
+            return compare(float(raw), float(self.values[0]))
+        except ValueError:  # not numbers: only (in)equality compares text
+            return self.op in ("==", "!=") and compare(raw.upper(), self.values[0])
 
 
 @dataclass(frozen=True)
@@ -157,7 +191,6 @@ class MappingConfig:
     columns: dict[str, Binding] = field(default_factory=dict)
     dictionaries: dict[str, dict[str, str]] = field(default_factory=dict)
     derives: dict[str, tuple[DeriveRule, ...]] = field(default_factory=dict)
-    source_path: Optional[str] = None
 
     @classmethod
     def load(cls, path: str | Path) -> "MappingConfig":
@@ -196,6 +229,7 @@ class MappingConfig:
                     raise ConfigError(
                         f"{path}: [dictionary.{fname}] needs an explicit '*' fallback"
                     )
+                _check_tokens(path, section, fname, mapping.values())
                 dictionaries[fname] = mapping
             elif section.startswith("derive."):
                 fname = section[len("derive."):]
@@ -208,7 +242,11 @@ class MappingConfig:
                         ],
                     )
                 ]
+                _check_tokens(path, section, fname, (rule.result for rule in rules))
                 derives[fname] = tuple(rules)
+        for fname, binding in columns.items():
+            if isinstance(binding, Const) and fname not in dictionaries:
+                _check_tokens(path, "columns", fname, (binding.value,))
         return cls(
             name=name,
             delimiter=delimiter,
@@ -216,7 +254,6 @@ class MappingConfig:
             columns=columns,
             dictionaries=dictionaries,
             derives=derives,
-            source_path=str(path),
         )
 
     def validate(self, required: tuple[str, ...]) -> None:
@@ -227,15 +264,22 @@ class MappingConfig:
                 f"mapping {self.name!r}: required fields unbound: {', '.join(missing)}"
             )
 
-    def resolve(
-        self, fname: str, row: Mapping[str, str]
-    ) -> tuple[Optional[str], bool]:
+    def resolve(self, fname: str, row: Mapping[str, str]) -> tuple[Any, bool]:
         """Resolve one canonical field from a raw row.
 
-        Returns (value, was_unknown): the canonical token (None when the
-        field is absent for this row) and whether a dictionary fallback
-        or unmatched derive degraded it to Unknown.
+        Returns (value, degraded): the value (None when the field is
+        absent for this row) and whether the '*' fallback fired.  A coded
+        field's value is read from its vocabulary, and it is also
+        degraded when it is the field's unknown value.
         """
+        token, degraded = self._token(fname, row)
+        vocabulary = VOCABULARIES.get(fname)
+        if vocabulary is None or token is None:
+            return token, degraded
+        value = vocabulary.read(token)
+        return value, degraded or value is vocabulary.unknown
+
+    def _token(self, fname: str, row: Mapping[str, str]) -> tuple[Optional[str], bool]:
         for rule in self.derives.get(fname, ()):
             if rule.matches(row):
                 return rule.result, False
@@ -268,11 +312,11 @@ class MappingConfig:
         at least as long as the header, and returns what ``resolve``
         returns for the same row as a dict (a repeated column name keeps
         its last value).  A field that reads no column of this header is
-        a constant.  A column bound with no dictionary or derive rule is
-        read directly, never memoized: such columns carry ids,
-        coordinates and road names, whose values rarely repeat.  Any other
-        field is resolved once per distinct tuple of the raw values it
-        reads, by ``resolve`` itself, so ``resolve`` stays the one
+        a constant.  A column bound with no dictionary, derive rule or
+        vocabulary is read directly, never memoized: such columns carry
+        ids, coordinates and road names, whose values rarely repeat.  Any
+        other field is resolved once per distinct tuple of the raw values
+        it reads, by ``resolve`` itself, so ``resolve`` stays the one
         definition of what a field means.
         """
         index = {name: i for i, name in enumerate(header)}
@@ -288,14 +332,14 @@ class MappingConfig:
         if not read:
             constant = self.resolve(fname, {})
             return lambda row: constant
-        if not rules and fname not in self.dictionaries:
+        if not rules and fname not in self.dictionaries and fname not in VOCABULARIES:
             position = index[read[0]]
             return lambda row: (row[position].strip() or None, False)
 
         get = itemgetter(*(index[column] for column in read))
-        memo: dict[object, tuple[Optional[str], bool]] = {}
+        memo: dict[object, tuple[Any, bool]] = {}
 
-        def coded(row: Sequence[str]) -> tuple[Optional[str], bool]:
+        def coded(row: Sequence[str]) -> tuple[Any, bool]:
             key = get(row)
             result = memo.get(key)
             if result is None:
@@ -306,36 +350,14 @@ class MappingConfig:
         return coded
 
 
-# --- canonical token parsers -------------------------------------------------
-
-_ENUM_BY_FIELD = {
-    "worst_injury": {m.value: m for m in KabcoLevel} | {"Unknown": KabcoLevel.UNKNOWN},
-    "junction_relation": {m.value: m for m in JunctionRelation},
-    "manner_of_collision": {m.value: m for m in MannerOfCollision},
-    "unit.vehicle_class": {m.value: m for m in VehicleClass},
-    "functional_class": {m.value: m for m in FunctionalClass},
-    "person.injury": {m.value: m for m in KabcoLevel} | {"Unknown": KabcoLevel.UNKNOWN},
-}
-
-
-def parse_enum_token(fname: str, token: str):
-    """Map a canonical token to its enum member; unrecognized tokens
-    degrade to the field's Unknown member when it has one."""
-    table = _ENUM_BY_FIELD[fname]
-    member = table.get(token)
-    if member is not None:
-        return member
-    unknown = table.get(UNKNOWN_TOKEN)
-    if unknown is not None:
-        return unknown
-    raise ConfigError(f"field {fname}: unrecognized canonical token {token!r}")
-
-
-def parse_bool_token(token: str) -> Optional[bool]:
-    """'true'/'false'/'unknown' (case-insensitive) -> bool or None."""
-    lowered = token.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    return None
+def _check_tokens(path, section: str, fname: str, tokens: Iterable[str]) -> None:
+    """Every token a config gives a coded field must be in its vocabulary."""
+    vocabulary = VOCABULARIES.get(fname)
+    if vocabulary is None:
+        return
+    for token in tokens:
+        if vocabulary.key(token) not in vocabulary.values:
+            raise ConfigError(
+                f"{path}: [{section}] {token!r} is not a {fname} token; expected one of "
+                f"{', '.join(vocabulary.values)}"
+            )

@@ -50,11 +50,14 @@ def _check_alpha(alpha: float) -> None:
 
 def _check_grid(lambdas: np.ndarray, effects: np.ndarray, alpha: float, power: float) -> None:
     """The domain of the closed forms: every rate and effect ratio
-    positive, no effect ratio 1, alpha and power in (0, 1)."""
+    finite and positive, no effect ratio 1, alpha and power in (0, 1)."""
     for name, values in (("lambda_human", lambdas), ("effect_ratio", effects)):
-        bad = values[~(values > 0)]
+        bad = values[~(values > 0) | np.isinf(values)]
         if bad.size:
-            raise InvalidOptionError(f"{name} must be > 0, got {bad[0].item()}")
+            value = bad[0].item()
+            raise InvalidOptionError(
+                f"{name} must be {'finite' if value == math.inf else '> 0'}, got {value}"
+            )
     if (effects == 1.0).any():
         raise ZeroEffectError("effect ratio 1 has nothing to detect")
     _check_alpha(alpha)

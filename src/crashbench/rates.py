@@ -10,6 +10,7 @@ the classic chi-square construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -39,12 +40,18 @@ class EmptyStratumError(CrashBenchError):
     """A crash-type distribution needs a positive total count."""
 
 
+def _check_cell(count: float, vmt_miles: float) -> None:
+    """The domain of a rate: finite VMT > 0 and a finite count >= 0."""
+    if not 0.0 < vmt_miles < math.inf:
+        rule = "finite" if vmt_miles == math.inf else "> 0"
+        raise InvalidExposureError(f"vmt_miles must be {rule}, got {vmt_miles}")
+    if not 0.0 <= count < math.inf:
+        raise ValueError(f"count must be {'finite' if count == math.inf else '>= 0'}, got {count}")
+
+
 def compute_rate(count: float, vmt_miles: float) -> float:
     """Crashed vehicles per million miles."""
-    if vmt_miles <= 0:
-        raise InvalidExposureError(f"vmt_miles must be > 0, got {vmt_miles}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _check_cell(count, vmt_miles)
     return count / vmt_miles * MILLION
 
 
@@ -76,21 +83,23 @@ def poisson_intervals(
     the mean whose lower tail P(X <= count) equals (1-level)/2.  Via the
     gamma-quantile identity this is gammaincinv(count, a/2) and
     gammaincinv(count + 1, 1 - a/2), which extends to fractional counts.
-    count = 0 has a zero lower bound.  Each bound is the same float that
-    a scalar gammaincinv call on that count gives.
+    A zero or subnormal count has a zero lower bound, the limit that
+    gammaincinv reaches below about 1e-10 (it is NaN on subnormals).
+    Every other bound is the same float that a scalar gammaincinv call
+    on that count gives.  The first bad cell raises ``compute_rate``'s error.
     """
     counts = np.asarray(counts, dtype=float)
     vmts = np.asarray(vmts, dtype=float)
-    if (vmts <= 0).any():
-        raise InvalidExposureError(f"vmt_miles must be > 0, got {vmts[vmts <= 0][0].item()}")
-    if (counts < 0).any():
-        raise ValueError(f"count must be >= 0, got {counts[counts < 0][0].item()}")
+    bad = ~((vmts > 0) & (vmts < math.inf) & (counts >= 0) & (counts < math.inf))
+    if bad.any():
+        first = bad.argmax()
+        _check_cell(counts[first].item(), vmts[first].item())
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     alpha = 1.0 - level
     low = np.zeros_like(counts)
-    nonzero = counts != 0
-    low[nonzero] = gammaincinv(counts[nonzero], alpha / 2.0)
+    normal = counts >= np.finfo(float).tiny
+    low[normal] = gammaincinv(counts[normal], alpha / 2.0)
     high = gammaincinv(counts + 1.0, 1.0 - alpha / 2.0)
     scale = MILLION / vmts
     return low * scale, high * scale
@@ -139,10 +148,7 @@ class RateCell:
     crash_type: Optional[CrashType] = None
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
-        if self.vmt_miles <= 0:
-            raise InvalidExposureError(f"vmt_miles must be > 0, got {self.vmt_miles}")
+        _check_cell(self.count, self.vmt_miles)
 
     @property
     def rate_ipmm(self) -> float:

@@ -359,10 +359,6 @@ class FreewaySegmentIndex:
                 return template.format(*m.groups())
         return None
 
-    @property
-    def route_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._route_segments))
-
     def match_road_name(self, name: str) -> NameMatch:
         """Resolve a free-text road name to a freeway route, if any.
 

@@ -45,14 +45,6 @@ class OutcomeLevel(IdentityEnum):
 # Declaration order is the order of outcome cells in every table.
 OUTCOME_RANK = {outcome: rank for rank, outcome in enumerate(OutcomeLevel)}
 
-# Severity chain, least to most severe; AnyAirbagDeployment sits outside it.
-INJURY_CHAIN = (
-    OutcomeLevel.POLICE_REPORTED,
-    OutcomeLevel.ANY_INJURY_REPORTED,
-    OutcomeLevel.SUSPECTED_SERIOUS_INJURY_PLUS,
-    OutcomeLevel.FATAL,
-)
-
 
 class CrashType(IdentityEnum):
     V2V_FRONT_TO_REAR = "V2VFrontToRear"

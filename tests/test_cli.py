@@ -142,6 +142,41 @@ class TestRun:
         assert f"shares.csv: row 1: share {share!r} is not a finite number in (0, 1]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [("TX,Frwy,true", "unknown functional class 'Frwy'"),
+         ("TX,Freeway,ture", "urban 'ture' is not true/false or urban/rural")],
+    )
+    def test_bad_share_key_exit_data_error(self, fixtures_dir, tmp_path, capsys, row, message):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        shares = inputs / "shares.csv"
+        shares.write_text(shares.read_text().replace("TX,Freeway,true", row))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err and f"shares.csv: row 1: {message}" in err
+        assert not out.exists()
+
+    def test_mapping_token_outside_vocabulary_exit_config_error(self, fixtures_dir, tmp_path,
+                                                                capsys):
+        from importlib import resources
+
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        tx = resources.files("crashbench").joinpath("configs", "tx.ini").read_text()
+        assert "1 = Intersection\n" in tx
+        (inputs / "tx.ini").write_text(tx.replace("1 = Intersection\n", "1 = Intersecton\n"))
+        config = inputs / "run.ini"
+        config.write_text(config.read_text().replace("mapping = builtin:tx\n",
+                                                     "mapping = tx.ini\n"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err
+        assert "tx.ini: [dictionary.junction_relation] 'Intersecton' is not a" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("miles", ["nan", "inf"])
     def test_non_finite_vmt_exit_data_error(self, fixtures_dir, tmp_path, capsys, miles):
         inputs = tmp_path / "inputs"
@@ -366,6 +401,8 @@ class TestPowerCommand:
             (["--lambda-human", "1e-6", "--power", "1"], "power"),
             (["--lambda-human", "1e-6", "--validate", "500"], "trials"),
             (["--lambda-human", "1e-6", "--validate", "2000", "--seed", "-1"], "seed"),
+            (["--lambda-human", "inf"], "lambda_human"),
+            (["--lambda-human", "1e-6", "--effect", "inf"], "effect_ratio"),
         ],
     )
     def test_out_of_range_input_is_config_error_naming_it(self, capsys, args, option):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -86,11 +87,18 @@ def tx_vmt_mapping() -> MappingConfig:
 
 class TestMappingConfig:
     def test_builtin_templates_load(self):
+        from importlib import resources
         from pathlib import Path
 
-        for name in ("tx", "ca", "az", "ga", "tx_vmt", "ca_vmt", "hpms_freeway"):
+        names = sorted(
+            path.name[: -len(".ini")]
+            for path in resources.files("crashbench").joinpath("configs").iterdir()
+            if path.name.endswith(".ini")
+        )
+        assert len(names) == 9
+        for name in names:
             config = resolve_mapping(f"builtin:{name}", Path("."))
-            assert config.name
+            assert config.name == name
 
     def test_unknown_builtin_rejected(self):
         from pathlib import Path
@@ -120,6 +128,45 @@ class TestMappingConfig:
         bad.write_text(text)
         with pytest.raises(ConfigError, match=r"(?s)malformed mapping config: .*'.*bad\.ini'"):
             MappingConfig.load(bad)
+
+    @pytest.mark.parametrize(
+        "section,entry,token",
+        [
+            ("dictionary.junction_relation", "1 = Intersecton", "Intersecton"),
+            ("dictionary.unit.vehicle_class", "P2 = Passengr", "Passengr"),
+            ("dictionary.worst_injury", "* = unknown", "unknown"),
+            ("dictionary.person.airbag", "1 = deployed", "deployed"),
+            ("dictionary.unit.travel_direction", "9 = NNE", "NNE"),
+            ("derive.manner_of_collision", "rule.1 = Sideswipe when X == 1", "Sideswipe"),
+            ("derive.unit.in_transport", "rule.1 = parked when X in Y", "parked"),
+            ("columns", "junction_relation = const:Intersecton", "Intersecton"),
+        ],
+    )
+    def test_token_outside_vocabulary_fails_load(self, tmp_path, section, entry, token):
+        # Such a typo used to move every crash it matched to Unknown, uncounted.
+        bad = tmp_path / "bad.ini"
+        fallback = "* = Unknown\n" if section.startswith("dictionary.") and "*" not in entry else ""
+        bad.write_text(f"[source]\nname = bad\n[{section}]\n{entry}\n{fallback}")
+        message = rf"bad\.ini: \[{re.escape(section)}\] '{token}' is not a .* token"
+        with pytest.raises(ConfigError, match=message):
+            MappingConfig.load(bad)
+
+    def test_vocabulary_tokens_load_in_their_case_rules(self, tmp_path):
+        good = tmp_path / "good.ini"
+        good.write_text(
+            "[source]\nname = good\n"
+            "[dictionary.unit.in_transport]\nP = No\n* = TRUE\n"
+            "[dictionary.unit.travel_direction]\n2 = ne\n* = unknown\n"
+            "[derive.person.airbag]\nrule.1 = Yes when X in 1\n"
+            "[dictionary.worst_injury]\n9 = U\n* = Unknown\n"
+            "[columns]\nunit.airbag = const:no\nmanner_of_collision = const:3\n"
+            "[dictionary.manner_of_collision]\n3 = Other\n* = Unknown\n"
+        )
+        config = MappingConfig.load(good)
+        assert config.resolve("unit.travel_direction", {}) == (None, False)
+        assert config.resolve("person.airbag", {"X": "1"}) == (True, False)
+        assert config.resolve("unit.airbag", {}) == (False, False)
+        assert config.resolve("manner_of_collision", {}) == (MannerOfCollision.OTHER, False)
 
     def test_derive_rule_syntax_errors(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -586,6 +633,38 @@ class TestRecordContract:
         assert [u.first_contact_event_index for u in record.units] == [None, 1]
         assert [(e.index, e.unit_ids) for e in record.event_sequence] == [(1, (2,))]
 
+    def test_junction_outside_vocabulary_and_explicit_unknown_are_counted(self, tmp_path):
+        # A raw token outside the vocabulary, read with no dictionary, and
+        # an explicit "= Unknown" entry both count, like the '*' fallback.
+        config_path = tmp_path / "coded.ini"
+        config_path.write_text(
+            "[source]\nname = coded\n"
+            "[columns]\ncrash_id = ID\nstate = const:TX\ncounty = County\nyear = Year\n"
+            "junction_relation = J\nmanner_of_collision = M\n"
+            "[dictionary.manner_of_collision]\n1 = FrontToRear\n9 = Unknown\n* = Other\n"
+        )
+        config = MappingConfig.load(config_path)
+        records, report = load_crash_table(
+            [
+                "ID,County,Year,J,M",
+                "A,Travis,2023,Intersection,1",
+                "B,Travis,2023,Intersecton,9",
+                "C,Travis,2023,intersection,7",
+                "D,Travis,2023,,1",
+            ],
+            config,
+        )
+        assert [r.junction_relation for r in records] == [
+            JunctionRelation.INTERSECTION, JunctionRelation.UNKNOWN,
+            JunctionRelation.UNKNOWN, JunctionRelation.UNKNOWN,
+        ]
+        assert [r.manner_of_collision for r in records] == [
+            MannerOfCollision.FRONT_TO_REAR, MannerOfCollision.UNKNOWN,
+            MannerOfCollision.OTHER, MannerOfCollision.FRONT_TO_REAR,
+        ]
+        assert report.unknown_counts["junction_relation"] == 3
+        assert report.unknown_counts["manner_of_collision"] == 2
+
     def test_direction_not_an_octant_reads_as_absent(self, tx_mapping):
         crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
         units = [UNIT_HEADER, "X1,1,P4,,1,,,1,9,1", "X1,2,P4,,1,,,1,2,1"]
@@ -912,6 +991,31 @@ def test_repeated_share_row_is_data_error(tmp_path):
     message = r"shares.csv: rows 1 and 3 both give the share for \(TX, Freeway, urban=True\)"
     with pytest.raises(DataError, match=message):
         load_share_table(path)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("TX,Frwy,true,0.9", "unknown functional class 'Frwy'"),
+        ("TX,Freeway,ture,0.9", "urban 'ture' is not true/false or urban/rural"),
+        ("TX,Freeway,,0.9", "urban '' is not true/false or urban/rural"),
+        ("TX,Freeway,unknown,0.9", "urban 'unknown' is not"),
+    ],
+)
+def test_bad_share_key_is_data_error(tmp_path, row, message):
+    # A bad class was a ConfigError naming no file; a bad urban read as rural.
+    path = tmp_path / "shares.csv"
+    path.write_text(f"state,functional_class,urban,share\nTX,SurfaceStreet,true,0.95\n{row}\n")
+    with pytest.raises(DataError, match=rf"shares\.csv: row 2: {re.escape(message)}"):
+        load_share_table(path)
+
+
+@pytest.mark.parametrize("urban,expected", [("Urban", True), ("RURAL", False), ("1", True),
+                                            ("no", False), ("TRUE", True)])
+def test_share_urban_reads_flags_and_urban_rural(tmp_path, urban, expected):
+    path = tmp_path / "shares.csv"
+    path.write_text(f"state,functional_class,urban,share\nTX,Freeway,{urban},0.9\n")
+    assert load_share_table(path).share_for("TX", FunctionalClass.FREEWAY, expected) == 0.9
 
 
 def test_share_table_missing_column_is_data_error(tmp_path):

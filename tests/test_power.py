@@ -140,6 +140,8 @@ class TestMileageGrid:
             ([1e-6, math.nan], (0.75,), ValueError, "lambda_human must be > 0, got nan"),
             ([1e-6], (0.75, -0.5), ValueError, "effect_ratio must be > 0, got -0.5"),
             ([1e-6], (0.75, 1.0), ZeroEffectError, "effect ratio 1"),
+            ([math.inf], (0.75,), ValueError, "lambda_human must be finite, got inf"),
+            ([1e-6], (0.75, math.inf), ValueError, "effect_ratio must be finite, got inf"),
         ],
     )
     def test_validation(self, lambdas, effects, error, match):

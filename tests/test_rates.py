@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,11 +151,13 @@ class TestPoissonCi:
             assert low <= compute_rate(count, vmt) <= high
 
 
-# Zero, whole and fractional counts, as the rate tables hold them.
+# Zero, whole and fractional counts, as the rate tables hold them, and
+# subnormal ones, whose lower bound is 0.
 interval_counts = st.one_of(
     st.just(0.0),
     st.integers(0, 10**6).map(float),
     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    st.floats(0.0, sys.float_info.min, exclude_max=True),
 )
 
 
@@ -173,7 +176,10 @@ class TestPoissonIntervals:
         alpha = 1.0 - level
         for (count, vmt), low, high in zip(cells, lows.tolist(), highs.tolist()):
             scale = 1e6 / vmt
-            expected_low = 0.0 if count == 0 else float(gammaincinv(count, alpha / 2.0)) * scale
+            expected_low = (
+                0.0 if count < sys.float_info.min
+                else float(gammaincinv(count, alpha / 2.0)) * scale
+            )
             expected_high = float(gammaincinv(count + 1.0, 1.0 - alpha / 2.0)) * scale
             bits = (low.hex(), high.hex())
             assert bits == (expected_low.hex(), expected_high.hex())
@@ -193,6 +199,30 @@ class TestPoissonIntervals:
             poisson_intervals([1.0, -2.0], [1e6, 1e6])
         with pytest.raises(ValueError, match="level"):
             poisson_intervals([1.0], [1e6], level=1.0)
+
+    @pytest.mark.parametrize("count", [5e-324, 1e-310, 1e-300, 1e-12])
+    def test_tiny_count_has_zero_lower_bound(self, count):
+        # Subnormal counts get the limit that gammaincinv reaches on normal ones.
+        low, high = poisson_ci(count, 1e6)
+        assert low == 0.0 and 0.0 < high < math.inf
+
+    @pytest.mark.parametrize(
+        "count,vmt,error,match",
+        [
+            (math.nan, 1e6, ValueError, "count must be >= 0, got nan"),
+            (math.inf, 1e6, ValueError, "count must be finite, got inf"),
+            (1.0, math.nan, InvalidExposureError, "vmt_miles must be > 0, got nan"),
+            (1.0, math.inf, InvalidExposureError, "vmt_miles must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_cell_is_rejected(self, count, vmt, error, match):
+        with pytest.raises(error, match=match):
+            poisson_intervals([2.0, count], [1e6, vmt])
+        with pytest.raises(error, match=match):
+            RateCell(GeoArea("Austin", "TX", frozenset({"TRAVIS"})), RoadClass.FREEWAY,
+                     OutcomeLevel.FATAL, count, vmt)
+        with pytest.raises(error, match=match):
+            compute_rate(count, vmt)
 
 
 class TestSafetyImpact:
