@@ -50,7 +50,9 @@ def _check_alpha(alpha: float) -> None:
 
 def _check_grid(lambdas: np.ndarray, effects: np.ndarray, alpha: float, power: float) -> None:
     """The domain of the closed forms: every rate and effect ratio
-    finite and positive, no effect ratio 1, alpha and power in (0, 1)."""
+    finite and positive, the square of every lambda_human and
+    lambda_ads finite (the forms square both rates), no effect ratio 1,
+    alpha and power in (0, 1)."""
     for name, values in (("lambda_human", lambdas), ("effect_ratio", effects)):
         bad = values[~(values > 0) | np.isinf(values)]
         if bad.size:
@@ -58,6 +60,15 @@ def _check_grid(lambdas: np.ndarray, effects: np.ndarray, alpha: float, power: f
             raise InvalidOptionError(
                 f"{name} must be {'finite' if value == math.inf else '> 0'}, got {value}"
             )
+    if lambdas.size and effects.size:
+        # Everything is positive here, so the largest rates decide.
+        lam_h = lambdas.max().item()
+        lam_a = lam_h * effects.max().item()
+        for name, rate in (
+            ("lambda_human", lam_h), ("lambda_ads (effect_ratio * lambda_human)", lam_a)
+        ):
+            if math.isinf(rate * rate):
+                raise InvalidOptionError(f"{name} must have a finite square, got {rate}")
     if (effects == 1.0).any():
         raise ZeroEffectError("effect ratio 1 has nothing to detect")
     _check_alpha(alpha)

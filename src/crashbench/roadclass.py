@@ -21,11 +21,14 @@ and the route patterns stay the only definition of a match.
 
 Search: ``FreewaySegmentIndex`` finds candidates on a grid of segment
 bounding boxes, one grid per route (built on that route's first query;
-a query without a route uses a grid over all segments), and measures
-each candidate leg from constants computed on its segment's first query.
-Nothing of the search is built in the constructor.  Every distance it
-returns equals, bit for bit, the minimum of ``polyline_distance_m`` over
-the same segments, which stays the public reference.
+a query without a route uses a grid over all segments).  It visits the
+candidates nearest box first, by a lower bound on the haversine to any
+point of each box, and stops at the first box whose bound is past the
+best distance so far; each visited leg is measured from constants
+computed on its segment's first visit.  Nothing of the search is built
+in the constructor.  Every distance it returns equals, bit for bit, the
+minimum of ``polyline_distance_m`` over the same segments, which stays
+the public reference.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import json
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -115,12 +118,17 @@ def polyline_distance_m(point: LatLon, polyline: Sequence[LatLon]) -> float:
 
 @dataclass(frozen=True)
 class FreewaySegment:
-    """A named freeway polyline feature."""
+    """A named freeway polyline feature.
+
+    ``bbox`` is the polyline's (lat_lo, lon_lo, lat_hi, lon_hi), computed
+    once here after the polyline is checked (at least two vertices, no
+    vertex repeated next to itself)."""
 
     route_id: str
     polyline: tuple[LatLon, ...]
     display_names: tuple[str, ...] = ()
     always_freeway: bool = False
+    bbox: tuple[float, float, float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.polyline) < 2:
@@ -128,12 +136,8 @@ class FreewaySegment:
         for a, b in zip(self.polyline, self.polyline[1:]):
             if a == b:
                 raise DataError(f"segment {self.route_id}: repeated consecutive vertex {a}")
-
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        lats = [v.lat for v in self.polyline]
-        lons = [v.lon for v in self.polyline]
-        return min(lats), min(lons), max(lats), max(lons)
+        lats, lons = zip(*self.polyline)
+        object.__setattr__(self, "bbox", (min(lats), min(lons), max(lats), max(lons)))
 
 
 # --- road-name normalization and route patterns ---------------------------
@@ -221,28 +225,30 @@ class _SegmentGrid:
     ):
         self.cell_deg = cell_deg
         self.cells: dict[tuple[int, int], list[int]] = {}
+        floor = math.floor
         for idx, (lat_lo, lon_lo, lat_hi, lon_hi) in boxes:
-            for ci in range(self._c(lat_lo), self._c(lat_hi) + 1):
-                for cj in range(self._c(lon_lo), self._c(lon_hi) + 1):
+            for ci in range(floor(lat_lo / cell_deg), floor(lat_hi / cell_deg) + 1):
+                for cj in range(floor(lon_lo / cell_deg), floor(lon_hi / cell_deg) + 1):
                     self.cells.setdefault((ci, cj), []).append(idx)
 
-    def _c(self, deg: float) -> int:
-        return math.floor(deg / self.cell_deg)
-
     def query(self, point: LatLon, radius_m: float) -> set[int]:
+        lat, lon, cell_deg, floor = point.lat, point.lon, self.cell_deg, math.floor
         lat_pad = radius_m / METERS_PER_DEG
-        lat_reach = min(89.99, abs(point.lat) + lat_pad)
+        lat_reach = min(89.99, abs(lat) + lat_pad)
         cos_bound = max(math.cos(math.radians(lat_reach)), 1e-6)
         lon_pad = radius_m / (METERS_PER_DEG * cos_bound) * (math.pi / 2.0) + 1e-9
-        i_lo, i_hi = self._c(point.lat - lat_pad), self._c(point.lat + lat_pad)
-        j_lo, j_hi = self._c(point.lon - lon_pad), self._c(point.lon + lon_pad)
+        i_lo, i_hi = floor((lat - lat_pad) / cell_deg), floor((lat + lat_pad) / cell_deg)
+        j_lo, j_hi = floor((lon - lon_pad) / cell_deg), floor((lon + lon_pad) / cell_deg)
+        cells = self.cells
         found: set[int] = set()
-        if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) <= len(self.cells):
+        if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) <= len(cells):
             for ci in range(i_lo, i_hi + 1):
                 for cj in range(j_lo, j_hi + 1):
-                    found.update(self.cells.get((ci, cj), ()))
+                    members = cells.get((ci, cj))
+                    if members:
+                        found.update(members)
         else:
-            for (ci, cj), members in self.cells.items():
+            for (ci, cj), members in cells.items():
                 if i_lo <= ci <= i_hi and j_lo <= cj <= j_hi:
                     found.update(members)
         return found
@@ -276,12 +282,29 @@ def _leg_constants(polyline: Sequence[LatLon]) -> array:
     return out
 
 
+# Slack of the box bound's stop, past the best ``h`` (see ``_nearest``).
+_STOP_SLACK_REL = 1.0 + 1e-9
+_STOP_SLACK_ABS = 1e-14
+# Longitude reach, radians, past which sin^2(dlon / 2) may shrink again
+# (it grows only up to a half turn); a query reaching further bounds by
+# latitude alone.
+_MONOTONE_LON_REACH = 3.0
+
+
+def _radian_box(bbox: tuple[float, float, float, float]) -> tuple[float, ...]:
+    """A segment's bounding box in radians, plus the smallest cosine over
+    its latitudes: cos is concave on [-pi/2, pi/2], so it is the smaller
+    of the two edge cosines."""
+    lat_lo, lon_lo, lat_hi, lon_hi = map(math.radians, bbox)
+    return lat_lo, lon_lo, lat_hi, lon_hi, min(math.cos(lat_lo), math.cos(lat_hi))
+
+
 class FreewaySegmentIndex:
     """Freeway polylines plus the machinery to query them: a name
     matcher (alias table + route-number patterns) that keeps each raw
     name's match, and per-route spatial grids with cached leg constants
-    for proximity tests.  All three are filled on first use, so an index
-    costs nothing for names and routes no record mentions."""
+    for proximity tests.  All of these are filled on first use, so an
+    index costs nothing for names and routes no record mentions."""
 
     def __init__(
         self,
@@ -326,13 +349,16 @@ class FreewaySegmentIndex:
             lon_hi = max(b[3] for b in self._bboxes)
             span_deg = max(lat_hi - lat_lo, lon_hi - lon_lo, 1.0)
             self._cover_radius_m = 4.0 * span_deg * METERS_PER_DEG
+            self._rlon_span = (math.radians(lon_lo), math.radians(lon_hi))
         else:
             self._cover_radius_m = 0.0
+            self._rlon_span = (0.0, 0.0)
         # Built on first use: each raw road name's match, one grid per
-        # route queried (key None: all segments) and each segment's leg
-        # constants.
+        # route queried (key None: all segments), and each segment's
+        # radian box and leg constants.
         self._matches: dict[str, NameMatch] = {}
         self._grids: dict[Optional[str], _SegmentGrid] = {}
+        self._radian_boxes: list[Optional[tuple[float, ...]]] = [None] * len(self.segments)
         self._legs: list[Optional[array]] = [None] * len(self.segments)
 
     def _register_canonical(self, key: str, route_id: str) -> None:
@@ -396,8 +422,7 @@ class FreewaySegmentIndex:
 
         The search runs on a grid over the route's own segments (over
         all segments without a route), built on the route's first query,
-        and measures each candidate leg from constants computed on the
-        segment's first query (``_leg_constants``)."""
+        and measures candidates nearest box first (``_nearest``)."""
         if route_id is None:
             members: Sequence[int] = range(len(self.segments))
         else:
@@ -432,16 +457,60 @@ class FreewaySegmentIndex:
 
     def _nearest(self, point: LatLon, candidates: Iterable[int]) -> float:
         """``min(polyline_distance_m(point, s.polyline))`` over the
-        candidate segments, from their leg constants: the point's
-        radians and cosine are computed once, and every remaining
-        operation of ``point_leg_distance_m`` and ``haversine_m`` runs in
-        the same order, so each leg distance is bit-identical."""
+        candidate segments (``inf`` for none), visiting them nearest box
+        first and stopping at the first box that cannot hold a closer
+        leg.
+
+        Legs are measured from their leg constants: the point's radians
+        and cosine are computed once, and every remaining operation of
+        ``point_leg_distance_m`` and ``haversine_m`` runs in the same
+        order, so each leg distance is bit-identical.  The minimum is
+        too, because the scan stops only where no leg can be closer.
+
+        For every point q of a box,
+        ``h(p, q) >= sin^2(dlat/2) + cos(rlat) * cos_min * sin^2(dlon/2)``,
+        where h is the haversine term, dlat and dlon are the point's gaps
+        to the box and cos_min the smallest cosine over its latitudes:
+        sin^2(x/2) grows with the gap up to a half turn (so a query
+        spanning more longitude than ``_MONOTONE_LON_REACH`` drops the
+        longitude term) and cos(q.lat) >= cos_min.  The scan stops at the
+        first box whose bound exceeds the smallest ``h`` so far by a
+        relative 1e-9 plus an absolute 1e-14.  The relative part covers
+        rounding in ``h`` and in the bound (a few ulp), and leaves every
+        leg past the stop with an ``h`` some 1e-9 (relative) above the
+        best one: ``sqrt`` is correctly rounded and ``asin(x) / x`` grows
+        on (0, 1], so its exact distance is some 5e-10 larger, far beyond
+        the few ulp by which libm's ``asin`` may err (monotonicity of
+        ``asin`` is not assumed).  The absolute part covers the foot
+        ``vlat + t * dlat`` rounding an ulp or two outside its box (at a
+        pole, past it, making cos(lat) a hair negative): that moves ``h``
+        by at most a few 1e-15, whatever the gap, which a relative slack
+        cannot cover near a zero bound.
+        """
         radians, cos, sin, asin, sqrt = math.radians, math.cos, math.sin, math.asin, math.sqrt
         rlat, rlon = radians(point.lat), radians(point.lon)
         cos_rlat = cos(rlat)
-        legs_of = self._legs
-        best = math.inf
+        rlon_lo, rlon_hi = self._rlon_span
+        reach = max(rlon - rlon_lo, rlon_hi - rlon)
+        lon_weight = cos_rlat if reach < _MONOTONE_LON_REACH else 0.0
+        boxes, bboxes = self._radian_boxes, self._bboxes
+        order = []
         for idx in candidates:
+            box = boxes[idx]
+            if box is None:
+                box = boxes[idx] = _radian_box(bboxes[idx])
+            lat_lo, lon_lo, lat_hi, lon_hi, cos_min = box
+            gap = lat_lo - rlat if rlat < lat_lo else (rlat - lat_hi if rlat > lat_hi else 0.0)
+            bound = sin(gap / 2.0) ** 2
+            gap = lon_lo - rlon if rlon < lon_lo else (rlon - lon_hi if rlon > lon_hi else 0.0)
+            order.append((bound + lon_weight * cos_min * sin(gap / 2.0) ** 2, idx))
+        order.sort()
+
+        legs_of = self._legs
+        best = best_h = stop_above = math.inf
+        for bound, idx in order:
+            if bound > stop_above:
+                break
             legs = legs_of[idx]
             if legs is None:
                 legs = legs_of[idx] = _leg_constants(self.segments[idx].polyline)
@@ -466,6 +535,9 @@ class FreewaySegmentIndex:
                 distance = _TWO_R * asin(sqrt(h))
                 if distance < best:
                     best = distance
+                if h < best_h:
+                    best_h = h
+                    stop_above = h * _STOP_SLACK_REL + _STOP_SLACK_ABS
         return best
 
 
@@ -510,9 +582,12 @@ def classify_road(
 def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
     """Read freeway segments from a GeoJSON FeatureCollection of
     LineStrings with properties route_id, names[], always_freeway.
-    GeoJSON coordinate order is (lon, lat); a position that is not two
-    numbers with lon in [-180, 180] and lat in [-90, 90] is a ConfigError,
-    and so is a file that is not UTF-8 text or not JSON."""
+    GeoJSON coordinate order is (lon, lat).  Each feature is checked in
+    one pass over its positions.  A ConfigError naming the file, feature and route is raised for a
+    position that is not two numbers with lon in [-180, 180] and lat in
+    [-90, 90], a position equal to the one before it, or fewer than two
+    positions.  A file that is not UTF-8 text, not JSON or not shaped
+    as such a FeatureCollection is a ConfigError too."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -520,20 +595,27 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed GeoJSON ({exc})") from None
-    features = doc.get("features")
-    if features is None:
+    features = doc.get("features") if type(doc) is dict else None
+    if type(features) is not list:
         raise ConfigError(f"{path}: not a FeatureCollection")
     segments = []
     for number, feature in enumerate(features):
-        geom = feature.get("geometry") or {}
-        if geom.get("type") != "LineString":
+        geom = (feature.get("geometry") if type(feature) is dict else None) or {}
+        if type(geom) is not dict or geom.get("type") != "LineString":
             raise ConfigError(f"{path}: only LineString features are supported")
         props = feature.get("properties") or {}
-        route_id = props.get("route_id")
+        route_id = props.get("route_id") if type(props) is dict else None
         if not route_id:
             raise ConfigError(f"{path}: feature missing route_id")
-        polyline = []
-        for index, position in enumerate(geom.get("coordinates", ())):
+        coordinates = geom.get("coordinates", [])
+        if type(coordinates) is not list:
+            raise ConfigError(
+                f"{path}: feature {number} ({route_id}): coordinates {coordinates!r} "
+                f"are not a list of positions"
+            )
+        polyline: list[LatLon] = []
+        previous = None
+        for index, position in enumerate(coordinates):
             # The range check also rejects, across most of the US,
             # positions written in (lat, lon) order.
             if type(position) is list and len(position) == 2:
@@ -543,11 +625,23 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
                     and type(lat) in (int, float)
                     and valid_coordinate(lat, lon)
                 ):
-                    polyline.append(LatLon(lat, lon))
-                    continue
+                    vertex = LatLon(lat, lon)
+                    if vertex != previous:
+                        polyline.append(vertex)
+                        previous = vertex
+                        continue
+                    raise ConfigError(
+                        f"{path}: feature {number} ({route_id}): position {index} "
+                        f"{position!r} repeats the position before it"
+                    )
             raise ConfigError(
                 f"{path}: feature {number} ({route_id}): position {index} {position!r} "
                 f"is not [lon, lat] with lon in [-180, 180] and lat in [-90, 90]"
+            )
+        if len(polyline) < 2:
+            raise ConfigError(
+                f"{path}: feature {number} ({route_id}): {len(polyline)} position(s); "
+                f"a LineString needs at least 2"
             )
         segments.append(
             FreewaySegment(

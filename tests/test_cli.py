@@ -202,6 +202,28 @@ class TestRun:
         assert "kind=config" in err
         assert "roadclass_segments.geojson: feature 0 (I-35): position 0" in err
 
+    @pytest.mark.parametrize(
+        "coordinates,message",
+        [
+            ([[-97.735, 30.1], [-97.735, 30.1]], "position 1 [-97.735, 30.1] repeats"),
+            ([[-97.735, 30.1]], "1 position(s)"),
+        ],
+        ids=["repeat", "one-position"],
+    )
+    def test_short_or_repeating_segment_exit_config_error(self, fixtures_dir, tmp_path,
+                                                          capsys, coordinates, message):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        segments = inputs / "roadclass_segments.geojson"
+        doc = json.loads(segments.read_text())
+        doc["features"][0]["geometry"]["coordinates"] = coordinates
+        segments.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err
+        assert f"roadclass_segments.geojson: feature 0 (I-35): {message}" in err
+
     def test_no_config_given(self, capsys, monkeypatch):
         monkeypatch.delenv("CRASHBENCH_CONFIG", raising=False)
         assert main(["run"]) == 2
@@ -403,6 +425,8 @@ class TestPowerCommand:
             (["--lambda-human", "1e-6", "--validate", "2000", "--seed", "-1"], "seed"),
             (["--lambda-human", "inf"], "lambda_human"),
             (["--lambda-human", "1e-6", "--effect", "inf"], "effect_ratio"),
+            (["--lambda-human", "1e300", "--effect", "10"], "lambda_human"),
+            (["--lambda-human", "1e153", "--effect", "100"], "lambda_ads"),
         ],
     )
     def test_out_of_range_input_is_config_error_naming_it(self, capsys, args, option):

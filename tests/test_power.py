@@ -142,6 +142,11 @@ class TestMileageGrid:
             ([1e-6], (0.75, 1.0), ZeroEffectError, "effect ratio 1"),
             ([math.inf], (0.75,), ValueError, "lambda_human must be finite, got inf"),
             ([1e-6], (0.75, math.inf), ValueError, "effect_ratio must be finite, got inf"),
+            ([1e-6, 1e300], (0.75,), ValueError,
+             r"lambda_human must have a finite square, got 1e\+300"),
+            ([1e153], (0.75, 100.0), ValueError,
+             r"lambda_ads \(effect_ratio \* lambda_human\) must have a finite square, "
+             r"got 1e\+155"),
         ],
     )
     def test_validation(self, lambdas, effects, error, match):

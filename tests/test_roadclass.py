@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 import random
 
 import pytest
 
-from crashbench.model import ConfigError, CrashRecord, KabcoLevel, LatLon, RoadClass
+from crashbench.model import ConfigError, CrashRecord, DataError, KabcoLevel, LatLon, RoadClass
 from crashbench.roadclass import (
     EARTH_RADIUS_M,
     FreewaySegment,
@@ -309,6 +310,112 @@ class TestSearchIsExact:
         assert beyond_cover > 0  # every radius step came back empty
 
 
+def _assert_exact(segments, points, cell_deg=0.02):
+    """Every query, over all segments and over each route, returns the
+    reference minimum bit for bit."""
+    routes: dict[str, list] = {}
+    for seg in segments:
+        routes.setdefault(seg.route_id, []).append(seg)
+    index = FreewaySegmentIndex(segments, cell_deg=cell_deg)
+    for point in points:
+        for route_id, members in ((None, segments), *routes.items()):
+            expected = min(polyline_distance_m(point, s.polyline) for s in members)
+            assert index.distance_to_nearest(point, route_id) == expected, (point, route_id)
+
+
+class TestBoxBound:
+    """The nearest-box-first search stops at the first box whose lower
+    bound is past the best distance; these cases sit where a bound that
+    is too high would show: on boxes, at ties, and across longitude."""
+
+    @pytest.mark.parametrize("cell_deg", [0.005, 0.02, 0.1])
+    def test_points_on_vertices_box_edges_and_corners(self, cell_deg):
+        rng = random.Random(f"box-{cell_deg}")
+        for _ in range(4):
+            segments = _random_network(rng, rng.randint(2, 5))
+            points = []
+            for seg in segments:
+                lat_lo, lon_lo, lat_hi, lon_hi = seg.bbox
+                points.extend(seg.polyline)
+                points.extend(
+                    LatLon(lat, lon) for lat in (lat_lo, lat_hi) for lon in (lon_lo, lon_hi)
+                )
+                points.extend(
+                    (LatLon(lat_lo, rng.uniform(lon_lo, lon_hi)),
+                     LatLon(rng.uniform(lat_lo, lat_hi), lon_hi))
+                )
+            _assert_exact(segments, rng.sample(points, min(len(points), 40)), cell_deg)
+
+    def test_same_latitude_far_east_and_west(self):
+        # The latitude gap is zero, so the bound rests on its longitude
+        # term alone, and tall boxes make cos_min matter.
+        rng = random.Random("east-west")
+        segments = _random_network(rng, 4)
+        segments.append(FreewaySegment("SR-90", (LatLon(25.0, -98.0), LatLon(40.0, -96.0))))
+        points = []
+        for seg in segments:
+            lat_lo, _, lat_hi, _ = seg.bbox
+            for offset in (0.5, 3.0, 20.0, 90.0, 170.0):
+                for side in (-1.0, 1.0):
+                    lon = -97.75 + side * offset
+                    lon = lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
+                    points.append(LatLon(rng.uniform(lat_lo, lat_hi), lon))
+        _assert_exact(segments, points, cell_deg=0.1)
+
+    def test_across_the_antimeridian(self):
+        # From (-32.85, -170.18) the tall segment lies more than half a
+        # turn of longitude away on the unwrapped axis, where sin^2(dlon/2)
+        # shrinks again: a longitude term would bound it at about
+        # 6,730 km, past the 6,724 km segment due north, while it is
+        # 6,719 km away.  Near lon 180 small segments sit on both sides.
+        tall = FreewaySegment("SR-1", (LatLon(24.32, 169.30), LatLon(59.58, 161.71)))
+        north = FreewaySegment("SR-2", (LatLon(27.62, -170.18), LatLon(27.62, -170.17)))
+        point = LatLon(-32.85, -170.18)
+        assert polyline_distance_m(point, tall.polyline) < polyline_distance_m(
+            point, north.polyline
+        )
+        _assert_exact([tall, north], [point, LatLon(-30.0, -175.0)], cell_deg=5.0)
+        across = [
+            FreewaySegment("SR-3", (LatLon(10.0, 179.80), LatLon(10.01, 179.95))),
+            FreewaySegment("SR-4", (LatLon(10.0, -179.79), LatLon(10.01, -179.78))),
+        ]
+        points = [LatLon(10.0, lon) for lon in (-179.95, -179.9, 179.99, -179.5)]
+        _assert_exact(across, points, cell_deg=0.1)
+
+    def test_duplicate_and_overlapping_segments(self):
+        rng = random.Random("ties")
+        base = _random_network(rng, 3)
+        segments = list(base)
+        for seg in base[:4]:
+            segments.append(FreewaySegment(seg.route_id, seg.polyline))  # same route
+            segments.append(FreewaySegment("SR-77", tuple(reversed(seg.polyline))))
+            segments.append(FreewaySegment("SR-78", seg.polyline[:2]))  # shares a leg
+        points = [v for seg in base[:4] for v in seg.polyline]
+        points += [
+            LatLon(v1.lat + t * (v2.lat - v1.lat), v1.lon + t * (v2.lon - v1.lon))
+            for seg in base[:4]
+            for v1, v2 in zip(seg.polyline, seg.polyline[1:])
+            for t in (0.25, 0.5)
+        ]
+        points += [LatLon(p.lat + 0.003, p.lon - 0.002) for p in points[:10]]
+        _assert_exact(segments, points)
+
+    def test_far_boxes_are_not_measured(self):
+        near = FreewaySegment("SR-1", (LatLon(30.0, -97.0), LatLon(30.0, -96.99)))
+        far = [
+            FreewaySegment(f"SR-{k + 2}", (LatLon(30.006 + 0.0005 * k, -97.0),
+                                           LatLon(30.006 + 0.0005 * k, -96.99)))
+            for k in range(12)
+        ]
+        index = FreewaySegmentIndex([near, *far])
+        point = LatLon(30.0001, -96.995)
+        distance = index.distance_to_nearest(point)
+        assert distance == polyline_distance_m(point, near.polyline)
+        assert index._grids[None].query(point, 1600.0) == set(range(13))  # all are candidates
+        assert index._legs[0] is not None
+        assert all(legs is None for legs in index._legs[1:])
+
+
 class TestClassifyRoad:
     def test_always_freeway_name_any_location(self, sf_index):
         result = classify_road(record_named("I-280 N/B", LatLon(37.60, -122.3)), sf_index)
@@ -394,6 +501,27 @@ class TestSegmentValidation:
         with pytest.raises(Exception):
             FreewaySegment("I-1", (LatLon(1.0, 1.0), LatLon(1.0, 1.0)))
 
+    def test_box_is_computed_from_the_checked_polyline(self):
+        with pytest.raises(TypeError):
+            FreewaySegment("I-1", (), bbox=(0.0, 0.0, 1.0, 1.0))
+        seg = FreewaySegment("I-1", (LatLon(1.0, 2.0), LatLon(0.5, 3.0)))
+        assert seg.bbox == (0.5, 2.0, 1.0, 3.0)
+        moved = dataclasses.replace(seg, polyline=(LatLon(4.0, 5.0), LatLon(6.0, 4.5)))
+        assert moved.bbox == (4.0, 4.5, 6.0, 5.0)
+        with pytest.raises(DataError, match="repeated consecutive vertex"):
+            dataclasses.replace(seg, polyline=(LatLon(4.0, 5.0), LatLon(4.0, 5.0)))
+
+
+def _write_segments(tmp_path, coordinates):
+    feature = {
+        "type": "Feature",
+        "properties": {"route_id": "I-35", "names": [], "always_freeway": True},
+        "geometry": {"type": "LineString", "coordinates": coordinates},
+    }
+    path = tmp_path / "segments.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+    return path
+
 
 class TestSegmentsGeojson:
     @pytest.mark.parametrize(
@@ -411,12 +539,45 @@ class TestSegmentsGeojson:
         ],
     )
     def test_bad_position_is_config_error(self, tmp_path, position):
-        feature = {
-            "type": "Feature",
-            "properties": {"route_id": "I-35", "names": [], "always_freeway": True},
-            "geometry": {"type": "LineString", "coordinates": [[-97.7, 30.1], position]},
-        }
-        path = tmp_path / "segments.geojson"
-        path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+        path = _write_segments(tmp_path, [[-97.7, 30.1], position])
         with pytest.raises(ConfigError, match=r"segments.geojson: feature 0 \(I-35\): position 1"):
             load_segments_geojson(path)
+
+    @pytest.mark.parametrize(
+        "coordinates,message",
+        [
+            ([[-97.7, 30.1], [-97.7, 30.1]], r"position 1 \[-97.7, 30.1\] repeats the position"),
+            ([[-97.7, 30.1], [-97.6, 30.2], [-97.6, 30.2]], "position 2 .* repeats"),
+            ([[-97, 30], [-97.0, 30.0]], "position 1 .* repeats"),
+            ([[-97.7, 30.1]], r"1 position\(s\); a LineString needs at least 2"),
+            ([], r"0 position\(s\)"),
+        ],
+        ids=["repeat", "repeat-last", "repeat-int-float", "one-position", "no-position"],
+    )
+    def test_short_or_repeating_feature_is_config_error(self, tmp_path, coordinates, message):
+        path = _write_segments(tmp_path, coordinates)
+        with pytest.raises(ConfigError, match=rf"segments.geojson: feature 0 \(I-35\): {message}"):
+            load_segments_geojson(path)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([], "not a FeatureCollection"),
+            ({"features": {}}, "not a FeatureCollection"),
+            ({"features": [[]]}, "only LineString features"),
+            ({"features": [{"geometry": [], "properties": {}}]}, "only LineString features"),
+            ({"features": [{"geometry": {"type": "LineString"}, "properties": []}]},
+             "feature missing route_id"),
+            ({"features": [{"geometry": {"type": "LineString", "coordinates": None},
+                            "properties": {"route_id": "I-35"}}]},
+             r"feature 0 \(I-35\): coordinates None are not a list of positions"),
+        ],
+        ids=["list", "features-object", "feature-list", "geometry-list", "properties-list",
+             "coordinates-null"],
+    )
+    def test_malformed_structure_is_config_error(self, tmp_path, doc, message):
+        path = tmp_path / "segments.geojson"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_segments_geojson(path)
+
