@@ -27,36 +27,25 @@ from .roadclass import classify_road
 ENV_PREFIX = "CRASHBENCH_"
 
 
-def _env(name: str) -> Optional[str]:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _effective(flag_value, env_name: str, convert):
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is None:
-        return None
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {ENV_PREFIX}{env_name}: {raw!r}") from None
-
-
 def _load_config(args) -> pipeline.RunConfig:
-    config_path = args.config if args.config is not None else _env("CONFIG")
+    """The run config, each shared option taken from its flag, else its
+    CRASHBENCH_* variable, else the file."""
+    config_path = args.config if args.config is not None else os.environ.get(ENV_PREFIX + "CONFIG")
     if not config_path:
         raise ConfigError("no run config given (use --config or CRASHBENCH_CONFIG)")
-    return pipeline.load_run_config(
-        config_path,
-        out_dir=_effective(args.out, "OUT", str),
-        workers=_effective(args.workers, "WORKERS", int),
-        seed=_effective(args.seed, "SEED", int),
-        threshold_m=_effective(args.threshold_m, "THRESHOLD_M", float),
-        underreport=_effective(args.underreport, "UNDERREPORT", float),
-        alpha=_effective(args.alpha, "ALPHA", float),
-        power=_effective(args.power, "POWER", float),
-    )
+    overrides = {}
+    for option in pipeline.SHARED_OPTIONS:
+        value = getattr(args, option.flag)
+        variable = ENV_PREFIX + option.flag.upper()
+        raw = os.environ.get(variable)
+        if value is None and raw is not None:
+            try:
+                value = option.convert(raw)
+            except ValueError:
+                raise ConfigError(f"bad value for {variable}: {raw!r}") from None
+        if value is not None:
+            overrides[option.name] = value
+    return pipeline.load_run_config(config_path, **overrides)
 
 
 def cmd_run(args) -> int:
@@ -217,17 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="run config INI path")
-    common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--workers", type=int,
-                        help="validated (must be >= 1) but has no effect: runs are single-threaded")
-    common.add_argument("--seed", type=int,
-                        help="recorded in the report metadata; nothing in the run is random")
-    common.add_argument("--threshold-m", dest="threshold_m", type=float,
-                        help="freeway proximity threshold, meters")
-    common.add_argument("--underreport", type=float,
-                        help="non-fatal injury underreporting fraction")
-    common.add_argument("--alpha", type=float, help="two-sided type-I level")
-    common.add_argument("--power", type=float, help="target statistical power")
+    for option in pipeline.SHARED_OPTIONS:
+        common.add_argument(
+            "--" + option.flag.replace("_", "-"), type=option.convert, help=option.help
+        )
 
     for name, func, descr in (
         ("run", cmd_run, "full pipeline: ingest through report"),

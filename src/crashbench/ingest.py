@@ -31,8 +31,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Union
 
 from .mapping import (
+    CRASH_FIELDS,
     CRASH_REQUIRED,
+    PERSON_FIELDS,
     PERSON_REQUIRED,
+    UNIT_FIELDS,
     UNIT_REQUIRED,
     VMT_REQUIRED,
     FLAGS,
@@ -64,15 +67,6 @@ RowSource = Union[str, Path, io.TextIOBase, Iterable[str]]
 # (1-based row number, raw values in header order)
 Rows = Iterator[tuple[int, list[str]]]
 
-_CRASH_FIELDS = CRASH_REQUIRED + (
-    "latitude", "longitude", "primary_road", "secondary_road",
-    "worst_injury", "junction_relation", "manner_of_collision",
-)
-_UNIT_FIELDS = UNIT_REQUIRED + (
-    "unit.vehicle_class", "unit.in_transport", "unit.airbag",
-    "unit.travel_direction", "unit.maneuver", "unit.first_contact_event",
-)
-_PERSON_FIELDS = PERSON_REQUIRED + ("person.unit_id", "person.injury", "person.airbag")
 # Order of IngestReport.skipped across tables; within a table, row order.
 _SKIP_ORDER = {"unit": 0, "person": 1, "crash": 2}
 _SHARE_COLUMNS = ("state", "functional_class", "urban", "share")
@@ -268,16 +262,16 @@ def load_crash_table(
 
     with ExitStack() as stack:
         crash_table = stack.enter_context(
-            _mapped_table("crash", crash_source, config, CRASH_REQUIRED, _CRASH_FIELDS)
+            _mapped_table("crash", crash_source, config, CRASH_REQUIRED, CRASH_FIELDS)
         )
         unit_table = person_table = None
         if units_source is not None:
             unit_table = stack.enter_context(
-                _mapped_table("unit", units_source, config, UNIT_REQUIRED, _UNIT_FIELDS)
+                _mapped_table("unit", units_source, config, UNIT_REQUIRED, UNIT_FIELDS)
             )
         if persons_source is not None:
             person_table = stack.enter_context(
-                _mapped_table("person", persons_source, config, PERSON_REQUIRED, _PERSON_FIELDS)
+                _mapped_table("person", persons_source, config, PERSON_REQUIRED, PERSON_FIELDS)
             )
 
         # Crash rows first, so unit and person rows meet the emitted crash

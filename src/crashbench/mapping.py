@@ -27,11 +27,15 @@ order against the raw row; the first match wins, and a miss falls back
 to the column/dictionary path.  A coded field's dictionary values and
 derive results must be tokens of its vocabulary (``VOCABULARIES``), and
 ``resolve`` returns its value.  Normalization never fails: unmapped codes
-degrade to the field's unknown value and are counted.
+degrade to the field's unknown value and are counted.  A config is
+checked when it loads: [columns], [dictionary.F] and [derive.F] name
+only ``CANONICAL_FIELDS``, [source] holds only ``SOURCE_OPTIONS``, and
+any other field, option or section is a ConfigError naming it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from operator import eq, ge, gt, itemgetter, le, lt, ne
@@ -41,10 +45,13 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 from .model import (
     COMPASS_OCTANTS,
     ConfigError,
+    InvalidOptionError,
     JunctionRelation,
     KabcoLevel,
     MannerOfCollision,
     VehicleClass,
+    check_names,
+    ini_sections,
     read_ini,
 )
 
@@ -52,6 +59,19 @@ CRASH_REQUIRED = ("crash_id", "state", "county", "year")
 UNIT_REQUIRED = ("unit.crash_id", "unit.unit_id")
 PERSON_REQUIRED = ("person.crash_id",)
 VMT_REQUIRED = ("state", "county", "functional_class", "year", "vmt_miles")
+CRASH_FIELDS = CRASH_REQUIRED + (
+    "latitude", "longitude", "primary_road", "secondary_road",
+    "worst_injury", "junction_relation", "manner_of_collision",
+)
+UNIT_FIELDS = UNIT_REQUIRED + (
+    "unit.vehicle_class", "unit.in_transport", "unit.airbag",
+    "unit.travel_direction", "unit.maneuver", "unit.first_contact_event",
+)
+PERSON_FIELDS = PERSON_REQUIRED + ("person.unit_id", "person.injury", "person.airbag")
+# Every field a mapping config may bind, read by ingest for one of the
+# four tables (a VMT table reads exactly its required fields).
+CANONICAL_FIELDS = tuple(dict.fromkeys(CRASH_FIELDS + UNIT_FIELDS + PERSON_FIELDS + VMT_REQUIRED))
+SOURCE_OPTIONS = ("name", "delimiter", "vmt_scale")
 
 UNKNOWN_TOKEN = "Unknown"
 FALLBACK_KEY = "*"
@@ -195,8 +215,16 @@ class MappingConfig:
     @classmethod
     def load(cls, path: str | Path) -> "MappingConfig":
         parser = read_ini(path, "mapping config")  # column names keep their case
+        check_names(
+            path,
+            None,
+            (s for s in ini_sections(parser) if not s.startswith(("dictionary.", "derive."))),
+            ("source", "columns", "dictionary.FIELD", "derive.FIELD"),
+            "section",
+        )
         if not parser.has_section("source"):
             raise ConfigError(f"{path}: missing [source] section")
+        check_names(path, "source", parser.options("source"), SOURCE_OPTIONS, "option")
         name = parser.get("source", "name", fallback=None)
         if not name:
             raise ConfigError(f"{path}: [source] needs a name")
@@ -205,10 +233,19 @@ class MappingConfig:
             delimiter = "\t"
         if delimiter not in (",", "\t"):
             raise ConfigError(f"{path}: delimiter must be ',' or tab")
-        vmt_scale = parser.getfloat("source", "vmt_scale", fallback=1.0)
+        raw_scale = parser.get("source", "vmt_scale", fallback="1")
+        try:
+            vmt_scale = float(raw_scale)
+        except ValueError:
+            vmt_scale = math.nan
+        if not 0.0 < vmt_scale < math.inf:
+            raise InvalidOptionError(
+                f"{path}: [source] vmt_scale must be a finite number > 0, got {raw_scale!r}"
+            )
 
         columns: dict[str, Binding] = {}
         if parser.has_section("columns"):
+            check_names(path, "columns", parser.options("columns"), CANONICAL_FIELDS, "field")
             for fname, raw in parser.items("columns"):
                 raw = raw.strip()
                 if raw.startswith("const:"):
@@ -219,8 +256,10 @@ class MappingConfig:
         dictionaries: dict[str, dict[str, str]] = {}
         derives: dict[str, tuple[DeriveRule, ...]] = {}
         for section in parser.sections():
+            fname = section.partition(".")[2]
+            if section.startswith(("dictionary.", "derive.")):
+                check_names(path, section, (fname,), CANONICAL_FIELDS, "field")
             if section.startswith("dictionary."):
-                fname = section[len("dictionary."):]
                 mapping = {
                     key.strip().upper() if key != FALLBACK_KEY else FALLBACK_KEY: val.strip()
                     for key, val in parser.items(section)
@@ -232,7 +271,6 @@ class MappingConfig:
                 _check_tokens(path, section, fname, mapping.values())
                 dictionaries[fname] = mapping
             elif section.startswith("derive."):
-                fname = section[len("derive."):]
                 rules = [
                     _parse_rule(parser.get(section, key))
                     for key in sorted(

@@ -11,6 +11,7 @@ All types are immutable after construction.
 from __future__ import annotations
 
 import configparser
+import difflib
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,6 +54,29 @@ def read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
     if not read:
         raise ConfigError(f"{what} not found: {path}")
     return parser
+
+
+def ini_sections(parser: configparser.ConfigParser) -> list[str]:
+    """The sections ``read_ini`` found, and DEFAULT first when it holds
+    options: configparser copies those into every section, so a strict
+    reader rejects DEFAULT as an unknown section."""
+    default = [parser.default_section] if parser.defaults() else []
+    return default + parser.sections()
+
+
+def check_names(
+    path, section: Optional[str], names: Iterable[str], known: Iterable[str], what: str
+) -> None:
+    """Every name must be one of ``known``.  Another is a ConfigError
+    naming the file, the section and the name (with ``section`` None the
+    names are sections), and the closest known name or else all of them."""
+    known = tuple(known)
+    for name in names:
+        if name not in known:
+            close = difflib.get_close_matches(name, known, n=1)
+            hint = f"did you mean {close[0]!r}" if close else f"expected {', '.join(known)}"
+            where = f"[{name}]" if section is None else f"[{section}] {name}"
+            raise ConfigError(f"{path}: {where}: unknown {what}; {hint}")
 
 
 class LatLon(NamedTuple):

@@ -26,7 +26,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import report as report_mod
 from .cohort import CohortCounts, passenger_fraction, passenger_vmt, select_units
@@ -51,11 +51,13 @@ from .model import (
     RoadClass,
     VehicleClass,
     VmtRecord,
+    check_names,
     county_areas,
     county_key,
+    ini_sections,
     read_ini,
 )
-from .power import DEFAULT_EFFECT_RATIOS, mileage_grid
+from .power import DEFAULT_ALPHA, DEFAULT_EFFECT_RATIOS, DEFAULT_POWER, mileage_grid
 from .rates import RateCell, adjust_underreporting, crash_type_distribution
 from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
@@ -80,8 +82,8 @@ from .taxonomy import (
 class RunParams:
     threshold_m: float = DEFAULT_PROXIMITY_THRESHOLD_M
     underreport_fraction: float = 0.32
-    alpha: float = 0.05
-    power: float = 0.8
+    alpha: float = DEFAULT_ALPHA
+    power: float = DEFAULT_POWER
     effects: tuple[float, ...] = DEFAULT_EFFECT_RATIOS
     any_route: bool = False
     impute_by_road: bool = False
@@ -129,7 +131,7 @@ class RunConfig:
     sources: tuple[SourceSpec, ...]
     segments_path: Path
     shares_path: Path
-    out_dir: Path
+    out_dir: Path = Path("out")
     aliases_path: Optional[Path] = None
     geocoder_cache: Optional[Path] = None
     seed: int = 0
@@ -186,110 +188,141 @@ def _boolean(raw: str) -> bool:
         raise ValueError(raw) from None
 
 
-def load_run_config(
-    path: str | Path,
-    out_dir: Optional[str | Path] = None,
-    workers: Optional[int] = None,
-    seed: Optional[int] = None,
-    threshold_m: Optional[float] = None,
-    underreport: Optional[float] = None,
-    alpha: Optional[float] = None,
-    power: Optional[float] = None,
-) -> RunConfig:
-    """Parse a run config INI; keyword arguments override file values.
+def _input_file(raw: str) -> Path:
+    """An input file: resolved against the run config's directory, and it must exist."""
+    return Path(raw)
 
-    Referenced input files must exist at load time.
+
+@dataclass(frozen=True)
+class Option:
+    """One run-config option: its section and name in the INI, the
+    converter its text goes through and the field it sets (on RunConfig
+    for [run] and [inputs], RunParams for [params], SourceSpec for each
+    [source.NAME]).  An option with a ``flag`` is shared: the keyword of
+    its name overrides it in ``load_run_config``, and so do the CLI flag
+    ``--<flag>`` (with ``help``) and the CRASHBENCH_<FLAG> variable."""
+
+    section: str
+    name: str
+    convert: Callable[[str], Any]
+    attr: str
+    required: bool = False
+    flag: Optional[str] = None
+    help: Optional[str] = None
+
+
+OPTIONS = (
+    Option("run", "year", int, "year"),
+    Option("run", "out_dir", Path, "out_dir", flag="out",
+           help="output directory (overrides config)"),
+    Option("run", "workers", int, "workers", flag="workers",
+           help="validated (must be >= 1) but has no effect: runs are single-threaded"),
+    Option("run", "seed", int, "seed", flag="seed",
+           help="recorded in the report metadata; nothing in the run is random"),
+    Option("params", "threshold_m", float, "threshold_m", flag="threshold_m",
+           help="freeway proximity threshold, meters"),
+    Option("params", "underreport", float, "underreport_fraction", flag="underreport",
+           help="non-fatal injury underreporting fraction"),
+    Option("params", "alpha", float, "alpha", flag="alpha", help="two-sided type-I level"),
+    Option("params", "power", float, "power", flag="power", help="target statistical power"),
+    Option("params", "effects", _floats, "effects"),
+    Option("params", "any_route", _boolean, "any_route"),
+    Option("params", "impute_by_road", _boolean, "impute_by_road"),
+    Option("params", "urban", _boolean, "urban"),
+    Option("params", "type_gate_order", _names, "type_gate_order"),
+    Option("inputs", "segments", _input_file, "segments_path", required=True),
+    Option("inputs", "shares", _input_file, "shares_path", required=True),
+    Option("inputs", "aliases", _input_file, "aliases_path"),
+    Option("inputs", "geocoder_cache", _input_file, "geocoder_cache"),
+    Option("source", "mapping", str, "mapping", required=True),
+    Option("source", "crash_table", _input_file, "crash_table", required=True),
+    Option("source", "units_table", _input_file, "units_table"),
+    Option("source", "persons_table", _input_file, "persons_table"),
+    Option("source", "vmt_table", _input_file, "vmt_table"),
+    Option("source", "vmt_mapping", str, "vmt_mapping"),
+    Option("source", "vmt_sidecar", _input_file, "vmt_sidecar"),
+    Option("source", "vmt_sidecar_mapping", str, "vmt_sidecar_mapping"),
+)
+SHARED_OPTIONS = tuple(option for option in OPTIONS if option.flag)
+
+
+def load_run_config(path: str | Path, **overrides) -> RunConfig:
+    """Parse a run config INI, each option as ``OPTIONS`` declares it.
+
+    A keyword naming a shared option overrides the file's value; an
+    out_dir override is taken as given, while the file's out_dir (or the
+    default) is resolved against the config's directory, like every
+    input file.  An empty ``effects`` or ``type_gate_order`` means the
+    default.  Referenced input files must exist at load time.  A
+    section other than [run], [params], [inputs], [areas] and
+    [source.NAME], or an option its section does not declare, is a
+    ConfigError naming the file, the section and the name.
     """
+    unknown = overrides.keys() - {option.name for option in SHARED_OPTIONS}
+    if unknown:
+        raise TypeError(f"load_run_config() got an unexpected keyword argument {min(unknown)!r}")
     path = Path(path)
     parser = read_ini(path, "run config")
     base = path.parent
 
-    def file_option(section: str, option: str, required: bool = False) -> Optional[Path]:
-        raw = parser.get(section, option, fallback=None)
-        if raw is None:
-            if required:
-                raise ConfigError(f"{path}: [{section}] missing {option}")
-            return None
-        resolved = base / raw
-        if not resolved.exists():
-            raise ConfigError(f"{path}: input file not found: {resolved}")
-        return resolved
+    def read(section: str) -> dict[str, Any]:
+        """The options of ``section`` that are set, converted, by the field each sets."""
+        declared = [o for o in OPTIONS if o.section == section.partition(".")[0]]
+        if parser.has_section(section):
+            names = [o.name for o in declared]
+            check_names(path, section, parser.options(section), names, "option")
+        values = {}
+        for option in declared:
+            given = overrides.get(option.name)
+            raw = given if given is not None else parser.get(section, option.name, fallback=None)
+            if raw is None:
+                if option.required:
+                    raise ConfigError(f"{path}: [{section}] missing {option.name}")
+                continue
+            try:
+                value = option.convert(raw)
+            except ValueError:
+                raise InvalidOptionError(
+                    f"{path}: [{section}] {option.name}: bad value {raw!r}"
+                ) from None
+            if given is None and isinstance(value, Path):
+                value = base / value
+                if option.convert is _input_file and not value.exists():
+                    raise ConfigError(f"{path}: input file not found: {value}")
+            if value != ():
+                values[option.attr] = value
+        return values
 
-    def option(section: str, name: str, convert, default=None, override=None):
-        """The override, else the file's value, through ``convert``; a
-        value it rejects is an InvalidOptionError naming the option."""
-        raw = override if override is not None else parser.get(section, name, fallback=None)
-        if raw is None:
-            return default
-        try:
-            return convert(raw)
-        except ValueError:
-            raise InvalidOptionError(f"{path}: [{section}] {name}: bad value {raw!r}") from None
-
+    check_names(
+        path,
+        None,
+        (section for section in ini_sections(parser) if not section.startswith("source.")),
+        ("run", "params", "inputs", "areas", "source.NAME"),
+        "section",
+    )
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
-    year = option("run", "year", int)
-    if year is None:
+    run = read("run")
+    if "year" not in run:
         raise ConfigError(f"{path}: [run] needs a year")
+    run.setdefault("out_dir", base / RunConfig.out_dir)
 
+    areas = DEFAULT_GEO_AREAS
     if parser.has_section("areas"):
         areas = tuple(_parse_area(n, v) for n, v in parser.items("areas"))
-    else:
-        areas = DEFAULT_GEO_AREAS
 
-    sources = []
-    for section in parser.sections():
-        if not section.startswith("source."):
-            continue
-        mapping = parser.get(section, "mapping", fallback=None)
-        if mapping is None:
-            raise ConfigError(f"{path}: [{section}] missing mapping")
-        sources.append(
-            SourceSpec(
-                name=section[len("source."):],
-                mapping=mapping,
-                crash_table=file_option(section, "crash_table", required=True),
-                units_table=file_option(section, "units_table"),
-                persons_table=file_option(section, "persons_table"),
-                vmt_table=file_option(section, "vmt_table"),
-                vmt_mapping=parser.get(section, "vmt_mapping", fallback=None),
-                vmt_sidecar=file_option(section, "vmt_sidecar"),
-                vmt_sidecar_mapping=parser.get(section, "vmt_sidecar_mapping", fallback=None),
-            )
-        )
-
-    params = RunParams(
-        threshold_m=option(
-            "params", "threshold_m", float, DEFAULT_PROXIMITY_THRESHOLD_M, threshold_m
-        ),
-        underreport_fraction=option("params", "underreport", float, 0.32, underreport),
-        alpha=option("params", "alpha", float, 0.05, alpha),
-        power=option("params", "power", float, 0.8, power),
-        effects=option("params", "effects", _floats) or DEFAULT_EFFECT_RATIOS,
-        any_route=option("params", "any_route", _boolean, False),
-        impute_by_road=option("params", "impute_by_road", _boolean, False),
-        urban=option("params", "urban", _boolean, True),
-        type_gate_order=option("params", "type_gate_order", _names) or DEFAULT_GATE_ORDER,
+    sources = tuple(
+        SourceSpec(name=section[len("source."):], **read(section))
+        for section in parser.sections()
+        if section.startswith("source.")
     )
-
-    raw_out = out_dir if out_dir is not None else parser.get("run", "out_dir", fallback="out")
-    resolved_out = Path(raw_out)
-    if not resolved_out.is_absolute() and out_dir is None:
-        resolved_out = base / resolved_out
-
     return RunConfig(
-        year=year,
         areas=areas,
-        sources=tuple(sources),
-        segments_path=file_option("inputs", "segments", required=True),
-        shares_path=file_option("inputs", "shares", required=True),
-        aliases_path=file_option("inputs", "aliases"),
-        geocoder_cache=file_option("inputs", "geocoder_cache"),
-        out_dir=resolved_out,
-        seed=option("run", "seed", int, 0, seed),
-        workers=option("run", "workers", int, 1, workers),
-        params=params,
+        sources=sources,
+        params=RunParams(**read("params")),
         config_path=path,
+        **run,
+        **read("inputs"),
     )
 
 

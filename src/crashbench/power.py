@@ -23,6 +23,7 @@ normal critical value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,9 @@ def _check_grid(lambdas: np.ndarray, effects: np.ndarray, alpha: float, power: f
     """The domain of the closed forms: every rate and effect ratio
     finite and positive, the square of every lambda_human and
     lambda_ads finite (the forms square both rates), no effect ratio 1,
-    alpha and power in (0, 1)."""
+    the square of every rate gap lambda_ads - lambda_human a normal
+    float (the forms divide by it, and one that underflows makes the
+    mileage inf or inexact), alpha and power in (0, 1)."""
     for name, values in (("lambda_human", lambdas), ("effect_ratio", effects)):
         bad = values[~(values > 0) | np.isinf(values)]
         if bad.size:
@@ -71,6 +74,16 @@ def _check_grid(lambdas: np.ndarray, effects: np.ndarray, alpha: float, power: f
                 raise InvalidOptionError(f"{name} must have a finite square, got {rate}")
     if (effects == 1.0).any():
         raise ZeroEffectError("effect ratio 1 has nothing to detect")
+    if lambdas.size and effects.size:
+        # The smallest rate and the ratio nearest 1 make the smallest gap.
+        lam_h = lambdas.min().item()
+        ratio = effects[np.abs(effects - 1.0).argmin()].item()
+        gap = lam_h * ratio - lam_h
+        if gap * gap < sys.float_info.min:
+            raise InvalidOptionError(
+                f"lambda_human must leave a rate gap (effect_ratio - 1) * lambda_human whose "
+                f"square does not underflow, got {lam_h} with effect_ratio {ratio}"
+            )
     _check_alpha(alpha)
     if not 0.0 < power < 1.0:
         raise InvalidOptionError(f"power must be in (0, 1), got {power}")

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,35 @@ class TestRun:
         assert "tx.ini: [dictionary.junction_relation] 'Intersecton' is not a" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "builtin,old,new,message",
+        [
+            ("tx", "unit.vehicle_class = ", "unit.vehical_class = ",
+             "tx.ini: [columns] unit.vehical_class: unknown field"),
+            ("tx_vmt", "vmt_scale = 1\n", "vmt_scale = abc\n",
+             "tx_vmt.ini: [source] vmt_scale must be a finite number > 0, got 'abc'"),
+        ],
+    )
+    def test_bad_mapping_name_or_scale_exit_config_error(self, fixtures_dir, tmp_path, capsys,
+                                                         builtin, old, new, message):
+        # A misspelt field used to run with its column unread: an all-zero
+        # benchmark, exit 0; a bad vmt_scale ended in a traceback.
+        from importlib import resources
+
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        text = resources.files("crashbench").joinpath("configs", f"{builtin}.ini").read_text()
+        assert old in text
+        (inputs / f"{builtin}.ini").write_text(text.replace(old, new, 1))
+        config = inputs / "run.ini"
+        config.write_text(config.read_text().replace(f"builtin:{builtin}\n", f"{builtin}.ini\n"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "kind=config" in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("miles", ["nan", "inf"])
     def test_non_finite_vmt_exit_data_error(self, fixtures_dir, tmp_path, capsys, miles):
         inputs = tmp_path / "inputs"
@@ -239,6 +269,12 @@ class TestRun:
             ("workers = 1", "workers = two", "[run] workers: bad value 'two'"),
             ("effects = 0.75, 0.5,", "effects = 0.75, half,", "[params] effects: bad value"),
             ("alpha = 0.05", "alpha = 5%", "[params] alpha: bad value '5%'"),
+            ("units_table =", "units_tabel =",
+             "[source.tx] units_tabel: unknown option; did you mean 'units_table'"),
+            ("threshold_m =", "threshhold_m =",
+             "[params] threshhold_m: unknown option; did you mean 'threshold_m'"),
+            ("[params]", "[param]", "[param]: unknown section; did you mean 'params'"),
+            ("[run]", "[DEFAULT]\nseed = 3\n[run]", "[DEFAULT]: unknown section"),
         ],
     )
     def test_bad_config_value_exit_config_error(self, fixtures_dir, tmp_path, capsys,
@@ -286,6 +322,39 @@ class TestRun:
         monkeypatch.setenv("CRASHBENCH_OUT", str(out))
         assert main(["run"]) == 0
         assert (out / "report_2023.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag,variable,value,field,expected",
+        [
+            ("--out", "OUT", "elsewhere", "out_dir", Path("elsewhere")),
+            ("--workers", "WORKERS", "3", "workers", 3),
+            ("--seed", "SEED", "11", "seed", 11),
+            ("--threshold-m", "THRESHOLD_M", "250.5", "params.threshold_m", 250.5),
+            ("--underreport", "UNDERREPORT", "0.25", "params.underreport_fraction", 0.25),
+            ("--alpha", "ALPHA", "0.1", "params.alpha", 0.1),
+            ("--power", "POWER", "0.9", "params.power", 0.9),
+        ],
+    )
+    def test_each_shared_flag_and_its_variable_set_one_field(self, fixtures_dir, monkeypatch,
+                                                             flag, variable, value, field,
+                                                             expected):
+        def load(argv):
+            return cli._load_config(
+                cli.build_parser().parse_args(["run", "--config", str(config), *argv])
+            )
+
+        config = fixtures_dir / "run.ini"
+        for name in ("OUT", "WORKERS", "SEED", "THRESHOLD_M", "UNDERREPORT", "ALPHA", "POWER"):
+            monkeypatch.delenv(f"CRASHBENCH_{name}", raising=False)
+        from_file = load([])
+        if field.startswith("params."):
+            params = replace(from_file.params, **{field[len("params."):]: expected})
+            changed = replace(from_file, params=params)
+        else:
+            changed = replace(from_file, **{field: expected})
+        from_flag = load([flag, value])
+        monkeypatch.setenv(f"CRASHBENCH_{variable}", value)
+        assert from_flag == load([]) == changed != from_file
 
     def test_flag_beats_env(self, fixtures_dir, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"
@@ -427,6 +496,8 @@ class TestPowerCommand:
             (["--lambda-human", "1e-6", "--effect", "inf"], "effect_ratio"),
             (["--lambda-human", "1e300", "--effect", "10"], "lambda_human"),
             (["--lambda-human", "1e153", "--effect", "100"], "lambda_ads"),
+            (["--lambda-human", "1e-200", "--effect", "0.75"], "lambda_human"),
+            (["--lambda-human", "1e-160", "--effect", "1.0000001"], "lambda_human"),
         ],
     )
     def test_out_of_range_input_is_config_error_naming_it(self, capsys, args, option):

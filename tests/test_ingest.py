@@ -23,6 +23,7 @@ from crashbench.model import (
     CrashRecord,
     DataError,
     FunctionalClass,
+    InvalidOptionError,
     JunctionRelation,
     KabcoLevel,
     LatLon,
@@ -182,6 +183,45 @@ class TestMappingConfig:
         config = MappingConfig.load(partial)
         with pytest.raises(ConfigError):
             config.validate(("crash_id", "state", "county", "year"))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[columns]\nunit.vehical_class = Veh\n",
+             r"\[columns\] unit\.vehical_class: unknown field; "
+             r"did you mean 'unit\.vehicle_class'"),
+            ("[dictionary.unit.vehical_class]\n* = Unknown\n",
+             r"\[dictionary\.unit\.vehical_class\] unit\.vehical_class: unknown field"),
+            ("[derive.person.injry]\nrule.1 = K when X in 1\n",
+             r"\[derive\.person\.injry\] person\.injry: unknown field"),
+            ("[colums]\ncrash_id = ID\n", r"\[colums\]: unknown section; did you mean 'columns'"),
+            ("[dictionary]\n* = Unknown\n", r"\[dictionary\]: unknown section"),
+            ("[DEFAULT]\ncrash_id = ID\n", r"\[DEFAULT\]: unknown section"),
+        ],
+    )
+    def test_unknown_field_or_section_fails_load(self, tmp_path, text, message):
+        # A misspelt field used to be dropped, leaving its column unread.
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[source]\nname = bad\n{text}")
+        with pytest.raises(ConfigError, match=rf"bad\.ini: {message}"):
+            MappingConfig.load(bad)
+
+    @pytest.mark.parametrize(
+        "entry,error,message",
+        [
+            ("delimter = ,", ConfigError, "delimter: unknown option; did you mean 'delimiter'"),
+            *(
+                (f"vmt_scale = {raw}", InvalidOptionError,
+                 f"vmt_scale must be a finite number > 0, got '{raw}'")
+                for raw in ("abc", "0", "-1e6", "nan", "inf")
+            ),
+        ],
+    )
+    def test_bad_source_option_fails_load(self, tmp_path, entry, error, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[source]\nname = bad\n{entry}\n")
+        with pytest.raises(error, match=rf"bad\.ini: \[source\] {re.escape(message)}"):
+            MappingConfig.load(bad)
 
 
 BUILTIN_MAPPINGS = ("tx", "ca", "az", "ga", "tx_vmt", "ca_vmt", "hpms_freeway")

@@ -223,6 +223,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'X' must look like"):
             pipeline._parse_area("X", "TX: , ")
 
+    def test_empty_params_section_loads_the_defaults(self, fixtures_dir, tmp_path):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        path = inputs / "run.ini"
+        text = path.read_text()
+        params = text[text.index("[params]\n"):text.index("[areas]")]
+        path.write_text(text.replace(params, "[params]\n\n"))
+        assert pipeline.load_run_config(path).params == pipeline.RunParams()
+
+    def test_unknown_override_is_type_error(self, fixtures_dir):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'threshold'"):
+            pipeline.load_run_config(fixtures_dir / "run.ini", threshold=5.0)
+
     def test_workers_validated(self, fixtures_dir):
         with pytest.raises(ConfigError):
             pipeline.load_run_config(fixtures_dir / "run.ini", workers=0)

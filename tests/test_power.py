@@ -147,6 +147,11 @@ class TestMileageGrid:
             ([1e153], (0.75, 100.0), ValueError,
              r"lambda_ads \(effect_ratio \* lambda_human\) must have a finite square, "
              r"got 1e\+155"),
+            ([1e-6, 1e-200], (0.75,), ValueError,
+             r"lambda_human must leave a rate gap .* whose square does not underflow, "
+             r"got 1e-200 with effect_ratio 0\.75"),
+            ([1e-160], (0.5, 1.0000001), ValueError,
+             r"lambda_human must leave a rate gap .* got 1e-160 with effect_ratio 1\.0000001"),
         ],
     )
     def test_validation(self, lambdas, effects, error, match):
