@@ -10,7 +10,9 @@ crash-record contract is decided (see ``load_crash_table``); nothing
 downstream validates a record again.
 
 Each table's header is read once and the mapping config is compiled
-against it (``MappingConfig.compile``); rows are then read as plain lists.
+against it into one row converter (``MappingConfig.compile``), which
+checks the table; each reader unpacks a row's values in the field order
+``mapping`` declares and counts the degraded ones after its skip checks.
 
 Records missing coordinates can be filled by a pluggable geocoder
 client.  Only stub and file-cache (replay) clients ship here; a live
@@ -40,9 +42,8 @@ from .mapping import (
     VMT_REQUIRED,
     FLAGS,
     VOCABULARIES,
-    Column,
     MappingConfig,
-    Resolver,
+    RowConverter,
 )
 from .model import (
     CrashBenchError,
@@ -166,40 +167,14 @@ def _numbered(reader: Iterator[list[str]], width: int) -> Rows:
             yield number, row
 
 
-def _check_header(
-    table: str,
-    header: list[str],
-    config: MappingConfig,
-    required_fields: tuple[str, ...],
-) -> None:
-    """Hard-error when the header is unreadable or lacks a column bound
-    to a required field.  Columns bound to optional fields may be absent
-    (those fields simply come out empty)."""
-    if not header:
-        raise DataError(f"{config.name}/{table}: empty or malformed header")
-    present = set(header)
-    for fname in required_fields:
-        binding = config.columns.get(fname)
-        if isinstance(binding, Column) and binding.name not in present:
-            raise DataError(
-                f"{config.name}/{table}: header missing column {binding.name!r} "
-                f"(bound to {fname})"
-            )
-
-
 @contextmanager
 def _mapped_table(
-    table: str,
-    source: RowSource,
-    config: MappingConfig,
-    required_fields: tuple[str, ...],
-    fields: tuple[str, ...],
-) -> Iterator[tuple[dict[str, Resolver], Rows]]:
-    """Open a source table, check its header and compile ``fields``
-    against it; yield the resolvers with the numbered rows."""
+    table: str, source: RowSource, config: MappingConfig, required: tuple, fields: tuple
+) -> Iterator[tuple[RowConverter, Rows]]:
+    """Open a source table; yield the mapping of ``fields`` compiled
+    against its header (which checks it), and the numbered rows."""
     with _open_table(source, config.delimiter) as (header, rows):
-        _check_header(table, header, config, required_fields)
-        yield config.compile(header, fields), rows
+        yield config.compile(header, fields, required, table), rows
 
 
 def _float_or_none(raw: Optional[str]) -> Optional[float]:
@@ -257,7 +232,6 @@ def load_crash_table(
     in transport, travel directions that are compass octants, and
     first-contact ordinals of at least 1.
     """
-    config.validate(CRASH_REQUIRED)
     report = IngestReport(source=config.name)
 
     with ExitStack() as stack:
@@ -335,7 +309,7 @@ def load_crash_table(
 
 
 def _read_crash_rows(
-    resolve: Mapping[str, Resolver], rows: Rows, report: IngestReport
+    convert: RowConverter, rows: Rows, report: IngestReport
 ) -> tuple[dict[str, _CrashRow], set[str]]:
     """Validate crash rows.  Returns the fields of each crash to emit,
     by crash id in row order, and the ids of skipped crash rows."""
@@ -343,46 +317,45 @@ def _read_crash_rows(
     skipped_ids: set[str] = set()
     number = 0
     for number, row in rows:
-        crash_id, _ = resolve["crash_id"](row)
+        (crash_id, state, county, year_raw, lat_raw, lon_raw, primary_road, secondary_road,
+         level, junction, manner, degraded) = convert(row)
         if crash_id is None:
             report.skip("crash", number, "missing crash_id")
             continue
         if crash_id in crashes:
             report.skip("crash", number, "duplicate crash_id")
             continue
-        year_raw, _ = resolve["year"](row)
         year = _int_or_none(year_raw)
         if year is None:
             report.skip("crash", number, f"unparseable year {year_raw!r}")
             skipped_ids.add(crash_id)
             continue
-        state, _ = resolve["state"](row)
-        county, _ = resolve["county"](row)
         if not state or not county:
             report.skip("crash", number, "missing state or county")
             skipped_ids.add(crash_id)
             continue
 
-        lat = _float_or_none(resolve["latitude"](row)[0])
-        lon = _float_or_none(resolve["longitude"](row)[0])
+        lat = _float_or_none(lat_raw)
+        lon = _float_or_none(lon_raw)
         if lat is not None and lon is not None and valid_coordinate(lat, lon):
             location = LatLon(lat, lon)
         else:
             location = None
             report.missing_location += 1
 
-        level, degraded = resolve["worst_injury"](row)
-        worst = (KabcoLevel.UNKNOWN, True) if level is None else (level, degraded)
+        worst = (KabcoLevel.UNKNOWN, True)
+        if level is not None:
+            worst = (level, "worst_injury" in degraded)
 
         crashes[crash_id] = _CrashRow(
             state=state.strip().upper(),
             county=county.strip().upper(),
             year=year,
             location=location,
-            primary_road=resolve["primary_road"](row)[0],
-            secondary_road=resolve["secondary_road"](row)[0],
-            junction=_coded_member("junction_relation", resolve, row, report),
-            manner=_coded_member("manner_of_collision", resolve, row, report),
+            primary_road=primary_road,
+            secondary_road=secondary_road,
+            junction=_coded_member("junction_relation", junction, degraded, report),
+            manner=_coded_member("manner_of_collision", manner, degraded, report),
             worst=worst,
         )
     if number:
@@ -391,18 +364,17 @@ def _read_crash_rows(
 
 
 def _coded_member(
-    fname: str, resolve: Mapping[str, Resolver], row: list[str], report: IngestReport
+    fname: str, member: Optional[Enum], degraded: tuple[str, ...], report: IngestReport
 ) -> Enum:
     """Enum member of a coded field; an absent one reads as the field's
     unknown member, and an absent or degraded one counts as unknown."""
-    member, degraded = resolve[fname](row)
-    if member is None or degraded:
+    if member is None or fname in degraded:
         report.count_unknown(fname)
     return VOCABULARIES[fname].unknown if member is None else member
 
 
 def _read_person_rows(
-    resolve: Mapping[str, Resolver],
+    convert: RowConverter,
     rows: Rows,
     crashes: Mapping[str, _CrashRow],
     skipped_ids: set[str],
@@ -414,25 +386,22 @@ def _read_person_rows(
     airbags_by_unit: dict[tuple[str, int], bool] = {}
     number = attached = 0
     for number, row in rows:
-        key, _ = resolve["person.crash_id"](row)
+        key, unit_raw, level, airbag, degraded = convert(row)
         if key is None:
             report.skip("person", number, "missing crash key")
             continue
         if key not in crashes:
             report.skip("person", number, _orphan_reason(key, skipped_ids))
             continue
-        unit_raw, _ = resolve["person.unit_id"](row)
         unit_id = _int_or_none(unit_raw)
         if unit_id is None and unit_raw:
             report.skip("person", number, f"unparseable unit_id {unit_raw!r}")
             continue
         attached += 1
-        level, degraded = resolve["person.injury"](row)
         if level is not None:
-            if degraded:
+            if "person.injury" in degraded:
                 report.count_unknown("person.injury")
             injuries_by_crash.setdefault(key, []).append(level)
-        airbag, _ = resolve["person.airbag"](row)
         if unit_id is not None and airbag is not None:
             airbags_by_unit[key, unit_id] = airbag or airbags_by_unit.get((key, unit_id), False)
     if number:
@@ -442,7 +411,7 @@ def _read_person_rows(
 
 
 def _read_unit_rows(
-    resolve: Mapping[str, Resolver],
+    convert: RowConverter,
     rows: Rows,
     crashes: Mapping[str, _CrashRow],
     skipped_ids: set[str],
@@ -457,8 +426,8 @@ def _read_unit_rows(
     seen: set[tuple[str, int]] = set()
     number = attached = 0
     for number, row in rows:
-        key, _ = resolve["unit.crash_id"](row)
-        unit_raw, _ = resolve["unit.unit_id"](row)
+        (key, unit_raw, vehicle_class, in_transport, airbag, direction, maneuver_token,
+         event_raw, degraded) = convert(row)
         if not key or not unit_raw:
             report.skip("unit", number, "missing crash or unit key")
             continue
@@ -475,9 +444,8 @@ def _read_unit_rows(
         seen.add((key, unit_id))
         attached += 1
 
-        vehicle_class = _coded_member("unit.vehicle_class", resolve, row, report)
+        vehicle_class = _coded_member("unit.vehicle_class", vehicle_class, degraded, report)
         # Only an unknown status counts, not a '*' fallback to a definite flag.
-        in_transport, _ = resolve["unit.in_transport"](row)
         if in_transport is None:
             if tracks_transport:
                 report.count_unknown("unit.in_transport")
@@ -485,12 +453,9 @@ def _read_unit_rows(
         if vehicle_class in VRU_CLASSES:
             in_transport = False  # non-motorists are never in-transport vehicles
 
-        airbag, _ = resolve["unit.airbag"](row)
         if airbag is None:
             airbag = airbags_by_unit.get((key, unit_id))
-        direction, _ = resolve["unit.travel_direction"](row)
-        maneuver_token, _ = resolve["unit.maneuver"](row)
-        event = _int_or_none(resolve["unit.first_contact_event"](row)[0])
+        event = _int_or_none(event_raw)
 
         units_by_crash.setdefault(key, []).append(
             VehicleUnit(
@@ -674,16 +639,11 @@ def load_vmt_table(
 
 
 def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]:
-    config.validate(VMT_REQUIRED)
     records = []
-    with _mapped_table("vmt", source, config, VMT_REQUIRED, VMT_REQUIRED) as (resolve, rows):
+    with _mapped_table("vmt", source, config, VMT_REQUIRED, VMT_REQUIRED) as (convert, rows):
         for number, row in rows:
-            class_token, _ = resolve["functional_class"](row)
-            state, _ = resolve["state"](row)
-            county, _ = resolve["county"](row)
-            year_raw, _ = resolve["year"](row)
+            state, county, class_token, year_raw, miles_raw, _ = convert(row)
             year = _int_or_none(year_raw)
-            miles_raw, _ = resolve["vmt_miles"](row)
             miles = _float_or_none(miles_raw)
             if not state or not county or not year_raw or not miles_raw or not class_token:
                 raise DataError(f"{config.name}/vmt row {number}: incomplete row")

@@ -31,6 +31,8 @@ degrade to the field's unknown value and are counted.  A config is
 checked when it loads: [columns], [dictionary.F] and [derive.F] name
 only ``CANONICAL_FIELDS``, [source] holds only ``SOURCE_OPTIONS``, and
 any other field, option or section is a ConfigError naming it.
+``compile`` checks a table's mapping against its header and makes its
+one row converter, which decides each distinct coded row once.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 from .model import (
     COMPASS_OCTANTS,
     ConfigError,
+    DataError,
     InvalidOptionError,
     JunctionRelation,
     KabcoLevel,
@@ -88,8 +91,9 @@ class Const:
 
 
 Binding = Union[Column, Const]
-# A field compiled against one header: raw row values -> (value, degraded).
-Resolver = Callable[[Sequence[str]], tuple[Any, bool]]
+# A table's mapping compiled against its header: raw row values -> the
+# values of the compiled fields, then the names of those that came out degraded.
+RowConverter = Callable[[Sequence[str]], list]
 
 
 @dataclass(frozen=True)
@@ -342,50 +346,78 @@ class MappingConfig:
         return raw, False
 
     def compile(
-        self, header: Sequence[str], fields: Iterable[str]
-    ) -> dict[str, Resolver]:
-        """Compile fields against one table header.
+        self,
+        header: Sequence[str],
+        fields: Sequence[str],
+        required: Sequence[str] = (),
+        table: str = "table",
+    ) -> RowConverter:
+        """Check a table against this mapping and compile its row converter.
 
-        Each resolver takes a row as a list of raw values in header order,
-        at least as long as the header, and returns what ``resolve``
-        returns for the same row as a dict (a repeated column name keeps
-        its last value).  A field that reads no column of this header is
-        a constant.  A column bound with no dictionary, derive rule or
-        vocabulary is read directly, never memoized: such columns carry
-        ids, coordinates and road names, whose values rarely repeat.  Any
-        other field is resolved once per distinct tuple of the raw values
-        it reads, by ``resolve`` itself, so ``resolve`` stays the one
-        definition of what a field means.
+        A required field left unbound is a ConfigError (``validate``); no
+        header, or none with the column bound to one, is a DataError naming
+        the mapping and ``table``.  The converter takes a row of raw values
+        in header order and returns a list: the values of ``fields``, in
+        order, then a tuple of the names of those that came out degraded, as
+        ``resolve`` gives them for the row as a dict.  A column bound with no
+        dictionary, derive rule or vocabulary (ids, years, coordinates, road
+        names) is read per row; the other fields are decided by ``resolve``
+        once per distinct tuple of the raw values they read.
         """
+        self.validate(required)
+        if required and not header:
+            raise DataError(f"{self.name}/{table}: empty or malformed header")
         index = {name: i for i, name in enumerate(header)}
-        return {fname: self._compile_field(fname, index) for fname in fields}
+        for fname in required:
+            binding = self.columns[fname]
+            if isinstance(binding, Column) and binding.name not in index:
+                raise DataError(
+                    f"{self.name}/{table}: header missing column {binding.name!r} "
+                    f"(bound to {fname})"
+                )
 
-    def _compile_field(self, fname: str, index: Mapping[str, int]) -> Resolver:
-        rules = self.derives.get(fname, ())
-        binding = self.columns.get(fname)
-        read = [cond.column for rule in rules for cond in rule.conditions]
-        if isinstance(binding, Column):
-            read.append(binding.name)
+        plain: list[tuple[int, int]] = []  # (slot, position of its column)
+        coded: list[tuple[int, str]] = []  # (slot, field)
+        read: list[str] = []  # the columns the coded fields read
+        for slot, fname in enumerate(fields):
+            binding = self.columns.get(fname)
+            rules = self.derives.get(fname, ())
+            if isinstance(binding, Column) and binding.name in index and not (
+                rules or fname in self.dictionaries or fname in VOCABULARIES
+            ):
+                plain.append((slot, index[binding.name]))
+                continue
+            coded.append((slot, fname))
+            read += [cond.column for rule in rules for cond in rule.conditions]
+            read += [binding.name] if isinstance(binding, Column) else []
         read = [column for column in dict.fromkeys(read) if column in index]
-        if not read:
-            constant = self.resolve(fname, {})
-            return lambda row: constant
-        if not rules and fname not in self.dictionaries and fname not in VOCABULARIES:
-            position = index[read[0]]
-            return lambda row: (row[position].strip() or None, False)
+        read_key = _picker([index[column] for column in read])
+        memo: dict[tuple, list] = {}
 
-        get = itemgetter(*(index[column] for column in read))
-        memo: dict[object, tuple[Any, bool]] = {}
+        def convert(row: Sequence[str]) -> list:
+            key = read_key(row)
+            entry = memo.get(key)
+            if entry is None:
+                raw = dict(zip(read, key))
+                entry = memo[key] = [None] * len(fields) + [()]
+                for slot, fname in coded:
+                    entry[slot], degraded = self.resolve(fname, raw)
+                    if degraded:
+                        entry[-1] += (fname,)
+            values = entry.copy()
+            for slot, position in plain:
+                values[slot] = row[position].strip() or None
+            return values
 
-        def coded(row: Sequence[str]) -> tuple[Any, bool]:
-            key = get(row)
-            result = memo.get(key)
-            if result is None:
-                values = key if len(read) > 1 else (key,)
-                result = memo[key] = self.resolve(fname, dict(zip(read, values)))
-            return result
+        return convert
 
-        return coded
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*positions)``, returning a tuple for any number of positions."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
 def _check_tokens(path, section: str, fname: str, tokens: Iterable[str]) -> None:

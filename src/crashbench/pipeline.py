@@ -189,7 +189,7 @@ def _boolean(raw: str) -> bool:
 
 
 def _input_file(raw: str) -> Path:
-    """An input file: resolved against the run config's directory, and it must exist."""
+    """An input file: resolved against the run config's directory, and it must be a file."""
     return Path(raw)
 
 
@@ -253,7 +253,7 @@ def load_run_config(path: str | Path, **overrides) -> RunConfig:
     out_dir override is taken as given, while the file's out_dir (or the
     default) is resolved against the config's directory, like every
     input file.  An empty ``effects`` or ``type_gate_order`` means the
-    default.  Referenced input files must exist at load time.  A
+    default.  Referenced input files must be files at load time.  A
     section other than [run], [params], [inputs], [areas] and
     [source.NAME], or an option its section does not declare, is a
     ConfigError naming the file, the section and the name.
@@ -287,8 +287,10 @@ def load_run_config(path: str | Path, **overrides) -> RunConfig:
                 ) from None
             if given is None and isinstance(value, Path):
                 value = base / value
-                if option.convert is _input_file and not value.exists():
-                    raise ConfigError(f"{path}: input file not found: {value}")
+                if option.convert is _input_file and not value.is_file():
+                    raise ConfigError(
+                        f"{path}: [{section}] {option.name}: input file not found: {value}"
+                    )
             if value != ():
                 values[option.attr] = value
         return values

@@ -49,6 +49,8 @@ from .model import (
     IdentityEnum,
     LatLon,
     RoadClass,
+    check_names,
+    ini_sections,
     read_ini,
     valid_coordinate,
 )
@@ -657,8 +659,10 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
 def load_alias_table(path: str | Path) -> dict[str, list[str]]:
     """Read the route alias table: an [aliases] section mapping
     route_id -> comma-separated local names, read literally ('%' is not
-    an interpolation marker)."""
+    an interpolation marker).  Any other section, [DEFAULT] with options
+    included, is a ConfigError naming it."""
     parser = read_ini(path, "alias table")  # route ids keep their case
+    check_names(path, None, ini_sections(parser), ("aliases",), "section")
     if not parser.has_section("aliases"):
         raise ConfigError(f"{path}: missing [aliases] section")
     return {

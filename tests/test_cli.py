@@ -185,6 +185,8 @@ class TestRun:
              "tx.ini: [columns] unit.vehical_class: unknown field"),
             ("tx_vmt", "vmt_scale = 1\n", "vmt_scale = abc\n",
              "tx_vmt.ini: [source] vmt_scale must be a finite number > 0, got 'abc'"),
+            ("tx", "unit.crash_id = Crash_ID\n", "",
+             "mapping 'tx': required fields unbound: unit.crash_id"),
         ],
     )
     def test_bad_mapping_name_or_scale_exit_config_error(self, fixtures_dir, tmp_path, capsys,
@@ -275,6 +277,12 @@ class TestRun:
              "[params] threshhold_m: unknown option; did you mean 'threshold_m'"),
             ("[params]", "[param]", "[param]: unknown section; did you mean 'params'"),
             ("[run]", "[DEFAULT]\nseed = 3\n[run]", "[DEFAULT]: unknown section"),
+            ("units_table = tx_units.csv", "units_table =",
+             "[source.tx] units_table: input file not found"),
+            ("vmt_table = tx_vmt.csv", "vmt_table = .",
+             "[source.tx] vmt_table: input file not found"),
+            ("aliases = roadclass_aliases.ini", "aliases = nowhere.ini",
+             "[inputs] aliases: input file not found"),
         ],
     )
     def test_bad_config_value_exit_config_error(self, fixtures_dir, tmp_path, capsys,

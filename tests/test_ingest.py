@@ -1,6 +1,8 @@
+import csv
 import io
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -275,8 +277,9 @@ def test_compiled_resolvers_match_resolve(builtin_mappings, name, data):
     for row in data.draw(st.lists(rows, min_size=1, max_size=6)):
         row = list(row)
         as_dict = dict(zip(header, row))
-        for fname in fields:
-            assert compiled[fname](row) == config.resolve(fname, as_dict), fname
+        *values, degraded = compiled(row)
+        for fname, value in zip(fields, values, strict=True):
+            assert (value, fname in degraded) == config.resolve(fname, as_dict), fname
 
 
 class TestCrashLoading:
@@ -599,6 +602,69 @@ class TestRowAccounting:
         assert report.rows_read == {"crash": 2, "unit": 4, "person": 3}
         assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
         assert "unit.vehicle_class" not in report.unknown_counts  # orphan not parsed
+
+    @pytest.mark.parametrize("fname", ["unit.crash_id", "unit.unit_id", "person.crash_id"])
+    def test_unbound_key_field_is_config_error(self, tmp_path, fixtures_dir, fname):
+        # A units or persons table used to load with every row skipped.
+        from importlib import resources
+
+        text = resources.files("crashbench").joinpath("configs", "tx.ini").read_text()
+        kept = [line for line in text.splitlines() if not line.startswith(f"{fname} =")]
+        assert len(kept) == len(text.splitlines()) - 1
+        path = tmp_path / "nokey.ini"
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ConfigError, match=rf"mapping 'tx': required fields unbound: {fname}"):
+            load_crash_table(
+                fixtures_dir / "tx_crashes.csv",
+                MappingConfig.load(path),
+                units_source=fixtures_dir / "tx_units.csv",
+                persons_source=fixtures_dir / "tx_persons.csv",
+            )
+
+    @staticmethod
+    def _tiled(path, k: int) -> io.StringIO:
+        """A table's rows k times over, each tile's non-empty crash ids suffixed."""
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        crash_id = header.index("Crash_ID")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for tile in range(k):
+            for row in rows:
+                if row and row[crash_id].strip():
+                    row = row[:crash_id] + [f"{row[crash_id]}~{tile}"] + row[crash_id + 1:]
+                writer.writerow(row)
+        out.seek(0)
+        return out
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tiling_multiplies_every_count(self, tx_mapping, fixtures_dir, k):
+        # Ingest decides each distinct coded row once; its counts must
+        # still follow the rows, so k copies of the tables count k times.
+        names = ("tx_crashes.csv", "tx_units.csv", "tx_persons.csv")
+
+        def counts(tables) -> dict:
+            crashes, units, persons = tables
+            _, report = load_crash_table(crashes, tx_mapping, units, persons)
+            return {
+                "rows_read": report.rows_read,
+                "rows_attached": report.rows_attached,
+                "records_emitted": report.records_emitted,
+                "skipped": Counter((s.table, s.reason) for s in report.skipped),
+                "unknown_counts": report.unknown_counts,
+                "missing_location": report.missing_location,
+                "crashes_without_units": report.crashes_without_units,
+            }
+
+        once = counts([fixtures_dir / name for name in names])
+        assert once["unknown_counts"] and once["skipped"] and once["missing_location"]
+        tiled = counts([self._tiled(fixtures_dir / name, k) for name in names])
+        assert tiled == {
+            name: {key: k * n for key, n in count.items()} if isinstance(count, dict)
+            else k * count
+            for name, count in once.items()
+        }
 
 
 class TestRecordContract:

@@ -150,6 +150,22 @@ class TestAliasTable:
         path.write_text("[aliases]\nLOOP-1 = MOPAC 100%, LOOP %(x)s\n")
         assert load_alias_table(path) == {"LOOP-1": ["MOPAC 100%", "LOOP %(x)s"]}
 
+    @pytest.mark.parametrize(
+        "text,section",
+        [
+            ("[DEFAULT]\nI-99 = NOWHERE ROAD\n[aliases]\nI-35 = IH 35\n[other]\nx = 1\n",
+             "DEFAULT"),
+            ("[aliases]\nI-35 = IH 35\n[other]\nx = 1\n", "other"),
+            ("[alias]\nI-35 = IH 35\n", "alias"),
+        ],
+    )
+    def test_other_sections_are_config_errors(self, tmp_path, text, section):
+        # [DEFAULT] options used to become aliases, and other sections were ignored.
+        path = tmp_path / "aliases.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"aliases\.ini: \[{section}\]: unknown section"):
+            load_alias_table(path)
+
 
 class TestDistance:
     def test_vertex_coincidence_is_zero(self, road_index):
