@@ -518,8 +518,9 @@ class FileCachedGeocoder:
     requests resolve, which keeps runs deterministic and offline.
     Cache lines are 'key<TAB>lat<TAB>lon'; a line that does not parse, or
     whose coordinates fail ``valid_coordinate``, is a DataError naming the
-    line.  An inner client's answer that fails ``valid_coordinate`` counts
-    as unresolved and is not cached.
+    line, and so is a repeated key with other coordinates (naming both
+    lines); an exact repeat loads.  An inner client's answer that fails
+    ``valid_coordinate`` counts as unresolved and is not cached.
     """
 
     def __init__(self, path: str | Path, inner: Optional[GeocoderClient] = None):
@@ -533,6 +534,7 @@ class FileCachedGeocoder:
                 raise DataError(f"{self.path}: not UTF-8 text ({exc})") from None
 
     def _load(self) -> None:
+        line_of: dict[str, int] = {}
         with open(self.path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -548,7 +550,12 @@ class FileCachedGeocoder:
                         line_no,
                         f"{lat!r}, {lon!r} is not lat in [-90, 90] and lon in [-180, 180]",
                     )
-                self._cache[key] = location
+                if self._cache.setdefault(key, location) != location:
+                    raise DataError(
+                        f"{self.path}: lines {line_of[key]} and {line_no} give different "
+                        f"coordinates for {key!r}"
+                    )
+                line_of.setdefault(key, line_no)
 
     def _malformed(self, line_no: int, reason: str) -> DataError:
         return DataError(
@@ -723,7 +730,8 @@ def load_share_table(path: str | Path) -> PassengerShareTable:
     state, functional_class, urban, share.  An unknown functional class,
     an urban value that is neither a flag nor urban/rural, a share that is
     not a finite number in (0, 1], or a second row for the same (state,
-    class, urban) key, is a DataError naming the file and row(s)."""
+    class, urban) key, states compared as PassengerShareTable stores them
+    (stripped, upper case), is a DataError naming the file and row(s)."""
     shares: dict[tuple[str, FunctionalClass, bool], float] = {}
     row_of: dict[tuple[str, FunctionalClass, bool], int] = {}
     with _open_table(path, ",") as (header, rows):
@@ -742,7 +750,7 @@ def load_share_table(path: str | Path) -> PassengerShareTable:
                     f"{path}: row {number}: share {share_raw!r} is not a finite number "
                     f"in (0, 1]"
                 )
-            key = (state.strip(), fclass, urban)
+            key = (state.strip().upper(), fclass, urban)  # as PassengerShareTable keys it
             if key in row_of:
                 raise DataError(
                     f"{path}: rows {row_of[key]} and {number} both give the share for "

@@ -16,11 +16,21 @@ reports are byte-identical across runs and hash seeds.
 ``RunConfig.workers`` is validated but has no effect, and
 ``RunConfig.seed`` is only recorded in the report metadata.  Ingest
 decides the crash-record contract, so no later stage validates a record.
+
+``run`` and ``load_crashes`` pause Python's cyclic garbage collector
+while they last and then restore the state the caller had, also when
+they raise.  The records a run builds hold no reference cycles, so the
+collector's repeated passes over them would free nothing; reference
+counting frees everything else as before.  The collector's state belongs
+to the process, so other threads in the same process share the pause
+while the run lasts.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
+import gc
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
@@ -331,17 +341,31 @@ def load_run_config(path: str | Path, **overrides) -> RunConfig:
 # --- input stages ------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off, then back to the state it
+    had, so nested pauses each restore what they found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _base_dir(config: RunConfig) -> Path:
     return Path(".") if config.config_path is None else config.config_path.parent
 
 
+@_collector_paused()
 def load_crashes(
     config: RunConfig,
 ) -> tuple[list[CrashRecord], list[IngestReport], dict[str, int]]:
     """Ingest every source's crash, unit and person tables in config
     order, geocoding location-less records when a geocoder cache is
     configured.  Returns the records, one IngestReport per source and
-    the geocoding tallies."""
+    the geocoding tallies.  The cyclic collector is paused meanwhile."""
     base = _base_dir(config)
     geocoder = (
         FileCachedGeocoder(config.geocoder_cache)
@@ -644,8 +668,10 @@ def _input_digests(config: RunConfig) -> dict[str, str]:
     return digests
 
 
+@_collector_paused()
 def run(config: RunConfig) -> report_mod.BenchmarkReport:
-    """Execute the full pipeline and write the report files.
+    """Execute the full pipeline and write the report files, with the
+    cyclic collector paused until it returns or raises.
 
     Raises ConfigError for configuration problems and DataError for
     data-contract violations.  Report files are written only after every

@@ -1,5 +1,8 @@
-"""Seeded random crash-record corpus for fuzz and property tests."""
+"""Seeded random crash-record corpus for fuzz and property tests, and
+tiled copies of the fixture tables."""
 
+import csv
+import io
 import random
 
 from crashbench.model import (
@@ -84,3 +87,20 @@ def random_record(rng: random.Random, crash_id: str) -> CrashRecord:
 def make_corpus(size: int, seed: int = 20230901) -> list[CrashRecord]:
     rng = random.Random(seed)
     return [random_record(rng, f"F{i:06d}") for i in range(size)]
+
+
+def tiled_table(path, k: int) -> str:
+    """A crash, unit or person table's rows k times over, each tile's
+    non-empty crash ids suffixed so that the tiles are distinct crashes."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    crash_id = header.index("Crash_ID")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for tile in range(k):
+        for row in rows:
+            if row and row[crash_id].strip():
+                row = row[:crash_id] + [f"{row[crash_id]}~{tile}"] + row[crash_id + 1:]
+            writer.writerow(row)
+    return out.getvalue()

@@ -1,4 +1,3 @@
-import csv
 import io
 import math
 import re
@@ -35,6 +34,7 @@ from crashbench.model import (
 )
 from crashbench.pipeline import resolve_mapping
 
+from corpus import tiled_table
 from test_model import make_record
 
 CRASH_HEADER = (
@@ -621,23 +621,6 @@ class TestRowAccounting:
                 persons_source=fixtures_dir / "tx_persons.csv",
             )
 
-    @staticmethod
-    def _tiled(path, k: int) -> io.StringIO:
-        """A table's rows k times over, each tile's non-empty crash ids suffixed."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, *rows = csv.reader(fh)
-        crash_id = header.index("Crash_ID")
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for tile in range(k):
-            for row in rows:
-                if row and row[crash_id].strip():
-                    row = row[:crash_id] + [f"{row[crash_id]}~{tile}"] + row[crash_id + 1:]
-                writer.writerow(row)
-        out.seek(0)
-        return out
-
     @pytest.mark.parametrize("k", [2, 3])
     def test_tiling_multiplies_every_count(self, tx_mapping, fixtures_dir, k):
         # Ingest decides each distinct coded row once; its counts must
@@ -659,7 +642,7 @@ class TestRowAccounting:
 
         once = counts([fixtures_dir / name for name in names])
         assert once["unknown_counts"] and once["skipped"] and once["missing_location"]
-        tiled = counts([self._tiled(fixtures_dir / name, k) for name in names])
+        tiled = counts([io.StringIO(tiled_table(fixtures_dir / name, k)) for name in names])
         assert tiled == {
             name: {key: k * n for key, n in count.items()} if isinstance(count, dict)
             else k * count
@@ -999,6 +982,26 @@ class TestGeocoding:
         assert out[0].location is None
         assert report.unresolved == 1
 
+    def test_conflicting_cache_lines_are_data_error(self, tmp_path):
+        # The later line used to replace the earlier one silently.
+        cache_path = tmp_path / "cache.tsv"
+        key = GeocodeRequest("TX", "TRAVIS", "US-290", "SPRINGDALE RD").key()
+        other = GeocodeRequest("TX", "TRAVIS", "MAIN ST", "").key()
+        cache_path.write_text(
+            f"{key}\t30.32\t-97.66\n{other}\t30.1\t-97.1\n\n{key}\t30.33\t-97.66\n"
+        )
+        message = (
+            rf"cache\.tsv: lines 1 and 4 give different coordinates for {re.escape(repr(key))}"
+        )
+        with pytest.raises(DataError, match=message):
+            FileCachedGeocoder(cache_path)
+
+    def test_exact_repeat_cache_line_loads(self, tmp_path):
+        cache_path = tmp_path / "cache.tsv"
+        request = GeocodeRequest("TX", "TRAVIS", "US-290", "SPRINGDALE RD")
+        cache_path.write_text(f"{request.key()}\t30.32\t-97.66\n" * 2)
+        assert FileCachedGeocoder(cache_path).locate(request) == LatLon(30.32, -97.66)
+
     def test_key_normalization(self):
         a = GeocodeRequest("tx", " travis ", "us-290", "springdale  rd").key()
         b = GeocodeRequest("TX", "TRAVIS", "US-290", "SPRINGDALE RD").key()
@@ -1095,6 +1098,18 @@ def test_repeated_share_row_is_data_error(tmp_path):
     path.write_text("state,functional_class,urban,share\nTX,Freeway,true,0.92\n"
                     "TX,SurfaceStreet,true,0.95\nTX,Freeway,true,0.5\n")
     message = r"shares.csv: rows 1 and 3 both give the share for \(TX, Freeway, urban=True\)"
+    with pytest.raises(DataError, match=message):
+        load_share_table(path)
+
+
+@pytest.mark.parametrize("state", ["tx", "Tx "])
+def test_share_rows_differing_only_in_state_case_are_data_error(tmp_path, state):
+    # The table keys states stripped and upper-cased, so the second row
+    # used to replace the first silently.
+    path = tmp_path / "shares.csv"
+    path.write_text(f"state,functional_class,urban,share\nTX,Freeway,true,0.9\n"
+                    f"{state},Freeway,true,0.5\n")
+    message = r"shares.csv: rows 1 and 2 both give the share for \(TX, Freeway, urban=True\)"
     with pytest.raises(DataError, match=message):
         load_share_table(path)
 

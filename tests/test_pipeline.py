@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import shutil
@@ -26,7 +27,7 @@ from crashbench.power import DEFAULT_EFFECT_RATIOS
 from crashbench.roadclass import classify_road
 from crashbench.taxonomy import CrashType, OutcomeLevel, classify_outcome
 
-from corpus import make_corpus
+from corpus import make_corpus, tiled_table
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +371,77 @@ class TestRunConfig:
         )
         report = pipeline.run(config)
         assert report.metadata["params"]["type_gate_order"][0] == "vru"
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test, whatever it set."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """``run`` and ``load_crashes`` pause the cyclic collector and restore it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("stage", ["run", "load_crashes"])
+    def test_state_restored_after_success(
+        self, fixtures_dir, tmp_path, collector, stage, enabled
+    ):
+        config = pipeline.load_run_config(fixtures_dir / "run.ini", out_dir=tmp_path)
+        (gc.enable if enabled else gc.disable)()
+        getattr(pipeline, stage)(config)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "case,error",
+        [("unknown mapping", ConfigError), ("missing VMT", DataError)],
+    )
+    def test_state_restored_after_failure(
+        self, fixtures_dir, tmp_path, collector, case, error, enabled
+    ):
+        config = pipeline.load_run_config(fixtures_dir / "run.ini", out_dir=tmp_path)
+        if case == "unknown mapping":
+            source = replace(config.sources[0], mapping="builtin:nope")
+            config = replace(config, sources=(source,))
+        else:
+            config = replace(config, areas=(GeoArea("Nowhere", "TX", frozenset({"NOWHERE"})),))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(error):
+            pipeline.run(config)
+        assert gc.isenabled() is enabled
+        assert not any(tmp_path.iterdir())
+
+    def test_paused_during_a_stage(self, fixtures_dir, tmp_path, collector, monkeypatch):
+        seen = []
+        build = pipeline.build_benchmark
+        monkeypatch.setattr(
+            pipeline, "build_benchmark", lambda *a: seen.append(gc.isenabled()) or build(*a)
+        )
+        gc.enable()
+        pipeline.run(pipeline.load_run_config(fixtures_dir / "run.ini", out_dir=tmp_path))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_cyclic_garbage_does_not_grow_with_input(self, fixtures_dir, tmp_path, collector):
+        # With the collector paused, cycles a run leaves behind pile up
+        # until the run ends; they may come from the config (mappings are
+        # ConfigParser cycles), never from the rows.
+        def garbage_after_run(k: int) -> int:
+            inputs = tmp_path / f"x{k}"
+            shutil.copytree(fixtures_dir, inputs)
+            for name in ("tx_crashes.csv", "tx_units.csv", "tx_persons.csv"):
+                (inputs / name).write_text(tiled_table(fixtures_dir / name, k), encoding="utf-8")
+            config = pipeline.load_run_config(inputs / "run.ini", out_dir=inputs / "out")
+            gc.collect()
+            gc.disable()
+            report = pipeline.run(config)
+            assert report.diagnostics["ingest"][0]["rows_read"]["crash"] == 35 * k
+            return gc.collect()
+
+        assert garbage_after_run(4) <= garbage_after_run(1)
 
 
 # A two-area world over the corpus counties (HAYS falls outside both).
