@@ -21,7 +21,7 @@ from .ingest import load_ads_table
 from .model import ConfigError, CrashBenchError, DataError
 from .power import DEFAULT_ALPHA, DEFAULT_POWER, monte_carlo_power, power_curve
 from .rates import poisson_intervals, safety_impact
-from .report import TOOL_VERSION, parse_rate_table
+from .report import TOOL_VERSION, parse_rate_table, report_paths
 from .roadclass import classify_road
 
 ENV_PREFIX = "CRASHBENCH_"
@@ -107,7 +107,21 @@ def cmd_classify_roads(args) -> int:
 
 
 def cmd_rates(args) -> int:
+    """The rate tables, with a power grid of no rows.  A directory whose
+    power grid has rows (a full run's output) is refused before anything
+    is written, so its files stay whole."""
     config = _load_config(args)
+    grid = report_paths(config.out_dir, str(config.year))["power_grid"]
+    try:
+        with open(grid, "rb") as fh:
+            has_rows = bool(fh.readline() and fh.readline())
+    except FileNotFoundError:
+        has_rows = False
+    if has_rows:
+        raise ConfigError(
+            f"{grid} holds a full run's power grid, which rates would replace "
+            f"with an empty one; give rates another output directory"
+        )
     config = replace(config, params=replace(config.params, effects=()))
     pipeline.run(config)
     print(f"rate tables written -> {config.out_dir}")

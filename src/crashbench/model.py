@@ -343,7 +343,9 @@ class MissingShareError(CrashBenchError):
 @dataclass(frozen=True)
 class PassengerShareTable:
     """Fraction of VMT attributable to passenger vehicles, keyed by
-    (state, functional class, urban flag)."""
+    (state, functional class, urban flag).  States are stored stripped
+    and upper-cased; two keys that are then the same are a ConfigError
+    naming both."""
 
     shares: Mapping[tuple[str, FunctionalClass, bool], float] = field(
         default_factory=dict
@@ -351,13 +353,23 @@ class PassengerShareTable:
 
     def __post_init__(self):
         normalized = {}
+        given = {}
         for (state, fclass, urban), fraction in self.shares.items():
             if not (0.0 < fraction <= 1.0):
                 raise ConfigError(
                     f"passenger share must be in (0, 1], got {fraction} for "
                     f"({state}, {fclass.value}, urban={urban})"
                 )
-            normalized[(state.strip().upper(), fclass, bool(urban))] = float(fraction)
+            key = (state.strip().upper(), fclass, bool(urban))
+            if key in given:
+                first_state, first_urban = given[key]
+                raise ConfigError(
+                    f"passenger share keys ({first_state!r}, {fclass.value}, "
+                    f"urban={first_urban}) and ({state!r}, {fclass.value}, urban={urban}) "
+                    f"are the same key ({key[0]}, {fclass.value}, urban={key[2]})"
+                )
+            given[key] = (state, urban)
+            normalized[key] = float(fraction)
         object.__setattr__(self, "shares", normalized)
 
     def share_for(self, state: str, fclass: FunctionalClass, urban: bool) -> float:

@@ -38,6 +38,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from . import report as report_mod
 from .cohort import CohortCounts, passenger_fraction, passenger_vmt, select_units
 from .ingest import (
@@ -69,6 +71,7 @@ from .model import (
 )
 from .power import DEFAULT_ALPHA, DEFAULT_EFFECT_RATIOS, DEFAULT_POWER, mileage_grid
 from .rates import RateCell, adjust_underreporting, crash_type_distribution
+from .report import PowerRow
 from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
     FreewaySegmentIndex,
@@ -432,7 +435,7 @@ class BenchmarkTables:
     cells: list[RateCell]
     typed_cells: list[RateCell]
     distributions: list[tuple[GeoArea, RoadClass, OutcomeLevel, dict]]
-    power_grid: list[dict]
+    power_grid: list[PowerRow]
     diagnostics: dict
     cohort_counts: dict = field(default_factory=dict)
 
@@ -604,25 +607,25 @@ def build_benchmark(
         if sum(c.count for c in stratum) > 0
     ]
 
-    # One mileage grid over every severity cell with a positive rate.
-    powered = [cell for cell in cells if cell.count > 0]
-    lambdas = [cell.count / cell.vmt_miles for cell in powered]  # crashes per mile
-    required, target = mileage_grid(lambdas, params.effects, params.alpha, params.power)
-    power_grid = []
-    for cell, lam, required_row, target_row in zip(
-        powered, lambdas, required.tolist(), target.tolist()
-    ):
-        labels = {"geo": cell.geo.name, "road": LABEL[cell.road], "outcome": LABEL[cell.outcome]}
-        for effect, miles, target_miles in zip(params.effects, required_row, target_row):
-            power_grid.append(
-                {
-                    **labels,
-                    "effect_ratio": effect,
-                    "required_miles": miles,
-                    "expected_ads_crashes": effect * lam * miles,  # lambda_ads * miles
-                    "target_power_miles": target_miles,
-                }
-            )
+    # One mileage grid over every severity cell with a positive rate,
+    # its rows built in emit order: strata by (area name, road label,
+    # outcome label), each with the effect ratios in numeric order.
+    powered = sorted(
+        (cell for cell in cells if cell.count > 0),
+        key=lambda c: (c.geo.name, LABEL[c.road], LABEL[c.outcome]),
+    )
+    lambdas = np.array([cell.count / cell.vmt_miles for cell in powered])  # crashes per mile
+    effects = sorted(params.effects)
+    required, target = mileage_grid(lambdas, effects, params.alpha, params.power)
+    # lambda_ads * miles, evaluated as effect * lambda_human * miles
+    expected = np.array(effects) * lambdas[:, np.newaxis] * required
+    power_grid = [
+        (cell.geo.name, LABEL[cell.road], LABEL[cell.outcome], *figures)
+        for cell, required_row, expected_row, target_row in zip(
+            powered, required.tolist(), expected.tolist(), target.tolist()
+        )
+        for figures in zip(effects, required_row, expected_row, target_row)
+    ]
 
     diagnostics = {
         "records_in_year": records_in_year,

@@ -7,18 +7,29 @@ identical inputs yields byte-identical files: fixed column order, fixed
 sort order, repr-based float formatting (which also makes the rate
 tables parse back into the exact cells), LF line endings, and no
 timestamps.
+
+The tables are the csv module's dialect with ``lineterminator="\n"``,
+written line by line without ``csv.writer``'s scan of every field.
+Only the free-text columns (area name, state, counties) can need
+quoting; ``csv.writer`` formats each distinct value of them once.  Every
+other field is a ``LABEL`` value, the ``repr`` of a float or the
+``count (rate)`` display, none of which needs quoting, and is written
+as it is.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .model import CrashBenchError, DataError, GeoArea, RoadClass
-from .rates import RateCell, format_rate, poisson_intervals
+from .rates import MILLION, RateCell, format_rate, poisson_intervals
 from .taxonomy import LABEL, OUTCOME_RANK, CrashType, OutcomeLevel
 
 TOOL_VERSION = "0.1.0"
@@ -59,6 +70,20 @@ RATE_COLUMNS = (
     "ci_high_ipmm",
     "display",
 )
+DISTRIBUTION_COLUMNS = ("geo", "road", "outcome", "crash_type", "fraction")
+POWER_GRID_COLUMNS = (
+    "geo",
+    "road",
+    "outcome",
+    "effect_ratio",
+    "required_miles",
+    "expected_ads_crashes",
+    "target_power_miles",
+)
+# One required-mileage grid row, in POWER_GRID_COLUMNS order: a severity
+# stratum (area name, road and outcome labels), an effect ratio and its
+# three figures.  Rows sort in emit order as plain tuples.
+PowerRow = tuple[str, str, str, float, float, float, float]
 
 
 @dataclass
@@ -68,7 +93,7 @@ class BenchmarkReport:
     distributions: list[tuple[GeoArea, RoadClass, OutcomeLevel, dict]] = field(
         default_factory=list
     )
-    power_grid: list[dict] = field(default_factory=list)
+    power_grid: list[PowerRow] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     methodology_notes: tuple[str, ...] = METHODOLOGY_NOTES
 
@@ -86,55 +111,89 @@ def _fmt_count(count: float) -> str:
     return str(int(count)) if float(count).is_integer() else f"{count:.3f}"
 
 
-def _rate_rows(cells: list[RateCell]) -> list[list[str]]:
-    """One rate-table row per cell; the intervals of all cells come from
-    one ``poisson_intervals`` call."""
-    lows, highs = poisson_intervals(
-        [c.count for c in cells], [c.vmt_miles for c in cells], level=0.95
-    )
-    rows = []
-    geo = None
-    for cell, low, high in zip(cells, lows.tolist(), highs.tolist()):
-        if cell.geo is not geo:  # cells come sorted, so grouped by area
-            geo = cell.geo
-            geo_columns = (geo.name, geo.state, ";".join(sorted(geo.counties)))
-        rate = cell.rate_ipmm
-        rows.append(
-            [
-                *geo_columns,
-                LABEL[cell.road],
-                LABEL[cell.outcome],
-                LABEL[cell.crash_type] if cell.crash_type else "",
-                repr(cell.count),
-                repr(cell.vmt_miles),
-                repr(rate),
-                repr(low),
-                repr(high),
-                f"{_fmt_count(cell.count)} ({format_rate(rate)})",
-            ]
+class _QuotedFields(dict):
+    """Each free-text value mapped to the text ``csv.writer`` writes for
+    it inside a row, field separator included.  The trailing empty field
+    keeps a lone empty value from being written as ``""``, which the
+    writer does only for a row of one empty field."""
+
+    def __missing__(self, value: str) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((value, ""))
+        text = self[value] = buffer.getvalue()[:-1]  # drop the line end
+        return text
+
+
+def _rate_lines(cells: list[RateCell], quoted: _QuotedFields) -> Iterator[str]:
+    """One rate-table line per cell.  The intervals of all cells come
+    from one ``poisson_intervals`` call and the rates from one array
+    expression, bit for bit ``compute_rate``'s.  Cells come sorted, so
+    grouped by area and road: each group's leading columns, and each
+    VMT object's ``repr``, are formatted once."""
+    counts = np.array([c.count for c in cells], dtype=float)
+    vmts = np.array([c.vmt_miles for c in cells], dtype=float)
+    lows, highs = poisson_intervals(counts, vmts, level=0.95)
+    rates = counts / vmts * MILLION
+    geo = road = vmt = None
+    for cell, rate, low, high in zip(cells, rates.tolist(), lows.tolist(), highs.tolist()):
+        if cell.geo is not geo or cell.road is not road:
+            geo, road = cell.geo, cell.road
+            head = (
+                quoted[geo.name]
+                + quoted[geo.state]
+                + quoted[";".join(sorted(geo.counties))]
+                + LABEL[road]
+            )
+        if cell.vmt_miles is not vmt:
+            vmt = cell.vmt_miles
+            vmt_text = repr(vmt)
+        count = cell.count
+        crash_type = LABEL[cell.crash_type] if cell.crash_type else ""
+        yield (
+            f"{head},{LABEL[cell.outcome]},{crash_type},{count!r},{vmt_text},"
+            f"{rate!r},{low!r},{high!r},{_fmt_count(count)} ({format_rate(rate)})\n"
         )
-    return rows
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+def _distribution_lines(distributions, quoted: _QuotedFields) -> Iterator[str]:
+    for geo, road, outcome, fractions in sorted(
+        distributions, key=lambda d: (d[0].name, LABEL[d[1]], OUTCOME_RANK[d[2]])
+    ):
+        head = f"{quoted[geo.name]}{LABEL[road]},{LABEL[outcome]},"
+        for crash_type in sorted(fractions, key=LABEL.__getitem__):
+            yield f"{head}{LABEL[crash_type]},{fractions[crash_type]!r}\n"
+
+
+def _power_grid_lines(rows: list[PowerRow], quoted: _QuotedFields) -> Iterator[str]:
+    """One line per grid row, in tuple order (linear on rows that come
+    sorted).  Each stratum's leading columns and each effect-ratio
+    object's ``repr`` are formatted once."""
+    last = (None, None, None)
+    effect_text: dict[int, str] = {}  # by id: rows share their ratio objects
+    for geo, road, outcome, effect, required, expected, target in sorted(rows):
+        if geo is not last[0] or road is not last[1] or outcome is not last[2]:
+            last = (geo, road, outcome)
+            head = quoted[geo] + quoted[road] + quoted[outcome]
+        text = effect_text.get(id(effect))
+        if text is None:
+            text = effect_text[id(effect)] = repr(effect)
+        yield f"{head}{text},{required!r},{expected!r},{target!r}\n"
+
+
+def _write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """The header, then each line as it is built.  No column name needs
+    quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
-def emit_report(
-    report: BenchmarkReport, sink: str | Path, tag: Optional[str] = None
-) -> dict[str, Path]:
-    """Write all report files into the sink directory.
-
-    Returns the written paths keyed by table name.  File names carry the
-    tag (typically the data year).
-    """
+def report_paths(sink: str | Path, tag: Optional[str] = None) -> dict[str, Path]:
+    """The report files ``emit_report`` writes into ``sink``, keyed by
+    table name.  File names carry the tag (typically the data year)."""
     sink = Path(sink)
-    sink.mkdir(parents=True, exist_ok=True)
     suffix = f"_{tag}" if tag else ""
-    paths = {
+    return {
         "rates": sink / f"benchmark_rates{suffix}.csv",
         "typed_rates": sink / f"crash_type_rates{suffix}.csv",
         "distribution": sink / f"crash_type_distribution{suffix}.csv",
@@ -142,58 +201,32 @@ def emit_report(
         "report": sink / f"report{suffix}.json",
     }
 
+
+def emit_report(
+    report: BenchmarkReport, sink: str | Path, tag: Optional[str] = None
+) -> dict[str, Path]:
+    """Write all report files into the sink directory and return their
+    ``report_paths``.
+    """
+    paths = report_paths(sink, tag)
+    Path(sink).mkdir(parents=True, exist_ok=True)
+
     severity_cells = sorted(
         (c for c in report.cells if c.crash_type is None), key=_cell_sort_key
     )
     typed_cells = sorted(
         (c for c in report.cells if c.crash_type is not None), key=_cell_sort_key
     )
-    _write_csv(paths["rates"], RATE_COLUMNS, _rate_rows(severity_cells))
-    _write_csv(paths["typed_rates"], RATE_COLUMNS, _rate_rows(typed_cells))
-
-    dist_rows = []
-    for geo, road, outcome, fractions in sorted(
-        report.distributions,
-        key=lambda d: (d[0].name, LABEL[d[1]], OUTCOME_RANK[d[2]]),
-    ):
-        for crash_type in sorted(fractions, key=LABEL.__getitem__):
-            dist_rows.append(
-                [geo.name, LABEL[road], LABEL[outcome], LABEL[crash_type],
-                 repr(fractions[crash_type])]
-            )
+    quoted = _QuotedFields()
+    _write_csv(paths["rates"], RATE_COLUMNS, _rate_lines(severity_cells, quoted))
+    _write_csv(paths["typed_rates"], RATE_COLUMNS, _rate_lines(typed_cells, quoted))
     _write_csv(
         paths["distribution"],
-        ("geo", "road", "outcome", "crash_type", "fraction"),
-        dist_rows,
+        DISTRIBUTION_COLUMNS,
+        _distribution_lines(report.distributions, quoted),
     )
-
-    grid_rows = [
-        [
-            row["geo"],
-            row["road"],
-            row["outcome"],
-            repr(row["effect_ratio"]),
-            repr(row["required_miles"]),
-            repr(row["expected_ads_crashes"]),
-            repr(row["target_power_miles"]),
-        ]
-        for row in sorted(
-            report.power_grid,
-            key=lambda r: (r["geo"], r["road"], r["outcome"], r["effect_ratio"]),
-        )
-    ]
     _write_csv(
-        paths["power_grid"],
-        (
-            "geo",
-            "road",
-            "outcome",
-            "effect_ratio",
-            "required_miles",
-            "expected_ads_crashes",
-            "target_power_miles",
-        ),
-        grid_rows,
+        paths["power_grid"], POWER_GRID_COLUMNS, _power_grid_lines(report.power_grid, quoted)
     )
 
     doc = {

@@ -402,6 +402,27 @@ class TestStageCommands:
         assert len(rates) > 1
 
 
+    def test_rates_refuses_a_full_runs_directory(self, run_args, fixtures_dir, capsys):
+        # rates would replace the power grid and report with grid-less ones.
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert main(["rates", *args]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err and "power_grid_2023.csv" in err
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+        pinned = _pinned_digests(fixtures_dir)
+        for path in out.iterdir():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name]
+
+    def test_rates_rewrites_its_own_output(self, run_args):
+        args, out = run_args
+        assert main(["rates", *args]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["rates", *args]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def _pinned_digests(fixtures_dir) -> dict[str, str]:
     lines = (fixtures_dir / "golden_outputs.sha256").read_text().splitlines()
     return {name: digest for digest, name in (line.split() for line in lines)}

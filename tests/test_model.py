@@ -93,6 +93,22 @@ class TestVmtAndShares:
         with pytest.raises(ConfigError):
             PassengerShareTable({("TX", FunctionalClass.FREEWAY, True): 0.0})
 
+    @pytest.mark.parametrize("state", ["tx", " TX", "Tx "])
+    def test_keys_differing_only_in_state_case_or_spacing_are_config_error(self, state):
+        # Both keys store as (TX, Freeway, True); the second share used to
+        # replace the first silently.
+        shares = {("TX", FunctionalClass.FREEWAY, True): 0.9,
+                  (state, FunctionalClass.FREEWAY, True): 0.5}
+        with pytest.raises(ConfigError) as err:
+            PassengerShareTable(shares)
+        assert "('TX', Freeway, urban=True)" in str(err.value)
+        assert f"({state!r}, Freeway, urban=True)" in str(err.value)
+
+    def test_keys_of_other_classes_or_flags_load(self):
+        table = PassengerShareTable({("TX", FunctionalClass.FREEWAY, True): 0.9,
+                                     ("tx", FunctionalClass.FREEWAY, False): 0.8})
+        assert table.share_for("TX", FunctionalClass.FREEWAY, False) == 0.8
+
 
 def test_build_event_sequence_groups_and_orders():
     units = (

@@ -116,8 +116,18 @@ class TestAggregation:
         report, _ = fixture_report
         nonzero = [c for c in report.cells if c.crash_type is None and c.count > 0]
         assert len(report.power_grid) == 6 * len(nonzero)
-        row = report.power_grid[0]
-        assert row["target_power_miles"] > row["required_miles"]
+        # Built once in emit order: strata by their labels, each with the
+        # effect ratios in numeric order.
+        assert report.power_grid == sorted(report.power_grid)
+        lambdas = {
+            (c.geo.name, c.road.value, c.outcome.value): c.count / c.vmt_miles for c in nonzero
+        }
+        effects = {}
+        for geo, road, outcome, effect, required, expected, target in report.power_grid:
+            effects.setdefault((geo, road, outcome), []).append(effect)
+            assert 0.0 < required < target
+            assert expected == effect * lambdas[(geo, road, outcome)] * required
+        assert effects == {key: sorted(DEFAULT_EFFECT_RATIOS) for key in lambdas}
 
     def test_cohort_count_invariants(self, fixtures_dir, tmp_path):
         config = pipeline.load_run_config(fixtures_dir / "run.ini", out_dir=tmp_path)

@@ -1,16 +1,21 @@
+import csv
+import io
 import json
 
 from crashbench.model import GeoArea, RoadClass
-from crashbench.rates import RateCell
+from crashbench.rates import RateCell, format_rate, poisson_ci
 from crashbench.report import (
     BenchmarkReport,
+    DISTRIBUTION_COLUMNS,
     METHODOLOGY_NOTES,
     NOTE_MILEAGE_SCALE,
     NOTE_PHOENIX_FATAL,
+    POWER_GRID_COLUMNS,
+    RATE_COLUMNS,
     emit_report,
     parse_rate_table,
 )
-from crashbench.taxonomy import CrashType, OutcomeLevel
+from crashbench.taxonomy import LABEL, OUTCOME_RANK, CrashType, OutcomeLevel
 
 ATLANTA = GeoArea("Atlanta", "GA", frozenset({"FULTON", "DEKALB", "CLAYTON"}))
 AUSTIN = GeoArea("Austin", "TX", frozenset({"TRAVIS"}))
@@ -36,15 +41,11 @@ def sample_report(cells=None) -> BenchmarkReport:
              {CrashType.V2V_FRONT_TO_REAR: 0.5, CrashType.SINGLE_VEHICLE: 0.5})
         ],
         power_grid=[
-            {
-                "geo": "Atlanta",
-                "road": "Freeway",
-                "outcome": "PoliceReported",
-                "effect_ratio": 0.75,
-                "required_miles": 4323348.338954176,
-                "expected_ads_crashes": 18.18,
-                "target_power_miles": 20623436.022149596,
-            }
+            ("Atlanta", "Freeway", "PoliceReported", 0.5,
+             1083520.7186493927, 30.38, 4883306.573938446),
+            ("Atlanta", "Freeway", "PoliceReported", 0.75,
+             4323348.338954176, 18.18, 20623436.022149596),
+            ("Austin", "Freeway", "Fatal", 0.75, 2.5e9, 1.4, 1.2e10),
         ],
         diagnostics={"records_outside_areas": 0},
     )
@@ -65,6 +66,17 @@ class TestEmission:
         first = emit_report(sample_report(cells), tmp_path / "a", tag="x")
         second = emit_report(sample_report(list(reversed(cells))), tmp_path / "b", tag="x")
         assert read_all(first) == read_all(second)
+
+    def test_power_grid_order_does_not_matter(self, tmp_path):
+        grid = sample_report().power_grid
+        first = emit_report(sample_report(), tmp_path / "a", tag="x")
+        reversed_grid = sample_report()
+        reversed_grid.power_grid = list(reversed(grid))
+        second = emit_report(reversed_grid, tmp_path / "b", tag="x")
+        assert read_all(first) == read_all(second)
+        lines = first["power_grid"].read_text().splitlines()
+        assert lines[1].startswith("Atlanta,Freeway,PoliceReported,0.5,")
+        assert lines[3].startswith("Austin,Freeway,Fatal,0.75,")
 
     def test_table5_style_display_cell(self, tmp_path):
         paths = emit_report(sample_report(), tmp_path, tag="2023")
@@ -124,3 +136,96 @@ class TestMethodologyNotes:
         assert "21-75 million" in NOTE_MILEAGE_SCALE
         assert "5.4 per billion" in NOTE_PHOENIX_FATAL
         assert len(METHODOLOGY_NOTES) == 2
+
+
+# Free text that the csv module must quote or keep as it is: separators,
+# quotes, line breaks, surrounding spaces (the name keeps them; state and
+# counties are stripped), non-ASCII text, and an empty area name.
+ODD_AREAS = (
+    GeoArea("", "GA", frozenset({"FULTON"})),
+    GeoArea("Dallas, Fort Worth", "TX", frozenset({"DALLAS", "TARRANT"})),
+    GeoArea('The "Hub"', 'M"A', frozenset({"SUFFOLK", 'NORFOLK "SOUTH"'})),
+    GeoArea("Line\nbreak\r", "C\rA", frozenset({"LOS\nANGELES", "SAN, DIEGO"})),
+    GeoArea("  padded  ", " tx ", frozenset({" bexar "})),
+    GeoArea("São Paulo – Zürich", "ÑY", frozenset({"KÖLN", "ÅRE"})),
+)
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _expected_rate_rows(cells):
+    rows = []
+    for cell in sorted(cells, key=lambda c: (
+        c.geo.name, LABEL[c.road], OUTCOME_RANK[c.outcome],
+        LABEL[c.crash_type] if c.crash_type else "",
+    )):
+        low, high = poisson_ci(cell.count, cell.vmt_miles)
+        count = str(int(cell.count)) if cell.count.is_integer() else f"{cell.count:.3f}"
+        rows.append([
+            cell.geo.name, cell.geo.state, ";".join(sorted(cell.geo.counties)),
+            LABEL[cell.road], LABEL[cell.outcome],
+            LABEL[cell.crash_type] if cell.crash_type else "",
+            repr(cell.count), repr(cell.vmt_miles), repr(cell.rate_ipmm),
+            repr(low), repr(high), f"{count} ({format_rate(cell.rate_ipmm)})",
+        ])
+    return rows
+
+
+class TestCsvWriting:
+    """The tables are written line by line; each must be the bytes that
+    ``csv.writer(lineterminator="\\n")`` writes for the same rows."""
+
+    def odd_report(self) -> BenchmarkReport:
+        cells, distributions, grid = [], [], []
+        for n, area in enumerate(ODD_AREAS):
+            vmt = 1e8 * (n + 1)
+            for road in RoadClass:
+                for outcome in (OutcomeLevel.POLICE_REPORTED, OutcomeLevel.FATAL):
+                    cells.append(RateCell(area, road, outcome, 3.0 * n + 0.25 * n, vmt))
+            cells.append(RateCell(area, RoadClass.FREEWAY, OutcomeLevel.POLICE_REPORTED,
+                                  2.0, vmt, crash_type=CrashType.SINGLE_VEHICLE))
+            distributions.append((area, RoadClass.FREEWAY, OutcomeLevel.POLICE_REPORTED,
+                                  {CrashType.SINGLE_VEHICLE: 0.75, CrashType.PEDESTRIAN: 0.25}))
+            for effect in (1.5, 0.5):
+                grid.append((area.name, "SurfaceStreet", "Fatal", effect,
+                             1e6 * effect, 3.0 / effect, 4e6 * effect))
+        return BenchmarkReport(metadata={}, cells=cells, distributions=distributions,
+                               power_grid=grid)
+
+    def test_same_bytes_as_csv_writer(self, tmp_path):
+        report = self.odd_report()
+        paths = emit_report(report, tmp_path, tag="odd")
+        severity = [c for c in report.cells if c.crash_type is None]
+        typed = [c for c in report.cells if c.crash_type is not None]
+        distribution = [
+            [geo.name, LABEL[road], LABEL[outcome], LABEL[ctype], repr(fractions[ctype])]
+            for geo, road, outcome, fractions in sorted(
+                report.distributions, key=lambda d: (d[0].name, LABEL[d[1]], OUTCOME_RANK[d[2]])
+            )
+            for ctype in sorted(fractions, key=LABEL.__getitem__)
+        ]
+        grid = [
+            [geo, road, outcome, *map(repr, figures)]
+            for geo, road, outcome, *figures in sorted(report.power_grid)
+        ]
+        expected = {
+            "rates": _csv_bytes(RATE_COLUMNS, _expected_rate_rows(severity)),
+            "typed_rates": _csv_bytes(RATE_COLUMNS, _expected_rate_rows(typed)),
+            "distribution": _csv_bytes(DISTRIBUTION_COLUMNS, distribution),
+            "power_grid": _csv_bytes(POWER_GRID_COLUMNS, grid),
+        }
+        assert {name: paths[name].read_bytes() for name in expected} == expected
+        assert b'"Dallas, Fort Worth"' in expected["rates"]  # quoting is exercised
+        assert b'\n,SurfaceStreet,Fatal,0.5,' in expected["power_grid"]  # the empty name
+
+    def test_labels_and_headers_need_no_quoting(self):
+        texts = [*LABEL.values(), *RATE_COLUMNS, *DISTRIBUTION_COLUMNS, *POWER_GRID_COLUMNS]
+        for text in texts:
+            assert text
+            assert _csv_bytes((text, "x"), []) == f"{text},x\n".encode()
