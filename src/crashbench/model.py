@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -255,7 +256,12 @@ def build_event_sequence(units: Iterable[VehicleUnit]) -> tuple[ContactEvent, ..
 
 @dataclass(frozen=True)
 class GeoArea:
-    """A named service area: one state, one or more counties."""
+    """A named service area: one state, one or more counties.
+
+    The name, state and counties are written to the report tables as
+    free text, so each must read back as written: a blank name or state,
+    a control character anywhere, or a ';' (the tables' county
+    separator) in a county is a ConfigError."""
 
     name: str
     state: str
@@ -266,10 +272,24 @@ class GeoArea:
             raise ValueError(f"GeoArea {self.name!r} has no counties")
         object.__setattr__(self, "state", _normalized(self.state))
         object.__setattr__(self, "counties", frozenset(map(_normalized, self.counties)))
+        if not self.name.strip() or not self.state:
+            raise ConfigError(f"area {self.name!r}: the name and the state must not be blank")
+        for text in (self.name, self.state, *sorted(self.counties)):
+            if _CONTROL_CHARACTER.search(text):
+                raise ConfigError(f"area {self.name!r}: {text!r} holds a control character")
+        for county in self.counties:
+            if ";" in county:
+                raise ConfigError(
+                    f"area {self.name!r}: county {county!r} holds ';', the county separator"
+                )
 
     def contains(self, state: str, county: str) -> bool:
         state, county = county_key(state, county)
         return state == self.state and county in self.counties
+
+
+# Unicode category Cc: the C0 and C1 controls and DEL.
+_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 def _normalized(name: str) -> str:

@@ -119,6 +119,9 @@ class RunParams:
                 raise ConfigError(
                     f"effect ratios must be finite, positive and != 1, got {effect}"
                 )
+        repeated = sorted({effect for effect in self.effects if self.effects.count(effect) > 1})
+        if repeated:
+            raise ConfigError(f"effect ratio {repeated[0]} is given more than once")
         unknown_gates = set(self.type_gate_order) - GATE_NAMES
         if unknown_gates:
             raise ConfigError(f"unknown crash-type gates: {sorted(unknown_gates)}")
@@ -324,7 +327,10 @@ def load_run_config(path: str | Path, **overrides) -> RunConfig:
 
     areas = DEFAULT_GEO_AREAS
     if parser.has_section("areas"):
-        areas = tuple(_parse_area(n, v) for n, v in parser.items("areas"))
+        try:
+            areas = tuple(_parse_area(n, v) for n, v in parser.items("areas"))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: [areas] {exc}") from None
 
     sources = tuple(
         SourceSpec(name=section[len("source."):], **read(section))

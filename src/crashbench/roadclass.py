@@ -19,16 +19,17 @@ Names: ``FreewaySegmentIndex.match_road_name`` matches each distinct raw
 road name once per index and keeps the result; ``normalize_road_name``
 and the route patterns stay the only definition of a match.
 
-Search: ``FreewaySegmentIndex`` finds candidates on a grid of segment
-bounding boxes, one grid per route (built on that route's first query;
-a query without a route uses a grid over all segments).  It visits the
-candidates nearest box first, by a lower bound on the haversine to any
-point of each box, and stops at the first box whose bound is past the
-best distance so far; each visited leg is measured from constants
-computed on its segment's first visit.  Nothing of the search is built
-in the constructor.  Every distance it returns equals, bit for bit, the
-minimum of ``polyline_distance_m`` over the same segments, which stays
-the public reference.
+Search: ``FreewaySegmentIndex`` packs the bounding boxes of a route's
+segments into a sort-tile-recursive tree of 16 entries per node, on
+that route's first query (a query without a route uses a tree over all
+segments; a route of at most 16 segments is a single node).  One
+best-first walk visits nodes and segments nearest box first, by a
+lower bound on the haversine to any point of each box, and stops at the
+first whose bound is past the best distance so far; each visited leg is
+measured from constants computed on its segment's first visit.  Nothing
+of the search is built in the constructor.  Every distance it returns
+equals, bit for bit, the minimum of ``polyline_distance_m`` over the
+same segments, which stays the public reference.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -56,7 +58,6 @@ from .model import (
 )
 
 EARTH_RADIUS_M = 6371000.0
-METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 DEFAULT_PROXIMITY_THRESHOLD_M = 400.0
 
 
@@ -203,58 +204,7 @@ class RoadClassification:
     distance_m: Optional[float] = None
 
 
-# --- spatial grid over segment bounding boxes ------------------------------
-
-
-class _SegmentGrid:
-    """Uniform lat/lon grid of segment bounding boxes.
-
-    Built over any subset of an index's segments (one route's, or all of
-    them), keyed by each segment's index in the full set.  Queries return
-    a superset of every member segment having any point within the given
-    distance of the query point: latitude padding uses the exact meridian
-    bound (distance >= R * |dlat|) and longitude padding a conservative
-    pi/2 factor on the parallel bound, so no true neighbor is ever pruned.
-    A query visits whichever is fewer, the cells of its search window or
-    the grid's own non-empty cells, so a wide window over a small route
-    costs no more than the route's size.
-    """
-
-    def __init__(
-        self,
-        boxes: Iterable[tuple[int, tuple[float, float, float, float]]],
-        cell_deg: float = 0.02,
-    ):
-        self.cell_deg = cell_deg
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        floor = math.floor
-        for idx, (lat_lo, lon_lo, lat_hi, lon_hi) in boxes:
-            for ci in range(floor(lat_lo / cell_deg), floor(lat_hi / cell_deg) + 1):
-                for cj in range(floor(lon_lo / cell_deg), floor(lon_hi / cell_deg) + 1):
-                    self.cells.setdefault((ci, cj), []).append(idx)
-
-    def query(self, point: LatLon, radius_m: float) -> set[int]:
-        lat, lon, cell_deg, floor = point.lat, point.lon, self.cell_deg, math.floor
-        lat_pad = radius_m / METERS_PER_DEG
-        lat_reach = min(89.99, abs(lat) + lat_pad)
-        cos_bound = max(math.cos(math.radians(lat_reach)), 1e-6)
-        lon_pad = radius_m / (METERS_PER_DEG * cos_bound) * (math.pi / 2.0) + 1e-9
-        i_lo, i_hi = floor((lat - lat_pad) / cell_deg), floor((lat + lat_pad) / cell_deg)
-        j_lo, j_hi = floor((lon - lon_pad) / cell_deg), floor((lon + lon_pad) / cell_deg)
-        cells = self.cells
-        found: set[int] = set()
-        if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) <= len(cells):
-            for ci in range(i_lo, i_hi + 1):
-                for cj in range(j_lo, j_hi + 1):
-                    members = cells.get((ci, cj))
-                    if members:
-                        found.update(members)
-        else:
-            for (ci, cj), members in cells.items():
-                if i_lo <= ci <= i_hi and j_lo <= cj <= j_hi:
-                    found.update(members)
-        return found
-
+# --- proximity search -------------------------------------------------------
 
 _LEG_FIELDS = 12  # values _leg_constants stores per leg
 _TWO_R = 2.0 * EARTH_RADIUS_M
@@ -301,18 +251,53 @@ def _radian_box(bbox: tuple[float, float, float, float]) -> tuple[float, ...]:
     return lat_lo, lon_lo, lat_hi, lon_hi, min(math.cos(lat_lo), math.cos(lat_hi))
 
 
+# Entries per node of a route's box tree.
+_FANOUT = 16
+
+
+def _cover(entries: Sequence[tuple]) -> tuple[float, ...]:
+    """The radian box covering the entries' boxes, with the smallest of
+    their cosines, so it bounds no higher than any of them."""
+    lat_lo, lon_lo, lat_hi, lon_hi, cos_min = zip(*(box for box, _ in entries))
+    return min(lat_lo), min(lon_lo), max(lat_hi), max(lon_hi), min(cos_min)
+
+
+def _pack(entries: list[tuple]) -> tuple:
+    """Sort-tile-recursive packing of ``(box, payload)`` entries, a
+    payload being a segment's index, into nodes of at most ``_FANOUT``
+    entries.  A node's payload is its own list of entries.  Each level
+    sorts its entries by box center latitude, cuts them into about
+    sqrt(nodes) slices, and groups each slice by center longitude; levels
+    are packed until one node is left.  Returns the root entry."""
+    while len(entries) > _FANOUT:
+        slices = math.ceil(math.sqrt(math.ceil(len(entries) / _FANOUT)))
+        per_slice = slices * _FANOUT
+        entries.sort(key=lambda entry: entry[0][0] + entry[0][2])  # center latitude
+        nodes = []
+        for start in range(0, len(entries), per_slice):
+            tile = entries[start:start + per_slice]
+            tile.sort(key=lambda entry: entry[0][1] + entry[0][3])  # center longitude
+            for first in range(0, len(tile), _FANOUT):
+                group = tile[first:first + _FANOUT]
+                nodes.append((_cover(group), group))
+        entries = nodes
+    return _cover(entries), entries
+
+
 class FreewaySegmentIndex:
     """Freeway polylines plus the machinery to query them: a name
     matcher (alias table + route-number patterns) that keeps each raw
-    name's match, and per-route spatial grids with cached leg constants
-    for proximity tests.  All of these are filled on first use, so an
-    index costs nothing for names and routes no record mentions."""
+    name's match, and for proximity tests one box tree per route, packed
+    sort-tile-recursive from its segments' bounding boxes with
+    ``_FANOUT`` entries per node, and cached leg constants.  A route of
+    at most ``_FANOUT`` segments is a single node, scanned whole.  All of
+    these are filled on first use, so an index costs nothing for names
+    and routes no record mentions."""
 
     def __init__(
         self,
         segments: Iterable[FreewaySegment],
         aliases: Optional[dict[str, Sequence[str]]] = None,
-        cell_deg: float = 0.02,
     ):
         self.segments: tuple[FreewaySegment, ...] = tuple(segments)
 
@@ -342,25 +327,11 @@ class FreewaySegmentIndex:
             for name in names:
                 self._register_alias(name, rid)
 
-        self._cell_deg = cell_deg
-        self._bboxes = [seg.bbox for seg in self.segments]
-        if self._bboxes:
-            lat_lo = min(b[0] for b in self._bboxes)
-            lat_hi = max(b[2] for b in self._bboxes)
-            lon_lo = min(b[1] for b in self._bboxes)
-            lon_hi = max(b[3] for b in self._bboxes)
-            span_deg = max(lat_hi - lat_lo, lon_hi - lon_lo, 1.0)
-            self._cover_radius_m = 4.0 * span_deg * METERS_PER_DEG
-            self._rlon_span = (math.radians(lon_lo), math.radians(lon_hi))
-        else:
-            self._cover_radius_m = 0.0
-            self._rlon_span = (0.0, 0.0)
-        # Built on first use: each raw road name's match, one grid per
-        # route queried (key None: all segments), and each segment's
-        # radian box and leg constants.
+        # Built on first use: each raw road name's match, the root of one
+        # box tree per route queried (key None: all segments), and each
+        # segment's leg constants.
         self._matches: dict[str, NameMatch] = {}
-        self._grids: dict[Optional[str], _SegmentGrid] = {}
-        self._radian_boxes: list[Optional[tuple[float, ...]]] = [None] * len(self.segments)
+        self._trees: dict[Optional[str], tuple] = {}
         self._legs: list[Optional[array]] = [None] * len(self.segments)
 
     def _register_canonical(self, key: str, route_id: str) -> None:
@@ -393,7 +364,7 @@ class FreewaySegmentIndex:
         Alias table first, then route-number patterns; anything
         unmatched is a non-freeway name.  Each distinct raw name is
         matched once per index: the result is kept, like the route
-        grids, and returned again for every later record with that name.
+        trees, and returned again for every later record with that name.
         """
         match = self._matches.get(name)
         if match is None:
@@ -422,68 +393,55 @@ class FreewaySegmentIndex:
         restricted to one route), meters.  Exact: equals, bit for bit,
         the minimum of ``polyline_distance_m`` over the same segments.
 
-        The search runs on a grid over the route's own segments (over
-        all segments without a route), built on the route's first query,
-        and measures candidates nearest box first (``_nearest``)."""
-        if route_id is None:
-            members: Sequence[int] = range(len(self.segments))
-        else:
-            members = self._route_segments.get(route_id, ())
-        if not members:
-            raise NoSegmentsError(
-                f"no segments for route {route_id!r}" if route_id else "empty index"
+        The search runs on a box tree over the route's own segments (over
+        all segments without a route), packed on the route's first query
+        (``_nearest``)."""
+        tree = self._trees.get(route_id)
+        if tree is None:
+            if route_id is None:
+                members: Sequence[int] = range(len(self.segments))
+            else:
+                members = self._route_segments.get(route_id, ())
+            if not members:
+                raise NoSegmentsError(
+                    f"no segments for route {route_id!r}" if route_id else "empty index"
+                )
+            tree = self._trees[route_id] = _pack(
+                [(_radian_box(self.segments[i].bbox), i) for i in members]
             )
-        grid = self._grids.get(route_id)
-        if grid is None:
-            grid = self._grids[route_id] = _SegmentGrid(
-                ((i, self._bboxes[i]) for i in members), cell_deg=self._cell_deg
-            )
+        return self._nearest(point, tree)
 
-        radius = max(4.0 * DEFAULT_PROXIMITY_THRESHOLD_M, 1000.0)
-        candidates: Iterable[int]
-        while True:
-            candidates = grid.query(point, radius)
-            if candidates:
-                break
-            radius *= 4.0
-            if radius > self._cover_radius_m:
-                candidates = members
-                break
-        best = self._nearest(point, candidates)
-        if best > radius and candidates is not members:
-            # The nearest candidate lies beyond the query box; re-query at
-            # that distance so no closer segment outside the box is missed.
-            candidates = grid.query(point, best) or members
-            best = self._nearest(point, candidates)
-        return best
-
-    def _nearest(self, point: LatLon, candidates: Iterable[int]) -> float:
+    def _nearest(self, point: LatLon, tree: tuple) -> float:
         """``min(polyline_distance_m(point, s.polyline))`` over the
-        candidate segments (``inf`` for none), visiting them nearest box
-        first and stopping at the first box that cannot hold a closer
-        leg.
+        segments of the tree, by one best-first walk: a heap of nodes and
+        segments ordered by their box bound (ties broken by the order of
+        entry), seeded with the root.  A popped node pushes its entries; a
+        popped segment has its legs measured.  The walk stops at the first
+        entry whose bound shows it cannot hold a closer leg.
 
         Legs are measured from their leg constants: the point's radians
         and cosine are computed once, and every remaining operation of
         ``point_leg_distance_m`` and ``haversine_m`` runs in the same
         order, so each leg distance is bit-identical.  The minimum is
-        too, because the scan stops only where no leg can be closer.
+        too, because the walk stops only where no leg can be closer.
 
         For every point q of a box,
         ``h(p, q) >= sin^2(dlat/2) + cos(rlat) * cos_min * sin^2(dlon/2)``,
         where h is the haversine term, dlat and dlon are the point's gaps
-        to the box and cos_min the smallest cosine over its latitudes:
+        to the box and cos_min the smallest cosine over its latitudes (a
+        node's is the smallest of its entries', and its box covers theirs,
+        so every leg below a node lies in its box):
         sin^2(x/2) grows with the gap up to a half turn (so a query
-        spanning more longitude than ``_MONOTONE_LON_REACH`` drops the
-        longitude term) and cos(q.lat) >= cos_min.  The scan stops at the
-        first box whose bound exceeds the smallest ``h`` so far by a
-        relative 1e-9 plus an absolute 1e-14.  The relative part covers
-        rounding in ``h`` and in the bound (a few ulp), and leaves every
-        leg past the stop with an ``h`` some 1e-9 (relative) above the
-        best one: ``sqrt`` is correctly rounded and ``asin(x) / x`` grows
-        on (0, 1], so its exact distance is some 5e-10 larger, far beyond
-        the few ulp by which libm's ``asin`` may err (monotonicity of
-        ``asin`` is not assumed).  The absolute part covers the foot
+        spanning more longitude than ``_MONOTONE_LON_REACH`` from the
+        tree's box drops the longitude term) and cos(q.lat) >= cos_min.
+        The walk stops at the first entry whose bound exceeds the smallest
+        ``h`` so far by a relative 1e-9 plus an absolute 1e-14.  The
+        relative part covers rounding in ``h`` and in the bound (a few
+        ulp), and leaves every leg past the stop with an ``h`` some 1e-9
+        (relative) above the best one: ``sqrt`` is correctly rounded and
+        ``asin(x) / x`` grows on (0, 1], so its exact distance is some
+        5e-10 larger, far beyond the few ulp by which libm's ``asin`` may
+        err (monotonicity of ``asin`` is not assumed).  The absolute part covers the foot
         ``vlat + t * dlat`` rounding an ulp or two outside its box (at a
         pole, past it, making cos(lat) a hair negative): that moves ``h``
         by at most a few 1e-15, whatever the gap, which a relative slack
@@ -492,30 +450,32 @@ class FreewaySegmentIndex:
         radians, cos, sin, asin, sqrt = math.radians, math.cos, math.sin, math.asin, math.sqrt
         rlat, rlon = radians(point.lat), radians(point.lon)
         cos_rlat = cos(rlat)
-        rlon_lo, rlon_hi = self._rlon_span
+        (_, rlon_lo, _, rlon_hi, _), root = tree
         reach = max(rlon - rlon_lo, rlon_hi - rlon)
         lon_weight = cos_rlat if reach < _MONOTONE_LON_REACH else 0.0
-        boxes, bboxes = self._radian_boxes, self._bboxes
-        order = []
-        for idx in candidates:
-            box = boxes[idx]
-            if box is None:
-                box = boxes[idx] = _radian_box(bboxes[idx])
-            lat_lo, lon_lo, lat_hi, lon_hi, cos_min = box
-            gap = lat_lo - rlat if rlat < lat_lo else (rlat - lat_hi if rlat > lat_hi else 0.0)
-            bound = sin(gap / 2.0) ** 2
-            gap = lon_lo - rlon if rlon < lon_lo else (rlon - lon_hi if rlon > lon_hi else 0.0)
-            order.append((bound + lon_weight * cos_min * sin(gap / 2.0) ** 2, idx))
-        order.sort()
 
         legs_of = self._legs
         best = best_h = stop_above = math.inf
-        for bound, idx in order:
+        heap = [(0.0, 0, root)]
+        pushed = 1
+        while heap:
+            bound, _, payload = heappop(heap)
             if bound > stop_above:
                 break
-            legs = legs_of[idx]
+            if type(payload) is list:
+                for (lat_lo, lon_lo, lat_hi, lon_hi, cos_min), entry in payload:
+                    gap = (lat_lo - rlat if rlat < lat_lo
+                           else rlat - lat_hi if rlat > lat_hi else 0.0)
+                    bound = sin(gap / 2.0) ** 2
+                    gap = (lon_lo - rlon if rlon < lon_lo
+                           else rlon - lon_hi if rlon > lon_hi else 0.0)
+                    bound += lon_weight * cos_min * sin(gap / 2.0) ** 2
+                    heappush(heap, (bound, pushed, entry))
+                    pushed += 1
+                continue
+            legs = legs_of[payload]
             if legs is None:
-                legs = legs_of[idx] = _leg_constants(self.segments[idx].polyline)
+                legs = legs_of[payload] = _leg_constants(self.segments[payload].polyline)
             fields = iter(legs)
             for lat0, lon0, cos0, x1, y1, dx, dy, length_sq, vlat, vlon, dlat, dlon in zip(
                 *[fields] * _LEG_FIELDS

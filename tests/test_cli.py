@@ -297,6 +297,30 @@ class TestRun:
         assert "kind=config" in err and f"run.ini: {option}" in err
 
     @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("effects = 0.75, 0.5,", "effects = 0.75, 0.75, 0.5,",
+             "effect ratio 0.75 is given more than once"),
+            ("Austin = TX: Travis", "Austin = T\x1fX: Travis",
+             r"run.ini: [areas] area 'Austin': 'T\x1fX' holds a control character"),
+        ],
+        ids=["repeated-effect", "area-control-character"],
+    )
+    def test_config_that_would_repeat_or_garble_rows_exit_config_error(
+        self, fixtures_dir, tmp_path, capsys, old, new, message
+    ):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        config = inputs / "run.ini"
+        config.write_text(config.read_text().replace(old, new, 1))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "kind=config" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "name,code,kind",
         [("run.ini", 2, "config"), ("roadclass_aliases.ini", 2, "config"),
          ("roadclass_segments.geojson", 2, "config"), ("shares.csv", 3, "data"),

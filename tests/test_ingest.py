@@ -2,6 +2,8 @@ import io
 import math
 import re
 from collections import Counter
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -30,6 +32,7 @@ from crashbench.model import (
     LatLon,
     MannerOfCollision,
     VehicleClass,
+    VmtRecord,
     build_event_sequence,
 )
 from crashbench.pipeline import resolve_mapping
@@ -74,6 +77,27 @@ def contract_breaches(record: CrashRecord) -> list[str]:
     return breaches
 
 
+# Every packaged template, found by listing the package's configs/.
+BUILTIN_MAPPINGS = tuple(
+    sorted(
+        path.name[: -len(".ini")]
+        for path in resources.files("crashbench").joinpath("configs").iterdir()
+        if path.name.endswith(".ini")
+    )
+)
+# The templates that map a VMT table.
+VMT_TEMPLATES = tuple(
+    name
+    for name in BUILTIN_MAPPINGS
+    if "vmt_miles" in resolve_mapping(f"builtin:{name}", Path(".")).columns
+)
+
+
+@pytest.fixture(scope="module")
+def builtin_mappings() -> dict[str, MappingConfig]:
+    return {name: resolve_mapping(f"builtin:{name}", Path(".")) for name in BUILTIN_MAPPINGS}
+
+
 @pytest.fixture(scope="module")
 def tx_mapping() -> MappingConfig:
     from pathlib import Path
@@ -89,19 +113,13 @@ def tx_vmt_mapping() -> MappingConfig:
 
 
 class TestMappingConfig:
-    def test_builtin_templates_load(self):
-        from importlib import resources
-        from pathlib import Path
-
-        names = sorted(
-            path.name[: -len(".ini")]
-            for path in resources.files("crashbench").joinpath("configs").iterdir()
-            if path.name.endswith(".ini")
-        )
-        assert len(names) == 9
-        for name in names:
-            config = resolve_mapping(f"builtin:{name}", Path("."))
+    def test_builtin_templates_load(self, builtin_mappings):
+        assert len(BUILTIN_MAPPINGS) == 9
+        for name, config in builtin_mappings.items():
             assert config.name == name
+            # Each template maps a crash table or a VMT table.
+            assert ("crash_id" in config.columns) != ("vmt_miles" in config.columns), name
+        assert {name for name in BUILTIN_MAPPINGS if name.endswith("_vmt")} <= set(VMT_TEMPLATES)
 
     def test_unknown_builtin_rejected(self):
         from pathlib import Path
@@ -224,16 +242,6 @@ class TestMappingConfig:
         bad.write_text(f"[source]\nname = bad\n{entry}\n")
         with pytest.raises(error, match=rf"bad\.ini: \[source\] {re.escape(message)}"):
             MappingConfig.load(bad)
-
-
-BUILTIN_MAPPINGS = ("tx", "ca", "az", "ga", "tx_vmt", "ca_vmt", "hpms_freeway")
-
-
-@pytest.fixture(scope="module")
-def builtin_mappings() -> dict[str, MappingConfig]:
-    from pathlib import Path
-
-    return {name: resolve_mapping(f"builtin:{name}", Path(".")) for name in BUILTIN_MAPPINGS}
 
 
 def _raw_values(config: MappingConfig) -> dict[str, list[str]]:
@@ -1009,6 +1017,30 @@ class TestGeocoding:
 
 
 class TestVmtLoading:
+    @pytest.mark.parametrize("name", VMT_TEMPLATES)
+    def test_template_reads_a_table_in_its_own_columns_and_codes(self, builtin_mappings, name):
+        config = builtin_mappings[name]
+        columns = config.columns
+        const = {f: b.value for f, b in columns.items() if not isinstance(b, Column)}
+        if "functional_class" in const:
+            codes = {const["functional_class"]: const["functional_class"]}
+        else:
+            codes = {k: v for k, v in config.dictionaries["functional_class"].items() if k != "*"}
+        header = [b.name for b in columns.values() if isinstance(b, Column)]
+        rows, expected = [], []
+        for n, (code, value) in enumerate(sorted(codes.items())):
+            written = {"state": "GA", "county": f"County {n}", "functional_class": code,
+                       "year": "2023", "vmt_miles": str(1000 + n)}
+            rows.append(config.delimiter.join(
+                written[f] for f, b in columns.items() if isinstance(b, Column)
+            ))
+            expected.append(VmtRecord(
+                const.get("state", "GA"), f"COUNTY {n}", FunctionalClass(value), 2023,
+                (1000 + n) * config.vmt_scale,
+            ))
+        records = load_vmt_table([config.delimiter.join(header), *rows], config)
+        assert records == expected
+
     def test_fixture_passthrough(self, tx_vmt_mapping, fixtures_dir):
         records = load_vmt_table(fixtures_dir / "tx_vmt.csv", tx_vmt_mapping)
         assert len(records) == 4

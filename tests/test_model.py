@@ -66,6 +66,23 @@ class TestGeoArea:
         with pytest.raises(ValueError):
             GeoArea("Nowhere", "TX", frozenset())
 
+    @pytest.mark.parametrize(
+        "name,state,counties,message",
+        [
+            ("X", "C\rA", {"LA"}, r"'C\\rA' holds a control character"),
+            ("Line\nbreak", "CA", {"LA"}, "holds a control character"),
+            ("X", "CA", {"LOS\x00ANGELES"}, "holds a control character"),
+            ("X", "CA", {"SAN\x85DIEGO"}, "holds a control character"),
+            ("", "TX", {"TRAVIS"}, "must not be blank"),
+            ("  ", "TX", {"TRAVIS"}, "must not be blank"),
+            ("X", " ", {"TRAVIS"}, "must not be blank"),
+            ("X", "TX", {"TRAVIS;HAYS"}, "holds ';'"),
+        ],
+    )
+    def test_names_that_would_not_read_back_rejected(self, name, state, counties, message):
+        with pytest.raises(ConfigError, match=message):
+            GeoArea(name, state, frozenset(counties))
+
     def test_contains_normalizes_case(self):
         area = GeoArea("Austin", "tx", frozenset({"Travis"}))
         assert area.contains("TX", "travis")

@@ -283,6 +283,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field.rstrip("s")):
             pipeline.RunParams(**{field: value})
 
+    @pytest.mark.parametrize(
+        "effects,repeated", [((0.75, 0.75, 0.5), 0.75), ((2.0, 0.75, 2.0, 0.5, 0.5), 0.5)]
+    )
+    def test_repeated_effect_ratio_rejected(self, effects, repeated):
+        # Each repeat used to add a second copy of its power-grid rows.
+        with pytest.raises(ConfigError, match=f"effect ratio {repeated} is given more than once"):
+            pipeline.RunParams(effects=effects)
+
     def test_unknown_gate_order_rejected(self):
         with pytest.raises(ConfigError):
             pipeline.RunParams(type_gate_order=("secondary", "bogus"))

@@ -13,7 +13,6 @@ from crashbench.roadclass import (
     MatchKind,
     NoSegmentsError,
     Provenance,
-    _SegmentGrid,
     classify_road,
     haversine_m,
     load_alias_table,
@@ -167,6 +166,20 @@ class TestAliasTable:
             load_alias_table(path)
 
 
+# Network sizes around the box tree's fanout of 16, named by the levels of
+# the tree over all segments: one node (scanned whole), two levels, three.
+TREE_SIZES = ["at-most-16", "17-to-256", "over-256"]
+SEGMENT_COUNTS = {1: (2, 16), 2: (17, 256), 3: (257, 400)}
+# The same sizes as (routes, segments per route) ranges for _random_network.
+ROUTE_SIZES = {1: ((2, 3), (1, 5)), 2: ((2, 4), (17, 64)), 3: ((2, 3), (130, 180))}
+
+
+def _levels(tree):
+    """The levels of a packed box tree; a root holding segments is one."""
+    _, entries = tree
+    return 1 if type(entries[0][1]) is int else 1 + _levels(entries[0])
+
+
 class TestDistance:
     def test_vertex_coincidence_is_zero(self, road_index):
         assert road_index.distance_to_nearest(LatLon(30.32, -97.80)) == 0.0
@@ -213,11 +226,12 @@ class TestDistance:
         v = LatLon(30.0, -97.0)
         assert point_leg_distance_m(LatLon(30.0, -97.0), v, v) == 0.0
 
-    def test_grid_equals_brute_force_randomized(self):
+    @pytest.mark.parametrize("levels", [1, 2, 3], ids=TREE_SIZES)
+    def test_tree_equals_brute_force_randomized(self, levels):
         rng = random.Random(23)
         for _ in range(30):
             segments = []
-            for i in range(rng.randint(2, 60)):
+            for i in range(rng.randint(*SEGMENT_COUNTS[levels])):
                 lat = rng.uniform(30.0, 30.5)
                 lon = rng.uniform(-98.0, -97.5)
                 n = rng.randint(2, 5)
@@ -229,19 +243,20 @@ class TestDistance:
                                last.lon + rng.uniform(-0.02, 0.02))
                     )
                 segments.append(FreewaySegment(f"SR-{i}", tuple(poly)))
-            index = FreewaySegmentIndex(segments, cell_deg=rng.choice([0.005, 0.02, 0.1]))
+            index = FreewaySegmentIndex(segments)
             for _ in range(5):
                 point = LatLon(rng.uniform(29.8, 30.7), rng.uniform(-98.2, -97.3))
                 brute = min(polyline_distance_m(point, s.polyline) for s in segments)
                 assert index.distance_to_nearest(point) == brute
+            assert _levels(index._trees[None]) == levels
 
 
-def _random_network(rng, routes):
+def _random_network(rng, routes, per_route=(1, 6)):
     """Segments on several routes; some legs are long and diagonal, so
     their bounding boxes reach far from the polyline."""
     segments = []
     for r in range(routes):
-        for _ in range(rng.randint(1, 6)):
+        for _ in range(rng.randint(*per_route)):
             step = rng.choice([0.005, 0.02, 0.1])
             poly = [LatLon(rng.uniform(30.0, 30.5), rng.uniform(-98.0, -97.5))]
             for _ in range(rng.randint(1, 4)):
@@ -276,24 +291,15 @@ def _query_points(rng, segments, n):
 
 
 class TestSearchIsExact:
-    """The grid search and the precomputed leg constants must return the
+    """The tree search and the precomputed leg constants must return the
     reference minimum bit for bit, whatever the order of queries."""
 
-    @pytest.mark.parametrize("cell_deg", [0.005, 0.02, 0.1])
-    def test_equals_reference_minimum(self, cell_deg, monkeypatch):
-        rng = random.Random(f"exact-{cell_deg}")
-        ladder = {1600.0 * 4.0 ** k for k in range(16)}  # the search's radius steps
-        radii = []
-        query = _SegmentGrid.query
-
-        def spy(grid, point, radius_m):
-            radii.append(radius_m)
-            return query(grid, point, radius_m)
-
-        monkeypatch.setattr(_SegmentGrid, "query", spy)
-        requeried = beyond_cover = 0
+    @pytest.mark.parametrize("levels", [1, 2, 3], ids=TREE_SIZES)
+    def test_equals_reference_minimum(self, levels):
+        rng = random.Random(f"exact-{levels}")
+        routes_range, per_route = ROUTE_SIZES[levels]
         for _ in range(8):
-            segments = _random_network(rng, rng.randint(2, 6))
+            segments = _random_network(rng, rng.randint(*routes_range), per_route)
             routes: dict[str, list] = {}
             for seg in segments:
                 routes.setdefault(seg.route_id, []).append(seg)
@@ -309,30 +315,25 @@ class TestSearchIsExact:
                 )
                 for point, route_id in queries
             }
-            index = FreewaySegmentIndex(segments, cell_deg=cell_deg)
+            index = FreewaySegmentIndex(segments)
             for point, route_id in queries:
-                radii.clear()
-                got = index.distance_to_nearest(point, route_id)
-                assert got == expected[point, route_id]
-                requeried += any(r not in ladder for r in radii)
-                beyond_cover += got > index._cover_radius_m
-            # Lazily built grids and leg constants: a fresh index queried
+                assert index.distance_to_nearest(point, route_id) == expected[point, route_id]
+            assert _levels(index._trees[None]) == levels
+            # Lazily packed trees and leg constants: a fresh index queried
             # in another order, and the warm index again, agree exactly.
-            fresh = FreewaySegmentIndex(segments, cell_deg=cell_deg)
+            fresh = FreewaySegmentIndex(segments)
             for point, route_id in rng.sample(queries, len(queries)):
                 assert fresh.distance_to_nearest(point, route_id) == expected[point, route_id]
                 assert index.distance_to_nearest(point, route_id) == expected[point, route_id]
-        assert requeried > 0  # nearest candidate beyond the first box
-        assert beyond_cover > 0  # every radius step came back empty
 
 
-def _assert_exact(segments, points, cell_deg=0.02):
+def _assert_exact(segments, points):
     """Every query, over all segments and over each route, returns the
     reference minimum bit for bit."""
     routes: dict[str, list] = {}
     for seg in segments:
         routes.setdefault(seg.route_id, []).append(seg)
-    index = FreewaySegmentIndex(segments, cell_deg=cell_deg)
+    index = FreewaySegmentIndex(segments)
     for point in points:
         for route_id, members in ((None, segments), *routes.items()):
             expected = min(polyline_distance_m(point, s.polyline) for s in members)
@@ -340,15 +341,16 @@ def _assert_exact(segments, points, cell_deg=0.02):
 
 
 class TestBoxBound:
-    """The nearest-box-first search stops at the first box whose lower
-    bound is past the best distance; these cases sit where a bound that
-    is too high would show: on boxes, at ties, and across longitude."""
+    """The best-first search stops at the first node or segment whose
+    lower bound is past the best distance; these cases sit where a bound
+    that is too high would show: on boxes, at ties, and across longitude."""
 
-    @pytest.mark.parametrize("cell_deg", [0.005, 0.02, 0.1])
-    def test_points_on_vertices_box_edges_and_corners(self, cell_deg):
-        rng = random.Random(f"box-{cell_deg}")
+    @pytest.mark.parametrize("levels", [1, 2, 3], ids=TREE_SIZES)
+    def test_points_on_vertices_box_edges_and_corners(self, levels):
+        rng = random.Random(f"box-{levels}")
+        routes_range, per_route = ROUTE_SIZES[levels]
         for _ in range(4):
-            segments = _random_network(rng, rng.randint(2, 5))
+            segments = _random_network(rng, rng.randint(*routes_range), per_route)
             points = []
             for seg in segments:
                 lat_lo, lon_lo, lat_hi, lon_hi = seg.bbox
@@ -360,23 +362,27 @@ class TestBoxBound:
                     (LatLon(lat_lo, rng.uniform(lon_lo, lon_hi)),
                      LatLon(rng.uniform(lat_lo, lat_hi), lon_hi))
                 )
-            _assert_exact(segments, rng.sample(points, min(len(points), 40)), cell_deg)
+            _assert_exact(segments, rng.sample(points, min(len(points), 40)))
 
     def test_same_latitude_far_east_and_west(self):
         # The latitude gap is zero, so the bound rests on its longitude
-        # term alone, and tall boxes make cos_min matter.
+        # term alone, and tall boxes make cos_min matter: a segment's, and
+        # in the larger networks a node's, the smallest of its entries'.
         rng = random.Random("east-west")
-        segments = _random_network(rng, 4)
-        segments.append(FreewaySegment("SR-90", (LatLon(25.0, -98.0), LatLon(40.0, -96.0))))
-        points = []
-        for seg in segments:
-            lat_lo, _, lat_hi, _ = seg.bbox
-            for offset in (0.5, 3.0, 20.0, 90.0, 170.0):
-                for side in (-1.0, 1.0):
-                    lon = -97.75 + side * offset
-                    lon = lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
-                    points.append(LatLon(rng.uniform(lat_lo, lat_hi), lon))
-        _assert_exact(segments, points, cell_deg=0.1)
+        for routes, per_route in ((4, (1, 6)), (2, (17, 64)), (2, (130, 180))):
+            segments = _random_network(rng, routes, per_route)
+            segments.append(FreewaySegment("SR-90", (LatLon(25.0, -98.0), LatLon(40.0, -96.0))))
+            points = []
+            for seg in segments:
+                lat_lo, _, lat_hi, _ = seg.bbox
+                for offset in (0.5, 3.0, 20.0, 90.0, 170.0):
+                    for side in (-1.0, 1.0):
+                        lon = -97.75 + side * offset
+                        lon = lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
+                        points.append(LatLon(rng.uniform(lat_lo, lat_hi), lon))
+            if len(segments) > 60:  # the tall segment's points, and a sample of the rest
+                points = rng.sample(points[:-10], 50) + points[-10:]
+            _assert_exact(segments, points)
 
     def test_across_the_antimeridian(self):
         # From (-32.85, -170.18) the tall segment lies more than half a
@@ -390,13 +396,13 @@ class TestBoxBound:
         assert polyline_distance_m(point, tall.polyline) < polyline_distance_m(
             point, north.polyline
         )
-        _assert_exact([tall, north], [point, LatLon(-30.0, -175.0)], cell_deg=5.0)
+        _assert_exact([tall, north], [point, LatLon(-30.0, -175.0)])
         across = [
             FreewaySegment("SR-3", (LatLon(10.0, 179.80), LatLon(10.01, 179.95))),
             FreewaySegment("SR-4", (LatLon(10.0, -179.79), LatLon(10.01, -179.78))),
         ]
         points = [LatLon(10.0, lon) for lon in (-179.95, -179.9, 179.99, -179.5)]
-        _assert_exact(across, points, cell_deg=0.1)
+        _assert_exact(across, points)
 
     def test_duplicate_and_overlapping_segments(self):
         rng = random.Random("ties")
@@ -427,7 +433,8 @@ class TestBoxBound:
         point = LatLon(30.0001, -96.995)
         distance = index.distance_to_nearest(point)
         assert distance == polyline_distance_m(point, near.polyline)
-        assert index._grids[None].query(point, 1600.0) == set(range(13))  # all are candidates
+        _, entries = index._trees[None]  # one node, scanned whole: all are candidates
+        assert [segment for _, segment in entries] == list(range(13))
         assert index._legs[0] is not None
         assert all(legs is None for legs in index._legs[1:])
 
