@@ -1,7 +1,7 @@
 """In-transport passenger-vehicle cohort selection and VMT conversion.
 
 Counts are vehicle-level: each qualifying unit in a crash contributes
-one crashed vehicle.  ``select_units`` is the one place that decides
+one crashed vehicle.  ``unit_role`` is the one place that decides
 which units qualify.  Units whose class could not be determined count
 as the passenger fraction of the known classes at the geographic level
 (optionally split by road class): counts stay whole numbers, and the
@@ -12,7 +12,7 @@ VMT is scaled to passenger-vehicle VMT by the configured share table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .model import (
     CrashBenchError,
@@ -40,11 +40,6 @@ class UnitSelection:
     unknown_units: tuple[VehicleUnit, ...]
     other_known_units: tuple[VehicleUnit, ...]
 
-    def add_known_classes(self, histogram: dict[VehicleClass, int]) -> None:
-        """Add this crash's known-class units to a class histogram."""
-        for unit in self.passenger_units + self.other_known_units:
-            histogram[unit.vehicle_class] = histogram.get(unit.vehicle_class, 0) + 1
-
 
 @dataclass(frozen=True)
 class CohortCounts:
@@ -66,24 +61,32 @@ class CohortCounts:
         return self.known + self.imputed
 
 
+# Cohort roles, in the order of UnitSelection's unit groups.
+PASSENGER, UNKNOWN, OTHER_KNOWN = range(3)
+_ROLE_OF_CLASS = {cls: OTHER_KNOWN for cls in VehicleClass} | {
+    VehicleClass.PASSENGER: PASSENGER,
+    VehicleClass.UNKNOWN: UNKNOWN,
+}
+
+
+def unit_role(unit: VehicleUnit) -> Optional[int]:
+    """The cohort rule for one unit: an in-transport passenger vehicle is
+    counted (PASSENGER), one of unknown class is imputed (UNKNOWN), and
+    one of another known class (a motorcycle, a heavy vehicle) only
+    informs the imputation basis (OTHER_KNOWN).  Parked units and
+    non-motorists count nowhere (None)."""
+    return _ROLE_OF_CLASS[unit.vehicle_class] if unit.in_transport else None
+
+
 def select_units(record: CrashRecord) -> UnitSelection:
-    """The cohort rule for one crash: of its in-transport units, passenger
-    vehicles count, units of unknown class are imputed, and other known
-    classes (motorcycles, heavy vehicles) only inform the imputation
-    basis.  Parked units and non-motorists count nowhere."""
-    passenger = []
-    unknown = []
-    other = []
+    """One crash's units grouped by ``unit_role``, each group in unit
+    order."""
+    groups: tuple[list, list, list] = ([], [], [])
     for unit in record.units:
-        if not unit.in_transport:
-            continue
-        if unit.vehicle_class is VehicleClass.PASSENGER:
-            passenger.append(unit)
-        elif unit.vehicle_class is VehicleClass.UNKNOWN:
-            unknown.append(unit)
-        else:
-            other.append(unit)
-    return UnitSelection(record.crash_id, tuple(passenger), tuple(unknown), tuple(other))
+        role = unit_role(unit)
+        if role is not None:
+            groups[role].append(unit)
+    return UnitSelection(record.crash_id, *map(tuple, groups))
 
 
 def filter_in_transport_passenger(
@@ -99,7 +102,9 @@ def known_class_histogram(
     """Histogram of known vehicle classes among in-transport units."""
     hist: dict[VehicleClass, int] = {}
     for record in records:
-        select_units(record).add_known_classes(hist)
+        for unit in record.units:
+            if unit_role(unit) in (PASSENGER, OTHER_KNOWN):
+                hist[unit.vehicle_class] = hist.get(unit.vehicle_class, 0) + 1
     return hist
 
 

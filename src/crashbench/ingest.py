@@ -14,6 +14,13 @@ against it into one row converter (``MappingConfig.compile``), which
 checks the table; each reader unpacks a row's values in the field order
 ``mapping`` declares and counts the degraded ones after its skip checks.
 
+Vehicle units and contact-event sequences are shared immutable values.
+A unit's fields all come from small coded domains (unit ordinal, class,
+flags, octant, first-contact ordinal), so one load builds each distinct
+unit once and every record that has it holds that one value; the memo
+lives for one ``load_crash_table`` call.  Nothing may rely on unit
+identity: a unit equals any other with the same fields, shared or not.
+
 Records missing coordinates can be filled by a pluggable geocoder
 client.  Only stub and file-cache (replay) clients ship here; a live
 client is the caller's concern and is exercised through the same
@@ -94,7 +101,16 @@ class _CrashRow(NamedTuple):
 
 
 class InconsistentVmtError(DataError):
-    """Freeway VMT exceeds (or exhausts) the all-roads total."""
+    """Freeway VMT exceeds (or exhausts) the all-roads total, or given
+    freeway and surface-street VMT do not add up to it."""
+
+
+# How far given Freeway + SurfaceStreet VMT may miss a given AllRoads
+# total, relative to the larger: tables that publish each class rounded
+# on its own (to four significant digits, say, or whole millions of
+# miles) miss by rounding alone, while classes counted on different
+# bases miss by whole percents.
+VMT_PARTS_REL_TOLERANCE = 1e-3
 
 
 @dataclass
@@ -179,8 +195,11 @@ def _mapped_table(
 
 def _float_or_none(raw: Optional[str]) -> Optional[float]:
     """The finite number a field holds; None when it is empty,
-    unparseable, infinite or NaN."""
-    if raw is None or raw == "":
+    unparseable, infinite or NaN.  An underscore or a non-ASCII
+    character makes a field unparseable, though ``float`` and ``int``
+    accept them: ``1_0`` would read as 10, and Arabic-Indic digits as
+    their values."""
+    if not raw or "_" in raw or not raw.isascii():
         return None
     try:
         value = float(raw)
@@ -193,8 +212,9 @@ def _int_or_none(raw: Optional[str]) -> Optional[int]:
     """The integer a field holds, for ids, years and ordinals: ``2`` and
     ``2.0`` read as 2.  None when the field is empty or holds anything
     else, ``2.5`` included: truncating it would read a year of 2023.9 as
-    2023, or make unit 1.5 collide with unit 1."""
-    if raw is None or raw == "":
+    2023, or make unit 1.5 collide with unit 1.  Underscores and
+    non-ASCII characters are unparseable, as in ``_float_or_none``."""
+    if not raw or "_" in raw or not raw.isascii():
         return None
     try:
         return int(raw)
@@ -424,6 +444,11 @@ def _read_unit_rows(
     airbag flag of its own takes its persons' (``airbags_by_unit``)."""
     units_by_crash: dict[str, list[VehicleUnit]] = {}
     seen: set[tuple[str, int]] = set()
+    # Each distinct unit is built once, keyed by its fields in
+    # VehicleUnit's declaration order, and shared (see the module
+    # docstring).  A load holds few distinct units however many rows it
+    # reads, since every field comes from a small coded domain.
+    distinct_units: dict[tuple, VehicleUnit] = {}
     number = attached = 0
     for number, row in rows:
         (key, unit_raw, vehicle_class, in_transport, airbag, direction, maneuver_token,
@@ -456,18 +481,15 @@ def _read_unit_rows(
         if airbag is None:
             airbag = airbags_by_unit.get((key, unit_id))
         event = _int_or_none(event_raw)
+        if event is not None and event < 1:
+            event = None
 
-        units_by_crash.setdefault(key, []).append(
-            VehicleUnit(
-                unit_id=unit_id,
-                vehicle_class=vehicle_class,
-                in_transport=in_transport,
-                airbag_deployed=airbag,
-                maneuver=maneuver_token or "",
-                travel_direction=direction,
-                first_contact_event_index=event if event is not None and event >= 1 else None,
-            )
-        )
+        fields = (unit_id, vehicle_class, in_transport, airbag, maneuver_token or "", direction,
+                  event)
+        unit = distinct_units.get(fields)
+        if unit is None:
+            unit = distinct_units[fields] = VehicleUnit(*fields)
+        units_by_crash.setdefault(key, []).append(unit)
     if number:
         report.rows_read["unit"] = number
         report.rows_attached["unit"] = attached
@@ -636,8 +658,10 @@ def load_vmt_table(
     Sources that report only all-roads totals get SurfaceStreet rows
     derived per county-year as AllRoads minus Freeway; a non-positive
     difference (or freeway exceeding the total) is a hard
-    InconsistentVmtError.  Unlike crash rows, a malformed VMT row is a
-    hard error: exposure tables are small and authoritative.
+    InconsistentVmtError, and so are given Freeway and SurfaceStreet
+    rows that miss a given AllRoads total by more than
+    ``VMT_PARTS_REL_TOLERANCE``.  Unlike crash rows, a malformed VMT row
+    is a hard error: exposure tables are small and authoritative.
     """
     records = _parse_vmt_rows(source, config)
     if sidecar_source is not None:
@@ -677,7 +701,8 @@ def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]
 
 
 def derive_surface_street_vmt(records: list[VmtRecord]) -> list[VmtRecord]:
-    """Emit SurfaceStreet = AllRoads - Freeway where only totals exist."""
+    """Emit SurfaceStreet = AllRoads - Freeway where only totals exist;
+    where a SurfaceStreet row is given too, check the three agree."""
     by_key: dict[tuple[str, str, int], dict[FunctionalClass, VmtRecord]] = {}
     for rec in records:
         by_key.setdefault((rec.state, rec.county, rec.year), {})[rec.functional_class] = rec
@@ -692,7 +717,16 @@ def derive_surface_street_vmt(records: list[VmtRecord]) -> list[VmtRecord]:
                 f"{state}/{county}/{year}: freeway VMT {freeway.vmt_miles} "
                 f">= all-roads VMT {total.vmt_miles}"
             )
-        if FunctionalClass.SURFACE_STREET in classes:
+        surface = classes.get(FunctionalClass.SURFACE_STREET)
+        if surface is not None:
+            parts = freeway.vmt_miles + surface.vmt_miles
+            if not math.isclose(parts, total.vmt_miles, rel_tol=VMT_PARTS_REL_TOLERANCE):
+                raise InconsistentVmtError(
+                    f"{state}/{county}/{year}: freeway VMT {freeway.vmt_miles} + "
+                    f"surface-street VMT {surface.vmt_miles} = {parts} differs from "
+                    f"all-roads VMT {total.vmt_miles} by more than "
+                    f"{VMT_PARTS_REL_TOLERANCE:.1%}"
+                )
             continue
         out.append(
             VmtRecord(

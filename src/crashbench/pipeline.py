@@ -13,6 +13,11 @@ severity cell with a positive count.  The run is single-threaded and
 deterministic: cells tally whole unit counts and apply their passenger
 fraction once, so no float sum depends on record or set order, and
 reports are byte-identical across runs and hash seeds.
+``build_benchmark`` walks each record's units once for the cohort
+(``cohort.unit_role``): the one walk tallies the counted units, adds
+the known classes to the imputation basis and collects the ids the
+crash-type cascade types.  Units are shared immutable values (see
+``ingest``), so nothing here relies on their identity.
 ``RunConfig.workers`` is validated but has no effect, and
 ``RunConfig.seed`` is only recorded in the report metadata.  Ingest
 decides the crash-record contract, so no later stage validates a record.
@@ -41,7 +46,14 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import report as report_mod
-from .cohort import CohortCounts, passenger_fraction, passenger_vmt, select_units
+from .cohort import (
+    OTHER_KNOWN,
+    UNKNOWN,
+    CohortCounts,
+    passenger_fraction,
+    passenger_vmt,
+    unit_role,
+)
 from .ingest import (
     FileCachedGeocoder,
     IngestReport,
@@ -459,10 +471,11 @@ def build_benchmark(
     and the required-mileage grid.
 
     One pass over ``records`` road-classifies, places and tallies each
-    in-year record.  Records are taken as ``ingest.load_crash_table``
-    emits them, already meeting the record contract, so none is
-    validated here.  The tallies hold whole unit counts only; each
-    cell's passenger fraction is applied once afterwards.
+    in-year record, walking its units once for the cohort.  Records are
+    taken as ``ingest.load_crash_table`` emits them, already meeting the
+    record contract, so none is validated here.  The tallies hold whole
+    unit counts only; each cell's passenger fraction is applied once
+    afterwards.
     """
     by_county = county_areas(areas)
     records_in_year = outside = unresolved_road = 0
@@ -492,16 +505,28 @@ def build_benchmark(
         road = cls.road_class
         if cls.provenance is Provenance.UNRESOLVABLE:
             unresolved_road += 1
-        selection = select_units(record)
         key = imputation_key(area.name, road)
-        selection.add_known_classes(known_classes.setdefault(key, {}))
-        if selection.unknown_units:
-            unknowns[key] = unknowns.get(key, 0) + len(selection.unknown_units)
+        # One walk over the crash's units: each known class joins the
+        # imputation basis, and each counted unit is typed and tallied in
+        # the column its role names (PASSENGER 0, UNKNOWN 1).
+        histogram = known_classes.setdefault(key, {})
+        counted_ids: list[int] = []
+        columns: list[int] = []
+        for unit in record.units:
+            role = unit_role(unit)
+            if role is None:
+                continue
+            if role != UNKNOWN:
+                histogram[unit.vehicle_class] = histogram.get(unit.vehicle_class, 0) + 1
+            if role != OTHER_KNOWN:
+                counted_ids.append(unit.unit_id)
+                columns.append(role)
+        n_unknown = columns.count(UNKNOWN)
+        if n_unknown:
+            unknowns[key] = unknowns.get(key, 0) + n_unknown
         outcomes = classify_outcome(record)
-        counted = selection.passenger_units + selection.unknown_units
-        crash_types = cascade.classify_units(record, [u.unit_id for u in counted], road)
-        for position, crash_type in enumerate(crash_types):
-            column = 0 if position < len(selection.passenger_units) else 1
+        crash_types = cascade.classify_units(record, counted_ids, road)
+        for crash_type, column in zip(crash_types, columns):
             for outcome in outcomes:
                 cell = (area.name, road, outcome, crash_type)
                 tallies.setdefault(cell, [0, 0])[column] += 1

@@ -2,6 +2,7 @@ import io
 import math
 import re
 from collections import Counter
+from dataclasses import astuple, replace
 from importlib import resources
 from pathlib import Path
 
@@ -358,7 +359,9 @@ class TestCrashLoading:
         assert report.missing_location == 1
 
     @pytest.mark.parametrize(
-        "lat,lon", [("nan", "-97.7"), ("30.1", "inf"), ("-inf", "-97.7"), ("NaN", "nan")]
+        "lat,lon",
+        [("nan", "-97.7"), ("30.1", "inf"), ("-inf", "-97.7"), ("NaN", "nan"),
+         ("3_0.25", "-97.7"), ("30.1", "-\u0669\u0667")],
     )
     def test_non_finite_coordinates_leave_location_absent(self, tx_mapping, lat, lon):
         crash = [CRASH_HEADER, f"X1,2023,Travis,{lat},{lon},MAIN ST,,N,3,24"]
@@ -537,8 +540,13 @@ class TestRowAccounting:
         assert report.rows_read["unit"] == 3
         assert all(report.conserves_rows(t) for t in ("crash", "unit"))
 
-    # A non-integral year used to be truncated: 2023.9 read as 2023.
-    @pytest.mark.parametrize("year", ["inf", "1e400", "nan", "2023.9", "2022.5", "2023.0000001"])
+    # A non-integral year used to be truncated: 2023.9 read as 2023; and
+    # int() reads an underscore or non-ASCII digits as a number.
+    @pytest.mark.parametrize(
+        "year",
+        ["inf", "1e400", "nan", "2023.9", "2022.5", "2023.0000001", "2_023",
+         "\u0662\u0660\u0662\u0663"],
+    )
     def test_non_finite_year_is_skipped_as_unparseable(self, tx_mapping, year):
         crash = [CRASH_HEADER, f"X1,{year},Travis,30.1,-97.7,MAIN ST,,N,3,24"]
         records, report = load_crash_table(crash, tx_mapping)
@@ -561,24 +569,26 @@ class TestRowAccounting:
         assert report.skipped == []
 
     def test_non_integral_unit_id_is_skipped_naming_the_value(self, tx_mapping):
-        # Truncated, 1.5 would collide with unit 1 as a "duplicate unit_id".
-        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
-        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1", "X1,1.5,SV,,1,,,1,1,1"]
-        persons = [PERSON_HEADER, "X1,1,5,1", "X1,1.5,1,2", "X1,,5,"]
-        records, report = load_crash_table(
-            crash, tx_mapping, units_source=units, persons_source=persons
-        )
-        (record,) = records
-        assert [(u.unit_id, u.vehicle_class) for u in record.units] == [
-            (1, VehicleClass.PASSENGER),
-        ]
-        assert record.units[0].airbag_deployed is False
-        assert record.worst_injury is KabcoLevel.O
-        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
-            ("unit", 2, "unparseable unit_id '1.5'"),
-            ("person", 2, "unparseable unit_id '1.5'"),
-        ]
-        assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
+        # Truncated, 1.5 would collide with unit 1 as a "duplicate unit_id";
+        # read by int(), 1_0 would be unit 10 and an Arabic-Indic 1 unit 1.
+        for unit_id in ("1.5", "1_0", "\u0661"):
+            crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+            units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1", f"X1,{unit_id},SV,,1,,,1,1,1"]
+            persons = [PERSON_HEADER, "X1,1,5,1", f"X1,{unit_id},1,2", "X1,,5,"]
+            records, report = load_crash_table(
+                crash, tx_mapping, units_source=units, persons_source=persons
+            )
+            (record,) = records
+            assert [(u.unit_id, u.vehicle_class) for u in record.units] == [
+                (1, VehicleClass.PASSENGER),
+            ]
+            assert record.units[0].airbag_deployed is False
+            assert record.worst_injury is KabcoLevel.O
+            assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+                ("unit", 2, f"unparseable unit_id {unit_id!r}"),
+                ("person", 2, f"unparseable unit_id {unit_id!r}"),
+            ]
+            assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
 
     def test_orphan_unit_and_person_rows_are_reported(self, tx_mapping):
         crash = [
@@ -923,6 +933,62 @@ class TestGeneratedTables:
         assert shuffled[0] == load(unique_units, person_rows)[0]
 
 
+class TestSharedUnits:
+    """A load builds each distinct unit once and shares it among the
+    records that hold it: the records equal those a fresh unit per row
+    would give, and nothing downstream can tell them apart."""
+
+    @staticmethod
+    def _tables(fixtures_dir, tiles: int) -> list[list[str]]:
+        """The fixture tables, or tiled copies from the corpus module."""
+        names = ("tx_crashes.csv", "tx_units.csv", "tx_persons.csv")
+        if tiles == 1:
+            return [(fixtures_dir / name).read_text().splitlines() for name in names]
+        return [tiled_table(fixtures_dir / name, tiles).splitlines() for name in names]
+
+    @pytest.mark.parametrize("tiles", [1, 3])
+    def test_records_equal_those_with_a_fresh_unit_per_row(
+        self, tx_mapping, fixtures_dir, tiles
+    ):
+        crashes, units, persons = self._tables(fixtures_dir, tiles)
+        records, _ = load_crash_table(crashes, tx_mapping, units, persons)
+        # Each unit row loaded in a call of its own is built from its row
+        # alone; of a repeated (crash, unit) pair the first row wins.
+        fresh: dict[str, dict] = {}
+        for row in units[1:]:
+            alone, _ = load_crash_table(crashes, tx_mapping, [units[0], row], persons)
+            for record in alone:
+                for unit in record.units:
+                    fresh.setdefault(record.crash_id, {}).setdefault(unit.unit_id, unit)
+        assert sum(map(len, fresh.values())) == sum(len(r.units) for r in records) > 0
+        for record in records:
+            by_id = fresh.get(record.crash_id, {})
+            assert record == replace(record, units=tuple(by_id[i] for i in sorted(by_id)))
+
+    def test_equal_units_are_one_value_per_load(self, tx_mapping, fixtures_dir):
+        crashes, units_table, persons = self._tables(fixtures_dir, 3)
+        records, _ = load_crash_table(crashes, tx_mapping, units_table, persons)
+        units = [unit for record in records for unit in record.units]
+        shared: dict[tuple, object] = {}
+        for unit in units:
+            assert shared.setdefault(astuple(unit), unit) is unit
+        assert len(shared) < len(units) / 3
+        # The memo lives for one call: another load builds its own units.
+        again, _ = load_crash_table(crashes, tx_mapping, units_table, persons)
+        assert again == records
+        assert not {id(u) for u in units} & {id(u) for r in again for u in r.units}
+
+    def test_geocoding_keeps_units_shared(self, tx_mapping, fixtures_dir):
+        crashes, units, persons = self._tables(fixtures_dir, 1)
+        records, _ = load_crash_table(crashes, tx_mapping, units, persons)
+        geocoder = FileCachedGeocoder(fixtures_dir / "geocache.tsv")
+        located, report = geocode_missing(records, geocoder)
+        assert report.resolved > 0
+        for before, after in zip(records, located):
+            assert len(after.units) == len(before.units)
+            assert all(a is b for a, b in zip(after.units, before.units))
+
+
 class TestGeocoding:
     def test_stub_contract(self):
         request = GeocodeRequest("CA", "SF", "US-101", "CESAR CHAVEZ")
@@ -1081,12 +1147,29 @@ class TestVmtLoading:
             "[source]\nname = pair\n"
             "[columns]\nstate = const:CA\ncounty = County\n"
             "functional_class = Class\nyear = Year\nvmt_miles = V\n"
-            "[dictionary.functional_class]\nALL = AllRoads\nFWY = Freeway\n* = Unknown\n"
+            "[dictionary.functional_class]\nALL = AllRoads\nFWY = Freeway\n"
+            "SURF = SurfaceStreet\n* = Unknown\n"
         )
         config = MappingConfig.load(config_path)
-        rows = ["County,Class,Year,V", "X,ALL,2023,90", "X,FWY,2023,100"]
-        with pytest.raises(InconsistentVmtError):
-            load_vmt_table(rows, config)
+        # Freeway exceeding the total; then given parts that miss it (the
+        # parts used to be kept unchecked).
+        for classes in (
+            ["X,ALL,2023,90", "X,FWY,2023,100"],
+            ["Travis,ALL,2023,9e9", "Travis,FWY,2023,2e9", "Travis,SURF,2023,3e9"],
+            ["Travis,ALL,2023,5e9", "Travis,FWY,2023,2e9", "Travis,SURF,2023,3.01e9"],
+        ):
+            county = classes[0].split(",")[0].upper()
+            with pytest.raises(InconsistentVmtError, match=f"CA/{county}/2023: freeway VMT"):
+                load_vmt_table(["County,Class,Year,V", *classes], config)
+        # Parts that agree within rounding are kept as given.
+        rows = ["County,Class,Year,V", "Travis,ALL,2023,5.001e9", "Travis,FWY,2023,2e9",
+                "Travis,SURF,2023,3e9"]
+        records = load_vmt_table(rows, config)
+        assert [(r.functional_class, r.vmt_miles) for r in records] == [
+            (FunctionalClass.ALL_ROADS, 5.001e9),
+            (FunctionalClass.FREEWAY, 2e9),
+            (FunctionalClass.SURFACE_STREET, 3e9),
+        ]
 
     @pytest.mark.parametrize("miles", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_vmt_is_data_error(self, tx_vmt_mapping, miles):

@@ -1,11 +1,14 @@
+import csv
 import gc
+import io
 import json
 import math
 import shutil
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import Phase, given, reject, settings, strategies as st
 
 from crashbench import pipeline
 from crashbench.cohort import (
@@ -25,7 +28,14 @@ from crashbench.model import (
 )
 from crashbench.power import DEFAULT_EFFECT_RATIOS
 from crashbench.roadclass import classify_road
-from crashbench.taxonomy import CrashType, OutcomeLevel, classify_outcome
+from crashbench.rates import adjust_underreporting
+from crashbench.taxonomy import (
+    DEFAULT_GATE_ORDER,
+    CrashType,
+    OutcomeLevel,
+    classify_crash_type,
+    classify_outcome,
+)
 
 from corpus import make_corpus, tiled_table
 
@@ -462,6 +472,53 @@ class TestCollectorPause:
         assert garbage_after_run(4) <= garbage_after_run(1)
 
 
+class TestRowOrder:
+    """Whole-run property: the report tables do not depend on the order
+    of crash, unit and person rows once no key repeats.  Ingest shares
+    one unit value among all units with equal fields, keeping the first
+    it builds, so this also checks that nothing a unit holds is left out
+    of what makes two units equal."""
+
+    TABLES = {  # run-config field, fixture table, key columns
+        "crash_table": ("tx_crashes.csv", ("Crash_ID",)),
+        "units_table": ("tx_units.csv", ("Crash_ID", "Unit_Nbr")),
+        "persons_table": ("tx_persons.csv", ()),
+    }
+
+    # A shuffle has nothing to shrink, so a failure is reported as found.
+    @settings(max_examples=6, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(rng=st.randoms(use_true_random=False))
+    def test_shuffled_rows_give_identical_tables(self, fixtures_dir, tmp_path_factory, rng):
+        work = tmp_path_factory.mktemp("row_order")
+        config = pipeline.load_run_config(fixtures_dir / "run.ini")
+        tables = {}  # field -> (header, rows with the first copy of each key)
+        for attr, (name, key_columns) in self.TABLES.items():
+            header, *rows = csv.reader(io.StringIO(tiled_table(fixtures_dir / name, 2)))
+            if key_columns:
+                key = itemgetter(*map(header.index, key_columns))
+                first = {}
+                for row in rows:
+                    first.setdefault(key(row), row)
+                rows = list(first.values())
+            tables[attr] = header, rows
+
+        def run(name: str, order) -> dict[str, bytes]:
+            paths = {}
+            for attr, (header, rows) in tables.items():
+                paths[attr] = work / f"{name}-{attr}.csv"
+                with open(paths[attr], "w", newline="", encoding="utf-8") as fh:
+                    csv.writer(fh, lineterminator="\n").writerows([header, *order(rows)])
+            (source,) = config.sources
+            out = work / name
+            pipeline.run(replace(config, sources=(replace(source, **paths),), out_dir=out))
+            return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+        shuffled = run("shuffled", lambda rows: rng.sample(rows, len(rows)))
+        assert run("ordered", list) == shuffled
+        assert len(shuffled) == 4
+
+
 # A two-area world over the corpus counties (HAYS falls outside both).
 PROPERTY_AREAS = (
     GeoArea("Austin", "TX", frozenset({"TRAVIS"})),
@@ -479,6 +536,7 @@ PROPERTY_SHARES = PassengerShareTable(
     }
 )
 corpora = st.builds(make_corpus, st.integers(1, 40), st.integers(0, 2**32 - 1))
+REVERSED_GATE_ORDER = DEFAULT_GATE_ORDER[::-1]
 
 
 def _property_tables(records, road_index, **params):
@@ -543,12 +601,20 @@ class TestBuildBenchmarkProperties:
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(records=corpora, impute_by_road=st.booleans())
-    def test_cohort_counts_match_recount(self, road_index, records, impute_by_road):
-        # Recount every severity cell from the cohort helpers, one record
-        # at a time: whole unit counts, and the imputation key's passenger
-        # fraction applied once to the cell's unknowns.
-        tables = _property_tables(records, road_index, impute_by_road=impute_by_road)
+    @given(
+        records=corpora,
+        impute_by_road=st.booleans(),
+        gate_order=st.sampled_from([DEFAULT_GATE_ORDER, REVERSED_GATE_ORDER]),
+    )
+    def test_cohort_counts_match_recount(self, road_index, records, impute_by_road, gate_order):
+        # Recount every severity and typed cell from the cohort and
+        # taxonomy helpers, one record and one unit at a time: whole unit
+        # counts, and the imputation key's passenger fraction applied
+        # once to the cell's unknowns.  build_benchmark walks each
+        # record's units once for all of it.
+        tables = _property_tables(
+            records, road_index, impute_by_road=impute_by_road, type_gate_order=gate_order
+        )
         known: dict = {}
         unknown: dict = {}
         basis: dict = {}
@@ -560,20 +626,43 @@ class TestBuildBenchmarkProperties:
             road = classify_road(record, road_index).road_class
             basis.setdefault((area.name, road if impute_by_road else None), []).append(record)
             (selection,) = filter_in_transport_passenger([record])
-            if not selection.passenger_units + selection.unknown_units:
-                continue
-            for outcome in classify_outcome(record):
-                key = (area.name, road, outcome)
-                known[key] = known.get(key, 0) + len(selection.passenger_units)
-                unknown[key] = unknown.get(key, 0) + len(selection.unknown_units)
-        assert tables.cohort_counts.keys() == known.keys()
+            for tally, units in ((known, selection.passenger_units),
+                                 (unknown, selection.unknown_units)):
+                for unit in units:
+                    crash_type = classify_crash_type(record, unit.unit_id, road, gate_order)
+                    for outcome in classify_outcome(record):
+                        severity_key = (area.name, road, outcome)
+                        for key in (severity_key, (*severity_key, crash_type)):
+                            tally[key] = tally.get(key, 0) + 1
+
+        def fraction(key) -> float:
+            records_of_key = basis[key[0], key[1] if impute_by_road else None]
+            return passenger_fraction(known_class_histogram(records_of_key))
+
+        cells = known.keys() | unknown.keys()
+        severity = {key for key in cells if len(key) == 3}
+        assert tables.cohort_counts.keys() == severity
         for key, counts in tables.cohort_counts.items():
-            assert (counts.known, counts.unknown) == (known[key], unknown[key])
-            records_of_key = basis[(key[0], key[1] if impute_by_road else None)]
-            assert counts.passenger_fraction == passenger_fraction(
-                known_class_histogram(records_of_key)
-            )
+            assert (counts.known, counts.unknown) == (known.get(key, 0), unknown.get(key, 0))
+            assert counts.passenger_fraction == fraction(key)
             assert counts.imputed == counts.unknown * counts.passenger_fraction
+        # Typed cells: the same whole counts and fraction, then the
+        # any-injury adjustment against the fatal cell of the same type.
+        final = {
+            key: known.get(key, 0) + unknown.get(key, 0) * fraction(key)
+            for key in cells - severity
+        }
+        expected = {}
+        for key, count in final.items():
+            if key[2] is OutcomeLevel.ANY_INJURY_REPORTED:
+                fatal = final.get((*key[:2], OutcomeLevel.FATAL, key[3]), 0.0)
+                count = adjust_underreporting(
+                    count - fatal, fatal, pipeline.RunParams().underreport_fraction
+                )
+            expected[key] = count
+        assert {
+            (c.geo.name, c.road, c.outcome, c.crash_type): c.count for c in tables.typed_cells
+        } == expected
 
     @settings(max_examples=40, deadline=None)
     @given(records=corpora, rng=st.randoms(use_true_random=False))
