@@ -35,9 +35,10 @@ import math
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Union
 
 from .mapping import (
     CRASH_FIELDS,
@@ -142,6 +143,14 @@ class IngestReport:
     def skip(self, table: str, row_number: int, reason: str) -> None:
         self.skipped.append(SkippedRow(table, row_number, reason))
 
+    def count_read(self, table: str, last_number: int) -> None:
+        """Record the rows read from ``table``: the last row number its
+        reader saw, or a later row skipped before the reader (one wider
+        than the header), if any."""
+        last = max([last_number] + [s.row_number for s in self.skipped if s.table == table])
+        if last:
+            self.rows_read[table] = last
+
     def conserves_rows(self, table: str = "crash") -> bool:
         """Rows read equal rows used plus rows skipped.  Crash rows are
         used as records; unit and person rows by attaching to one."""
@@ -151,12 +160,18 @@ class IngestReport:
 
 
 @contextmanager
-def _open_table(source: RowSource, delimiter: str) -> Iterator[tuple[list[str], Rows]]:
+def _open_table(
+    source: RowSource, delimiter: str, skip_wide: Optional[Callable[[int, str], None]] = None
+) -> Iterator[tuple[list[str], Rows]]:
     """Read a table's header and yield it with the numbered rows after it.
 
     Blank lines are skipped and do not advance the row number.  Short rows
     are padded with empty values to the header's width, so their missing
-    trailing fields read as absent.  A file that is not UTF-8 text is a
+    trailing fields read as absent.  A row with more fields than the
+    header (an unquoted delimiter in a value shifts every later field) is
+    not yielded: it goes to ``skip_wide`` with its number and a reason
+    giving both widths, and with no ``skip_wide`` it is a DataError
+    naming the source and row.  A file that is not UTF-8 text is a
     DataError naming it.
     """
     opened = (
@@ -166,30 +181,48 @@ def _open_table(source: RowSource, delimiter: str) -> Iterator[tuple[list[str], 
     )
     with opened as lines:
         reader = csv.reader(lines, delimiter=delimiter)
+        if skip_wide is None:
+
+            def skip_wide(number: int, reason: str) -> None:
+                raise DataError(f"{source}: row {number}: {reason}")
+
         try:
             header = next(reader, [])
-            yield header, _numbered(reader, len(header))
+            yield header, _numbered(reader, len(header), skip_wide)
         except UnicodeDecodeError as exc:
             raise DataError(f"{source}: not UTF-8 text ({exc})") from None
 
 
-def _numbered(reader: Iterator[list[str]], width: int) -> Rows:
+def _numbered(
+    reader: Iterator[list[str]], width: int, skip_wide: Callable[[int, str], None]
+) -> Rows:
     number = 0
     for row in reader:
         if row:
             number += 1
-            if len(row) < width:
+            if len(row) != width:
+                if len(row) > width:
+                    skip_wide(number, f"{len(row)} fields, header has {width}")
+                    continue
                 row += [""] * (width - len(row))
             yield number, row
 
 
 @contextmanager
 def _mapped_table(
-    table: str, source: RowSource, config: MappingConfig, required: tuple, fields: tuple
+    table: str,
+    source: RowSource,
+    config: MappingConfig,
+    required: tuple,
+    fields: tuple,
+    report: Optional[IngestReport] = None,
 ) -> Iterator[tuple[RowConverter, Rows]]:
     """Open a source table; yield the mapping of ``fields`` compiled
-    against its header (which checks it), and the numbered rows."""
-    with _open_table(source, config.delimiter) as (header, rows):
+    against its header (which checks it), and the numbered rows.  Rows
+    wider than the header are skipped into ``report`` when one is given,
+    else they are a DataError (see ``_open_table``)."""
+    skip_wide = partial(report.skip, table) if report is not None else None
+    with _open_table(source, config.delimiter, skip_wide) as (header, rows):
         yield config.compile(header, fields, required, table), rows
 
 
@@ -239,9 +272,11 @@ def load_crash_table(
     One record per crash id; vehicle and person rows attach by the crash
     key.  A crash row lacking its key or year, or repeating an emitted
     crash id, is skipped and reported; so is a unit or person row whose
-    crash is absent or was skipped, and a unit row repeating a unit of
-    its crash.  Field-level junk degrades instead: unmapped codes go to
-    Unknown, and a coordinate that is unparseable or fails
+    crash is absent or was skipped, a unit row repeating a unit of its
+    crash, and a row of any of the three tables with more fields than its
+    header, whose values cannot be told apart (the unit and person rows
+    of such a crash row then have no crash row).  Field-level junk
+    degrades instead: unmapped codes go to Unknown, and a coordinate that is unparseable or fails
     ``valid_coordinate`` leaves the location absent (to be geocoded),
     both counted in the report; a first-contact ordinal below 1 reads as
     absent.  A crash with no unit row is emitted and counted in
@@ -256,16 +291,22 @@ def load_crash_table(
 
     with ExitStack() as stack:
         crash_table = stack.enter_context(
-            _mapped_table("crash", crash_source, config, CRASH_REQUIRED, CRASH_FIELDS)
+            _mapped_table(
+                "crash", crash_source, config, CRASH_REQUIRED, CRASH_FIELDS, report
+            )
         )
         unit_table = person_table = None
         if units_source is not None:
             unit_table = stack.enter_context(
-                _mapped_table("unit", units_source, config, UNIT_REQUIRED, UNIT_FIELDS)
+                _mapped_table(
+                    "unit", units_source, config, UNIT_REQUIRED, UNIT_FIELDS, report
+                )
             )
         if persons_source is not None:
             person_table = stack.enter_context(
-                _mapped_table("person", persons_source, config, PERSON_REQUIRED, PERSON_FIELDS)
+                _mapped_table(
+                    "person", persons_source, config, PERSON_REQUIRED, PERSON_FIELDS, report
+                )
             )
 
         # Crash rows first, so unit and person rows meet the emitted crash
@@ -378,8 +419,7 @@ def _read_crash_rows(
             manner=_coded_member("manner_of_collision", manner, degraded, report),
             worst=worst,
         )
-    if number:
-        report.rows_read["crash"] = number
+    report.count_read("crash", number)
     return crashes, skipped_ids
 
 
@@ -424,8 +464,8 @@ def _read_person_rows(
             injuries_by_crash.setdefault(key, []).append(level)
         if unit_id is not None and airbag is not None:
             airbags_by_unit[key, unit_id] = airbag or airbags_by_unit.get((key, unit_id), False)
+    report.count_read("person", number)
     if number:
-        report.rows_read["person"] = number
         report.rows_attached["person"] = attached
     return injuries_by_crash, airbags_by_unit
 
@@ -490,8 +530,8 @@ def _read_unit_rows(
         if unit is None:
             unit = distinct_units[fields] = VehicleUnit(*fields)
         units_by_crash.setdefault(key, []).append(unit)
+    report.count_read("unit", number)
     if number:
-        report.rows_read["unit"] = number
         report.rows_attached["unit"] = attached
     return units_by_crash
 
@@ -538,10 +578,12 @@ class FileCachedGeocoder:
 
     With no inner client this is replay mode: only previously cached
     requests resolve, which keeps runs deterministic and offline.
-    Cache lines are 'key<TAB>lat<TAB>lon'; a line that does not parse, or
-    whose coordinates fail ``valid_coordinate``, is a DataError naming the
-    line, and so is a repeated key with other coordinates (naming both
-    lines); an exact repeat loads.  An inner client's answer that fails
+    Cache lines are 'key<TAB>lat<TAB>lon'; a line that does not parse, whose
+    coordinates ``_float_or_none`` does not read as numbers (so no
+    underscores or non-ASCII digits), or whose coordinates fail
+    ``valid_coordinate``, is a DataError naming the line, and so is a
+    repeated key with other coordinates (naming both lines); an exact
+    repeat loads.  An inner client's answer that fails
     ``valid_coordinate`` counts as unresolved and is not cached.
     """
 
@@ -564,9 +606,11 @@ class FileCachedGeocoder:
                     continue
                 try:
                     key, lat, lon = line.split("\t")
-                    location = LatLon(float(lat), float(lon))
                 except ValueError as exc:
                     raise self._malformed(line_no, str(exc)) from None
+                location = LatLon(_float_or_none(lat), _float_or_none(lon))
+                if None in location:
+                    raise self._malformed(line_no, f"{lat!r}, {lon!r} is not two finite numbers")
                 if not valid_coordinate(*location):
                     raise self._malformed(
                         line_no,

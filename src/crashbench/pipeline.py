@@ -13,11 +13,14 @@ severity cell with a positive count.  The run is single-threaded and
 deterministic: cells tally whole unit counts and apply their passenger
 fraction once, so no float sum depends on record or set order, and
 reports are byte-identical across runs and hash seeds.
-``build_benchmark`` walks each record's units once for the cohort
+``build_benchmark`` counts the in-area records by shape (area, road
+class, units, junction relation, manner of collision, worst injury) and
+walks each distinct shape's units once for the cohort
 (``cohort.unit_role``): the one walk tallies the counted units, adds
 the known classes to the imputation basis and collects the ids the
-crash-type cascade types.  Units are shared immutable values (see
-``ingest``), so nothing here relies on their identity.
+crash-type cascade types, every increment times the shape's count.
+Units are shared immutable values (see ``ingest``), but shapes compare
+them by value, so nothing here relies on their identity.
 ``RunConfig.workers`` is validated but has no effect, and
 ``RunConfig.seed`` is only recorded in the report metadata.  Ingest
 decides the crash-record contract, so no later stage validates a record.
@@ -470,12 +473,20 @@ def build_benchmark(
     """Aggregate normalized records into rate cells, type distributions,
     and the required-mileage grid.
 
-    One pass over ``records`` road-classifies, places and tallies each
-    in-year record, walking its units once for the cohort.  Records are
-    taken as ``ingest.load_crash_table`` emits them, already meeting the
-    record contract, so none is validated here.  The tallies hold whole
-    unit counts only; each cell's passenger fraction is applied once
-    afterwards.
+    A first pass over ``records`` road-classifies and places each
+    in-year record and counts it by shape: its area, road class, units,
+    junction relation, manner of collision and worst injury, which are
+    all the cohort walk, ``classify_outcome`` and the crash-type cascade
+    read.  A second pass walks and types each distinct shape once, in
+    first-seen order, and adds its tallies times the shape's count.
+    The tallies are integers, so the multiplication is exact, and the
+    first-seen order keeps every later float sum in record order.
+    Records are taken as ``ingest.load_crash_table`` emits them, already
+    meeting the record contract, so none is validated here; in
+    particular a record's event sequence is the one
+    ``model.build_event_sequence`` derives from its units.  The tallies
+    hold whole unit counts only; each cell's passenger fraction is
+    applied once afterwards.
     """
     by_county = county_areas(areas)
     records_in_year = outside = unresolved_road = 0
@@ -491,6 +502,11 @@ def build_benchmark(
     tallies: dict[tuple, list[int]] = {}
     cascade = CrashTypeCascade(params.type_gate_order)
 
+    # First pass: count the in-area records by shape, everything the
+    # cohort walk, the outcome set and the crash-type cascade read.  The
+    # event sequence is left out: ingest derives it from the units.
+    # Each shape keeps its first record and its count.
+    shapes: dict[tuple, list] = {}
     for record in records:
         if record.year != year:
             continue
@@ -502,13 +518,25 @@ def build_benchmark(
         cls = classify_road(
             record, index, threshold_m=params.threshold_m, any_route=params.any_route
         )
-        road = cls.road_class
         if cls.provenance is Provenance.UNRESOLVABLE:
             unresolved_road += 1
-        key = imputation_key(area.name, road)
-        # One walk over the crash's units: each known class joins the
-        # imputation basis, and each counted unit is typed and tallied in
-        # the column its role names (PASSENGER 0, UNKNOWN 1).
+        shape = (
+            area.name,
+            cls.road_class,
+            record.units,
+            record.junction_relation,
+            record.manner_of_collision,
+            record.worst_injury,
+        )
+        # One hash of the key per record: hashing the units runs in Python.
+        shapes.setdefault(shape, [record, 0])[1] += 1
+
+    # Second pass, over the shapes in first-seen order: one walk over a
+    # shape's units, where each known class joins the imputation basis and
+    # each counted unit is typed and tallied in the column its role names
+    # (PASSENGER 0, UNKNOWN 1), every increment times the shape's count.
+    for (area_name, road, *_), (record, n) in shapes.items():
+        key = imputation_key(area_name, road)
         histogram = known_classes.setdefault(key, {})
         counted_ids: list[int] = []
         columns: list[int] = []
@@ -517,19 +545,19 @@ def build_benchmark(
             if role is None:
                 continue
             if role != UNKNOWN:
-                histogram[unit.vehicle_class] = histogram.get(unit.vehicle_class, 0) + 1
+                histogram[unit.vehicle_class] = histogram.get(unit.vehicle_class, 0) + n
             if role != OTHER_KNOWN:
                 counted_ids.append(unit.unit_id)
                 columns.append(role)
         n_unknown = columns.count(UNKNOWN)
         if n_unknown:
-            unknowns[key] = unknowns.get(key, 0) + n_unknown
+            unknowns[key] = unknowns.get(key, 0) + n * n_unknown
         outcomes = classify_outcome(record)
         crash_types = cascade.classify_units(record, counted_ids, road)
         for crash_type, column in zip(crash_types, columns):
             for outcome in outcomes:
-                cell = (area.name, road, outcome, crash_type)
-                tallies.setdefault(cell, [0, 0])[column] += 1
+                cell = (area_name, road, outcome, crash_type)
+                tallies.setdefault(cell, [0, 0])[column] += n
 
     fractions = {key: passenger_fraction(hist) for key, hist in known_classes.items() if hist}
     imputed_mass: dict[str, float] = {}

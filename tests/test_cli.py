@@ -99,6 +99,10 @@ class TestRun:
             "TX|TRAVIS|FOO|\tnan\tinf",
             "TX|TRAVIS|FOO|\t30.3\t-197.7",
             "TX|TRAVIS|FOO|\t-97.7\t30.3",
+            # Numbers to float() but not to the crash-table readers:
+            # underscores and non-ASCII (Arabic-Indic) digits.
+            "TX|TRAVIS|FOO|\t3_0.25\t-9_7.5",
+            "TX|TRAVIS|FOO|\t\u0663\u0660.25\t-97.5",
         ],
     )
     def test_malformed_geocoder_cache_exit_data_error(self, fixtures_dir, tmp_path, capsys,

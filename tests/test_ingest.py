@@ -521,6 +521,33 @@ class TestRowAccounting:
         ]
         assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
 
+    def test_rows_wider_than_the_header_are_skipped(self, tx_mapping):
+        # An unquoted comma in a street name used to shift every later
+        # field: severity, junction and manner all fell to Unknown.
+        crash = [
+            CRASH_HEADER,
+            "X1,2023,Travis,30.1,-97.7,MAIN ST, EXTRA,,N,3,24",
+            "X2,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+            "X3,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24,,",
+        ]
+        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,1,1", "X2,1,P4,,1,,,1,1,1,9",
+                 "X2,2,P4,,1,,,1,1,1"]
+        persons = [PERSON_HEADER, "X2,1,5,1", "X2,2,5,1,1"]
+        records, report = load_crash_table(
+            crash, tx_mapping, units_source=units, persons_source=persons
+        )
+        assert [(r.crash_id, [u.unit_id for u in r.units]) for r in records] == [("X2", [2])]
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("unit", 1, "no crash row"),
+            ("unit", 2, "11 fields, header has 10"),
+            ("person", 2, "5 fields, header has 4"),
+            ("crash", 1, "11 fields, header has 10"),
+            ("crash", 3, "12 fields, header has 10"),
+        ]
+        # A wide last row is read and skipped like any other.
+        assert report.rows_read == {"crash": 3, "unit": 3, "person": 2}
+        assert all(report.conserves_rows(t) for t in ("crash", "unit", "person"))
+
     def test_duplicate_unit_row_keeps_first_copy(self, tx_mapping):
         crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
         units = [
@@ -1070,6 +1097,18 @@ class TestGeocoding:
         with pytest.raises(DataError, match=message):
             FileCachedGeocoder(cache_path)
 
+    @pytest.mark.parametrize(
+        "lat, lon", [("3_0.25", "-9_7.5"), ("\u0663\u0660.25", "-97.5"), ("30.25", "-\u0669\u0667")]
+    )
+    def test_cache_coordinates_read_as_table_numbers(self, tmp_path, lat, lon):
+        # float() reads "3_0.25" as 30.25 and Arabic-Indic digits as their
+        # values; a crash table reads neither, and neither does the cache.
+        cache_path = tmp_path / "cache.tsv"
+        cache_path.write_text(f"TX|TRAVIS|FOO|\t30.1\t-97.7\nTX|TRAVIS|BAR|\t{lat}\t{lon}\n",
+                              encoding="utf-8")
+        with pytest.raises(DataError, match=r"cache\.tsv: line 2: malformed geocoder cache line"):
+            FileCachedGeocoder(cache_path)
+
     def test_exact_repeat_cache_line_loads(self, tmp_path):
         cache_path = tmp_path / "cache.tsv"
         request = GeocodeRequest("TX", "TRAVIS", "US-290", "SPRINGDALE RD")
@@ -1181,6 +1220,13 @@ class TestVmtLoading:
         with pytest.raises(DataError, match=f"vmt row 2: vmt_miles {miles!r} is not a finite"):
             load_vmt_table(rows, tx_vmt_mapping)
 
+    def test_vmt_row_wider_than_the_header_is_data_error(self, tx_vmt_mapping, tmp_path):
+        path = tmp_path / "vmt.csv"
+        path.write_text("County,Functional_Class,Year,Annual_VMT\nTravis,FREEWAY,2023,10\n"
+                        "Travis,SURFACE,2023,1,000\n")
+        with pytest.raises(DataError, match=r"vmt\.csv: row 2: 5 fields, header has 4"):
+            load_vmt_table(path, tx_vmt_mapping)
+
     def test_non_integral_vmt_year_is_data_error(self, tx_vmt_mapping):
         rows = ["County,Functional_Class,Year,Annual_VMT", "Travis,FREEWAY,2023.5,10"]
         with pytest.raises(DataError, match="vmt row 1: year '2023.5' is not an integer"):
@@ -1204,6 +1250,14 @@ def test_share_out_of_range_is_data_error(tmp_path, share):
     path.write_text(f"state,functional_class,urban,share\nTX,Freeway,true,0.9\n"
                     f"TX,SurfaceStreet,true,{share}\n")
     with pytest.raises(DataError, match=rf"shares.csv: row 2: share '{share}' .* in \(0, 1\]"):
+        load_share_table(path)
+
+
+def test_share_row_wider_than_the_header_is_data_error(tmp_path):
+    path = tmp_path / "shares.csv"
+    path.write_text("state,functional_class,urban,share\nTX,Freeway,true,0.92\n"
+                    "TX,SurfaceStreet,true,0,95\n")
+    with pytest.raises(DataError, match=r"shares\.csv: row 2: 5 fields, header has 4"):
         load_share_table(path)
 
 

@@ -18,13 +18,19 @@ from crashbench.cohort import (
 )
 from crashbench.model import (
     ConfigError,
+    CrashRecord,
     DataError,
     FunctionalClass,
     GeoArea,
     InvalidOptionError,
+    JunctionRelation,
+    KabcoLevel,
+    MannerOfCollision,
     PassengerShareTable,
     VehicleClass,
+    VehicleUnit,
     VmtRecord,
+    build_event_sequence,
 )
 from crashbench.power import DEFAULT_EFFECT_RATIOS
 from crashbench.roadclass import classify_road
@@ -536,13 +542,23 @@ PROPERTY_SHARES = PassengerShareTable(
     }
 )
 corpora = st.builds(make_corpus, st.integers(1, 40), st.integers(0, 2**32 - 1))
+
+
+def _with_repeats(records, rng):
+    """The records, then copies of some of them under fresh crash ids, so
+    that shapes repeat unevenly."""
+    copies = rng.choices(records, k=rng.randint(0, 2 * len(records)))
+    return records + [replace(r, crash_id=f"{r.crash_id}~{i}") for i, r in enumerate(copies)]
+
+
+corpora_with_repeats = st.builds(_with_repeats, corpora, st.randoms(use_true_random=False))
 REVERSED_GATE_ORDER = DEFAULT_GATE_ORDER[::-1]
 
 
-def _property_tables(records, road_index, **params):
+def _property_tables(records, road_index, vmt=PROPERTY_VMT, **params):
     try:
         return pipeline.build_benchmark(
-            records, road_index, PROPERTY_VMT, PROPERTY_SHARES, PROPERTY_AREAS, 2023,
+            records, road_index, vmt, PROPERTY_SHARES, PROPERTY_AREAS, 2023,
             pipeline.RunParams(**params),
         )
     except DataError as exc:
@@ -602,7 +618,7 @@ class TestBuildBenchmarkProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        records=corpora,
+        records=corpora_with_repeats,
         impute_by_road=st.booleans(),
         gate_order=st.sampled_from([DEFAULT_GATE_ORDER, REVERSED_GATE_ORDER]),
     )
@@ -611,7 +627,8 @@ class TestBuildBenchmarkProperties:
         # taxonomy helpers, one record and one unit at a time: whole unit
         # counts, and the imputation key's passenger fraction applied
         # once to the cell's unknowns.  build_benchmark walks each
-        # record's units once for all of it.
+        # distinct record shape's units once for all of it, so some
+        # records repeat.
         tables = _property_tables(
             records, road_index, impute_by_road=impute_by_road, type_gate_order=gate_order
         )
@@ -663,6 +680,43 @@ class TestBuildBenchmarkProperties:
         assert {
             (c.geo.name, c.road, c.outcome, c.crash_type): c.count for c in tables.typed_cells
         } == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(records=corpora, k=st.integers(2, 4), impute_by_road=st.booleans())
+    def test_tiling_multiplies_tallies(self, road_index, records, k, impute_by_road):
+        # The corpus k times over, each tile with fresh crash ids: every
+        # whole count is k times the untiled one and the passenger
+        # fractions are equal.  With VMT k times over as well, every rate
+        # and type fraction is the untiled one within a few ulp.
+        tiled = [replace(r, crash_id=f"{r.crash_id}~{t}") for t in range(k) for r in records]
+        vmt = [replace(rec, vmt_miles=k * rec.vmt_miles) for rec in PROPERTY_VMT]
+        once = _property_tables(records, road_index, impute_by_road=impute_by_road)
+        tables = _property_tables(tiled, road_index, vmt, impute_by_road=impute_by_road)
+        assert tables.cohort_counts.keys() == once.cohort_counts.keys()
+        for key, counts in tables.cohort_counts.items():
+            base = once.cohort_counts[key]
+            assert (counts.known, counts.unknown) == (k * base.known, k * base.unknown)
+            assert counts.passenger_fraction == base.passenger_fraction
+        for name in ("records_in_year", "records_outside_areas", "unknown_class_units",
+                     "unresolvable_road_records"):
+            assert tables.diagnostics[name] == k * once.diagnostics[name]
+
+        def close(a: float, b: float) -> bool:
+            return abs(a - b) <= 8 * math.ulp(b)
+
+        for tiled_cells, cells in ((tables.cells, once.cells),
+                                   (tables.typed_cells, once.typed_cells)):
+            assert [(c.geo, c.road, c.outcome, c.crash_type) for c in tiled_cells] == [
+                (c.geo, c.road, c.outcome, c.crash_type) for c in cells
+            ]
+            for tiled_cell, cell in zip(tiled_cells, cells):
+                assert close(tiled_cell.rate_ipmm, cell.rate_ipmm), (tiled_cell, cell)
+        assert [d[:3] for d in tables.distributions] == [d[:3] for d in once.distributions]
+        for (*_, fractions), (*_, base_fractions) in zip(
+            tables.distributions, once.distributions
+        ):
+            assert fractions.keys() == base_fractions.keys()
+            assert all(close(fractions[t], base_fractions[t]) for t in fractions)
 
     @settings(max_examples=40, deadline=None)
     @given(records=corpora, rng=st.randoms(use_true_random=False))
@@ -725,3 +779,92 @@ class TestBuildBenchmarkProperties:
         assert len(tables.power_grid) == len(DEFAULT_EFFECT_RATIOS) * positive
         # One mileage grid per run: the three quantiles once, not per cell.
         assert len(calls) == 3
+
+
+def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecord:
+    """Two in-transport passenger cars crossing paths at a surface-street
+    intersection in Austin, with ``changes`` to the crash and
+    ``unit_changes`` to each unit; the event sequence follows the units,
+    as ingest builds it."""
+    units = tuple(
+        replace(
+            VehicleUnit(
+                unit_id, VehicleClass.PASSENGER, in_transport=True, airbag_deployed=False,
+                first_contact_event_index=1,
+            ),
+            **unit_change,
+        )
+        for unit_id, unit_change in enumerate(unit_changes, start=1)
+    )
+    record = CrashRecord(
+        crash_id=crash_id,
+        state="TX",
+        county="TRAVIS",
+        year=2023,
+        worst_injury=KabcoLevel.O,
+        primary_road_name="MAIN ST",
+        units=units,
+        junction_relation=JunctionRelation.INTERSECTION,
+        manner_of_collision=MannerOfCollision.CROSSING_PATH,
+    )
+    record = replace(record, **changes)
+    return replace(record, event_sequence=build_event_sequence(record.units))
+
+
+def _tallies(tables) -> dict:
+    """Every severity and typed cell's count, by stratum and crash type."""
+    return {
+        (c.geo.name, c.road, c.outcome, c.crash_type): c.count
+        for c in tables.cells + tables.typed_cells
+    }
+
+
+class TestShapeKey:
+    """``build_benchmark`` types each distinct record shape once and
+    multiplies its tallies by the shape's count.  Two records that differ
+    in any one field the shape holds must each be tallied as themselves."""
+
+    # Each differs from the base record in exactly one shape field.
+    VARIANTS = {
+        "area": dict(county="WILLIAMSON"),
+        "road": dict(primary_road_name="I-35"),
+        "junction": dict(junction_relation=JunctionRelation.NON_JUNCTION),
+        "manner": dict(manner_of_collision=MannerOfCollision.FRONT_TO_REAR),
+        "worst_injury": dict(worst_injury=KabcoLevel.K),
+        "unit_first_contact": dict(unit_changes=({}, {"first_contact_event_index": 2})),
+        "unit_airbag": dict(unit_changes=({"airbag_deployed": True}, {})),
+        "unit_class": dict(
+            unit_changes=({}, {"vehicle_class": VehicleClass.PEDESTRIAN, "in_transport": False})
+        ),
+    }
+
+    @pytest.mark.parametrize("field", VARIANTS)
+    def test_records_one_field_apart_tally_apart(self, road_index, field):
+        base = _shape_record("A")
+        variant = _shape_record("B", **self.VARIANTS[field])
+        alone = [_tallies(_property_tables([record], road_index)) for record in (base, variant)]
+        assert alone[0] != alone[1]  # the field moves the record to other cells
+        both = _tallies(_property_tables([base, variant], road_index))
+        assert both.keys() == alone[0].keys() | alone[1].keys()
+        assert both == pytest.approx(
+            {key: alone[0].get(key, 0.0) + alone[1].get(key, 0.0) for key in both}, rel=1e-12
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(records=corpora, k=st.integers(2, 3))
+    def test_equal_units_built_apart_tally_as_shared(self, road_index, records, k):
+        # Ingest shares each distinct unit; records whose units are equal
+        # but built separately must give the same tables, to the bit.
+        shared = [replace(r, crash_id=f"{r.crash_id}~{t}") for t in range(k) for r in records]
+        apart = [
+            replace(r, units=tuple(replace(unit) for unit in r.units)) for r in shared
+        ]
+        assert all(a.units == s.units and a.units[0] is not s.units[0]
+                   for a, s in zip(apart, shared) if s.units)
+        expected = _property_tables(shared, road_index)
+        tables = _property_tables(apart, road_index)
+        assert tables.cells == expected.cells
+        assert tables.typed_cells == expected.typed_cells
+        assert tables.distributions == expected.distributions
+        assert tables.cohort_counts == expected.cohort_counts
+        assert tables.diagnostics == expected.diagnostics
