@@ -14,12 +14,13 @@ against it into one row converter (``MappingConfig.compile``), which
 checks the table; each reader unpacks a row's values in the field order
 ``mapping`` declares and counts the degraded ones after its skip checks.
 
-Vehicle units and contact-event sequences are shared immutable values.
-A unit's fields all come from small coded domains (unit ordinal, class,
-flags, octant, first-contact ordinal), so one load builds each distinct
-unit once and every record that has it holds that one value; the memo
-lives for one ``load_crash_table`` call.  Nothing may rely on unit
-identity: a unit equals any other with the same fields, shared or not.
+Vehicle units are shared immutable values; a crash's contact events
+are read from its units' first-contact ordinals.  A unit's fields all
+come from small coded domains (unit ordinal, class, flags, octant,
+first-contact ordinal), so one load builds each distinct unit once and
+every record that has it holds that one value; the memo lives for one
+``load_crash_table`` call.  Nothing may rely on unit identity: a unit
+equals any other with the same fields, shared or not.
 
 Records missing coordinates can be filled by a pluggable geocoder
 client.  Only stub and file-cache (replay) clients ship here; a live
@@ -55,7 +56,6 @@ from .mapping import (
 )
 from .model import (
     CrashBenchError,
-    ContactEvent,
     CrashRecord,
     DataError,
     FunctionalClass,
@@ -67,7 +67,6 @@ from .model import (
     VehicleUnit,
     VmtRecord,
     VRU_CLASSES,
-    build_event_sequence,
     valid_coordinate,
     worst_injury,
 )
@@ -82,7 +81,6 @@ _SHARE_COLUMNS = ("state", "functional_class", "urban", "share")
 # The share table's urban column: a flag, or urban/rural (any case).
 _URBAN = {**FLAGS.values, "URBAN": True, "RURAL": False}
 _ADS_COLUMNS = ("geo", "road", "outcome", "ads_count", "ads_vmt_miles")
-_EVENT_KEY = attrgetter("unit_id", "first_contact_event_index")
 
 
 class _CrashRow(NamedTuple):
@@ -329,18 +327,11 @@ def load_crash_table(
             )
 
     records: list[CrashRecord] = []
-    # Event sequences are immutable and follow from each unit's id and
-    # first-contact ordinal alone; build each distinct one once.
-    event_sequences: dict[tuple, tuple[ContactEvent, ...]] = {}
     for crash_id, crash in crashes.items():
         units = units_by_crash.get(crash_id, [])
         if not units:
             report.crashes_without_units += 1
         units.sort(key=attrgetter("unit_id"))
-        events_key = tuple(map(_EVENT_KEY, units))
-        event_sequence = event_sequences.get(events_key)
-        if event_sequence is None:
-            event_sequence = event_sequences[events_key] = build_event_sequence(units)
         person_injuries = injuries_by_crash.get(crash_id)
         if person_injuries:
             worst = worst_injury(person_injuries)
@@ -359,7 +350,6 @@ def load_crash_table(
                 primary_road_name=crash.primary_road or "",
                 secondary_road_name=crash.secondary_road,
                 units=tuple(units),
-                event_sequence=event_sequence,
                 junction_relation=crash.junction,
                 manner_of_collision=crash.manner,
             )

@@ -211,14 +211,6 @@ class VehicleUnit:
 
 
 @dataclass(frozen=True)
-class ContactEvent:
-    """One contact event in a crash sequence and the units involved."""
-
-    index: int  # 1-based position in the sequence
-    unit_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CrashRecord:
     crash_id: str
     state: str
@@ -229,7 +221,6 @@ class CrashRecord:
     primary_road_name: str = ""
     secondary_road_name: Optional[str] = None
     units: tuple[VehicleUnit, ...] = ()
-    event_sequence: tuple[ContactEvent, ...] = ()
     junction_relation: JunctionRelation = JunctionRelation.UNKNOWN
     manner_of_collision: MannerOfCollision = MannerOfCollision.UNKNOWN
 
@@ -238,20 +229,6 @@ class CrashRecord:
             if unit.unit_id == unit_id:
                 return unit
         return None
-
-
-def build_event_sequence(units: Iterable[VehicleUnit]) -> tuple[ContactEvent, ...]:
-    """Derive the ordered contact-event list from per-unit first-contact
-    ordinals.  Units with no recorded ordinal do not appear in any event."""
-    by_index: dict[int, list[int]] = {}
-    for unit in units:
-        idx = unit.first_contact_event_index
-        if idx is not None and idx >= 1:
-            by_index.setdefault(idx, []).append(unit.unit_id)
-    return tuple(
-        ContactEvent(index=idx, unit_ids=tuple(sorted(by_index[idx])))
-        for idx in sorted(by_index)
-    )
 
 
 @dataclass(frozen=True)

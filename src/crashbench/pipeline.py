@@ -20,7 +20,9 @@ walks each distinct shape's units once for the cohort
 the known classes to the imputation basis and collects the ids the
 crash-type cascade types, every increment times the shape's count.
 Units are shared immutable values (see ``ingest``), but shapes compare
-them by value, so nothing here relies on their identity.
+them by value, so nothing here relies on their identity.  Typing
+reads the contact events from the units' first-contact ordinals, so a
+shape's units cover them.
 ``RunConfig.workers`` is validated but has no effect, and
 ``RunConfig.seed`` is only recorded in the report metadata.  Ingest
 decides the crash-record contract, so no later stage validates a record.
@@ -482,9 +484,7 @@ def build_benchmark(
     The tallies are integers, so the multiplication is exact, and the
     first-seen order keeps every later float sum in record order.
     Records are taken as ``ingest.load_crash_table`` emits them, already
-    meeting the record contract, so none is validated here; in
-    particular a record's event sequence is the one
-    ``model.build_event_sequence`` derives from its units.  The tallies
+    meeting the record contract, so none is validated here.  The tallies
     hold whole unit counts only; each cell's passenger fraction is
     applied once afterwards.
     """
@@ -503,8 +503,7 @@ def build_benchmark(
     cascade = CrashTypeCascade(params.type_gate_order)
 
     # First pass: count the in-area records by shape, everything the
-    # cohort walk, the outcome set and the crash-type cascade read.  The
-    # event sequence is left out: ingest derives it from the units.
+    # cohort walk, the outcome set and the crash-type cascade read.
     # Each shape keeps its first record and its count.
     shapes: dict[tuple, list] = {}
     for record in records:

@@ -261,8 +261,9 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
 
     Exact recovery: counts, VMT, and therefore rates and intervals
     round-trip bit-for-bit (floats are emitted with repr).  A file that
-    is not UTF-8 text or lacks a column, and a row that does not read
-    back into a cell, is a DataError naming the file (and the row).
+    is not UTF-8 text or lacks a column, and a row with more or fewer
+    fields than the header or that does not read back into a cell, is a
+    DataError naming the file (and the row).
     """
     cells = []
     try:
@@ -272,6 +273,10 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
             if missing:
                 raise DataError(f"{path}: rate table lacks column(s) {', '.join(missing)}")
             for number, row in enumerate(reader, start=1):
+                # DictReader files extra fields under the key None and
+                # gives missing ones the value None.
+                if None in row:
+                    raise DataError(f"{path}: row {number}: more fields than the header")
                 if None in row.values():
                     raise DataError(f"{path}: row {number}: fewer fields than the header")
                 try:

@@ -7,13 +7,22 @@ subset of PoliceReported but independent of the injury chain.
 Crash types are assigned per (crash, ego unit) by a fixed decision
 cascade; the intersection bucket applies on surface streets only, and a
 vehicle first involved in a second-or-later contact event is a
-secondary crash regardless of its collision partner.
+secondary crash regardless of its collision partner.  Contact events
+are read from the units' first-contact ordinals: the crash's first
+contact is the smallest ordinal any unit holds, and a unit's collision
+partners are the other units with its ordinal.
 
 ``CrashTypeCascade`` resolves a gate order to its gates once and types
 all the counted units of a crash in one call, deriving what the gates
-read from the crash (first contact event, events and units by id,
-in-transport units) once per crash rather than per unit and per gate.
+read from the crash (first contact, units by id, in-transport units)
+in one walk over its units rather than per unit and per gate.
 ``classify_crash_type`` is the same cascade for a single unit.
+
+Records are typed as ingest emits them, meeting the record contract
+(see ``ingest.load_crash_table``).  A record that repeats a unit id,
+which ingest never emits (it skips the repeated unit row), may type
+otherwise than the same record without the repeat: the id looks up its
+last copy, while the gates still read every copy.
 """
 
 from __future__ import annotations
@@ -106,35 +115,37 @@ _MANNER_TYPE = {
 
 
 class _CrashFacts:
-    """What the gates read from one crash, derived once for all its
-    units: the first contact event, events and units by id (the first
-    copy of a repeated id wins, as in ``CrashRecord.unit_by_id``) and
-    the in-transport units."""
+    """What the gates read from one crash, derived in one walk over its
+    units: the first contact (the smallest first-contact ordinal, None
+    when no unit has one), the units by id and the in-transport units."""
 
-    __slots__ = ("record", "first_event", "events", "units", "in_transport")
+    __slots__ = ("record", "first_contact", "units", "in_transport")
 
     def __init__(self, record: CrashRecord):
         self.record = record
-        self.first_event = record.event_sequence[0] if record.event_sequence else None
-        # Built in reverse, so that the first copy of a key is stored last.
-        self.events = {event.index: event for event in reversed(record.event_sequence)}
-        self.units = {unit.unit_id: unit for unit in reversed(record.units)}
-        self.in_transport = [u for u in record.units if u.in_transport]
+        self.units = units = {}
+        self.in_transport = in_transport = []
+        first_contact = None
+        for unit in record.units:
+            units[unit.unit_id] = unit
+            if unit.in_transport:
+                in_transport.append(unit)
+            ordinal = unit.first_contact_event_index
+            if ordinal is not None and (first_contact is None or ordinal < first_contact):
+                first_contact = ordinal
+        self.first_contact = first_contact
 
 
 def _collision_partners(facts: _CrashFacts, ego: VehicleUnit) -> list[VehicleUnit]:
-    """Units sharing the ego's first contact event; every other unit if
-    no event data is recorded."""
-    event = facts.events.get(ego.first_contact_event_index)
-    if event is not None:
-        return [
-            u
-            for uid in event.unit_ids
-            if uid != ego.unit_id
-            for u in (facts.units.get(uid),)
-            if u is not None
-        ]
-    return [u for u in facts.record.units if u.unit_id != ego.unit_id]
+    """The other units with the ego's first-contact ordinal; every other
+    unit when the ego has none."""
+    ordinal = ego.first_contact_event_index
+    return [
+        u
+        for u in facts.record.units
+        if u.unit_id != ego.unit_id
+        and (ordinal is None or u.first_contact_event_index == ordinal)
+    ]
 
 
 # Each gate inspects the crash and either claims it for the ego or
@@ -142,14 +153,11 @@ def _collision_partners(facts: _CrashFacts, ego: VehicleUnit) -> list[VehicleUni
 
 
 def _gate_secondary(facts: _CrashFacts, ego: VehicleUnit, road: RoadClass):
-    """Ego not involved in the first contact event of the sequence."""
-    first = facts.first_event
-    if first is None:
-        return None
-    if ego.first_contact_event_index is not None:
-        if ego.first_contact_event_index > first.index:
-            return CrashType.SECONDARY_CRASH
-    elif ego.unit_id not in first.unit_ids:
+    """Ego not involved in the crash's first contact: a first contact is
+    recorded and the ego's ordinal is absent or later."""
+    first = facts.first_contact
+    ordinal = ego.first_contact_event_index
+    if first is not None and (ordinal is None or ordinal > first):
         return CrashType.SECONDARY_CRASH
     return None
 

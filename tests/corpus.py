@@ -6,7 +6,6 @@ import io
 import random
 
 from crashbench.model import (
-    ContactEvent,
     CrashRecord,
     JunctionRelation,
     KabcoLevel,
@@ -14,7 +13,6 @@ from crashbench.model import (
     MannerOfCollision,
     VehicleClass,
     VehicleUnit,
-    build_event_sequence,
 )
 
 _CLASS_WEIGHTS = [
@@ -78,7 +76,6 @@ def random_record(rng: random.Random, crash_id: str) -> CrashRecord:
             ["I-35 N/B", "US-290", "MOPAC", "MAIN ST", "ELM AVE", ""]
         ),
         units=units,
-        event_sequence=build_event_sequence(units),
         junction_relation=rng.choice(list(JunctionRelation)),
         manner_of_collision=rng.choice(list(MannerOfCollision)),
     )

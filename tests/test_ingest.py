@@ -34,7 +34,6 @@ from crashbench.model import (
     MannerOfCollision,
     VehicleClass,
     VmtRecord,
-    build_event_sequence,
 )
 from crashbench.pipeline import resolve_mapping
 
@@ -304,7 +303,6 @@ class TestCrashLoading:
         assert len(report.skipped) == 2
         assert report.conserves_rows()
         assert report.missing_location == 2
-        assert all(r.event_sequence == build_event_sequence(r.units) for r in records)
 
         by_id = {r.crash_id: r for r in records}
         c001 = by_id["C001"]
@@ -314,8 +312,9 @@ class TestCrashLoading:
         assert c001.units[0].travel_direction == "N"
 
         c005 = by_id["C005"]
-        assert [e.index for e in c005.event_sequence] == [1, 2]
-        assert c005.event_sequence[0].unit_ids == (1, 2)
+        assert [(u.unit_id, u.first_contact_event_index) for u in c005.units] == [
+            (1, 1), (2, 1), (3, 2)
+        ]
 
         c007 = by_id["C007"]
         assert c007.units[0].vehicle_class is VehicleClass.UNKNOWN
@@ -764,8 +763,9 @@ class TestRecordContract:
         units = [UNIT_HEADER, f"X1,1,P4,,1,,,1,1,{ordinal}", "X1,2,P4,,1,,,1,1,1"]
         records, _ = load_crash_table(crash, tx_mapping, units_source=units)
         record = records[0]
-        assert [u.first_contact_event_index for u in record.units] == [None, 1]
-        assert [(e.index, e.unit_ids) for e in record.event_sequence] == [(1, (2,))]
+        assert [(u.unit_id, u.first_contact_event_index) for u in record.units] == [
+            (1, None), (2, 1)
+        ]
 
     def test_junction_outside_vocabulary_and_explicit_unknown_are_counted(self, tmp_path):
         # A raw token outside the vocabulary, read with no dictionary, and

@@ -15,7 +15,6 @@ from crashbench.model import (
     VehicleClass,
     VehicleUnit,
     VmtRecord,
-    build_event_sequence,
     worst_injury,
 )
 
@@ -125,16 +124,3 @@ class TestVmtAndShares:
         table = PassengerShareTable({("TX", FunctionalClass.FREEWAY, True): 0.9,
                                      ("tx", FunctionalClass.FREEWAY, False): 0.8})
         assert table.share_for("TX", FunctionalClass.FREEWAY, False) == 0.8
-
-
-def test_build_event_sequence_groups_and_orders():
-    units = (
-        VehicleUnit(unit_id=3, first_contact_event_index=2),
-        VehicleUnit(unit_id=1, first_contact_event_index=1),
-        VehicleUnit(unit_id=2, first_contact_event_index=1),
-        VehicleUnit(unit_id=4, first_contact_event_index=None),
-    )
-    events = build_event_sequence(units)
-    assert [e.index for e in events] == [1, 2]
-    assert events[0].unit_ids == (1, 2)
-    assert events[1].unit_ids == (3,)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import gc
 import io
@@ -30,7 +31,6 @@ from crashbench.model import (
     VehicleClass,
     VehicleUnit,
     VmtRecord,
-    build_event_sequence,
 )
 from crashbench.power import DEFAULT_EFFECT_RATIOS
 from crashbench.roadclass import classify_road
@@ -525,6 +525,46 @@ class TestRowOrder:
         assert len(shuffled) == 4
 
 
+class TestIrrelevantRows:
+    """Whole-run property: a crash from another year or from a county
+    outside every area, and VMT rows for another year or county, leave
+    the four CSVs byte-identical and move only the diagnostics that count
+    them."""
+
+    EXTRA_ROWS = {
+        "tx_crashes.csv": ["Z001,2022,Travis,30.25,-97.735,I-35,,K,3,24",
+                           "Z002,2023,Harris,29.76,-95.36,I-45,,K,3,24"],
+        "tx_units.csv": ["Z001,1,P4,N,1,,,1,1,1", "Z002,1,P4,N,1,,,1,1,1"],
+        "tx_vmt.csv": ["Travis,FREEWAY,2022,9000000000", "Travis,SURFACE,2022,9000000000",
+                       "Harris,FREEWAY,2023,9000000000", "Harris,SURFACE,2023,9000000000"],
+    }
+
+    def test_rows_outside_the_year_and_areas_change_no_table(self, fixtures_dir, tmp_path):
+        def run(name: str, extra: dict) -> tuple[dict, dict]:
+            inputs = tmp_path / name
+            shutil.copytree(fixtures_dir, inputs)
+            for table, rows in extra.items():
+                with open(inputs / table, "a", encoding="utf-8") as fh:
+                    fh.writelines(f"{row}\n" for row in rows)
+            out = inputs / "out"
+            report = pipeline.run(pipeline.load_run_config(inputs / "run.ini", out_dir=out))
+            tables = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+            return tables, report.diagnostics
+
+        tables, diagnostics = run("plain", {})
+        extra_tables, extra_diagnostics = run("extra", self.EXTRA_ROWS)
+        assert len(tables) == 4
+        assert extra_tables == tables
+        expected = copy.deepcopy(diagnostics)
+        expected["records_in_year"] += 1  # the Harris crash
+        expected["records_outside_areas"] += 1
+        (ingest,) = expected["ingest"]
+        ingest["rows_read"]["crash"] += 2
+        ingest["rows_read"]["unit"] += 2
+        ingest["records_emitted"] += 2
+        assert extra_diagnostics == expected
+
+
 # A two-area world over the corpus counties (HAYS falls outside both).
 PROPERTY_AREAS = (
     GeoArea("Austin", "TX", frozenset({"TRAVIS"})),
@@ -784,8 +824,7 @@ class TestBuildBenchmarkProperties:
 def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecord:
     """Two in-transport passenger cars crossing paths at a surface-street
     intersection in Austin, with ``changes`` to the crash and
-    ``unit_changes`` to each unit; the event sequence follows the units,
-    as ingest builds it."""
+    ``unit_changes`` to each unit."""
     units = tuple(
         replace(
             VehicleUnit(
@@ -807,8 +846,7 @@ def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecor
         junction_relation=JunctionRelation.INTERSECTION,
         manner_of_collision=MannerOfCollision.CROSSING_PATH,
     )
-    record = replace(record, **changes)
-    return replace(record, event_sequence=build_event_sequence(record.units))
+    return replace(record, **changes)
 
 
 def _tallies(tables) -> dict:

@@ -4,9 +4,10 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from crashbench.model import ConfigError, GeoArea, RoadClass
+from crashbench.model import ConfigError, DataError, GeoArea, RoadClass
 from crashbench.rates import RateCell, format_rate, poisson_ci
 from crashbench.report import (
     BenchmarkReport,
@@ -141,6 +142,17 @@ class TestRoundTrip:
             paths = emit_report(sample_report(cells), Path(out), tag="any")
             recovered = parse_rate_table(paths["rates"]) + parse_rate_table(paths["typed_rates"])
         assert recovered == cells
+
+    def test_row_of_another_width_is_data_error(self, tmp_path):
+        paths = emit_report(sample_report(), tmp_path, tag="w")
+        header, first, *rest = paths["rates"].read_text().splitlines(keepends=True)
+        for row, words in (
+            (first.rstrip("\n") + ",EXTRA\n", "more"),
+            (first.rsplit(",", 1)[0] + "\n", "fewer"),
+        ):
+            paths["rates"].write_text("".join([header, row, *rest]))
+            with pytest.raises(DataError, match=rf"rates_w\.csv: row 1: {words} fields than"):
+                parse_rate_table(paths["rates"])
 
     def test_fractional_counts_survive(self, tmp_path):
         fractional = RateCell(

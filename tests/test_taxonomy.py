@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from crashbench.model import (
-    ContactEvent,
     CrashBenchError,
     CrashRecord,
     JunctionRelation,
@@ -15,7 +14,6 @@ from crashbench.model import (
     RoadClass,
     VehicleClass,
     VehicleUnit,
-    build_event_sequence,
 )
 from crashbench.taxonomy import (
     DEFAULT_GATE_ORDER,
@@ -23,6 +21,8 @@ from crashbench.taxonomy import (
     CrashTypeCascade,
     OutcomeLevel,
     UnknownEgoError,
+    _collision_partners,
+    _CrashFacts,
     classify_crash_type,
     classify_outcome,
 )
@@ -52,7 +52,6 @@ def crash(units, worst=KabcoLevel.O, junction=JunctionRelation.NON_JUNCTION,
         location=LatLon(30.3, -97.7),
         primary_road_name="X",
         units=units,
-        event_sequence=build_event_sequence(units),
         junction_relation=junction,
         manner_of_collision=manner,
     )
@@ -197,6 +196,27 @@ class TestCrashTypeCascade:
         with pytest.raises(Exception):
             classify_crash_type(record, 1, RoadClass.FREEWAY, gate_order=("nope",))
 
+    def test_partners_and_first_contact_from_ordinals(self):
+        # Out of id order: two units in the first contact, one in a later
+        # contact and one with no ordinal.
+        units = (
+            VehicleUnit(unit_id=3, first_contact_event_index=2),
+            VehicleUnit(unit_id=1, first_contact_event_index=1),
+            VehicleUnit(unit_id=2, first_contact_event_index=1),
+            VehicleUnit(unit_id=4, first_contact_event_index=None),
+        )
+        record = crash(units)
+        facts = _CrashFacts(record)
+        assert facts.first_contact == 1
+        assert {
+            unit.unit_id: sorted(p.unit_id for p in _collision_partners(facts, unit))
+            for unit in units
+        } == {3: [], 1: [2], 2: [1], 4: [1, 2, 3]}
+        assert CrashTypeCascade(("secondary",)).classify_units(
+            record, [3, 1, 2, 4], RoadClass.FREEWAY
+        ) == [CrashType.SECONDARY_CRASH, CrashType.UNKNOWN_OTHER, CrashType.UNKNOWN_OTHER,
+              CrashType.SECONDARY_CRASH]
+
 
 class TestInvariants:
     def test_nesting_on_small_corpus(self):
@@ -220,32 +240,27 @@ class TestInvariants:
 
 
 # --- oracle: the cascade as it ran per unit and per gate ---------------------
-# Each gate re-derives what it reads from the record, and partners are found
-# by linear scans, so nothing is shared between units or gates.
+# Each gate re-derives what it reads from the record, and contact groups are
+# found by linear scans, so nothing is shared between units or gates.
+
+
+def _oracle_contact_groups(record):
+    """The units of each contact, by first-contact ordinal, in ordinal order."""
+    groups = {}
+    for unit in record.units:
+        if unit.first_contact_event_index is not None:
+            groups.setdefault(unit.first_contact_event_index, []).append(unit)
+    return dict(sorted(groups.items()))
 
 
 def _oracle_partners(record, ego):
-    if record.event_sequence and ego.first_contact_event_index is not None:
-        for event in record.event_sequence:
-            if event.index == ego.first_contact_event_index:
-                return [
-                    u
-                    for uid in event.unit_ids
-                    if uid != ego.unit_id
-                    for u in (record.unit_by_id(uid),)
-                    if u is not None
-                ]
-    return [u for u in record.units if u.unit_id != ego.unit_id]
+    group = _oracle_contact_groups(record).get(ego.first_contact_event_index, record.units)
+    return [u for u in group if u.unit_id != ego.unit_id]
 
 
 def _oracle_secondary(record, ego, road):
-    if not record.event_sequence:
-        return None
-    first = record.event_sequence[0]
-    if ego.first_contact_event_index is not None:
-        if ego.first_contact_event_index > first.index:
-            return CrashType.SECONDARY_CRASH
-    elif ego.unit_id not in first.unit_ids:
+    groups = _oracle_contact_groups(record)
+    if groups and ego.unit_id not in [u.unit_id for u in next(iter(groups.values()))]:
         return CrashType.SECONDARY_CRASH
     return None
 
@@ -311,33 +326,22 @@ def _oracle_crash_type(record, ego, road, gate_order):
 
 
 def _typing_corpus():
-    """Corpus records, plus copies in which a unit id or an event index
-    repeats (the first copy is the one that counts) or the event list is
-    dropped."""
-    rng = random.Random(29)
+    """Corpus records, in which unit 1 is in the first contact (ordinal 1)
+    whenever any unit has an ordinal, plus copies in which every ordinal
+    is one higher and unit 1 has none, so that the first contact is some
+    other ordinal or absent."""
     records = make_corpus(80, seed=17)
     extra = []
     for record in records[:30]:
-        first = record.units[0]
-        twin = replace(
-            first,
-            vehicle_class=rng.choice(list(VehicleClass)),
-            in_transport=not first.in_transport,
-            first_contact_event_index=rng.choice([None, 1, 2, 3]),
-        )
-        extra.append(replace(record, units=record.units + (twin,)))
-        extra.append(replace(record, event_sequence=()))
-        everyone = tuple(unit.unit_id for unit in record.units)
-        extra.append(
-            replace(
-                record,
-                event_sequence=tuple(
-                    event
-                    for original in record.event_sequence
-                    for event in (original, ContactEvent(original.index, everyone))
-                ),
-            )
-        )
+        first, *others = record.units
+        raised = [
+            replace(unit, first_contact_event_index=unit.first_contact_event_index + 1)
+            if unit.first_contact_event_index is not None
+            else unit
+            for unit in others
+        ]
+        units = (replace(first, first_contact_event_index=None), *raised)
+        extra.append(replace(record, units=units))
     return records + extra
 
 
