@@ -15,12 +15,13 @@ checks the table; each reader unpacks a row's values in the field order
 ``mapping`` declares and counts the degraded ones after its skip checks.
 
 Vehicle units are shared immutable values; a crash's contact events
-are read from its units' first-contact ordinals.  A unit's fields all
-come from small coded domains (unit ordinal, class, flags, octant,
-first-contact ordinal), so one load builds each distinct unit once and
-every record that has it holds that one value; the memo lives for one
-``load_crash_table`` call.  Nothing may rely on unit identity: a unit
-equals any other with the same fields, shared or not.
+are read from its units' first-contact ordinals.  A unit holds only what
+the stages read (ordinal, class, in-transport flag, first-contact
+ordinal), all from small coded domains, so one load builds each distinct
+unit once and every record that has it holds that one value; the memo
+lives for one ``load_crash_table`` call.  Nothing may rely on unit
+identity: a unit equals any other with the same fields, shared or not.
+Airbag deployment is a fact of the crash, not of a unit.
 
 Records missing coordinates can be filled by a pluggable geocoder
 client.  Only stub and file-cache (replay) clients ship here; a live
@@ -36,7 +37,6 @@ import math
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Union
@@ -53,6 +53,7 @@ from .mapping import (
     VOCABULARIES,
     MappingConfig,
     RowConverter,
+    float_or_none,
 )
 from .model import (
     CrashBenchError,
@@ -74,6 +75,8 @@ from .model import (
 RowSource = Union[str, Path, io.TextIOBase, Iterable[str]]
 # (1-based row number, raw values in header order)
 Rows = Iterator[tuple[int, list[str]]]
+# Takes a row wider than its header: its number, the reason and its values.
+SkipWide = Callable[[int, str, list[str]], None]
 
 # Order of IngestReport.skipped across tables; within a table, row order.
 _SKIP_ORDER = {"unit": 0, "person": 1, "crash": 2}
@@ -159,7 +162,7 @@ class IngestReport:
 
 @contextmanager
 def _open_table(
-    source: RowSource, delimiter: str, skip_wide: Optional[Callable[[int, str], None]] = None
+    source: RowSource, delimiter: str, skip_wide: Optional[SkipWide] = None
 ) -> Iterator[tuple[list[str], Rows]]:
     """Read a table's header and yield it with the numbered rows after it.
 
@@ -167,9 +170,9 @@ def _open_table(
     are padded with empty values to the header's width, so their missing
     trailing fields read as absent.  A row with more fields than the
     header (an unquoted delimiter in a value shifts every later field) is
-    not yielded: it goes to ``skip_wide`` with its number and a reason
-    giving both widths, and with no ``skip_wide`` it is a DataError
-    naming the source and row.  A file that is not UTF-8 text is a
+    not yielded: it goes to ``skip_wide`` with its number, a reason
+    giving both widths and its values, and with no ``skip_wide`` it is a
+    DataError naming the source and row.  A file that is not UTF-8 text is a
     DataError naming it.
     """
     opened = (
@@ -181,7 +184,7 @@ def _open_table(
         reader = csv.reader(lines, delimiter=delimiter)
         if skip_wide is None:
 
-            def skip_wide(number: int, reason: str) -> None:
+            def skip_wide(number: int, reason: str, row: list[str]) -> None:
                 raise DataError(f"{source}: row {number}: {reason}")
 
         try:
@@ -191,16 +194,14 @@ def _open_table(
             raise DataError(f"{source}: not UTF-8 text ({exc})") from None
 
 
-def _numbered(
-    reader: Iterator[list[str]], width: int, skip_wide: Callable[[int, str], None]
-) -> Rows:
+def _numbered(reader: Iterator[list[str]], width: int, skip_wide: SkipWide) -> Rows:
     number = 0
     for row in reader:
         if row:
             number += 1
             if len(row) != width:
                 if len(row) > width:
-                    skip_wide(number, f"{len(row)} fields, header has {width}")
+                    skip_wide(number, f"{len(row)} fields, header has {width}", row)
                     continue
                 row += [""] * (width - len(row))
             yield number, row
@@ -214,29 +215,22 @@ def _mapped_table(
     required: tuple,
     fields: tuple,
     report: Optional[IngestReport] = None,
+    wide_keys: Optional[set[str]] = None,
 ) -> Iterator[tuple[RowConverter, Rows]]:
     """Open a source table; yield the mapping of ``fields`` compiled
     against its header (which checks it), and the numbered rows.  Rows
     wider than the header are skipped into ``report`` when one is given,
-    else they are a DataError (see ``_open_table``)."""
-    skip_wide = partial(report.skip, table) if report is not None else None
-    with _open_table(source, config.delimiter, skip_wide) as (header, rows):
-        yield config.compile(header, fields, required, table), rows
+    else they are a DataError (see ``_open_table``); the value such a row
+    holds for the first field joins ``wide_keys`` when that is given."""
 
+    def skip_wide(number: int, reason: str, row: list[str]) -> None:
+        report.skip(table, number, reason)
+        if wide_keys is not None and (key := convert(row)[0]) is not None:
+            wide_keys.add(key)
 
-def _float_or_none(raw: Optional[str]) -> Optional[float]:
-    """The finite number a field holds; None when it is empty,
-    unparseable, infinite or NaN.  An underscore or a non-ASCII
-    character makes a field unparseable, though ``float`` and ``int``
-    accept them: ``1_0`` would read as 10, and Arabic-Indic digits as
-    their values."""
-    if not raw or "_" in raw or not raw.isascii():
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+    with _open_table(source, config.delimiter, skip_wide if report else None) as (header, rows):
+        convert = config.compile(header, fields, required, table)
+        yield convert, rows
 
 
 def _int_or_none(raw: Optional[str]) -> Optional[int]:
@@ -244,14 +238,14 @@ def _int_or_none(raw: Optional[str]) -> Optional[int]:
     ``2.0`` read as 2.  None when the field is empty or holds anything
     else, ``2.5`` included: truncating it would read a year of 2023.9 as
     2023, or make unit 1.5 collide with unit 1.  Underscores and
-    non-ASCII characters are unparseable, as in ``_float_or_none``."""
+    non-ASCII characters are unparseable, as in ``mapping.float_or_none``."""
     if not raw or "_" in raw or not raw.isascii():
         return None
     try:
         return int(raw)
     except ValueError:
         pass
-    value = _float_or_none(raw)
+    value = float_or_none(raw)
     return int(value) if value is not None and value.is_integer() else None
 
 
@@ -273,24 +267,29 @@ def load_crash_table(
     crash is absent or was skipped, a unit row repeating a unit of its
     crash, and a row of any of the three tables with more fields than its
     header, whose values cannot be told apart (the unit and person rows
-    of such a crash row then have no crash row).  Field-level junk
-    degrades instead: unmapped codes go to Unknown, and a coordinate that is unparseable or fails
+    of the id in such a crash row's crash-id column are then those of a
+    skipped crash row).  Field-level junk degrades instead: unmapped
+    codes go to Unknown, and a coordinate that is unparseable or fails
     ``valid_coordinate`` leaves the location absent (to be geocoded),
     both counted in the report; a first-contact ordinal below 1 reads as
     absent.  A crash with no unit row is emitted and counted in
-    ``crashes_without_units``.
+    ``crashes_without_units``.  A record is ``airbag_deployed`` when any
+    attached person or unit row flags a deployment.
 
     So every emitted record meets the record contract: a valid location
     or none, unit ids unique within the crash, no pedestrian or cyclist
-    in transport, travel directions that are compass octants, and
-    first-contact ordinals of at least 1.
+    in transport, and first-contact ordinals of at least 1.
     """
     report = IngestReport(source=config.name)
+    # Ids of the skipped crash rows (a wide row's too), and of the crashes
+    # an attached person or unit row flags an airbag deployment for.
+    skipped_ids: set[str] = set()
+    airbag_ids: set[str] = set()
 
     with ExitStack() as stack:
         crash_table = stack.enter_context(
             _mapped_table(
-                "crash", crash_source, config, CRASH_REQUIRED, CRASH_FIELDS, report
+                "crash", crash_source, config, CRASH_REQUIRED, CRASH_FIELDS, report, skipped_ids
             )
         )
         unit_table = person_table = None
@@ -308,22 +307,18 @@ def load_crash_table(
             )
 
         # Crash rows first, so unit and person rows meet the emitted crash
-        # ids as they are read; persons before units, so each unit is built
-        # once with its persons' airbag flags.
-        crashes, skipped_ids = _read_crash_rows(*crash_table, report)
+        # ids as they are read.
+        crashes = _read_crash_rows(*crash_table, skipped_ids, report)
         injuries_by_crash: dict[str, list[KabcoLevel]] = {}
-        airbags_by_unit: dict[tuple[str, int], bool] = {}
         if person_table is not None:
-            injuries_by_crash, airbags_by_unit = _read_person_rows(
-                *person_table, crashes, skipped_ids, report
+            injuries_by_crash = _read_person_rows(
+                *person_table, crashes, skipped_ids, airbag_ids, report
             )
         units_by_crash: dict[str, list[VehicleUnit]] = {}
         if unit_table is not None:
-            tracks_transport = (
-                "unit.in_transport" in config.columns or "unit.in_transport" in config.derives
-            )
+            tracks_transport = "unit.in_transport" in config.columns.keys() | config.derives.keys()
             units_by_crash = _read_unit_rows(
-                *unit_table, crashes, skipped_ids, airbags_by_unit, tracks_transport, report
+                *unit_table, crashes, skipped_ids, airbag_ids, tracks_transport, report
             )
 
     records: list[CrashRecord] = []
@@ -352,6 +347,7 @@ def load_crash_table(
                 units=tuple(units),
                 junction_relation=crash.junction,
                 manner_of_collision=crash.manner,
+                airbag_deployed=crash_id in airbag_ids,
             )
         )
     report.records_emitted = len(records)
@@ -360,12 +356,12 @@ def load_crash_table(
 
 
 def _read_crash_rows(
-    convert: RowConverter, rows: Rows, report: IngestReport
-) -> tuple[dict[str, _CrashRow], set[str]]:
+    convert: RowConverter, rows: Rows, skipped_ids: set[str], report: IngestReport
+) -> dict[str, _CrashRow]:
     """Validate crash rows.  Returns the fields of each crash to emit,
-    by crash id in row order, and the ids of skipped crash rows."""
+    by crash id in row order; the ids of skipped crash rows join
+    ``skipped_ids``."""
     crashes: dict[str, _CrashRow] = {}
-    skipped_ids: set[str] = set()
     number = 0
     for number, row in rows:
         (crash_id, state, county, year_raw, lat_raw, lon_raw, primary_road, secondary_road,
@@ -386,8 +382,8 @@ def _read_crash_rows(
             skipped_ids.add(crash_id)
             continue
 
-        lat = _float_or_none(lat_raw)
-        lon = _float_or_none(lon_raw)
+        lat = float_or_none(lat_raw)
+        lon = float_or_none(lon_raw)
         if lat is not None and lon is not None and valid_coordinate(lat, lon):
             location = LatLon(lat, lon)
         else:
@@ -410,7 +406,7 @@ def _read_crash_rows(
             worst=worst,
         )
     report.count_read("crash", number)
-    return crashes, skipped_ids
+    return crashes
 
 
 def _coded_member(
@@ -428,12 +424,12 @@ def _read_person_rows(
     rows: Rows,
     crashes: Mapping[str, _CrashRow],
     skipped_ids: set[str],
+    airbag_ids: set[str],
     report: IngestReport,
-) -> tuple[dict[str, list[KabcoLevel]], dict[tuple[str, int], bool]]:
-    """Injury levels by crash id, and by (crash id, unit id) whether any
-    person row with an airbag flag has it set."""
+) -> dict[str, list[KabcoLevel]]:
+    """Injury levels by crash id; the id of each crash an attached person
+    row flags an airbag deployment for joins ``airbag_ids``."""
     injuries_by_crash: dict[str, list[KabcoLevel]] = {}
-    airbags_by_unit: dict[tuple[str, int], bool] = {}
     number = attached = 0
     for number, row in rows:
         key, unit_raw, level, airbag, degraded = convert(row)
@@ -443,8 +439,7 @@ def _read_person_rows(
         if key not in crashes:
             report.skip("person", number, _orphan_reason(key, skipped_ids))
             continue
-        unit_id = _int_or_none(unit_raw)
-        if unit_id is None and unit_raw:
+        if unit_raw and _int_or_none(unit_raw) is None:
             report.skip("person", number, f"unparseable unit_id {unit_raw!r}")
             continue
         attached += 1
@@ -452,12 +447,12 @@ def _read_person_rows(
             if "person.injury" in degraded:
                 report.count_unknown("person.injury")
             injuries_by_crash.setdefault(key, []).append(level)
-        if unit_id is not None and airbag is not None:
-            airbags_by_unit[key, unit_id] = airbag or airbags_by_unit.get((key, unit_id), False)
+        if airbag:
+            airbag_ids.add(key)
     report.count_read("person", number)
     if number:
         report.rows_attached["person"] = attached
-    return injuries_by_crash, airbags_by_unit
+    return injuries_by_crash
 
 
 def _read_unit_rows(
@@ -465,13 +460,14 @@ def _read_unit_rows(
     rows: Rows,
     crashes: Mapping[str, _CrashRow],
     skipped_ids: set[str],
-    airbags_by_unit: Mapping[tuple[str, int], bool],
+    airbag_ids: set[str],
     tracks_transport: bool,
     report: IngestReport,
 ) -> dict[str, list[VehicleUnit]]:
     """Vehicle units by crash id, in row order.  A row repeating a
-    (crash, unit) pair is skipped: the first copy wins.  A unit with no
-    airbag flag of its own takes its persons' (``airbags_by_unit``)."""
+    (crash, unit) pair is skipped: the first copy wins.  The id of each
+    crash an attached unit row flags an airbag deployment for joins
+    ``airbag_ids``."""
     units_by_crash: dict[str, list[VehicleUnit]] = {}
     seen: set[tuple[str, int]] = set()
     # Each distinct unit is built once, keyed by its fields in
@@ -481,8 +477,7 @@ def _read_unit_rows(
     distinct_units: dict[tuple, VehicleUnit] = {}
     number = attached = 0
     for number, row in rows:
-        (key, unit_raw, vehicle_class, in_transport, airbag, direction, maneuver_token,
-         event_raw, degraded) = convert(row)
+        key, unit_raw, vehicle_class, in_transport, airbag, event_raw, degraded = convert(row)
         if not key or not unit_raw:
             report.skip("unit", number, "missing crash or unit key")
             continue
@@ -508,14 +503,13 @@ def _read_unit_rows(
         if vehicle_class in VRU_CLASSES:
             in_transport = False  # non-motorists are never in-transport vehicles
 
-        if airbag is None:
-            airbag = airbags_by_unit.get((key, unit_id))
+        if airbag:
+            airbag_ids.add(key)
         event = _int_or_none(event_raw)
         if event is not None and event < 1:
             event = None
 
-        fields = (unit_id, vehicle_class, in_transport, airbag, maneuver_token or "", direction,
-                  event)
+        fields = (unit_id, vehicle_class, in_transport, event)
         unit = distinct_units.get(fields)
         if unit is None:
             unit = distinct_units[fields] = VehicleUnit(*fields)
@@ -569,7 +563,7 @@ class FileCachedGeocoder:
     With no inner client this is replay mode: only previously cached
     requests resolve, which keeps runs deterministic and offline.
     Cache lines are 'key<TAB>lat<TAB>lon'; a line that does not parse, whose
-    coordinates ``_float_or_none`` does not read as numbers (so no
+    coordinates ``float_or_none`` does not read as numbers (so no
     underscores or non-ASCII digits), or whose coordinates fail
     ``valid_coordinate``, is a DataError naming the line, and so is a
     repeated key with other coordinates (naming both lines); an exact
@@ -598,7 +592,7 @@ class FileCachedGeocoder:
                     key, lat, lon = line.split("\t")
                 except ValueError as exc:
                     raise self._malformed(line_no, str(exc)) from None
-                location = LatLon(_float_or_none(lat), _float_or_none(lon))
+                location = LatLon(float_or_none(lat), float_or_none(lon))
                 if None in location:
                     raise self._malformed(line_no, f"{lat!r}, {lon!r} is not two finite numbers")
                 if not valid_coordinate(*location):
@@ -709,7 +703,7 @@ def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]
         for number, row in rows:
             state, county, class_token, year_raw, miles_raw, _ = convert(row)
             year = _int_or_none(year_raw)
-            miles = _float_or_none(miles_raw)
+            miles = float_or_none(miles_raw)
             if not state or not county or not year_raw or not miles_raw or not class_token:
                 raise DataError(f"{config.name}/vmt row {number}: incomplete row")
             if year is None:
@@ -812,7 +806,7 @@ def load_share_table(path: str | Path) -> PassengerShareTable:
                 raise DataError(
                     f"{path}: row {number}: urban {urban_raw!r} is not true/false or urban/rural"
                 )
-            share = _float_or_none(share_raw)
+            share = float_or_none(share_raw)
             if share is None or not 0.0 < share <= 1.0:
                 raise DataError(
                     f"{path}: row {number}: share {share_raw!r} is not a finite number "
@@ -841,7 +835,7 @@ def load_ads_table(path: str | Path) -> list[tuple[tuple[str, str, str], float, 
         columns = _columns(path, header, _ADS_COLUMNS, "ADS table")
         for number, row in rows:
             geo, road, outcome, count_raw, vmt_raw = columns(row)
-            count, vmt = _float_or_none(count_raw), _float_or_none(vmt_raw)
+            count, vmt = float_or_none(count_raw), float_or_none(vmt_raw)
             if count is None or count < 0:
                 raise DataError(
                     f"{path}: row {number}: ads_count {count_raw!r} is not a finite "

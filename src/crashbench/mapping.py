@@ -24,9 +24,11 @@ tables translate into the canonical schema:
 Unprefixed fields are crash-level; ``unit.`` and ``person.`` prefixes
 bind the vehicle and person tables.  Derive rules are evaluated in
 order against the raw row; the first match wins, and a miss falls back
-to the column/dictionary path.  A coded field's dictionary values and
-derive results must be tokens of its vocabulary (``VOCABULARIES``), and
-``resolve`` returns its value.  Normalization never fails: unmapped codes
+to the column/dictionary path.  A comparison reads both sides as
+``float_or_none`` numbers (ingest's rule too); if either is not one,
+only ``==`` and ``!=`` match, comparing text.  A coded field's
+dictionary values and derive results must be tokens of its vocabulary
+(``VOCABULARIES``), and ``resolve`` returns its value.  Normalization never fails: unmapped codes
 degrade to the field's unknown value and are counted.  A config is
 checked when it loads: [columns], [dictionary.F] and [derive.F] name
 only ``CANONICAL_FIELDS``, [source] holds only ``SOURCE_OPTIONS``, and
@@ -45,7 +47,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
-    COMPASS_OCTANTS,
     ConfigError,
     DataError,
     InvalidOptionError,
@@ -67,8 +68,7 @@ CRASH_FIELDS = CRASH_REQUIRED + (
     "worst_injury", "junction_relation", "manner_of_collision",
 )
 UNIT_FIELDS = UNIT_REQUIRED + (
-    "unit.vehicle_class", "unit.in_transport", "unit.airbag",
-    "unit.travel_direction", "unit.maneuver", "unit.first_contact_event",
+    "unit.vehicle_class", "unit.in_transport", "unit.airbag", "unit.first_contact_event",
 )
 PERSON_FIELDS = PERSON_REQUIRED + ("person.unit_id", "person.injury", "person.airbag")
 # Every field a mapping config may bind, read by ingest for one of the
@@ -121,7 +121,6 @@ def _members(enum) -> Vocabulary:
 # true/1/yes, false/0/no and unknown, in any case.
 _FLAG_VALUES = {"TRUE": True, "1": True, "YES": True, "FALSE": False, "0": False, "NO": False}
 FLAGS = Vocabulary(_FLAG_VALUES | {"UNKNOWN": None}, None, ignore_case=True)
-_OCTANTS = Vocabulary({o: o for o in COMPASS_OCTANTS} | {"UNKNOWN": None}, None, ignore_case=True)
 _KABCO = _members(KabcoLevel)
 
 # Every coded field and its vocabulary.  functional_class is not here: it
@@ -133,12 +132,26 @@ VOCABULARIES: dict[str, Vocabulary] = {
     "unit.vehicle_class": _members(VehicleClass),
     "unit.in_transport": FLAGS,
     "unit.airbag": FLAGS,
-    "unit.travel_direction": _OCTANTS,
     "person.injury": _KABCO,
     "person.airbag": FLAGS,
 }
 
 _COMPARE = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq, "!=": ne}
+
+
+def float_or_none(raw: Optional[str]) -> Optional[float]:
+    """The finite number a field holds; None when it is empty,
+    unparseable, infinite or NaN.  An underscore or a non-ASCII
+    character makes a field unparseable, though ``float`` and ``int``
+    accept them: ``1_0`` would read as 10, and Arabic-Indic digits as
+    their values."""
+    if not raw or "_" in raw or not raw.isascii():
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -161,10 +174,10 @@ class Condition:
         if self.op == "not in":
             return raw.upper() not in self.values
         compare = _COMPARE[self.op]
-        try:
-            return compare(float(raw), float(self.values[0]))
-        except ValueError:  # not numbers: only (in)equality compares text
+        number, bound = float_or_none(raw), float_or_none(self.values[0])
+        if number is None or bound is None:  # not numbers: only (in)equality compares text
             return self.op in ("==", "!=") and compare(raw.upper(), self.values[0])
+        return compare(number, bound)
 
 
 @dataclass(frozen=True)

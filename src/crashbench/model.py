@@ -194,9 +194,6 @@ class MannerOfCollision(IdentityEnum):
     UNKNOWN = "Unknown"
 
 
-COMPASS_OCTANTS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
-
-
 @dataclass(frozen=True)
 class VehicleUnit:
     """One unit (vehicle or non-motorist) involved in a crash."""
@@ -204,9 +201,6 @@ class VehicleUnit:
     unit_id: int
     vehicle_class: VehicleClass = VehicleClass.UNKNOWN
     in_transport: bool = False
-    airbag_deployed: Optional[bool] = None  # None = unknown
-    maneuver: str = ""
-    travel_direction: Optional[str] = None  # compass octant
     first_contact_event_index: Optional[int] = None  # 1-based ordinal
 
 
@@ -223,12 +217,7 @@ class CrashRecord:
     units: tuple[VehicleUnit, ...] = ()
     junction_relation: JunctionRelation = JunctionRelation.UNKNOWN
     manner_of_collision: MannerOfCollision = MannerOfCollision.UNKNOWN
-
-    def unit_by_id(self, unit_id: int) -> Optional[VehicleUnit]:
-        for unit in self.units:
-            if unit.unit_id == unit_id:
-                return unit
-        return None
+    airbag_deployed: bool = False  # any person or unit row flags a deployment
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ deterministic: cells tally whole unit counts and apply their passenger
 fraction once, so no float sum depends on record or set order, and
 reports are byte-identical across runs and hash seeds.
 ``build_benchmark`` counts the in-area records by shape (area, road
-class, units, junction relation, manner of collision, worst injury) and
-walks each distinct shape's units once for the cohort
+class, units, junction relation, manner of collision, worst injury,
+airbag flag) and walks each distinct shape's units once for the cohort
 (``cohort.unit_role``): the one walk tallies the counted units, adds
 the known classes to the imputation basis and collects the ids the
 crash-type cascade types, every increment times the shape's count.
@@ -477,9 +477,9 @@ def build_benchmark(
 
     A first pass over ``records`` road-classifies and places each
     in-year record and counts it by shape: its area, road class, units,
-    junction relation, manner of collision and worst injury, which are
-    all the cohort walk, ``classify_outcome`` and the crash-type cascade
-    read.  A second pass walks and types each distinct shape once, in
+    junction relation, manner of collision, worst injury and airbag flag,
+    which are all the cohort walk, ``classify_outcome`` and the crash-type
+    cascade read.  A second pass walks and types each distinct shape once, in
     first-seen order, and adds its tallies times the shape's count.
     The tallies are integers, so the multiplication is exact, and the
     first-seen order keeps every later float sum in record order.
@@ -526,6 +526,7 @@ def build_benchmark(
             record.junction_relation,
             record.manner_of_collision,
             record.worst_injury,
+            record.airbag_deployed,
         )
         # One hash of the key per record: hashing the units runs in Python.
         shapes.setdefault(shape, [record, 0])[1] += 1

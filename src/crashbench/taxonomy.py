@@ -2,7 +2,8 @@
 
 Outcome levels nest: Fatal ⊆ SuspectedSeriousInjuryPlus ⊆
 AnyInjuryReported ⊆ PoliceReported.  AnyAirbagDeployment is also a
-subset of PoliceReported but independent of the injury chain.
+subset of PoliceReported but independent of the injury chain; it reads
+the crash's own airbag flag, not its units.
 
 Crash types are assigned per (crash, ego unit) by a fixed decision
 cascade; the intersection bucket applies on surface streets only, and a
@@ -84,7 +85,7 @@ def classify_outcome(record: CrashRecord) -> set[OutcomeLevel]:
 
     PoliceReported is always present.  Unknown worst injury contributes
     no injury level (a documented conservative default).  Airbag
-    deployment in any involved vehicle applies to the whole crash.
+    deployment is a fact of the whole crash (``record.airbag_deployed``).
     """
     levels = {OutcomeLevel.POLICE_REPORTED}
     worst = record.worst_injury
@@ -94,7 +95,7 @@ def classify_outcome(record: CrashRecord) -> set[OutcomeLevel]:
         levels.add(OutcomeLevel.SUSPECTED_SERIOUS_INJURY_PLUS)
     if worst is KabcoLevel.K:
         levels.add(OutcomeLevel.FATAL)
-    if any(unit.airbag_deployed is True for unit in record.units):
+    if record.airbag_deployed:
         levels.add(OutcomeLevel.ANY_AIRBAG_DEPLOYMENT)
     return levels
 

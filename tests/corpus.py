@@ -39,9 +39,6 @@ def random_unit(rng: random.Random, unit_id: int, event_index) -> VehicleUnit:
         unit_id=unit_id,
         vehicle_class=cls,
         in_transport=in_transport,
-        airbag_deployed=rng.choice([True, False, None]),
-        maneuver=rng.choice(["", "straight", "turning", "stopped"]),
-        travel_direction=rng.choice([None, "N", "S", "E", "W"]),
         first_contact_event_index=event_index,
     )
 
@@ -78,6 +75,7 @@ def random_record(rng: random.Random, crash_id: str) -> CrashRecord:
         units=units,
         junction_relation=rng.choice(list(JunctionRelation)),
         manner_of_collision=rng.choice(list(MannerOfCollision)),
+        airbag_deployed=rng.random() < 0.4,
     )
 
 

@@ -191,6 +191,11 @@ class TestRun:
              "tx_vmt.ini: [source] vmt_scale must be a finite number > 0, got 'abc'"),
             ("tx", "unit.crash_id = Crash_ID\n", "",
              "mapping 'tx': required fields unbound: unit.crash_id"),
+            # Neither is a mapping field: no stage read them.
+            ("tx", "unit.vehicle_class = ", "unit.travel_direction = Veh_Trvl_Dir_ID\n"
+             "unit.vehicle_class = ", "tx.ini: [columns] unit.travel_direction: unknown field"),
+            ("tx", "unit.vehicle_class = ", "unit.maneuver = Veh_Parked_Fl\nunit.vehicle_class = ",
+             "tx.ini: [columns] unit.maneuver: unknown field"),
         ],
     )
     def test_bad_mapping_name_or_scale_exit_config_error(self, fixtures_dir, tmp_path, capsys,

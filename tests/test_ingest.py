@@ -22,7 +22,6 @@ from crashbench.ingest import (
 )
 from crashbench.mapping import Column, MappingConfig
 from crashbench.model import (
-    COMPASS_OCTANTS,
     ConfigError,
     CrashRecord,
     DataError,
@@ -36,6 +35,7 @@ from crashbench.model import (
     VmtRecord,
 )
 from crashbench.pipeline import resolve_mapping
+from crashbench.taxonomy import OutcomeLevel, classify_outcome
 
 from corpus import tiled_table
 from test_model import make_record
@@ -72,8 +72,6 @@ def contract_breaches(record: CrashRecord) -> list[str]:
             breaches.append(f"unit {unit.unit_id}: non-motorist in transport")
         if unit.first_contact_event_index is not None and unit.first_contact_event_index < 1:
             breaches.append(f"unit {unit.unit_id}: ordinal below 1")
-        if unit.travel_direction is not None and unit.travel_direction not in COMPASS_OCTANTS:
-            breaches.append(f"unit {unit.unit_id}: direction not an octant")
     return breaches
 
 
@@ -157,7 +155,6 @@ class TestMappingConfig:
             ("dictionary.unit.vehicle_class", "P2 = Passengr", "Passengr"),
             ("dictionary.worst_injury", "* = unknown", "unknown"),
             ("dictionary.person.airbag", "1 = deployed", "deployed"),
-            ("dictionary.unit.travel_direction", "9 = NNE", "NNE"),
             ("derive.manner_of_collision", "rule.1 = Sideswipe when X == 1", "Sideswipe"),
             ("derive.unit.in_transport", "rule.1 = parked when X in Y", "parked"),
             ("columns", "junction_relation = const:Intersecton", "Intersecton"),
@@ -177,14 +174,12 @@ class TestMappingConfig:
         good.write_text(
             "[source]\nname = good\n"
             "[dictionary.unit.in_transport]\nP = No\n* = TRUE\n"
-            "[dictionary.unit.travel_direction]\n2 = ne\n* = unknown\n"
             "[derive.person.airbag]\nrule.1 = Yes when X in 1\n"
             "[dictionary.worst_injury]\n9 = U\n* = Unknown\n"
             "[columns]\nunit.airbag = const:no\nmanner_of_collision = const:3\n"
             "[dictionary.manner_of_collision]\n3 = Other\n* = Unknown\n"
         )
         config = MappingConfig.load(good)
-        assert config.resolve("unit.travel_direction", {}) == (None, False)
         assert config.resolve("person.airbag", {"X": "1"}) == (True, False)
         assert config.resolve("unit.airbag", {}) == (False, False)
         assert config.resolve("manner_of_collision", {}) == (MannerOfCollision.OTHER, False)
@@ -307,9 +302,8 @@ class TestCrashLoading:
         by_id = {r.crash_id: r for r in records}
         c001 = by_id["C001"]
         assert c001.worst_injury is KabcoLevel.B  # reduced from person rows
-        assert c001.units[0].airbag_deployed is True
-        assert c001.units[1].airbag_deployed is False
-        assert c001.units[0].travel_direction == "N"
+        assert c001.airbag_deployed is True
+        assert by_id["C002"].airbag_deployed is False
 
         c005 = by_id["C005"]
         assert [(u.unit_id, u.first_contact_event_index) for u in c005.units] == [
@@ -431,7 +425,6 @@ class TestLoaderEdges:
         unit = record.units[0]
         assert unit.vehicle_class is VehicleClass.PASSENGER
         assert unit.in_transport is True  # parked flag missing
-        assert unit.travel_direction is None
         assert unit.first_contact_event_index is None
         assert report.unknown_counts == {
             "worst_injury": 1, "junction_relation": 1, "manner_of_collision": 1,
@@ -479,6 +472,17 @@ class TestLoaderEdges:
             (VehicleClass.PASSENGER, True),  # 'Veh_Parked_Fl missing' rule fires
             (VehicleClass.MOTORCYCLE, True),
         ]
+
+    def test_derive_comparison_reads_numbers_as_ingest_does(self, tx_mapping):
+        # float() read an underscore, Arabic-Indic digits and inf as numbers
+        # of at least 10000, so each made a HeavyVehicle.
+        values = ["1_0000", "\u0661\u0660\u0660\u0660\u0660", "inf", "12000", "10000.0"]
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER] + [f"X1,{i},P4,,1,{v},,1,1,1" for i, v in enumerate(values, 1)]
+        (record,), _ = load_crash_table(crash, tx_mapping, units_source=units)
+        assert [u.vehicle_class for u in record.units] == (
+            [VehicleClass.PASSENGER] * 3 + [VehicleClass.HEAVY_VEHICLE] * 2
+        )
 
     def test_ca_county_dictionary_applies(self):
         from pathlib import Path
@@ -537,7 +541,7 @@ class TestRowAccounting:
         )
         assert [(r.crash_id, [u.unit_id for u in r.units]) for r in records] == [("X2", [2])]
         assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
-            ("unit", 1, "no crash row"),
+            ("unit", 1, "crash row skipped"),
             ("unit", 2, "11 fields, header has 10"),
             ("person", 2, "5 fields, header has 4"),
             ("crash", 1, "11 fields, header has 10"),
@@ -591,7 +595,7 @@ class TestRowAccounting:
         assert [(u.unit_id, u.first_contact_event_index) for u in record.units] == [
             (1, 2), (2, 1),
         ]
-        assert [u.airbag_deployed for u in record.units] == [None, True]
+        assert record.airbag_deployed is True
         assert report.skipped == []
 
     def test_non_integral_unit_id_is_skipped_naming_the_value(self, tx_mapping):
@@ -608,7 +612,7 @@ class TestRowAccounting:
             assert [(u.unit_id, u.vehicle_class) for u in record.units] == [
                 (1, VehicleClass.PASSENGER),
             ]
-            assert record.units[0].airbag_deployed is False
+            assert record.airbag_deployed is False
             assert record.worst_injury is KabcoLevel.O
             assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
                 ("unit", 2, f"unparseable unit_id {unit_id!r}"),
@@ -692,6 +696,41 @@ class TestRowAccounting:
             else k * count
             for name, count in once.items()
         }
+
+
+class TestAirbagDeployment:
+    """Airbag deployment is a fact of the crash: a record is
+    ``airbag_deployed`` when any attached person or unit row flags one."""
+
+    @pytest.mark.parametrize("unit", ["1", "", "7"])
+    def test_person_flag_counts_whatever_unit_it_names(self, tx_mapping, unit):
+        # A blank unit number, or one with no unit row, used to lose the flag
+        # although the person row counted as attached.
+        crash = [CRASH_HEADER, "C1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        units = [UNIT_HEADER, "C1,1,P4,,1,,,1,1,1"]
+        persons = [PERSON_HEADER, f"C1,{unit},2,2"]  # injury B, airbag deployed
+        (record,), report = load_crash_table(crash, tx_mapping, units, persons)
+        assert record.airbag_deployed is True
+        assert OutcomeLevel.ANY_AIRBAG_DEPLOYMENT in classify_outcome(record)
+        assert report.skipped == []
+        assert report.rows_attached == {"unit": 1, "person": 1}
+
+    def test_any_unit_or_person_flag_counts(self, tmp_path):
+        config_path = tmp_path / "bags.ini"
+        config_path.write_text(
+            "[source]\nname = bags\n"
+            "[columns]\ncrash_id = ID\nstate = const:TX\ncounty = County\nyear = Year\n"
+            "unit.crash_id = ID\nunit.unit_id = Unit\nunit.airbag = Bag\n"
+            "person.crash_id = ID\nperson.unit_id = Unit\nperson.airbag = Bag\n"
+        )
+        crashes = ["ID,County,Year"] + [f"{c},Travis,2023" for c in "ABCD"]
+        units = ["ID,Unit,Bag", "A,1,false", "A,2,true", "B,1,false", "C,1,false", "D,1,"]
+        # A unit's false flag no longer hides its person's deployed one.
+        persons = ["ID,Unit,Bag", "B,1,true", "C,1,false", "D,1,unknown"]
+        records, _ = load_crash_table(crashes, MappingConfig.load(config_path), units, persons)
+        assert [(r.crash_id, r.airbag_deployed) for r in records] == [
+            ("A", True), ("B", True), ("C", False), ("D", False),
+        ]
 
 
 class TestRecordContract:
@@ -799,12 +838,6 @@ class TestRecordContract:
         assert report.unknown_counts["junction_relation"] == 3
         assert report.unknown_counts["manner_of_collision"] == 2
 
-    def test_direction_not_an_octant_reads_as_absent(self, tx_mapping):
-        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
-        units = [UNIT_HEADER, "X1,1,P4,,1,,,1,9,1", "X1,2,P4,,1,,,1,2,1"]
-        records, _ = load_crash_table(crash, tx_mapping, units_source=units)
-        assert [u.travel_direction for u in records[0].units] == [None, "NE"]
-
     def test_repeated_unit_id_is_kept_once_per_crash(self, tx_mapping):
         crash = [
             CRASH_HEADER,
@@ -859,7 +892,6 @@ unit.crash_id = ID
 unit.unit_id = Unit
 unit.vehicle_class = Class
 unit.in_transport = Moving
-unit.travel_direction = Dir
 unit.first_contact_event = Event
 person.crash_id = ID
 person.unit_id = Unit
@@ -888,7 +920,6 @@ _UNIT_ROWS = st.lists(
         st.sampled_from(["1", "2", "3", "4", ""]),
         st.sampled_from(["Passenger", "Pedestrian", "Cyclist", "Motorcycle", "Junk", ""]),
         st.sampled_from(["true", "false", "", "maybe"]),
-        st.sampled_from(["N", "ne", "NNE", "x", "Unknown", ""]),
         st.sampled_from(["1", "2", "0", "-1", "0.5", "inf", "x", ""]),
     ),
     max_size=12,
@@ -919,9 +950,8 @@ class TestGeneratedTables:
     """Properties over generated crash, unit and person tables that hold
     every kind of contract breach: out-of-range and non-finite
     coordinates, ordinals of 0 or less, repeated (crash, unit) pairs,
-    non-motorists flagged in transport, directions that are not
-    octants, crashes without units, and unit or person rows with no
-    crash."""
+    non-motorists flagged in transport, crashes without units, and unit
+    or person rows with no crash."""
 
     # Hypothesis's explain phase takes minutes on a failing example of
     # these tables, so a failure is reported once shrunk.
@@ -936,7 +966,7 @@ class TestGeneratedTables:
             return load_crash_table(
                 _table("ID,Year,County,Lat,Lon", crash_rows),
                 generated_mapping,
-                units_source=_table("ID,Unit,Class,Moving,Dir,Event", units),
+                units_source=_table("ID,Unit,Class,Moving,Event", units),
                 persons_source=_table("ID,Unit,Injury,Airbag", persons),
             )
 

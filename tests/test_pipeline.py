@@ -82,6 +82,20 @@ class TestAggregation:
         round_rock = cells[("Round Rock", "Freeway", OutcomeLevel.POLICE_REPORTED)]
         assert round_rock.count == pytest.approx(5 + 8 / 9)
 
+    @pytest.mark.parametrize("unit", ["", "7"])
+    def test_person_airbag_flag_counts_without_its_unit_row(self, fixtures_dir, tmp_path, unit):
+        # A person's flag used to reach the crash only through the unit row
+        # it names, so a blank unit number, or one with no unit row, was lost.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        with open(inputs / "tx_persons.csv", "a", encoding="utf-8") as fh:
+            fh.write(f"C002,{unit},2,2\n")
+        config = pipeline.load_run_config(inputs / "run.ini", out_dir=tmp_path / "out")
+        cells = cell_map(pipeline.run(config))
+        # C002's two in-transport passenger cars join the fixture's 8.
+        airbag = cells[("Austin", "Freeway", OutcomeLevel.ANY_AIRBAG_DEPLOYMENT)]
+        assert airbag.count == pytest.approx(10.0)
+
     def test_crash_type_anchors(self, fixture_report):
         report, _ = fixture_report
         typed = {
@@ -828,8 +842,7 @@ def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecor
     units = tuple(
         replace(
             VehicleUnit(
-                unit_id, VehicleClass.PASSENGER, in_transport=True, airbag_deployed=False,
-                first_contact_event_index=1,
+                unit_id, VehicleClass.PASSENGER, in_transport=True, first_contact_event_index=1
             ),
             **unit_change,
         )
@@ -870,7 +883,7 @@ class TestShapeKey:
         "manner": dict(manner_of_collision=MannerOfCollision.FRONT_TO_REAR),
         "worst_injury": dict(worst_injury=KabcoLevel.K),
         "unit_first_contact": dict(unit_changes=({}, {"first_contact_event_index": 2})),
-        "unit_airbag": dict(unit_changes=({"airbag_deployed": True}, {})),
+        "airbag": dict(airbag_deployed=True),
         "unit_class": dict(
             unit_changes=({}, {"vehicle_class": VehicleClass.PEDESTRIAN, "in_transport": False})
         ),

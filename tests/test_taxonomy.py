@@ -30,18 +30,17 @@ from crashbench.taxonomy import (
 from corpus import make_corpus
 
 
-def vehicle(uid, cls=VehicleClass.PASSENGER, in_transport=True, airbag=None, event=1):
+def vehicle(uid, cls=VehicleClass.PASSENGER, in_transport=True, event=1):
     return VehicleUnit(
         unit_id=uid,
         vehicle_class=cls,
         in_transport=in_transport,
-        airbag_deployed=airbag,
         first_contact_event_index=event,
     )
 
 
 def crash(units, worst=KabcoLevel.O, junction=JunctionRelation.NON_JUNCTION,
-          manner=MannerOfCollision.UNKNOWN):
+          manner=MannerOfCollision.UNKNOWN, airbag=False):
     units = tuple(units)
     return CrashRecord(
         crash_id="T1",
@@ -54,26 +53,35 @@ def crash(units, worst=KabcoLevel.O, junction=JunctionRelation.NON_JUNCTION,
         units=units,
         junction_relation=junction,
         manner_of_collision=manner,
+        airbag_deployed=airbag,
     )
 
 
 class TestOutcomes:
     def test_fatal_with_airbag_hits_all_levels(self):
-        record = crash([vehicle(1, airbag=True), vehicle(2)], worst=KabcoLevel.K)
+        record = crash([vehicle(1), vehicle(2)], worst=KabcoLevel.K, airbag=True)
         assert classify_outcome(record) == set(OutcomeLevel)
 
     def test_no_injury_no_airbag_is_police_reported_only(self):
-        record = crash([vehicle(1, airbag=False)], worst=KabcoLevel.O)
+        record = crash([vehicle(1)], worst=KabcoLevel.O)
         assert classify_outcome(record) == {OutcomeLevel.POLICE_REPORTED}
 
-    def test_airbag_in_other_vehicle_counts_for_the_crash(self):
-        record = crash([vehicle(1, airbag=False), vehicle(2, airbag=True)],
-                       worst=KabcoLevel.B)
+    def test_airbag_flag_of_the_crash_counts(self):
+        record = crash([vehicle(1), vehicle(2)], worst=KabcoLevel.B, airbag=True)
         assert classify_outcome(record) == {
             OutcomeLevel.POLICE_REPORTED,
             OutcomeLevel.ANY_INJURY_REPORTED,
             OutcomeLevel.ANY_AIRBAG_DEPLOYMENT,
         }
+
+    def test_outcomes_do_not_read_the_units(self):
+        class Unread(tuple):
+            def __iter__(self):
+                raise AssertionError("classify_outcome walked the units")
+
+        for airbag in (False, True):
+            record = replace(crash([vehicle(1)], airbag=airbag), units=Unread())
+            assert (OutcomeLevel.ANY_AIRBAG_DEPLOYMENT in classify_outcome(record)) is airbag
 
     def test_unknown_injury_contributes_no_injury_level(self):
         record = crash([vehicle(1)], worst=KabcoLevel.UNKNOWN)
@@ -317,7 +325,7 @@ _ORACLE_GATES = {
 
 
 def _oracle_crash_type(record, ego, road, gate_order):
-    ego_unit = record.unit_by_id(ego)
+    ego_unit = next(unit for unit in record.units if unit.unit_id == ego)
     for name in gate_order:
         result = _ORACLE_GATES[name](record, ego_unit, road)
         if result is not None:
