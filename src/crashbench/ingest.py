@@ -11,8 +11,18 @@ downstream validates a record again.
 
 Each table's header is read once and the mapping config is compiled
 against it into one row converter (``MappingConfig.compile``), which
-checks the table; each reader unpacks a row's values in the field order
-``mapping`` declares and counts the degraded ones after its skip checks.
+checks the table.  A reader reads per row only what differs per row: a
+crash row's id, coordinates and road names, and a unit or person row's
+crash key.  It decides everything else once per distinct tuple of the
+raw columns that it reads, in the converter's memo: for a crash row the
+year or its skip reason, the normalised state and county, the
+crash-level worst injury, junction and manner; for a unit row the unit
+number or its skip reason, the shared unit and the airbag flag; for a
+person row the unit-number check, the injury level and the airbag flag;
+and for each, the names to count as unknown.  Per row there is left only
+the join: blank keys, orphans, duplicates and the per-row counts, each
+unknown name counted once for every row that has it.  The person reader
+keeps the worst injury level per crash as it reads.
 
 Vehicle units are shared immutable values; a crash's contact events
 are read from its units' first-contact ordinals.  A unit holds only what
@@ -39,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Protocol, Union
 
 from .mapping import (
     CRASH_FIELDS,
@@ -60,16 +70,13 @@ from .model import (
     CrashRecord,
     DataError,
     FunctionalClass,
-    JunctionRelation,
     KabcoLevel,
     LatLon,
-    MannerOfCollision,
     PassengerShareTable,
     VehicleUnit,
     VmtRecord,
     VRU_CLASSES,
     valid_coordinate,
-    worst_injury,
 )
 
 RowSource = Union[str, Path, io.TextIOBase, Iterable[str]]
@@ -84,22 +91,6 @@ _SHARE_COLUMNS = ("state", "functional_class", "urban", "share")
 # The share table's urban column: a flag, or urban/rural (any case).
 _URBAN = {**FLAGS.values, "URBAN": True, "RURAL": False}
 _ADS_COLUMNS = ("geo", "road", "outcome", "ads_count", "ads_vmt_miles")
-
-
-class _CrashRow(NamedTuple):
-    """A validated crash row, waiting for its units and persons."""
-
-    state: str
-    county: str
-    year: int
-    location: Optional[LatLon]
-    primary_road: Optional[str]
-    secondary_road: Optional[str]
-    junction: JunctionRelation
-    manner: MannerOfCollision
-    # The crash-level worst injury and whether it counts as unknown; used
-    # only when no person row gives an injury.
-    worst: tuple[KabcoLevel, bool]
 
 
 class InconsistentVmtError(DataError):
@@ -173,10 +164,14 @@ def _open_table(
     not yielded: it goes to ``skip_wide`` with its number, a reason
     giving both widths and its values, and with no ``skip_wide`` it is a
     DataError naming the source and row.  A file that is not UTF-8 text is a
-    DataError naming it.
+    DataError naming it.  A path is read as ``utf-8-sig``, so a byte-order
+    mark before the header is not part of its first column.  A row the csv
+    module cannot parse, such as one with a field longer than csv's
+    default ``field_size_limit`` (kept), is a DataError naming the source
+    and row.
     """
     opened = (
-        open(source, newline="", encoding="utf-8")
+        open(source, newline="", encoding="utf-8-sig")
         if isinstance(source, (str, Path))
         else nullcontext(source)
     )
@@ -188,23 +183,31 @@ def _open_table(
                 raise DataError(f"{source}: row {number}: {reason}")
 
         try:
-            header = next(reader, [])
-            yield header, _numbered(reader, len(header), skip_wide)
+            try:
+                header = next(reader, [])
+            except csv.Error as exc:
+                raise DataError(f"{source}: header: {exc}") from None
+            yield header, _numbered(reader, len(header), skip_wide, source)
         except UnicodeDecodeError as exc:
             raise DataError(f"{source}: not UTF-8 text ({exc})") from None
 
 
-def _numbered(reader: Iterator[list[str]], width: int, skip_wide: SkipWide) -> Rows:
+def _numbered(
+    reader: Iterator[list[str]], width: int, skip_wide: SkipWide, source: RowSource
+) -> Rows:
     number = 0
-    for row in reader:
-        if row:
-            number += 1
-            if len(row) != width:
-                if len(row) > width:
-                    skip_wide(number, f"{len(row)} fields, header has {width}", row)
-                    continue
-                row += [""] * (width - len(row))
-            yield number, row
+    try:
+        for row in reader:
+            if row:
+                number += 1
+                if len(row) != width:
+                    if len(row) > width:
+                        skip_wide(number, f"{len(row)} fields, header has {width}", row)
+                        continue
+                    row += [""] * (width - len(row))
+                yield number, row
+    except csv.Error as exc:
+        raise DataError(f"{source}: row {number + 1}: {exc}") from None
 
 
 @contextmanager
@@ -214,14 +217,18 @@ def _mapped_table(
     config: MappingConfig,
     required: tuple,
     fields: tuple,
+    decide: Optional[Callable[..., Any]] = None,
     report: Optional[IngestReport] = None,
     wide_keys: Optional[set[str]] = None,
 ) -> Iterator[tuple[RowConverter, Rows]]:
     """Open a source table; yield the mapping of ``fields`` compiled
-    against its header (which checks it), and the numbered rows.  Rows
-    wider than the header are skipped into ``report`` when one is given,
-    else they are a DataError (see ``_open_table``); the value such a row
-    holds for the first field joins ``wide_keys`` when that is given."""
+    against its header (which checks it), and the numbered rows.  With
+    ``decide``, the converter reads the table's ``_PER_ROW`` fields per
+    row and passes the others to ``decide`` (see
+    ``MappingConfig.compile``).  Rows wider than the header are skipped
+    into ``report`` when one is given, else they are a DataError (see
+    ``_open_table``); the value such a row holds for the first field
+    joins ``wide_keys`` when that is given."""
 
     def skip_wide(number: int, reason: str, row: list[str]) -> None:
         report.skip(table, number, reason)
@@ -229,7 +236,12 @@ def _mapped_table(
             wide_keys.add(key)
 
     with _open_table(source, config.delimiter, skip_wide if report else None) as (header, rows):
-        convert = config.compile(header, fields, required, table)
+        if decide is None:
+            convert = config.compile(header, fields, required, table)
+        else:
+            per_row = _PER_ROW[table]
+            decided = tuple(f for f in fields if f not in per_row)
+            convert = config.compile(header, per_row, required, table, decided, decide)
         yield convert, rows
 
 
@@ -251,6 +263,23 @@ def _int_or_none(raw: Optional[str]) -> Optional[int]:
 
 def _orphan_reason(crash_key: str, skipped_ids: set[str]) -> str:
     return "crash row skipped" if crash_key in skipped_ids else "no crash row"
+
+
+# The fields each reader reads per row.  It decides the rest of its
+# table's fields once per distinct tuple of the raw columns they read.
+_PER_ROW = {
+    "crash": ("crash_id", "latitude", "longitude", "primary_road", "secondary_road"),
+    "unit": ("unit.crash_id",),
+    "person": ("person.crash_id",),
+}
+_MISSING_UNIT_KEYS = "missing crash or unit key"
+# A person's injury level ranked for the running worst per crash: K
+# highest, and Unknown below O, so it is the worst only when every
+# injury of the crash is Unknown.
+_PERSON_RANK = {level: -1 if level.severity_rank is None else level.severity_rank
+                for level in KabcoLevel}
+_LEVEL_OF_RANK = {rank: level for level, rank in _PERSON_RANK.items()}
+_UNIT_ID = attrgetter("unit_id")
 
 
 def load_crash_table(
@@ -285,103 +314,164 @@ def load_crash_table(
     # an attached person or unit row flags an airbag deployment for.
     skipped_ids: set[str] = set()
     airbag_ids: set[str] = set()
+    tracks_transport = "unit.in_transport" in config.columns.keys() | config.derives.keys()
 
     with ExitStack() as stack:
-        crash_table = stack.enter_context(
-            _mapped_table(
-                "crash", crash_source, config, CRASH_REQUIRED, CRASH_FIELDS, report, skipped_ids
+
+        def open_table(table, source, required, fields, decide, wide_keys=None):
+            return stack.enter_context(
+                _mapped_table(table, source, config, required, fields, decide, report, wide_keys)
             )
+
+        crash_table = open_table(
+            "crash", crash_source, CRASH_REQUIRED, CRASH_FIELDS, _decide_crash, skipped_ids
         )
         unit_table = person_table = None
         if units_source is not None:
-            unit_table = stack.enter_context(
-                _mapped_table(
-                    "unit", units_source, config, UNIT_REQUIRED, UNIT_FIELDS, report
-                )
+            unit_table = open_table(
+                "unit", units_source, UNIT_REQUIRED, UNIT_FIELDS, _unit_decider(tracks_transport)
             )
         if persons_source is not None:
-            person_table = stack.enter_context(
-                _mapped_table(
-                    "person", persons_source, config, PERSON_REQUIRED, PERSON_FIELDS, report
-                )
+            person_table = open_table(
+                "person", persons_source, PERSON_REQUIRED, PERSON_FIELDS, _decide_person
             )
 
         # Crash rows first, so unit and person rows meet the emitted crash
         # ids as they are read.
         crashes = _read_crash_rows(*crash_table, skipped_ids, report)
-        injuries_by_crash: dict[str, list[KabcoLevel]] = {}
+        worst_rank: dict[str, int] = {}
         if person_table is not None:
-            injuries_by_crash = _read_person_rows(
-                *person_table, crashes, skipped_ids, airbag_ids, report
-            )
+            worst_rank = _read_person_rows(*person_table, crashes, skipped_ids, airbag_ids, report)
         units_by_crash: dict[str, list[VehicleUnit]] = {}
         if unit_table is not None:
-            tracks_transport = "unit.in_transport" in config.columns.keys() | config.derives.keys()
-            units_by_crash = _read_unit_rows(
-                *unit_table, crashes, skipped_ids, airbag_ids, tracks_transport, report
-            )
+            units_by_crash = _read_unit_rows(*unit_table, crashes, skipped_ids, airbag_ids, report)
 
     records: list[CrashRecord] = []
-    for crash_id, crash in crashes.items():
-        units = units_by_crash.get(crash_id, [])
+    unknown_worst = 0
+    for crash_id, (decided, location, primary_road, secondary_road) in crashes.items():
+        _, state, county, year, worst, worst_degraded, junction, manner, _ = decided
+        units = units_by_crash.get(crash_id, ())
         if not units:
             report.crashes_without_units += 1
-        units.sort(key=attrgetter("unit_id"))
-        person_injuries = injuries_by_crash.get(crash_id)
-        if person_injuries:
-            worst = worst_injury(person_injuries)
-        else:
-            worst, degraded = crash.worst
-            if degraded:
-                report.count_unknown("worst_injury")
-        records.append(
-            CrashRecord(
-                crash_id=crash_id,
-                state=crash.state,
-                county=crash.county,
-                year=crash.year,
-                worst_injury=worst,
-                location=crash.location,
-                primary_road_name=crash.primary_road or "",
-                secondary_road_name=crash.secondary_road,
-                units=tuple(units),
-                junction_relation=crash.junction,
-                manner_of_collision=crash.manner,
-                airbag_deployed=crash_id in airbag_ids,
-            )
-        )
+        elif len(units) > 1:
+            units.sort(key=_UNIT_ID)
+        rank = worst_rank.get(crash_id)
+        if rank is not None:
+            worst = _LEVEL_OF_RANK[rank]
+        elif worst_degraded:
+            unknown_worst += 1
+        records.append(CrashRecord(
+            crash_id, state, county, year, worst, location, primary_road, secondary_road,
+            tuple(units), junction, manner, crash_id in airbag_ids,
+        ))
+    if unknown_worst:
+        report.unknown_counts["worst_injury"] = unknown_worst
     report.records_emitted = len(records)
     report.skipped.sort(key=lambda s: _SKIP_ORDER[s.table])
     return records, report
 
 
+def _decide_crash(state, county, year_raw, level, junction, manner, degraded) -> tuple:
+    """A crash row's decision on its coded columns: (skip reason or None,
+    normalised state and county, year, crash-level worst injury, whether
+    that counts as unknown, junction, manner, the names to count as
+    unknown for each row emitted)."""
+    year = _int_or_none(year_raw)
+    if year is None:
+        return (f"unparseable year {year_raw!r}",) + (None,) * 8
+    if not state or not county:
+        return ("missing state or county",) + (None,) * 8
+    unknown: list[str] = []
+    junction = _coded_member("junction_relation", junction, degraded, unknown)
+    manner = _coded_member("manner_of_collision", manner, degraded, unknown)
+    worst_degraded = level is None or "worst_injury" in degraded
+    return (
+        None, state.strip().upper(), county.strip().upper(), year,
+        KabcoLevel.UNKNOWN if level is None else level, worst_degraded,
+        junction, manner, tuple(unknown),
+    )
+
+
+def _decide_person(unit_raw, level, airbag, degraded) -> tuple:
+    """A person row's decision on its coded columns: (skip reason or None,
+    injury rank or None when no injury is given, airbag flag, the names to
+    count as unknown)."""
+    if unit_raw and _int_or_none(unit_raw) is None:
+        return f"unparseable unit_id {unit_raw!r}", None, None, ()
+    if level is None:
+        return None, None, airbag, ()
+    unknown = ("person.injury",) if "person.injury" in degraded else ()
+    return None, _PERSON_RANK[level], airbag, unknown
+
+
+def _unit_decider(tracks_transport: bool) -> Callable[..., tuple]:
+    """The decision of one load on a unit row's coded columns: (skip
+    reason or None, the unit, airbag flag, the names to count as
+    unknown).  Each distinct unit is built once, keyed by its fields in
+    VehicleUnit's declaration order, and shared (see the module
+    docstring), also by rows whose other columns differ."""
+    distinct_units: dict[tuple, VehicleUnit] = {}
+
+    def decide(unit_raw, vehicle_class, in_transport, airbag, event_raw, degraded) -> tuple:
+        if not unit_raw:
+            return _MISSING_UNIT_KEYS, None, None, ()
+        unit_id = _int_or_none(unit_raw)
+        if unit_id is None:
+            return f"unparseable unit_id {unit_raw!r}", None, None, ()
+        unknown: list[str] = []
+        vehicle_class = _coded_member("unit.vehicle_class", vehicle_class, degraded, unknown)
+        # Only an unknown status counts, not a '*' fallback to a definite flag.
+        if in_transport is None:
+            if tracks_transport:
+                unknown.append("unit.in_transport")
+            in_transport = False  # conservative: unknown transport status is excluded
+        if vehicle_class in VRU_CLASSES:
+            in_transport = False  # non-motorists are never in-transport vehicles
+        event = _int_or_none(event_raw)
+        if event is not None and event < 1:
+            event = None
+        fields = (unit_id, vehicle_class, in_transport, event)
+        unit = distinct_units.get(fields)
+        if unit is None:
+            unit = distinct_units[fields] = VehicleUnit(*fields)
+        return None, unit, airbag, tuple(unknown)
+
+    return decide
+
+
+def _coded_member(
+    fname: str, member: Optional[Enum], degraded: tuple[str, ...], unknown: list[str]
+) -> Enum:
+    """Enum member of a coded field; an absent one reads as the field's
+    unknown member, and an absent or degraded one joins ``unknown``."""
+    if member is None or fname in degraded:
+        unknown.append(fname)
+    return VOCABULARIES[fname].unknown if member is None else member
+
+
 def _read_crash_rows(
     convert: RowConverter, rows: Rows, skipped_ids: set[str], report: IngestReport
-) -> dict[str, _CrashRow]:
-    """Validate crash rows.  Returns the fields of each crash to emit,
-    by crash id in row order; the ids of skipped crash rows join
-    ``skipped_ids``."""
-    crashes: dict[str, _CrashRow] = {}
+) -> dict[str, tuple]:
+    """Validate crash rows.  Returns, by crash id in row order, each
+    crash to emit: its decision (see ``_decide_crash``), location and
+    road names; the ids of skipped crash rows join ``skipped_ids``."""
+    crashes: dict[str, tuple] = {}
+    count_unknown = report.count_unknown
     number = 0
     for number, row in rows:
-        (crash_id, state, county, year_raw, lat_raw, lon_raw, primary_road, secondary_road,
-         level, junction, manner, degraded) = convert(row)
+        crash_id, lat_raw, lon_raw, primary_road, secondary_road, decided = convert(row)
         if crash_id is None:
             report.skip("crash", number, "missing crash_id")
             continue
         if crash_id in crashes:
             report.skip("crash", number, "duplicate crash_id")
             continue
-        year = _int_or_none(year_raw)
-        if year is None:
-            report.skip("crash", number, f"unparseable year {year_raw!r}")
+        if decided[0]:
+            report.skip("crash", number, decided[0])
             skipped_ids.add(crash_id)
             continue
-        if not state or not county:
-            report.skip("crash", number, "missing state or county")
-            skipped_ids.add(crash_id)
-            continue
-
+        for fname in decided[-1]:
+            count_unknown(fname)
         lat = float_or_none(lat_raw)
         lon = float_or_none(lon_raw)
         if lat is not None and lon is not None and valid_coordinate(lat, lon):
@@ -389,79 +479,55 @@ def _read_crash_rows(
         else:
             location = None
             report.missing_location += 1
-
-        worst = (KabcoLevel.UNKNOWN, True)
-        if level is not None:
-            worst = (level, "worst_injury" in degraded)
-
-        crashes[crash_id] = _CrashRow(
-            state=state.strip().upper(),
-            county=county.strip().upper(),
-            year=year,
-            location=location,
-            primary_road=primary_road,
-            secondary_road=secondary_road,
-            junction=_coded_member("junction_relation", junction, degraded, report),
-            manner=_coded_member("manner_of_collision", manner, degraded, report),
-            worst=worst,
-        )
+        crashes[crash_id] = (decided, location, primary_road or "", secondary_road)
     report.count_read("crash", number)
     return crashes
-
-
-def _coded_member(
-    fname: str, member: Optional[Enum], degraded: tuple[str, ...], report: IngestReport
-) -> Enum:
-    """Enum member of a coded field; an absent one reads as the field's
-    unknown member, and an absent or degraded one counts as unknown."""
-    if member is None or fname in degraded:
-        report.count_unknown(fname)
-    return VOCABULARIES[fname].unknown if member is None else member
 
 
 def _read_person_rows(
     convert: RowConverter,
     rows: Rows,
-    crashes: Mapping[str, _CrashRow],
+    crashes: Mapping[str, tuple],
     skipped_ids: set[str],
     airbag_ids: set[str],
     report: IngestReport,
-) -> dict[str, list[KabcoLevel]]:
-    """Injury levels by crash id; the id of each crash an attached person
-    row flags an airbag deployment for joins ``airbag_ids``."""
-    injuries_by_crash: dict[str, list[KabcoLevel]] = {}
+) -> dict[str, int]:
+    """The rank of the worst injury level given by an attached person
+    row, by crash id; the id of each crash an attached person row flags
+    an airbag deployment for joins ``airbag_ids``."""
+    worst_rank: dict[str, int] = {}
+    count_unknown = report.count_unknown
     number = attached = 0
     for number, row in rows:
-        key, unit_raw, level, airbag, degraded = convert(row)
+        key, (reason, rank, airbag, unknown) = convert(row)
         if key is None:
             report.skip("person", number, "missing crash key")
             continue
         if key not in crashes:
             report.skip("person", number, _orphan_reason(key, skipped_ids))
             continue
-        if unit_raw and _int_or_none(unit_raw) is None:
-            report.skip("person", number, f"unparseable unit_id {unit_raw!r}")
+        if reason:
+            report.skip("person", number, reason)
             continue
         attached += 1
-        if level is not None:
-            if "person.injury" in degraded:
-                report.count_unknown("person.injury")
-            injuries_by_crash.setdefault(key, []).append(level)
+        for fname in unknown:
+            count_unknown(fname)
+        if rank is not None and rank > worst_rank.get(key, -2):
+            worst_rank[key] = rank
         if airbag:
             airbag_ids.add(key)
     report.count_read("person", number)
     if number:
         report.rows_attached["person"] = attached
-    return injuries_by_crash
+    return worst_rank
 
 
 def _read_unit_rows(
     convert: RowConverter,
     rows: Rows,
-    crashes: Mapping[str, _CrashRow],
+    crashes: Mapping[str, tuple],
     skipped_ids: set[str],
     airbag_ids: set[str],
-    tracks_transport: bool,
     report: IngestReport,
 ) -> dict[str, list[VehicleUnit]]:
     """Vehicle units by crash id, in row order.  A row repeating a
@@ -470,50 +536,34 @@ def _read_unit_rows(
     ``airbag_ids``."""
     units_by_crash: dict[str, list[VehicleUnit]] = {}
     seen: set[tuple[str, int]] = set()
-    # Each distinct unit is built once, keyed by its fields in
-    # VehicleUnit's declaration order, and shared (see the module
-    # docstring).  A load holds few distinct units however many rows it
-    # reads, since every field comes from a small coded domain.
-    distinct_units: dict[tuple, VehicleUnit] = {}
+    count_unknown = report.count_unknown
     number = attached = 0
     for number, row in rows:
-        key, unit_raw, vehicle_class, in_transport, airbag, event_raw, degraded = convert(row)
-        if not key or not unit_raw:
-            report.skip("unit", number, "missing crash or unit key")
+        key, (reason, unit, airbag, unknown) = convert(row)
+        if key is None or reason == _MISSING_UNIT_KEYS:
+            report.skip("unit", number, _MISSING_UNIT_KEYS)
             continue
         if key not in crashes:
             report.skip("unit", number, _orphan_reason(key, skipped_ids))
             continue
-        unit_id = _int_or_none(unit_raw)
-        if unit_id is None:
-            report.skip("unit", number, f"unparseable unit_id {unit_raw!r}")
+        if reason:
+            report.skip("unit", number, reason)
             continue
-        if (key, unit_id) in seen:
+        pair = (key, unit.unit_id)
+        if pair in seen:
             report.skip("unit", number, "duplicate unit_id")
             continue
-        seen.add((key, unit_id))
+        seen.add(pair)
         attached += 1
-
-        vehicle_class = _coded_member("unit.vehicle_class", vehicle_class, degraded, report)
-        # Only an unknown status counts, not a '*' fallback to a definite flag.
-        if in_transport is None:
-            if tracks_transport:
-                report.count_unknown("unit.in_transport")
-            in_transport = False  # conservative: unknown transport status is excluded
-        if vehicle_class in VRU_CLASSES:
-            in_transport = False  # non-motorists are never in-transport vehicles
-
+        for fname in unknown:
+            count_unknown(fname)
         if airbag:
             airbag_ids.add(key)
-        event = _int_or_none(event_raw)
-        if event is not None and event < 1:
-            event = None
-
-        fields = (unit_id, vehicle_class, in_transport, event)
-        unit = distinct_units.get(fields)
-        if unit is None:
-            unit = distinct_units[fields] = VehicleUnit(*fields)
-        units_by_crash.setdefault(key, []).append(unit)
+        units = units_by_crash.get(key)
+        if units is None:
+            units_by_crash[key] = [unit]
+        else:
+            units.append(unit)
     report.count_read("unit", number)
     if number:
         report.rows_attached["unit"] = attached

@@ -34,7 +34,8 @@ checked when it loads: [columns], [dictionary.F] and [derive.F] name
 only ``CANONICAL_FIELDS``, [source] holds only ``SOURCE_OPTIONS``, and
 any other field, option or section is a ConfigError naming it.
 ``compile`` checks a table's mapping against its header and makes its
-one row converter, which decides each distinct coded row once.
+one row converter, which reads the fields that differ per row and
+decides the others once per distinct tuple of the columns they read.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class Const:
 
 Binding = Union[Column, Const]
 # A table's mapping compiled against its header: raw row values -> the
-# values of the compiled fields, then the names of those that came out degraded.
+# values of the fields read per row, then what its decide function made of
+# the others (see ``MappingConfig.compile``).
 RowConverter = Callable[[Sequence[str]], list]
 
 
@@ -364,23 +366,39 @@ class MappingConfig:
         fields: Sequence[str],
         required: Sequence[str] = (),
         table: str = "table",
+        decided: Sequence[str] = (),
+        decide: Callable[..., Any] = lambda degraded: degraded,
     ) -> RowConverter:
         """Check a table against this mapping and compile its row converter.
 
         A required field left unbound is a ConfigError (``validate``); no
-        header, or none with the column bound to one, is a DataError naming
-        the mapping and ``table``.  The converter takes a row of raw values
-        in header order and returns a list: the values of ``fields``, in
-        order, then a tuple of the names of those that came out degraded, as
-        ``resolve`` gives them for the row as a dict.  A column bound with no
-        dictionary, derive rule or vocabulary (ids, years, coordinates, road
-        names) is read per row; the other fields are decided by ``resolve``
-        once per distinct tuple of the raw values they read.
+        header, none with the column bound to one, or one that repeats a
+        column that ``fields`` or ``decided`` read (bound or named by a
+        derive rule), is a DataError naming the mapping and ``table``.
+        The converter takes a row of raw values in header order and
+        returns a list: the values of ``fields``, in order, as ``resolve``
+        gives them for the row as a dict, then ``decide`` called with the
+        values of ``decided`` and the tuple of the names of the compiled
+        fields that came out degraded (by default, that tuple alone).
+
+        Only a field of ``fields`` bound to a header column with no
+        dictionary, derive rule or vocabulary (ids, coordinates, road
+        names) is read per row.  The other fields, and what ``decide``
+        makes of them, are decided once per distinct tuple of the raw
+        values of the columns they read, in one memo that lives as long
+        as the converter, so ``decide`` must depend on its arguments
+        alone.  A column that only per-row fields read is never part of
+        the memo key.
         """
         self.validate(required)
         if required and not header:
             raise DataError(f"{self.name}/{table}: empty or malformed header")
-        index = {name: i for i, name in enumerate(header)}
+        index: dict[str, int] = {}
+        repeated: dict[str, tuple[int, int]] = {}  # column -> its first two positions
+        for position, name in enumerate(header):
+            if name in index:
+                repeated.setdefault(name, (index[name], position))
+            index.setdefault(name, position)
         for fname in required:
             binding = self.columns[fname]
             if isinstance(binding, Column) and binding.name not in index:
@@ -389,36 +407,55 @@ class MappingConfig:
                     f"(bound to {fname})"
                 )
 
-        plain: list[tuple[int, int]] = []  # (slot, position of its column)
-        coded: list[tuple[int, str]] = []  # (slot, field)
-        read: list[str] = []  # the columns the coded fields read
-        for slot, fname in enumerate(fields):
+        names = (*fields, *decided)
+        width = len(fields)
+        per_row: list[tuple[int, int]] = []  # (slot, position of its column)
+        keyed: dict[str, int] = {}  # column -> its place in the memo key
+        # (slot, field, the columns it reads, their places in the key, and
+        # its resolutions by the values of those columns)
+        coded: list[tuple[int, str, list[str], Callable, dict]] = []
+        for slot, fname in enumerate(names):
             binding = self.columns.get(fname)
             rules = self.derives.get(fname, ())
-            if isinstance(binding, Column) and binding.name in index and not (
+            read = [cond.column for rule in rules for cond in rule.conditions]
+            read += [binding.name] if isinstance(binding, Column) else []
+            for column in read:
+                if column in repeated:
+                    first, second = repeated[column]
+                    raise DataError(
+                        f"{self.name}/{table}: header repeats column {column!r} "
+                        f"(positions {first + 1} and {second + 1}), which {fname} reads"
+                    )
+            read = [column for column in dict.fromkeys(read) if column in index]
+            if slot < width and read and not (
                 rules or fname in self.dictionaries or fname in VOCABULARIES
             ):
-                plain.append((slot, index[binding.name]))
-                continue
-            coded.append((slot, fname))
-            read += [cond.column for rule in rules for cond in rule.conditions]
-            read += [binding.name] if isinstance(binding, Column) else []
-        read = [column for column in dict.fromkeys(read) if column in index]
-        read_key = _picker([index[column] for column in read])
+                per_row.append((slot, index[binding.name]))
+            else:
+                places = [keyed.setdefault(column, len(keyed)) for column in read]
+                coded.append((slot, fname, read, _picker(places), {}))
+        read_key = _picker([index[column] for column in keyed])
         memo: dict[tuple, list] = {}
 
         def convert(row: Sequence[str]) -> list:
             key = read_key(row)
             entry = memo.get(key)
             if entry is None:
-                raw = dict(zip(read, key))
-                entry = memo[key] = [None] * len(fields) + [()]
-                for slot, fname in coded:
-                    entry[slot], degraded = self.resolve(fname, raw)
-                    if degraded:
-                        entry[-1] += (fname,)
+                values: list = [None] * len(names)
+                degraded: tuple[str, ...] = ()
+                # Keys repeat most values of each field: a field is resolved
+                # once per distinct tuple of its own columns.
+                for slot, fname, columns, pick, resolved in coded:
+                    own = pick(key)
+                    value = resolved.get(own)
+                    if value is None:
+                        value = resolved[own] = self.resolve(fname, dict(zip(columns, own)))
+                    values[slot], bad = value
+                    if bad:
+                        degraded += (fname,)
+                entry = memo[key] = values[:width] + [decide(*values[width:], degraded)]
             values = entry.copy()
-            for slot, position in plain:
+            for slot, position in per_row:
                 values[slot] = row[position].strip() or None
             return values
 

@@ -262,16 +262,20 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
     Exact recovery: counts, VMT, and therefore rates and intervals
     round-trip bit-for-bit (floats are emitted with repr).  A file that
     is not UTF-8 text or lacks a column, and a row with more or fewer
-    fields than the header or that does not read back into a cell, is a
-    DataError naming the file (and the row).
+    fields than the header, that does not read back into a cell, or that
+    the csv module cannot parse (a field longer than csv's default
+    ``field_size_limit``, which is kept), is a DataError naming the file
+    (and the row).
     """
     cells = []
+    number = None  # the last row read; None while reading the header
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in RATE_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
                 raise DataError(f"{path}: rate table lacks column(s) {', '.join(missing)}")
+            number = 0
             for number, row in enumerate(reader, start=1):
                 # DictReader files extra fields under the key None and
                 # gives missing ones the value None.
@@ -285,4 +289,7 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
                     raise DataError(f"{path}: row {number}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        where = "header" if number is None else f"row {number + 1}"
+        raise DataError(f"{path}: {where}: {exc}") from None
     return cells

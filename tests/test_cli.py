@@ -163,6 +163,34 @@ class TestRun:
         assert "kind=data" in err and f"shares.csv: row 1: {message}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line,edit,message",
+        [
+            # A field longer than csv's field_size_limit, in a data row.
+            (2, lambda row: row.replace("I-35", "I" * 200_000),
+             "tx_crashes.csv: row 2: field larger than field limit (131072)"),
+            # The header names Crash_Year twice, so the year column is ambiguous.
+            (0, lambda row: row.replace("Crash_Sev_ID", "Crash_Year"),
+             "tx/crash: header repeats column 'Crash_Year' (positions 2 and 8), "
+             "which year reads"),
+        ],
+        ids=["field-past-csv-limit", "repeated-read-column"],
+    )
+    def test_unreadable_crash_table_exit_data_error(self, fixtures_dir, tmp_path, capsys,
+                                                    line, edit, message):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        crashes = inputs / "tx_crashes.csv"
+        rows = crashes.read_text().splitlines(keepends=True)
+        rows[line] = edit(rows[line])
+        crashes.write_text("".join(rows))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "kind=data" in err and message in err
+        assert not out.exists()
+
     def test_mapping_token_outside_vocabulary_exit_config_error(self, fixtures_dir, tmp_path,
                                                                 capsys):
         from importlib import resources
@@ -678,6 +706,23 @@ class TestCompare:
                      "--out", str(tmp_path / "cmp")]) == 3
         err = capsys.readouterr().err
         assert "kind=data" in err and "benchmark.csv: row 2:" in err
+
+    def test_benchmark_field_past_csv_limit_is_data_error(self, run_args, tmp_path, capsys):
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        rows = (out / "benchmark_rates_2023.csv").read_text().splitlines(keepends=True)
+        rows[2] = rows[2].replace("Austin", "A" * 200_000, 1)
+        benchmark = tmp_path / "benchmark.csv"
+        benchmark.write_text("".join(rows))
+        ads = tmp_path / "ads.csv"
+        ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\n"
+                       "Austin,Freeway,PoliceReported,10,1e9\n")
+        assert main(["compare", "--benchmark", str(benchmark), "--ads", str(ads),
+                     "--out", str(tmp_path / "cmp")]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert "benchmark.csv: row 2: field larger than field limit (131072)" in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_zero_benchmark_rate_writes_no_file(self, run_args, tmp_path, capsys):
         # The fixture has no fatal surface-street crash in Round Rock.

@@ -1,5 +1,7 @@
+import csv
 import io
 import math
+import random
 import re
 from collections import Counter
 from dataclasses import astuple, replace
@@ -37,7 +39,8 @@ from crashbench.model import (
 from crashbench.pipeline import resolve_mapping
 from crashbench.taxonomy import OutcomeLevel, classify_outcome
 
-from corpus import tiled_table
+import ingest_oracle
+from corpus import make_corpus, tiled_table
 from test_model import make_record
 
 CRASH_HEADER = (
@@ -272,9 +275,15 @@ def _raw_value(codes: list[str]):
 def test_compiled_resolvers_match_resolve(builtin_mappings, name, data):
     config = builtin_mappings[name]
     raw = _raw_values(config)
-    # Headers may lack columns, repeat them (the last copy wins) or carry extras.
+    # Headers may lack columns, repeat them or carry extras.  Every column
+    # but Extra is read, so repeating one is a data error.
     header = data.draw(st.lists(st.sampled_from(sorted(raw) + ["Extra"]), max_size=len(raw) + 2))
     fields = sorted(set(config.columns) | set(config.derives))
+    repeated = sorted({column for column in header if column != "Extra" and header.count(column) > 1})
+    if repeated:
+        with pytest.raises(DataError, match="header repeats column"):
+            config.compile(header, fields)
+        return
     compiled = config.compile(header, fields)
     rows = st.tuples(*(_raw_value(raw.get(column, [])) for column in header))
     for row in data.draw(st.lists(rows, min_size=1, max_size=6)):
@@ -430,11 +439,19 @@ class TestLoaderEdges:
             "worst_injury": 1, "junction_relation": 1, "manner_of_collision": 1,
         }
 
-    def test_duplicated_header_name_last_wins(self, tmp_path):
+    def test_repeated_header_column_is_data_error_when_read(self, tmp_path):
+        with pytest.raises(
+            DataError,
+            match=r"mini/crash: header repeats column 'County' \(positions 2 and 4\), "
+                  r"which county reads",
+        ):
+            load_crash_table(["ID,County,Year,County", "A,Travis,2023,Hays"],
+                             _mini_mapping(tmp_path))
+        # A repeated column that nothing reads may stay.
         records, _ = load_crash_table(
-            ["ID,County,Year,County", "A,Travis,2023,Hays"], _mini_mapping(tmp_path)
+            ["ID,Note,County,Year,Note", "A,x,Travis,2023,y"], _mini_mapping(tmp_path)
         )
-        assert records[0].county == "HAYS"
+        assert records[0].county == "TRAVIS"
 
     def test_stream_and_generator_sources_match_paths(self, tx_mapping, fixtures_dir):
         paths = [fixtures_dir / n for n in ("tx_crashes.csv", "tx_units.csv", "tx_persons.csv")]
@@ -452,6 +469,25 @@ class TestLoaderEdges:
         for records, report in (from_streams, from_generators):
             assert records == from_paths[0]
             assert report == from_paths[1]
+
+    @pytest.mark.parametrize("marked", [0, 1, 2])
+    def test_byte_order_mark_is_not_part_of_the_header(
+        self, tx_mapping, fixtures_dir, tmp_path, marked
+    ):
+        # As a spreadsheet exports UTF-8: a BOM before the header.
+        paths = [fixtures_dir / n for n in ("tx_crashes.csv", "tx_units.csv", "tx_persons.csv")]
+        plain = load_crash_table(paths[0], tx_mapping, paths[1], paths[2])
+        paths[marked] = tmp_path / paths[marked].name
+        paths[marked].write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / paths[marked].name).read_bytes())
+        assert load_crash_table(paths[0], tx_mapping, paths[1], paths[2]) == plain
+
+    @pytest.mark.parametrize("at,where", [(0, "header"), (2, "row 2")])
+    def test_field_past_the_csv_limit_is_data_error(self, tx_mapping, at, where):
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",
+                 "X2,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        crash[at] = crash[at].replace("MAIN ST", "M" * 200_000).replace("Cnty_Nm", "C" * 200_000)
+        with pytest.raises(DataError, match=rf"{where}: field larger than field limit \(131072\)"):
+            load_crash_table(crash, tx_mapping)
 
     def test_optional_bound_column_may_be_missing_from_header(self, tx_mapping):
         crash = [
@@ -1044,6 +1080,198 @@ class TestSharedUnits:
         for before, after in zip(records, located):
             assert len(after.units) == len(before.units)
             assert all(a is b for a, b in zip(after.units, before.units))
+
+
+# The packaged Texas mapping with a bound unit airbag flag, and with a
+# parked-flag rule that leaves a unit's transport status unknown unless
+# the flag is Y or N, so generated unit rows reach every decision the
+# unit reader makes.
+def _oracle_mapping_text() -> str:
+    tx = resources.files("crashbench").joinpath("configs", "tx.ini").read_text()
+    edits = {
+        "unit.first_contact_event = First_Contact_Evt_Num\n":
+            "unit.first_contact_event = First_Contact_Evt_Num\nunit.airbag = Veh_Airbag_Fl\n",
+        "rule.2 = true when Veh_Parked_Fl not in Y\nrule.3 = true when Veh_Parked_Fl missing\n":
+            "rule.2 = true when Veh_Parked_Fl in N\n",
+    }
+    for old, new in edits.items():
+        assert old in tx
+        tx = tx.replace(old, new)
+    return tx
+
+
+_ORACLE_UNIT_HEADER = UNIT_HEADER + ",Veh_Airbag_Fl"
+_SEVERITY_CODE = dict(zip(KabcoLevel, ["K", "A", "B", "C", "N", "U"]))
+_INJURY_CODE = dict(zip(KabcoLevel, ["4", "1", "2", "3", "5", "9"]))
+_JUNCTION_CODE = {JunctionRelation.INTERSECTION: "1", JunctionRelation.NON_JUNCTION: "3",
+                  JunctionRelation.RAMP_RELATED: "5", JunctionRelation.UNKNOWN: ""}
+_MANNER_CODE = {
+    MannerOfCollision.FRONT_TO_REAR: "24", MannerOfCollision.LATERAL_SAME_DIRECTION: "25",
+    MannerOfCollision.OPPOSITE_DIRECTION: "40", MannerOfCollision.CROSSING_PATH: "50",
+    MannerOfCollision.SINGLE_VEHICLE: "10", MannerOfCollision.OTHER: "99",
+    MannerOfCollision.UNKNOWN: "",
+}
+_BODY_AND_DESC = {
+    VehicleClass.PASSENGER: ("P4", "1"), VehicleClass.MOTORCYCLE: ("MC", "1"),
+    VehicleClass.HEAVY_VEHICLE: ("TR", "1"), VehicleClass.CYCLIST: ("P4", "3"),
+    VehicleClass.PEDESTRIAN: ("", "4"), VehicleClass.OTHER: ("OT", "1"),
+    VehicleClass.UNKNOWN: ("ZZ", "1"),
+}
+
+
+def _corpus_tables(rng: random.Random, size: int) -> dict[str, list[list[str]]]:
+    """Crash, unit and person rows in the Texas layout written from a
+    corpus of ``size`` records, with random cases, weights, flags and
+    person injuries.  Half the crash and unit rows copy the coded columns
+    of an earlier one, as most rows of a real table do."""
+    tables = {"crash": [], "unit": [], "person": []}
+    for record in make_corpus(size, rng.randrange(2**32)):
+        lat, lon = ("", "") if record.location is None else map(repr, record.location)
+        row = [
+            record.crash_id, str(record.year), rng.choice([record.county, " travis "]), lat, lon,
+            record.primary_road_name, record.secondary_road_name or "",
+            _SEVERITY_CODE[record.worst_injury], _JUNCTION_CODE[record.junction_relation],
+            _MANNER_CODE[record.manner_of_collision],
+        ]
+        if tables["crash"] and rng.random() < 0.5:
+            earlier = rng.choice(tables["crash"])
+            row[1:3], row[7:] = earlier[1:3], earlier[7:]
+        tables["crash"].append(row)
+        for unit in record.units:
+            body, desc = _BODY_AND_DESC[unit.vehicle_class]
+            event = unit.first_contact_event_index
+            row = [
+                record.crash_id, str(unit.unit_id), body,
+                rng.choice(["N", "N", "", "X"]) if unit.in_transport else "Y", desc,
+                rng.choice(["", "", "8000", "12000"]), "", rng.choice(["", "1", "3"]), "1",
+                "" if event is None else str(event), rng.choice(["", "0", "1"]),
+            ]
+            if tables["unit"] and rng.random() < 0.5:
+                row[2:] = rng.choice(tables["unit"])[2:]
+            tables["unit"].append(row)
+            for _ in range(rng.randint(0, 2)):
+                tables["person"].append([
+                    record.crash_id, str(unit.unit_id),
+                    _INJURY_CODE[rng.choice(list(KabcoLevel))], rng.choice(["1", "2", ""]),
+                ])
+    return tables
+
+
+def _mutate(rng: random.Random, tables: dict[str, list[list[str]]], mutation: str) -> None:
+    """Apply one bounded row mutation to one or a few random rows."""
+    crashes, units, persons = tables["crash"], tables["unit"], tables["person"]
+    table = tables[rng.choice(list(tables))]
+    keyed = tables[rng.choice(["unit", "person"])]  # the tables with a unit number
+
+    def pick(rows: list[list[str]]) -> list[str]:
+        return rng.choice(rows) if rows else []
+
+    def put(row: list[str], column: int, value: str) -> None:
+        if len(row) > column:
+            row[column] = value
+
+    def copy_of(rows: list[list[str]]) -> list[str]:
+        copy = list(pick(rows))
+        rows.insert(rng.randint(0, len(rows)), copy)
+        return copy
+
+    if mutation == "wide row":
+        pick(table).append("EXTRA")
+    elif mutation == "short row":
+        row = pick(table)
+        del row[rng.randint(1, max(1, len(row) - 1)):]
+    elif mutation == "blank crash id":
+        put(pick(table), 0, rng.choice(["", " "]))
+    elif mutation == "blank unit number":
+        put(pick(keyed), 1, rng.choice(["", " "]))
+    elif mutation == "repeated crash id":
+        put(copy_of(crashes), 2, "Hays")
+    elif mutation == "repeated unit id":
+        put(copy_of(units), 2, rng.choice(["MC", "ZZ"]))
+    elif mutation == "orphan of an absent crash":
+        units.append(["Z9", "1", "P4", "N", "1", "", "", "1", "1", "1", "1"])
+        persons.append(["Z9", "1", "4", "2"])
+    elif mutation == "orphan of a skipped crash":
+        put(pick(crashes), 1, "20x3")
+    elif mutation == "unparseable year":
+        put(pick(crashes), 1, rng.choice(["2023.5", "x", "", "inf", "2023.0"]))
+    elif mutation == "unparseable unit number":
+        put(pick(keyed), 1, rng.choice(["1.5", "x", "2.0", "1_0"]))
+    elif mutation == "ordinal below 1":
+        put(pick(units), 9, rng.choice(["0", "-1"]))
+    elif mutation == "degraded code":
+        rows, column, code = rng.choice(
+            [(crashes, 7, "Q"), (crashes, 8, "Q"), (crashes, 9, "Q"), (units, 2, "QQ"),
+             (persons, 2, "7"), (persons, 3, "9")]
+        )
+        put(pick(rows), column, code)
+    elif mutation == "all injuries unknown":
+        crash_id = pick(crashes)[:1]
+        for row in [row for row in persons if row[:1] == crash_id] or [copy_of(persons)]:
+            put(row, 2, "9")
+    elif mutation == "airbag twin":
+        # Equal to a unit row in every field but the airbag flag, in the
+        # same crash (a repeated unit) or in another one.
+        copy = copy_of(units)
+        if len(copy) == 11:
+            copy[10] = "0" if copy[10] == "1" else "1"
+            copy[0] = rng.choice([copy[0], *pick(crashes)[:1]])
+    else:
+        raise ValueError(mutation)
+
+
+_MUTATIONS = (
+    "wide row", "short row", "blank crash id", "blank unit number", "repeated crash id",
+    "repeated unit id", "orphan of an absent crash", "orphan of a skipped crash",
+    "unparseable year", "unparseable unit number", "ordinal below 1", "degraded code",
+    "all injuries unknown", "airbag twin",
+)
+
+
+def _source(table: str, rows: list[list[str]]) -> io.StringIO:
+    header = {"crash": CRASH_HEADER, "unit": _ORACLE_UNIT_HEADER, "person": PERSON_HEADER}[table]
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator="\n").writerows([header.split(","), *rows])
+    text.seek(0)
+    return text
+
+
+@pytest.fixture(scope="module")
+def oracle_mapping(tmp_path_factory) -> MappingConfig:
+    path = tmp_path_factory.mktemp("mapping") / "tx_oracle.ini"
+    path.write_text(_oracle_mapping_text())
+    return MappingConfig.load(path)
+
+
+class TestRowOracle:
+    """The loader decides each distinct tuple of coded columns once; the
+    row-at-a-time reference in ``ingest_oracle`` decides every row from
+    scratch.  On tables written from the corpus and then mutated, both
+    give equal records and an equal report: skips in order, rows read and
+    attached, unknown counts, missing locations and crashes without
+    units."""
+
+    @settings(max_examples=150, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 10),
+           mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=10))
+    def test_loader_matches_row_oracle(self, oracle_mapping, seed, size, mutations):
+        rng = random.Random(seed)
+        tables = _corpus_tables(rng, size)
+        for mutation in mutations:
+            _mutate(rng, tables, mutation)
+
+        def load(loader):
+            return loader(_source("crash", tables["crash"]), oracle_mapping,
+                          _source("unit", tables["unit"]), _source("person", tables["person"]))
+
+        records, report = load(load_crash_table)
+        expected_records, expected_report = load(ingest_oracle.load_crash_table)
+        assert records == expected_records
+        assert report == expected_report
+        shared: dict[tuple, object] = {}
+        for unit in (unit for record in records for unit in record.units):
+            assert shared.setdefault(astuple(unit), unit) is unit
 
 
 class TestGeocoding:

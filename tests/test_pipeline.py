@@ -579,6 +579,50 @@ class TestIrrelevantRows:
         assert extra_diagnostics == expected
 
 
+class TestRelabelling:
+    """Whole-run property: renaming an area changes only its name in the
+    four CSVs.  Where the new name sorts differently from the other
+    area's, the order of the rows changes too, and nothing else."""
+
+    @staticmethod
+    def _tables(config, out) -> dict[str, list[list[str]]]:
+        pipeline.run(replace(config, out_dir=out))
+        return {
+            path.name: list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
+            for path in sorted(out.glob("*.csv"))
+        }
+
+    @settings(max_examples=8, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(
+        renamed=st.sampled_from(["Austin", "Round Rock"]),
+        # Quotes, commas and spaces put the name through CSV quoting.
+        name=st.text(alphabet="ABRZaz ,'\"é-", min_size=1, max_size=12),
+    )
+    def test_renaming_an_area_changes_only_its_name(
+        self, fixtures_dir, tmp_path_factory, renamed, name
+    ):
+        config = pipeline.load_run_config(fixtures_dir / "run.ini")
+        (other,) = {area.name for area in config.areas} - {renamed}
+        if not name.strip() or name == other:
+            reject()
+        work = tmp_path_factory.mktemp("relabel")
+        before = self._tables(config, work / "before")
+        areas = tuple(replace(a, name=name) if a.name == renamed else a for a in config.areas)
+        after = self._tables(replace(config, areas=areas), work / "after")
+        assert len(before) == 4 and after.keys() == before.keys()
+        for table, (header, *rows) in before.items():
+            assert header[0] == "geo"
+            expected = [[name, *row[1:]] if row[0] == renamed else row for row in rows]
+            assert after[table][0] == header
+            got = after[table][1:]
+            assert sorted(got) == sorted(expected), table
+            for area in (name, other):  # each area's rows keep their order
+                assert [r for r in got if r[0] == area] == [r for r in expected if r[0] == area]
+            if (name < other) == (renamed < other):
+                assert got == expected, table
+
+
 # A two-area world over the corpus counties (HAYS falls outside both).
 PROPERTY_AREAS = (
     GeoArea("Austin", "TX", frozenset({"TRAVIS"})),
