@@ -24,14 +24,17 @@ the join: blank keys, orphans, duplicates and the per-row counts, each
 unknown name counted once for every row that has it.  The person reader
 keeps the worst injury level per crash as it reads.
 
-Vehicle units are shared immutable values; a crash's contact events
-are read from its units' first-contact ordinals.  A unit holds only what
-the stages read (ordinal, class, in-transport flag, first-contact
-ordinal), all from small coded domains, so one load builds each distinct
-unit once and every record that has it holds that one value; the memo
-lives for one ``load_crash_table`` call.  Nothing may rely on unit
-identity: a unit equals any other with the same fields, shared or not.
-Airbag deployment is a fact of the crash, not of a unit.
+Records and units are tuples (``typing.NamedTuple``, see ``model``),
+so the join builds each record, and the unit reader each distinct unit,
+with one call to tuple's constructor.  Vehicle units are shared
+immutable values; a crash's contact events are read from its units'
+first-contact ordinals.  A unit holds only what the stages read
+(ordinal, class, in-transport flag, first-contact ordinal), all from
+small coded domains, so one load builds each distinct unit once and
+every record that has it holds that one value; the memo lives for one
+``load_crash_table`` call.  Nothing may rely on unit identity: a unit
+equals any other with the same fields, shared or not.  Airbag
+deployment is a fact of the crash, not of a unit.
 
 Records missing coordinates can be filled by a pluggable geocoder
 client.  Only stub and file-cache (replay) clients ship here; a live
@@ -45,7 +48,7 @@ import csv
 import io
 import math
 from contextlib import ExitStack, contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -168,33 +171,33 @@ def _open_table(
     mark before the header is not part of its first column.  A row the csv
     module cannot parse, such as one with a field longer than csv's
     default ``field_size_limit`` (kept), is a DataError naming the source
-    and row.
+    and row.  A message names a path source by its path and any other
+    source by its type (``<list>``), never by its contents.
     """
-    opened = (
-        open(source, newline="", encoding="utf-8-sig")
-        if isinstance(source, (str, Path))
-        else nullcontext(source)
-    )
+    if isinstance(source, (str, Path)):
+        opened = open(source, newline="", encoding="utf-8-sig")
+        label = str(source)
+    else:
+        opened = nullcontext(source)
+        label = f"<{type(source).__name__}>"
     with opened as lines:
         reader = csv.reader(lines, delimiter=delimiter)
         if skip_wide is None:
 
             def skip_wide(number: int, reason: str, row: list[str]) -> None:
-                raise DataError(f"{source}: row {number}: {reason}")
+                raise DataError(f"{label}: row {number}: {reason}")
 
         try:
             try:
                 header = next(reader, [])
             except csv.Error as exc:
-                raise DataError(f"{source}: header: {exc}") from None
-            yield header, _numbered(reader, len(header), skip_wide, source)
+                raise DataError(f"{label}: header: {exc}") from None
+            yield header, _numbered(reader, len(header), skip_wide, label)
         except UnicodeDecodeError as exc:
-            raise DataError(f"{source}: not UTF-8 text ({exc})") from None
+            raise DataError(f"{label}: not UTF-8 text ({exc})") from None
 
 
-def _numbered(
-    reader: Iterator[list[str]], width: int, skip_wide: SkipWide, source: RowSource
-) -> Rows:
+def _numbered(reader: Iterator[list[str]], width: int, skip_wide: SkipWide, label: str) -> Rows:
     number = 0
     try:
         for row in reader:
@@ -207,7 +210,7 @@ def _numbered(
                     row += [""] * (width - len(row))
                 yield number, row
     except csv.Error as exc:
-        raise DataError(f"{source}: row {number + 1}: {exc}") from None
+        raise DataError(f"{label}: row {number + 1}: {exc}") from None
 
 
 @contextmanager
@@ -718,7 +721,7 @@ def geocode_missing(
             out.append(record)
         else:
             report.resolved += 1
-            out.append(replace(record, location=LatLon(*located)))
+            out.append(record._replace(location=LatLon(*located)))
     return out, report
 
 

@@ -5,7 +5,17 @@ rates) is defined over these normalized types, never over raw state
 schemas.  State-specific semantics live in mapping configs consumed by
 :mod:`crashbench.ingest`.
 
-All types are immutable after construction.
+All types are immutable after construction.  The per-crash types,
+``CrashRecord``, ``VehicleUnit`` and ``LatLon`` (and
+``roadclass.RoadClassification``), are ``typing.NamedTuple`` classes:
+one run builds, compares and hashes tens of thousands of them.  A tuple
+is built by one call to tuple's constructor and is compared and hashed
+in C, where a frozen dataclass sets each field through
+``object.__setattr__`` and hashes in Python.  They keep attribute
+access, defaults and equality by value, and ``_replace`` makes a
+changed copy.  Being tuples, they also equal a plain tuple of the same
+fields, so nothing may compare them with other tuples (or mix them in
+one set or dict key with other tuples).
 """
 
 from __future__ import annotations
@@ -194,8 +204,7 @@ class MannerOfCollision(IdentityEnum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class VehicleUnit:
+class VehicleUnit(NamedTuple):
     """One unit (vehicle or non-motorist) involved in a crash."""
 
     unit_id: int
@@ -204,8 +213,7 @@ class VehicleUnit:
     first_contact_event_index: Optional[int] = None  # 1-based ordinal
 
 
-@dataclass(frozen=True)
-class CrashRecord:
+class CrashRecord(NamedTuple):
     crash_id: str
     state: str
     county: str

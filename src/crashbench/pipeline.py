@@ -20,7 +20,10 @@ airbag flag) and walks each distinct shape's units once for the cohort
 the known classes to the imputation basis and collects the ids the
 crash-type cascade types, every increment times the shape's count.
 Units are shared immutable values (see ``ingest``), but shapes compare
-them by value, so nothing here relies on their identity.  Typing
+them by value, so nothing here relies on their identity; records, units
+and road classifications are tuples (see ``model``), so the shape key is
+built and hashed in C.  Each distinct raw (state, county) pair of the
+in-year records is placed in its area once per call.  Typing
 reads the contact events from the units' first-contact ordinals, so a
 shape's units cover them.
 ``RunConfig.workers`` is validated but has no effect, and
@@ -506,11 +509,17 @@ def build_benchmark(
     # cohort walk, the outcome set and the crash-type cascade read.
     # Each shape keeps its first record and its count.
     shapes: dict[tuple, list] = {}
+    # Each distinct raw (state, county) pair's area, or None outside every area.
+    area_of: dict[tuple[str, str], Optional[GeoArea]] = {}
     for record in records:
         if record.year != year:
             continue
         records_in_year += 1
-        area = by_county.get(county_key(record.state, record.county))
+        place = (record.state, record.county)
+        if place in area_of:
+            area = area_of[place]
+        else:
+            area = area_of[place] = by_county.get(county_key(*place))
         if area is None:
             outside += 1
             continue
@@ -528,7 +537,7 @@ def build_benchmark(
             record.worst_injury,
             record.airbag_deployed,
         )
-        # One hash of the key per record: hashing the units runs in Python.
+        # One hash of the key per record, in C: units are tuples.
         shapes.setdefault(shape, [record, 0])[1] += 1
 
     # Second pass, over the shapes in first-seen order: one walk over a

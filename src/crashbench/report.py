@@ -260,7 +260,9 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
     """Read a rate table back into cells.
 
     Exact recovery: counts, VMT, and therefore rates and intervals
-    round-trip bit-for-bit (floats are emitted with repr).  A file that
+    round-trip bit-for-bit (floats are emitted with repr).  The file is
+    read as ``utf-8-sig``, as ingest reads its tables, so a byte-order mark
+    before the header is not part of its first column.  A file that
     is not UTF-8 text or lacks a column, and a row with more or fewer
     fields than the header, that does not read back into a cell, or that
     the csv module cannot parse (a field longer than csv's default
@@ -270,7 +272,7 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
     cells = []
     number = None  # the last row read; None while reading the header
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in RATE_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:

@@ -41,7 +41,7 @@ from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
     ConfigError,
@@ -196,8 +196,7 @@ class Provenance(IdentityEnum):
     UNRESOLVABLE = "Unresolvable"
 
 
-@dataclass(frozen=True)
-class RoadClassification:
+class RoadClassification(NamedTuple):
     road_class: RoadClass
     provenance: Provenance
     route_id: Optional[str] = None

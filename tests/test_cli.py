@@ -14,6 +14,7 @@ import crashbench
 from crashbench import cli
 from crashbench.cli import main
 from crashbench.power import PowerQuery, required_mileage
+from crashbench.report import parse_rate_table
 
 
 @pytest.fixture()
@@ -723,6 +724,27 @@ class TestCompare:
         assert "kind=data" in err
         assert "benchmark.csv: row 2: field larger than field limit (131072)" in err
         assert not (tmp_path / "cmp").exists()
+
+    def test_benchmark_with_byte_order_mark_compares_alike(self, run_args, tmp_path):
+        # A rate table re-saved with a byte-order mark reads as the same
+        # cells, and compare writes the same comparison from it.
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        rates = out / "benchmark_rates_2023.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + rates.read_bytes())
+        assert parse_rate_table(marked) == parse_rate_table(rates)
+        ads = tmp_path / "ads.csv"
+        ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\n"
+                       "Austin,Freeway,PoliceReported,10,1e9\n"
+                       "Austin,Freeway,Fatal,1,1e9\n")
+        compared = []
+        for benchmark in (rates, marked):
+            cmp_out = tmp_path / f"cmp-{benchmark.stem}"
+            assert main(["compare", "--benchmark", str(benchmark), "--ads", str(ads),
+                         "--out", str(cmp_out)]) == 0
+            compared.append((cmp_out / "safety_impact.csv").read_bytes())
+        assert compared[0] == compared[1]
 
     def test_zero_benchmark_rate_writes_no_file(self, run_args, tmp_path, capsys):
         # The fixture has no fatal surface-street crash in Round Rock.

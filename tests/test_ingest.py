@@ -4,7 +4,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import astuple, replace
 from importlib import resources
 from pathlib import Path
 
@@ -1056,7 +1055,7 @@ class TestSharedUnits:
         assert sum(map(len, fresh.values())) == sum(len(r.units) for r in records) > 0
         for record in records:
             by_id = fresh.get(record.crash_id, {})
-            assert record == replace(record, units=tuple(by_id[i] for i in sorted(by_id)))
+            assert record == record._replace(units=tuple(by_id[i] for i in sorted(by_id)))
 
     def test_equal_units_are_one_value_per_load(self, tx_mapping, fixtures_dir):
         crashes, units_table, persons = self._tables(fixtures_dir, 3)
@@ -1064,7 +1063,7 @@ class TestSharedUnits:
         units = [unit for record in records for unit in record.units]
         shared: dict[tuple, object] = {}
         for unit in units:
-            assert shared.setdefault(astuple(unit), unit) is unit
+            assert shared.setdefault(tuple(unit), unit) is unit
         assert len(shared) < len(units) / 3
         # The memo lives for one call: another load builds its own units.
         again, _ = load_crash_table(crashes, tx_mapping, units_table, persons)
@@ -1271,7 +1270,7 @@ class TestRowOracle:
         assert report == expected_report
         shared: dict[tuple, object] = {}
         for unit in (unit for record in records for unit in record.units):
-            assert shared.setdefault(astuple(unit), unit) is unit
+            assert shared.setdefault(tuple(unit), unit) is unit
 
 
 class TestGeocoding:
@@ -1484,6 +1483,24 @@ class TestVmtLoading:
                         "Travis,SURFACE,2023,1,000\n")
         with pytest.raises(DataError, match=r"vmt\.csv: row 2: 5 fields, header has 4"):
             load_vmt_table(path, tx_vmt_mapping)
+
+    def test_source_that_is_not_a_path_is_named_by_its_type(self, tx_vmt_mapping):
+        # A message names such a source by its type, not by its repr: for
+        # this 3,002-line list the repr made a 75,108-character message.
+        rows = ["County,Functional_Class,Year,Annual_VMT"]
+        rows += [f"County {n},FREEWAY,2023,10" for n in range(3000)]
+        rows.append("Travis,SURFACE,2023,1,000")
+        with pytest.raises(DataError) as wide:
+            load_vmt_table(rows, tx_vmt_mapping)
+        assert str(wide.value) == "<list>: row 3001: 5 fields, header has 4"
+        assert len(str(wide.value)) < 200
+        # Likewise a row the csv module cannot parse, from a text stream.
+        text = io.StringIO(f"{rows[0]}\nTravis,FREEWAY,2023,{'9' * 200_000}\n")
+        with pytest.raises(DataError) as oversized:
+            load_vmt_table(text, tx_vmt_mapping)
+        assert str(oversized.value) == (
+            "<StringIO>: row 1: field larger than field limit (131072)"
+        )
 
     def test_non_integral_vmt_year_is_data_error(self, tx_vmt_mapping):
         rows = ["County,Functional_Class,Year,Annual_VMT", "Travis,FREEWAY,2023.5,10"]

@@ -8,15 +8,19 @@ from crashbench.model import (
     DataError,
     FunctionalClass,
     GeoArea,
+    JunctionRelation,
     KabcoLevel,
     LatLon,
+    MannerOfCollision,
     MissingShareError,
     PassengerShareTable,
+    RoadClass,
     VehicleClass,
     VehicleUnit,
     VmtRecord,
     worst_injury,
 )
+from crashbench.roadclass import Provenance, RoadClassification
 
 
 def make_record(**overrides) -> CrashRecord:
@@ -32,6 +36,88 @@ def make_record(**overrides) -> CrashRecord:
     )
     base.update(overrides)
     return CrashRecord(**base)
+
+
+# Per value type: a builder of one value, and for each field a value
+# other than the one the builder gives it.
+VALUE_TYPES = {
+    "record": (
+        lambda: make_record(secondary_road_name="ELM AVE"),
+        dict(
+            crash_id="X2",
+            state="CA",
+            county="WILLIAMSON",
+            year=2022,
+            worst_injury=KabcoLevel.K,
+            location=LatLon(30.4, -97.7),
+            primary_road_name="I-35",
+            secondary_road_name=None,
+            units=(),
+            junction_relation=JunctionRelation.INTERSECTION,
+            manner_of_collision=MannerOfCollision.CROSSING_PATH,
+            airbag_deployed=True,
+        ),
+    ),
+    "unit": (
+        lambda: VehicleUnit(2, VehicleClass.CYCLIST, False, 1),
+        dict(
+            unit_id=3,
+            vehicle_class=VehicleClass.PASSENGER,
+            in_transport=True,
+            first_contact_event_index=None,
+        ),
+    ),
+    "classification": (
+        lambda: RoadClassification(RoadClass.FREEWAY, Provenance.BY_PROXIMITY, "US-101", 12.5),
+        dict(
+            road_class=RoadClass.SURFACE_STREET,
+            provenance=Provenance.UNRESOLVABLE,
+            route_id="I-280",
+            distance_m=None,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES)
+class TestValueContract:
+    """Records, units and road classifications are immutable values:
+    equal and hashing equal when their fields are, whoever built them."""
+
+    def test_every_field_is_covered(self, kind):
+        build, others = VALUE_TYPES[kind]
+        assert tuple(others) == build()._fields
+
+    def test_assigning_an_attribute_raises(self, kind):
+        build, others = VALUE_TYPES[kind]
+        value = build()
+        for name, other in others.items():
+            with pytest.raises(AttributeError):
+                setattr(value, name, other)
+        with pytest.raises(AttributeError):
+            value.note = "new attribute"
+        assert value == build()
+
+    def test_values_built_apart_are_equal_and_hash_equal(self, kind):
+        build, _ = VALUE_TYPES[kind]
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_replace_changes_exactly_one_field(self, kind):
+        build, others = VALUE_TYPES[kind]
+        value = build()
+        for name, other in others.items():
+            changed = value._replace(**{name: other})
+            assert type(changed) is type(value)
+            assert getattr(changed, name) == other != getattr(value, name)
+            for kept in value._fields:
+                if kept != name:
+                    assert getattr(changed, kept) is getattr(value, kept)
+            assert changed != value
+        assert value == build()
 
 
 class TestKabco:

@@ -646,7 +646,7 @@ def _with_repeats(records, rng):
     """The records, then copies of some of them under fresh crash ids, so
     that shapes repeat unevenly."""
     copies = rng.choices(records, k=rng.randint(0, 2 * len(records)))
-    return records + [replace(r, crash_id=f"{r.crash_id}~{i}") for i, r in enumerate(copies)]
+    return records + [r._replace(crash_id=f"{r.crash_id}~{i}") for i, r in enumerate(copies)]
 
 
 corpora_with_repeats = st.builds(_with_repeats, corpora, st.randoms(use_true_random=False))
@@ -786,7 +786,7 @@ class TestBuildBenchmarkProperties:
         # whole count is k times the untiled one and the passenger
         # fractions are equal.  With VMT k times over as well, every rate
         # and type fraction is the untiled one within a few ulp.
-        tiled = [replace(r, crash_id=f"{r.crash_id}~{t}") for t in range(k) for r in records]
+        tiled = [r._replace(crash_id=f"{r.crash_id}~{t}") for t in range(k) for r in records]
         vmt = [replace(rec, vmt_miles=k * rec.vmt_miles) for rec in PROPERTY_VMT]
         once = _property_tables(records, road_index, impute_by_road=impute_by_road)
         tables = _property_tables(tiled, road_index, vmt, impute_by_road=impute_by_road)
@@ -822,8 +822,7 @@ class TestBuildBenchmarkProperties:
         # Stray case and whitespace in a record's state or county must not
         # move it to another area, or out of every area.
         messy = [
-            replace(
-                r,
+            r._replace(
                 state=rng.choice([" tx", "Tx ", "TX", "\ttx"]),
                 county=rng.choice([r.county.lower() + " ", " " + r.county.title(), r.county]),
             )
@@ -884,12 +883,9 @@ def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecor
     intersection in Austin, with ``changes`` to the crash and
     ``unit_changes`` to each unit."""
     units = tuple(
-        replace(
-            VehicleUnit(
-                unit_id, VehicleClass.PASSENGER, in_transport=True, first_contact_event_index=1
-            ),
-            **unit_change,
-        )
+        VehicleUnit(
+            unit_id, VehicleClass.PASSENGER, in_transport=True, first_contact_event_index=1
+        )._replace(**unit_change)
         for unit_id, unit_change in enumerate(unit_changes, start=1)
     )
     record = CrashRecord(
@@ -903,7 +899,7 @@ def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecor
         junction_relation=JunctionRelation.INTERSECTION,
         manner_of_collision=MannerOfCollision.CROSSING_PATH,
     )
-    return replace(record, **changes)
+    return record._replace(**changes)
 
 
 def _tallies(tables) -> dict:
@@ -950,10 +946,8 @@ class TestShapeKey:
     def test_equal_units_built_apart_tally_as_shared(self, road_index, records, k):
         # Ingest shares each distinct unit; records whose units are equal
         # but built separately must give the same tables, to the bit.
-        shared = [replace(r, crash_id=f"{r.crash_id}~{t}") for t in range(k) for r in records]
-        apart = [
-            replace(r, units=tuple(replace(unit) for unit in r.units)) for r in shared
-        ]
+        shared = [r._replace(crash_id=f"{r.crash_id}~{t}") for t in range(k) for r in records]
+        apart = [r._replace(units=tuple(unit._replace() for unit in r.units)) for r in shared]
         assert all(a.units == s.units and a.units[0] is not s.units[0]
                    for a, s in zip(apart, shared) if s.units)
         expected = _property_tables(shared, road_index)

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -80,7 +79,7 @@ class TestOutcomes:
                 raise AssertionError("classify_outcome walked the units")
 
         for airbag in (False, True):
-            record = replace(crash([vehicle(1)], airbag=airbag), units=Unread())
+            record = crash([vehicle(1)], airbag=airbag)._replace(units=Unread())
             assert (OutcomeLevel.ANY_AIRBAG_DEPLOYMENT in classify_outcome(record)) is airbag
 
     def test_unknown_injury_contributes_no_injury_level(self):
@@ -343,13 +342,13 @@ def _typing_corpus():
     for record in records[:30]:
         first, *others = record.units
         raised = [
-            replace(unit, first_contact_event_index=unit.first_contact_event_index + 1)
+            unit._replace(first_contact_event_index=unit.first_contact_event_index + 1)
             if unit.first_contact_event_index is not None
             else unit
             for unit in others
         ]
-        units = (replace(first, first_contact_event_index=None), *raised)
-        extra.append(replace(record, units=units))
+        units = (first._replace(first_contact_event_index=None), *raised)
+        extra.append(record._replace(units=units))
     return records + extra
 
 
