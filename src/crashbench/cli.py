@@ -20,7 +20,7 @@ from . import pipeline
 from .ingest import load_ads_table
 from .model import ConfigError, CrashBenchError, DataError
 from .power import DEFAULT_ALPHA, DEFAULT_POWER, monte_carlo_power, power_curve
-from .rates import poisson_intervals, safety_impact
+from .rates import compute_rate, poisson_intervals, safety_impact
 from .report import TOOL_VERSION, parse_rate_table, report_paths
 from .roadclass import classify_road
 
@@ -171,7 +171,7 @@ def cmd_compare(args) -> int:
     )
     rows = []
     for (key, ads_count, ads_vmt, cell), low, high in zip(matched, lows.tolist(), highs.tolist()):
-        ads_rate = ads_count / ads_vmt * 1e6
+        ads_rate = compute_rate(ads_count, ads_vmt)
         baseline = cell.rate_ipmm
         rows.append(
             [

@@ -160,13 +160,15 @@ def _open_table(
 ) -> Iterator[tuple[list[str], Rows]]:
     """Read a table's header and yield it with the numbered rows after it.
 
-    Blank lines are skipped and do not advance the row number.  Short rows
-    are padded with empty values to the header's width, so their missing
-    trailing fields read as absent.  A row with more fields than the
-    header (an unquoted delimiter in a value shifts every later field) is
-    not yielded: it goes to ``skip_wide`` with its number, a reason
-    giving both widths and its values, and with no ``skip_wide`` it is a
-    DataError naming the source and row.  A file that is not UTF-8 text is a
+    Blank lines are skipped and do not advance the row number.  A short
+    row is yielded as it is read: the reader that picks its fields
+    decides what it means (the mapping's converter and ``_columns`` read
+    its missing trailing fields as absent; ``report.parse_rate_table``
+    refuses it).  A row with more fields than the header (an unquoted
+    delimiter in a value shifts every later field) is not yielded: it
+    goes to ``skip_wide`` with its number, a reason giving both widths
+    and its values, and with no ``skip_wide`` it is a DataError naming
+    the source and row.  A file that is not UTF-8 text is a
     DataError naming it.  A path is read as ``utf-8-sig``, so a byte-order
     mark before the header is not part of its first column.  A row the csv
     module cannot parse, such as one with a field longer than csv's
@@ -203,11 +205,9 @@ def _numbered(reader: Iterator[list[str]], width: int, skip_wide: SkipWide, labe
         for row in reader:
             if row:
                 number += 1
-                if len(row) != width:
-                    if len(row) > width:
-                        skip_wide(number, f"{len(row)} fields, header has {width}", row)
-                        continue
-                    row += [""] * (width - len(row))
+                if len(row) > width:
+                    skip_wide(number, f"{len(row)} fields, header has {width}", row)
+                    continue
                 yield number, row
     except csv.Error as exc:
         raise DataError(f"{label}: row {number + 1}: {exc}") from None
@@ -220,18 +220,17 @@ def _mapped_table(
     config: MappingConfig,
     required: tuple,
     fields: tuple,
-    decide: Optional[Callable[..., Any]] = None,
+    decide: Callable[..., Any],
     report: Optional[IngestReport] = None,
     wide_keys: Optional[set[str]] = None,
 ) -> Iterator[tuple[RowConverter, Rows]]:
     """Open a source table; yield the mapping of ``fields`` compiled
-    against its header (which checks it), and the numbered rows.  With
-    ``decide``, the converter reads the table's ``_PER_ROW`` fields per
-    row and passes the others to ``decide`` (see
-    ``MappingConfig.compile``).  Rows wider than the header are skipped
-    into ``report`` when one is given, else they are a DataError (see
-    ``_open_table``); the value such a row holds for the first field
-    joins ``wide_keys`` when that is given."""
+    against its header (which checks it), and the numbered rows.  The
+    converter reads the table's ``_PER_ROW`` fields per row and passes
+    the others to ``decide`` (see ``MappingConfig.compile``).  Rows wider
+    than the header are skipped into ``report`` when one is given, else
+    they are a DataError (see ``_open_table``); the value such a row
+    holds for the first field joins ``wide_keys`` when that is given."""
 
     def skip_wide(number: int, reason: str, row: list[str]) -> None:
         report.skip(table, number, reason)
@@ -239,12 +238,9 @@ def _mapped_table(
             wide_keys.add(key)
 
     with _open_table(source, config.delimiter, skip_wide if report else None) as (header, rows):
-        if decide is None:
-            convert = config.compile(header, fields, required, table)
-        else:
-            per_row = _PER_ROW[table]
-            decided = tuple(f for f in fields if f not in per_row)
-            convert = config.compile(header, per_row, required, table, decided, decide)
+        per_row = _PER_ROW[table]
+        decided = tuple(f for f in fields if f not in per_row)
+        convert = config.compile(header, per_row, required, table, decided, decide)
         yield convert, rows
 
 
@@ -269,11 +265,13 @@ def _orphan_reason(crash_key: str, skipped_ids: set[str]) -> str:
 
 
 # The fields each reader reads per row.  It decides the rest of its
-# table's fields once per distinct tuple of the raw columns they read.
+# table's fields once per distinct tuple of the raw columns they read.  A
+# VMT row is read whole, each row a fact of its own.
 _PER_ROW = {
     "crash": ("crash_id", "latitude", "longitude", "primary_road", "secondary_road"),
     "unit": ("unit.crash_id",),
     "person": ("person.crash_id",),
+    "vmt": VMT_REQUIRED,
 }
 _MISSING_UNIT_KEYS = "missing crash or unit key"
 # A person's injury level ranked for the running worst per crash: K
@@ -614,13 +612,14 @@ class FileCachedGeocoder:
     """Append-only file cache in front of an optional inner client.
 
     With no inner client this is replay mode: only previously cached
-    requests resolve, which keeps runs deterministic and offline.
-    Cache lines are 'key<TAB>lat<TAB>lon'; a line that does not parse, whose
-    coordinates ``float_or_none`` does not read as numbers (so no
-    underscores or non-ASCII digits), or whose coordinates fail
-    ``valid_coordinate``, is a DataError naming the line, and so is a
-    repeated key with other coordinates (naming both lines); an exact
-    repeat loads.  An inner client's answer that fails
+    requests resolve, which keeps runs deterministic and offline.  The
+    file is read as ``utf-8-sig``, so a byte-order mark is not part of
+    the first key.  Cache lines are 'key<TAB>lat<TAB>lon'; a line that
+    does not parse, whose coordinates ``float_or_none`` does not read as
+    numbers (so no underscores or non-ASCII digits), or whose
+    coordinates fail ``valid_coordinate``, is a DataError naming the
+    line, and so is a repeated key with other coordinates (naming both
+    lines); an exact repeat loads.  An inner client's answer that fails
     ``valid_coordinate`` counts as unresolved and is not cached.
     """
 
@@ -636,7 +635,7 @@ class FileCachedGeocoder:
 
     def _load(self) -> None:
         line_of: dict[str, int] = {}
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -752,7 +751,8 @@ def load_vmt_table(
 
 def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]:
     records = []
-    with _mapped_table("vmt", source, config, VMT_REQUIRED, VMT_REQUIRED) as (convert, rows):
+    vmt_table = _mapped_table("vmt", source, config, VMT_REQUIRED, VMT_REQUIRED, _decide_vmt)
+    with vmt_table as (convert, rows):
         for number, row in rows:
             state, county, class_token, year_raw, miles_raw, _ = convert(row)
             year = _int_or_none(year_raw)
@@ -769,16 +769,12 @@ def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]
                     f"finite number"
                 )
             fclass = _functional_class(class_token, f"{config.name}/vmt row {number}")
-            records.append(
-                VmtRecord(
-                    state=state,
-                    county=county,
-                    functional_class=fclass,
-                    year=year,
-                    vmt_miles=miles * config.vmt_scale,
-                )
-            )
+            records.append(VmtRecord(state, county, fclass, year, miles * config.vmt_scale))
     return records
+
+
+def _decide_vmt(degraded: tuple[str, ...]) -> None:
+    """A VMT row has no field decided once (see ``_PER_ROW``)."""
 
 
 def derive_surface_street_vmt(records: list[VmtRecord]) -> list[VmtRecord]:
@@ -831,13 +827,16 @@ def _functional_class(token: str, where: str) -> FunctionalClass:
 
 
 def _columns(path: str | Path, header: list[str], names: tuple[str, ...], what: str):
-    """An itemgetter for the named columns of a table's header; a
-    missing column is a DataError naming the file."""
+    """A picker of the named columns of a table's header; a missing
+    column is a DataError naming the file.  A row shorter than the header
+    is padded with empty values, so its missing trailing fields read as
+    absent."""
     index = {name: i for i, name in enumerate(header)}
     missing = [name for name in names if name not in index]
     if missing:
         raise DataError(f"{path}: {what} lacks column(s) {', '.join(missing)}")
-    return itemgetter(*(index[name] for name in names))
+    pick, padding = itemgetter(*(index[name] for name in names)), [""] * len(header)
+    return lambda row: pick(row + padding[len(row):])
 
 
 def load_share_table(path: str | Path) -> PassengerShareTable:

@@ -379,7 +379,9 @@ class MappingConfig:
         returns a list: the values of ``fields``, in order, as ``resolve``
         gives them for the row as a dict, then ``decide`` called with the
         values of ``decided`` and the tuple of the names of the compiled
-        fields that came out degraded (by default, that tuple alone).
+        fields that came out degraded (by default, that tuple alone).  A
+        row shorter than the header is padded with empty values, so its
+        missing trailing fields read as absent, as they do in the dict.
 
         Only a field of ``fields`` bound to a header column with no
         dictionary, derive rule or vocabulary (ids, coordinates, road
@@ -436,8 +438,11 @@ class MappingConfig:
                 coded.append((slot, fname, read, _picker(places), {}))
         read_key = _picker([index[column] for column in keyed])
         memo: dict[tuple, list] = {}
+        header_width = len(header)
 
         def convert(row: Sequence[str]) -> list:
+            if len(row) < header_width:
+                row = [*row, *[""] * (header_width - len(row))]
             key = read_key(row)
             entry = memo.get(key)
             if entry is None:

@@ -50,14 +50,15 @@ class DataError(CrashBenchError):
 
 def read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
     """Parse the INI file at ``path``: options keep their case and values
-    are read literally (no '%' interpolation).  A missing file is a
-    ConfigError, and so is one that is not UTF-8 text or that configparser
-    rejects (a repeated section or option, a line outside any section);
-    configparser's message, which names the file and line, is kept."""
+    are read literally (no '%' interpolation), and a byte-order mark is
+    dropped.  A missing file is a ConfigError, and so is one that is not
+    UTF-8 text or that configparser rejects (a repeated section or
+    option, a line outside any section); configparser's message, which
+    names the file and line, is kept."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        read = parser.read(os.fspath(path), encoding="utf-8")
+        read = parser.read(os.fspath(path), encoding="utf-8-sig")
     except configparser.Error as exc:
         raise ConfigError(f"malformed {what}: {exc}") from exc
     except UnicodeDecodeError as exc:

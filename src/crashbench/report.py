@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .ingest import _columns, _open_table
 from .model import CrashBenchError, DataError, GeoArea, RoadClass
 from .rates import MILLION, RateCell, format_rate, poisson_intervals
 from .taxonomy import LABEL, OUTCOME_RANK, CrashType, OutcomeLevel
@@ -241,18 +242,14 @@ def emit_report(
     return paths
 
 
-def _parse_cell(row: dict) -> RateCell:
+def _parse_cell(geo, state, counties, road, outcome, crash_type, count, vmt_miles, *_) -> RateCell:
     return RateCell(
-        geo=GeoArea(
-            name=row["geo"],
-            state=row["state"],
-            counties=frozenset(row["counties"].split(";")),
-        ),
-        road=RoadClass(row["road"]),
-        outcome=OutcomeLevel(row["outcome"]),
-        crash_type=CrashType(row["crash_type"]) if row["crash_type"] else None,
-        count=float(row["count"]),
-        vmt_miles=float(row["vmt_miles"]),
+        geo=GeoArea(name=geo, state=state, counties=frozenset(counties.split(";"))),
+        road=RoadClass(road),
+        outcome=OutcomeLevel(outcome),
+        crash_type=CrashType(crash_type) if crash_type else None,
+        count=float(count),
+        vmt_miles=float(vmt_miles),
     )
 
 
@@ -261,37 +258,27 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
 
     Exact recovery: counts, VMT, and therefore rates and intervals
     round-trip bit-for-bit (floats are emitted with repr).  The file is
-    read as ``utf-8-sig``, as ingest reads its tables, so a byte-order mark
-    before the header is not part of its first column.  A file that
-    is not UTF-8 text or lacks a column, and a row with more or fewer
-    fields than the header, that does not read back into a cell, or that
-    the csv module cannot parse (a field longer than csv's default
-    ``field_size_limit``, which is kept), is a DataError naming the file
-    (and the row).
+    read by ingest's ``_open_table``, so by its rules: ``utf-8-sig``
+    text, blank lines skipped, and a file that is not UTF-8 text or a
+    row that the csv module cannot parse is a DataError naming the file
+    (and the row).  A missing column is a DataError naming the file
+    (``_columns``).  A row with more or fewer fields than the header, or
+    that does not read back into a cell, is a DataError naming the file
+    and row: a rate row's every field was written, so a short one is
+    truncated, not absent.
     """
+
+    def refuse_wide(number: int, reason: str, row: list[str]) -> None:
+        raise DataError(f"{path}: row {number}: more fields than the header")
+
     cells = []
-    number = None  # the last row read; None while reading the header
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in RATE_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise DataError(f"{path}: rate table lacks column(s) {', '.join(missing)}")
-            number = 0
-            for number, row in enumerate(reader, start=1):
-                # DictReader files extra fields under the key None and
-                # gives missing ones the value None.
-                if None in row:
-                    raise DataError(f"{path}: row {number}: more fields than the header")
-                if None in row.values():
-                    raise DataError(f"{path}: row {number}: fewer fields than the header")
-                try:
-                    cells.append(_parse_cell(row))
-                except (ValueError, CrashBenchError) as exc:
-                    raise DataError(f"{path}: row {number}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-    except csv.Error as exc:
-        where = "header" if number is None else f"row {number + 1}"
-        raise DataError(f"{path}: {where}: {exc}") from None
+    with _open_table(path, ",", refuse_wide) as (header, rows):
+        columns = _columns(path, header, RATE_COLUMNS, "rate table")
+        for number, row in rows:
+            if len(row) < len(header):
+                raise DataError(f"{path}: row {number}: fewer fields than the header")
+            try:
+                cells.append(_parse_cell(*columns(row)))
+            except (ValueError, CrashBenchError) as exc:
+                raise DataError(f"{path}: row {number}: {exc}") from None
     return cells

@@ -547,10 +547,11 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
     one pass over its positions.  A ConfigError naming the file, feature and route is raised for a
     position that is not two numbers with lon in [-180, 180] and lat in
     [-90, 90], a position equal to the one before it, or fewer than two
-    positions.  A file that is not UTF-8 text, not JSON or not shaped
-    as such a FeatureCollection is a ConfigError too."""
+    positions.  A file that is not UTF-8 text (a byte-order mark is
+    dropped), not JSON or not shaped as such a FeatureCollection is a
+    ConfigError too."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None

@@ -16,6 +16,12 @@ from crashbench.cli import main
 from crashbench.power import PowerQuery, required_mileage
 from crashbench.report import parse_rate_table
 
+# Every file the fixture run reads.
+BOM_INPUTS = (
+    "run.ini", "roadclass_aliases.ini", "roadclass_segments.geojson", "geocache.tsv",
+    "shares.csv", "tx_crashes.csv", "tx_units.csv", "tx_persons.csv", "tx_vmt.csv",
+)
+
 
 @pytest.fixture()
 def run_args(fixtures_dir, tmp_path):
@@ -524,6 +530,27 @@ class TestGoldenOutputs:
                 {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
             )
         assert emitted[0] == emitted[1] == _pinned_digests(fixtures_dir)
+
+    @pytest.mark.parametrize(
+        "marked",
+        [("run.ini",), ("roadclass_aliases.ini",), ("roadclass_segments.geojson",),
+         ("geocache.tsv",), BOM_INPUTS],
+    )
+    def test_byte_order_mark_on_an_input_keeps_the_rate_tables(self, fixtures_dir, tmp_path,
+                                                                marked):
+        # As an editor or spreadsheet saves UTF-8: a BOM before the text.
+        # A cache key read with the BOM would leave its crash unlocated.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        for name in marked:
+            (inputs / name).write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / name).read_bytes())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 0
+        pinned = _pinned_digests(fixtures_dir)
+        for path in out.glob("*.csv"):  # the report JSON carries the input digests
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name]
+        diagnostics = json.loads((out / "report_2023.json").read_text())["diagnostics"]
+        assert diagnostics["geocoding"] == {"failed": 0, "resolved": 1, "unresolved": 1}
 
     def test_classify_roads_output(self, run_args, fixtures_dir):
         args, out = run_args
