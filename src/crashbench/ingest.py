@@ -173,11 +173,14 @@ def _open_table(
     mark before the header is not part of its first column.  A row the csv
     module cannot parse, such as one with a field longer than csv's
     default ``field_size_limit`` (kept), is a DataError naming the source
-    and row.  A message names a path source by its path and any other
-    source by its type (``<list>``), never by its contents.
+    and row.  A path's lines end only at LF (CRLF ends in LF too), so a
+    bare CR outside quotes, which would otherwise end the record where it
+    stands and split the row in two, is such a row.  A message names a
+    path source by its path and any other source by its type
+    (``<list>``), never by its contents.
     """
     if isinstance(source, (str, Path)):
-        opened = open(source, newline="", encoding="utf-8-sig")
+        opened = open(source, newline="\n", encoding="utf-8-sig")
         label = str(source)
     else:
         opened = nullcontext(source)

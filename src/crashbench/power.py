@@ -18,10 +18,20 @@ The test throughout treats the benchmark as known: with X the observed
 ADS crash count over m miles and lambda the benchmark rate per mile,
 reject when |X - lambda*m| / sqrt(lambda*m) exceeds the two-sided
 normal critical value.
+
+A simulated fraction depends only on the two expected counts
+lambda*m and r*lambda*m, alpha, the number of trials and the seed.  At
+``target_power_miles`` the null count lambda*m is a function of the
+effect ratio, alpha and power alone (lambda cancels out of the closed
+form), so the rows of a power grid with many strata share a handful of
+expected-count pairs, equal up to rounding in the last bits.
+``monte_carlo_power`` therefore draws each distinct simulation once
+per process and returns the kept fraction for every repeat.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +51,37 @@ class ZeroEffectError(CrashBenchError):
 DEFAULT_EFFECT_RATIOS = (0.75, 0.5, 0.25, 0.1, 1.25, 1.5)
 DEFAULT_ALPHA = 0.05
 DEFAULT_POWER = 0.8
+
+# Distinct simulations monte_carlo_power keeps per process.  A power grid
+# fills a few dozen at most (see the module docstring); the bound caps
+# the memory of a caller sweeping many mileages or seeds.
+_FRACTION_CACHE_SIZE = 1024
+
+# The largest mean numpy's Generator.poisson accepts (it raises "lam value
+# too large" above it).
+_POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+
+def _check_value(name: str, value: float, allow_zero: bool = False) -> None:
+    """A finite value > 0, or >= 0 with ``allow_zero``; NaN is neither."""
+    if not (value >= 0.0 if allow_zero else value > 0.0):
+        raise InvalidOptionError(f"{name} must be {'>= 0' if allow_zero else '> 0'}, got {value}")
+    if value == math.inf:
+        raise InvalidOptionError(f"{name} must be finite, got {value}")
+
+
+def _null_mean(lambda_human: float, miles: float) -> float:
+    """The expected crash count lambda_human * miles under the null, which
+    must be a finite float > 0: the test divides by its square root."""
+    _check_value("lambda_human", lambda_human)
+    _check_value("miles", miles)
+    mu_null = lambda_human * miles
+    if not 0.0 < mu_null < math.inf:
+        raise InvalidOptionError(
+            f"lambda_human * miles must be a finite float > 0, got {mu_null} "
+            f"from lambda_human {lambda_human} and miles {miles}"
+        )
+    return mu_null
 
 
 def _check_alpha(alpha: float) -> None:
@@ -215,14 +256,11 @@ def analytic_power(
     use the null variance lambda*m, so the standardized statistic has
     mean (r-1)*sqrt(lambda*m) and standard deviation sqrt(r).
     """
-    for name, value in (
-        ("lambda_human", lambda_human), ("effect_ratio", effect_ratio), ("miles", miles)
-    ):
-        if not value > 0:
-            raise InvalidOptionError(f"{name} must be > 0, got {value}")
+    mu_null = _null_mean(lambda_human, miles)
+    _check_value("effect_ratio", effect_ratio)
     _check_alpha(alpha)
     r = effect_ratio
-    mu = (r - 1.0) * math.sqrt(lambda_human * miles)
+    mu = (r - 1.0) * math.sqrt(mu_null)
     sd = math.sqrt(r)
     z_crit = float(ndtri(1.0 - alpha / 2.0))
     lower = float(ndtr((-z_crit - mu) / sd))
@@ -245,18 +283,41 @@ def monte_carlo_power(
     two-sided critical value.  Deterministic given the seed.  Unlike the
     closed forms, effect_ratio 1 is allowed here - it is the null
     calibration check and should reject at about alpha.
+
+    The fraction depends only on the null mean lambda*miles, the
+    simulated mean r*lambda*miles, alpha, trials and seed, so each
+    distinct simulation is drawn once per process and its fraction
+    returned for every repeat (power-grid rows repeat these means; see
+    the module docstring).  The inputs are checked before that lookup,
+    and a call that raises is never kept.
     """
     if trials < 1000:
         raise InvalidOptionError(
             f"trials: need at least 1000 for a stable estimate, got {trials}"
         )
-    if lambda_human <= 0 or miles <= 0 or effect_ratio < 0:
-        raise InvalidOptionError("lambda_human and miles must be > 0, effect_ratio >= 0")
+    mu_null = _null_mean(lambda_human, miles)
+    _check_value("effect_ratio", effect_ratio, allow_zero=True)
     if seed < 0:
         raise InvalidOptionError(f"seed must be >= 0, got {seed}")
     _check_alpha(alpha)
-    mu_null = lambda_human * miles
     mu_alt = effect_ratio * mu_null
+    if mu_alt > _POISSON_MEAN_MAX:
+        raise InvalidOptionError(
+            f"effect_ratio * lambda_human * miles must be at most numpy's Poisson limit "
+            f"{_POISSON_MEAN_MAX!r}, got {mu_alt}"
+        )
+    return _rejection_fraction(mu_null, mu_alt, alpha, trials, seed)
+
+
+# typed: a float ``trials`` must not hit an int's entry, since the draw
+# refuses a float size.
+@functools.lru_cache(maxsize=_FRACTION_CACHE_SIZE, typed=True)
+def _rejection_fraction(
+    mu_null: float, mu_alt: float, alpha: float, trials: int, seed: int
+) -> float:
+    """Share of ``trials`` Poisson(mu_alt) counts from ``default_rng(seed)``
+    whose |count - mu_null| / sqrt(mu_null) exceeds the two-sided
+    critical value at ``alpha``."""
     z_crit = float(ndtri(1.0 - alpha / 2.0))
     rng = np.random.default_rng(seed)
     counts = rng.poisson(lam=mu_alt, size=trials)

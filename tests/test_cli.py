@@ -180,8 +180,11 @@ class TestRun:
             (0, lambda row: row.replace("Crash_Sev_ID", "Crash_Year"),
              "tx/crash: header repeats column 'Crash_Year' (positions 2 and 8), "
              "which year reads"),
+            # A bare CR in an unquoted field, which once split C001 into two rows.
+            (1, lambda row: row.replace("Travis", "Tra\rvis"),
+             "tx_crashes.csv: row 1: new-line character seen in unquoted field"),
         ],
-        ids=["field-past-csv-limit", "repeated-read-column"],
+        ids=["field-past-csv-limit", "repeated-read-column", "bare-cr"],
     )
     def test_unreadable_crash_table_exit_data_error(self, fixtures_dir, tmp_path, capsys,
                                                     line, edit, message):
@@ -544,6 +547,22 @@ class TestGoldenOutputs:
         shutil.copytree(fixtures_dir, inputs)
         for name in marked:
             (inputs / name).write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / name).read_bytes())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 0
+        pinned = _pinned_digests(fixtures_dir)
+        for path in out.glob("*.csv"):  # the report JSON carries the input digests
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name]
+        diagnostics = json.loads((out / "report_2023.json").read_text())["diagnostics"]
+        assert diagnostics["geocoding"] == {"failed": 0, "resolved": 1, "unresolved": 1}
+
+    def test_crlf_line_ends_keep_the_rate_tables(self, fixtures_dir, tmp_path):
+        # As a Windows editor saves text: every input with CRLF line ends.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        for name in BOM_INPUTS:
+            text = (fixtures_dir / name).read_bytes()
+            assert b"\r" not in text
+            (inputs / name).write_bytes(text.replace(b"\n", b"\r\n"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 0
         pinned = _pinned_digests(fixtures_dir)

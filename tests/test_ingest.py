@@ -480,6 +480,22 @@ class TestLoaderEdges:
         paths[marked].write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / paths[marked].name).read_bytes())
         assert load_crash_table(paths[0], tx_mapping, paths[1], paths[2]) == plain
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_line_ends_and_quoted_line_breaks_read_as_the_csv_module_does(
+        self, tx_mapping, tmp_path, line_end
+    ):
+        crash = [CRASH_HEADER] + [
+            f'X{i},2023,Travis,30.1,-97.7,"MAIN{brk}ST",,N,3,24'
+            for i, brk in enumerate(("\r", "\n", "\r\n", " "))
+        ]
+        text = line_end.join(crash) + line_end
+        path = tmp_path / "crashes.csv"
+        path.write_bytes(text.encode("utf-8"))
+        records, report = load_crash_table(path, tx_mapping)
+        expected, expected_report = load_crash_table(io.StringIO(text, newline=""), tx_mapping)
+        assert records == expected and len(records) == 4
+        assert report.rows_read == expected_report.rows_read == {"crash": 4}
+
     @pytest.mark.parametrize("at,where", [(0, "header"), (2, "row 2")])
     def test_field_past_the_csv_limit_is_data_error(self, tx_mapping, at, where):
         crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24",

@@ -1,13 +1,19 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
+from crashbench.model import InvalidOptionError
 from crashbench.power import (
+    _FRACTION_CACHE_SIZE,
+    _POISSON_MEAN_MAX,
     DEFAULT_EFFECT_RATIOS,
     PowerQuery,
     ZeroEffectError,
+    _rejection_fraction,
     analytic_power,
     mileage_for_power,
     mileage_grid,
@@ -221,3 +227,127 @@ class TestMonteCarlo:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             monte_carlo_power(1e-6, 0.75, 1e6, trials=10)
+
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            ((math.nan, 0.75, 1e7), "lambda_human must be > 0, got nan"),
+            ((math.inf, 0.75, 1e7), "lambda_human must be finite, got inf"),
+            ((-math.inf, 0.75, 1e7), "lambda_human must be > 0, got -inf"),
+            ((1e-6, math.nan, 1e7), "effect_ratio must be >= 0, got nan"),
+            ((1e-6, math.inf, 1e7), "effect_ratio must be finite, got inf"),
+            ((1e-6, -0.5, 1e7), "effect_ratio must be >= 0, got -0.5"),
+            ((1e-6, 0.75, math.nan), "miles must be > 0, got nan"),
+            ((1e-6, 0.75, math.inf), "miles must be finite, got inf"),
+            ((1e-6, 0.75, 0.0), "miles must be > 0, got 0.0"),
+            # The null mean underflows to 0, which the test divides by.
+            ((1e-300, 0.75, 1e-300),
+             r"lambda_human \* miles must be a finite float > 0, got 0\.0 from lambda_human"),
+            ((1e200, 0.75, 1e200), r"lambda_human \* miles must be a finite float > 0, got inf"),
+            # A mean numpy's Poisson draw refuses.
+            ((1e-6, 0.75, 1e30), r"effect_ratio \* lambda_human \* miles must be at most "
+                                 r"numpy's Poisson limit"),
+        ],
+    )
+    def test_inputs_outside_the_domain_name_the_argument(self, args, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidOptionError, match=match):
+                monte_carlo_power(*args, trials=1000)
+            # A refusal is never kept: the same call is refused again.
+            with pytest.raises(InvalidOptionError, match=match):
+                monte_carlo_power(*args, trials=1000)
+
+    def test_poisson_limit_itself_is_drawn(self):
+        assert 0.0 <= monte_carlo_power(1.0, 1.0, _POISSON_MEAN_MAX, trials=1000) <= 1.0
+
+
+class TestAnalyticPowerDomain:
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            ((math.inf, 0.75, 1e6), "lambda_human must be finite, got inf"),
+            ((1e-6, math.inf, 1e6), "effect_ratio must be finite, got inf"),
+            ((1e-6, 0.75, math.inf), "miles must be finite, got inf"),
+            ((math.nan, 0.75, 1e6), "lambda_human must be > 0, got nan"),
+            ((1e-6, 0.0, 1e6), "effect_ratio must be > 0, got 0.0"),
+            ((1e200, 0.75, 1e200), r"lambda_human \* miles must be a finite float > 0, got inf"),
+        ],
+    )
+    def test_inputs_outside_the_domain_name_the_argument(self, args, match):
+        with pytest.raises(InvalidOptionError, match=match):
+            analytic_power(*args)
+
+
+class TestMonteCarloCache:
+    """``monte_carlo_power`` keeps each distinct simulation's fraction;
+    what it returns must be what a fresh draw returns."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _rejection_fraction.cache_clear()
+        yield
+        _rejection_fraction.cache_clear()
+
+    @staticmethod
+    def fresh(lam, effect, miles, alpha=0.05, trials=10_000, seed=0):
+        """The uncached draw, with monte_carlo_power's defaults."""
+        mu_null = lam * miles
+        return _rejection_fraction.__wrapped__(mu_null, effect * mu_null, alpha, trials, seed)
+
+    def test_grid_rows_equal_fresh_draws_bit_for_bit(self):
+        # Rates as a rate table gives them, count over VMT, for many strata.
+        lambdas = [count / vmt for count in range(1, 41) for vmt in (3.1e6, 7.7e7, 2.9e9)]
+        _, target = mileage_grid(lambdas, DEFAULT_EFFECT_RATIOS)
+        rows = [
+            (lam, effect, miles)
+            for lam, row in zip(lambdas, target.tolist())
+            for effect, miles in zip(DEFAULT_EFFECT_RATIOS, row)
+        ]
+        for lam, effect, miles in rows:
+            cached = monte_carlo_power(lam, effect, miles, trials=1000, seed=11)
+            assert repr(cached) == repr(self.fresh(lam, effect, miles, trials=1000, seed=11))
+        info = _rejection_fraction.cache_info()
+        # The rows share few expected-count pairs, which is why the cache pays.
+        assert info.hits + info.misses == len(rows) == 720
+        assert info.currsize == info.misses < len(rows) / 4
+
+    def test_calls_differing_in_one_input_are_drawn_afresh(self):
+        lam, effect = 2e-6, 0.8
+        miles = 0.6 * mileage_for_power(lam, effect)
+        calls = [
+            dict(seed=1), dict(seed=2), dict(trials=1001), dict(trials=2000),
+            dict(alpha=0.1), dict(alpha=0.01), dict(seed=1),
+        ]
+        for kwargs in calls:
+            assert monte_carlo_power(lam, effect, miles, **kwargs) == self.fresh(
+                lam, effect, miles, **kwargs
+            )
+        assert len({monte_carlo_power(lam, effect, miles, **kwargs) for kwargs in calls}) > 1
+
+    def test_float_trials_does_not_hit_an_int_entry(self):
+        # The draw refuses a float size, cached or not, and the refusal is
+        # raised again on repeat.
+        lam, effect, miles = 1e-6, 0.75, 2e7
+        monte_carlo_power(lam, effect, miles, trials=1000)
+        with pytest.raises(TypeError):
+            self.fresh(lam, effect, miles, trials=1000.0)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                monte_carlo_power(lam, effect, miles, trials=1000.0)
+        assert _rejection_fraction.cache_info().currsize == 1
+
+    def test_cache_holds_at_most_its_bound(self):
+        for seed in range(_FRACTION_CACHE_SIZE + 5):
+            monte_carlo_power(1e-6, 0.75, 2e7, trials=1000, seed=seed)
+        info = _rejection_fraction.cache_info()
+        assert info.maxsize == info.currsize == _FRACTION_CACHE_SIZE
+
+
+def test_null_count_at_target_power_does_not_depend_on_lambda():
+    # target_power_miles = (sqrt(r) z_power + z_alpha)^2 / ((r - 1)^2 lambda),
+    # so lambda * miles is one value per effect ratio: many strata share it.
+    lambdas = np.geomspace(1e-8, 1e-4, 97)
+    _, target = mileage_grid(lambdas, DEFAULT_EFFECT_RATIOS)
+    counts = lambdas[:, np.newaxis] * target
+    np.testing.assert_allclose(counts, np.broadcast_to(counts[0], counts.shape), rtol=1e-12)
