@@ -175,7 +175,10 @@ def _open_table(
     default ``field_size_limit`` (kept), is a DataError naming the source
     and row.  A path's lines end only at LF (CRLF ends in LF too), so a
     bare CR outside quotes, which would otherwise end the record where it
-    stands and split the row in two, is such a row.  A message names a
+    stands and split the row in two, is such a row, reported as
+    ``carriage return outside quotes`` rather than by csv's own hint (a
+    line handed in as a string with an LF before its end reads the
+    same).  A message names a
     path source by its path and any other source by its type
     (``<list>``), never by its contents.
     """
@@ -196,7 +199,7 @@ def _open_table(
             try:
                 header = next(reader, [])
             except csv.Error as exc:
-                raise DataError(f"{label}: header: {exc}") from None
+                raise DataError(f"{label}: header: {_csv_reason(exc)}") from None
             yield header, _numbered(reader, len(header), skip_wide, label)
         except UnicodeDecodeError as exc:
             raise DataError(f"{label}: not UTF-8 text ({exc})") from None
@@ -213,7 +216,17 @@ def _numbered(reader: Iterator[list[str]], width: int, skip_wide: SkipWide, labe
                     continue
                 yield number, row
     except csv.Error as exc:
-        raise DataError(f"{label}: row {number + 1}: {exc}") from None
+        raise DataError(f"{label}: row {number + 1}: {_csv_reason(exc)}") from None
+
+
+def _csv_reason(exc: csv.Error) -> str:
+    """csv's message for a row it cannot parse, except that a line break
+    inside an unquoted field, which csv blames on how the file was
+    opened, is named for what it is in a table read by ``_open_table``."""
+    reason = str(exc)
+    if reason.startswith("new-line character seen in unquoted field"):
+        return "carriage return outside quotes (lines end at LF or CRLF)"
+    return reason
 
 
 @contextmanager

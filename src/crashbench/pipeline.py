@@ -15,17 +15,21 @@ fraction once, so no float sum depends on record or set order, and
 reports are byte-identical across runs and hash seeds.
 ``build_benchmark`` counts the in-area records by shape (area, road
 class, units, junction relation, manner of collision, worst injury,
-airbag flag) and walks each distinct shape's units once for the cohort
-(``cohort.unit_role``): the one walk tallies the counted units, adds
-the known classes to the imputation basis and collects the ids the
-crash-type cascade types, every increment times the shape's count.
-Units are shared immutable values (see ``ingest``), but shapes compare
-them by value, so nothing here relies on their identity; records, units
-and road classifications are tuples (see ``model``), so the shape key is
-built and hashed in C.  Each distinct raw (state, county) pair of the
-in-year records is placed in its area once per call.  Typing
-reads the contact events from the units' first-contact ordinals, so a
-shape's units cover them.
+airbag flag).  The cohort rule (``cohort.unit_role``) and the crash-type
+cascade read only a shape's configuration (road class, units, junction
+relation, manner of collision), so one walk over the units of each
+distinct configuration finds the known classes for the imputation
+basis, the unknown-class units and the crash type of each counted
+unit; ``classify_outcome`` runs once per distinct (worst injury, airbag
+flag).  Each shape adds its configuration's tallies, every increment
+times the shape's count.  Units are shared immutable values (see
+``ingest``), but shapes and configurations compare them by value, so
+nothing here relies on their identity; records, units and road
+classifications are tuples (see ``model``), so both keys are built and
+hashed in C.  Each distinct raw (state, county) pair of the in-year
+records is placed in its area once per call.  Typing reads the contact
+events from the units' first-contact ordinals, so a configuration's
+units cover them.
 ``RunConfig.workers`` is validated but has no effect, and
 ``RunConfig.seed`` is only recorded in the report metadata.  Ingest
 decides the crash-record contract, so no later stage validates a record.
@@ -105,6 +109,7 @@ from .taxonomy import (
     GATE_NAMES,
     LABEL,
     OUTCOME_RANK,
+    CrashType,
     CrashTypeCascade,
     OutcomeLevel,
     classify_outcome,
@@ -466,6 +471,30 @@ class BenchmarkTables:
     cohort_counts: dict = field(default_factory=dict)
 
 
+def _type_configuration(
+    record: CrashRecord, road: RoadClass, cascade: CrashTypeCascade
+) -> tuple[list[VehicleClass], int, tuple[tuple[CrashType, int], ...]]:
+    """One crash configuration's walk over its units: the known classes
+    of its in-transport units in unit order (the imputation basis), its
+    number of unknown-class units, and one (crash type, tally column)
+    pair per counted unit, the column its cohort role names (PASSENGER
+    0, UNKNOWN 1)."""
+    known: list[VehicleClass] = []
+    counted_ids: list[int] = []
+    columns: list[int] = []
+    for unit in record.units:
+        role = unit_role(unit)
+        if role is None:
+            continue
+        if role != UNKNOWN:
+            known.append(unit.vehicle_class)
+        if role != OTHER_KNOWN:
+            counted_ids.append(unit.unit_id)
+            columns.append(role)
+    crash_types = cascade.classify_units(record, counted_ids, road)
+    return known, columns.count(UNKNOWN), tuple(zip(crash_types, columns))
+
+
 def build_benchmark(
     records: list[CrashRecord],
     index: FreewaySegmentIndex,
@@ -482,10 +511,14 @@ def build_benchmark(
     in-year record and counts it by shape: its area, road class, units,
     junction relation, manner of collision, worst injury and airbag flag,
     which are all the cohort walk, ``classify_outcome`` and the crash-type
-    cascade read.  A second pass walks and types each distinct shape once, in
-    first-seen order, and adds its tallies times the shape's count.
-    The tallies are integers, so the multiplication is exact, and the
-    first-seen order keeps every later float sum in record order.
+    cascade read.  A second pass takes the shapes in first-seen order and
+    adds each one's tallies times its count.  The cohort walk and the
+    cascade run once per distinct configuration (road class, units,
+    junction relation, manner of collision; ``_type_configuration``),
+    and ``classify_outcome`` once per distinct (worst injury, airbag
+    flag), each on the first record of its kind.  The tallies are
+    integers, so the multiplication is exact, and the first-seen order
+    keeps every later float sum in record order.
     Records are taken as ``ingest.load_crash_table`` emits them, already
     meeting the record contract, so none is validated here.  The tallies
     hold whole unit counts only; each cell's passenger fraction is
@@ -540,30 +573,29 @@ def build_benchmark(
         # One hash of the key per record, in C: units are tuples.
         shapes.setdefault(shape, [record, 0])[1] += 1
 
-    # Second pass, over the shapes in first-seen order: one walk over a
-    # shape's units, where each known class joins the imputation basis and
-    # each counted unit is typed and tallied in the column its role names
-    # (PASSENGER 0, UNKNOWN 1), every increment times the shape's count.
-    for (area_name, road, *_), (record, n) in shapes.items():
+    # Second pass, over the shapes in first-seen order: each shape's
+    # configuration (shape[1:5]) and outcome key (shape[5:]) are decided
+    # once, and every increment is times the shape's count.
+    configurations: dict[tuple, tuple] = {}
+    outcome_sets: dict[tuple, set[OutcomeLevel]] = {}
+    for shape, (record, n) in shapes.items():
+        area_name, road = shape[:2]
+        configuration = shape[1:5]
+        typed = configurations.get(configuration)
+        if typed is None:
+            typed = configurations[configuration] = _type_configuration(record, road, cascade)
+        known, n_unknown, typed_units = typed
         key = imputation_key(area_name, road)
         histogram = known_classes.setdefault(key, {})
-        counted_ids: list[int] = []
-        columns: list[int] = []
-        for unit in record.units:
-            role = unit_role(unit)
-            if role is None:
-                continue
-            if role != UNKNOWN:
-                histogram[unit.vehicle_class] = histogram.get(unit.vehicle_class, 0) + n
-            if role != OTHER_KNOWN:
-                counted_ids.append(unit.unit_id)
-                columns.append(role)
-        n_unknown = columns.count(UNKNOWN)
+        for vehicle_class in known:
+            histogram[vehicle_class] = histogram.get(vehicle_class, 0) + n
         if n_unknown:
             unknowns[key] = unknowns.get(key, 0) + n * n_unknown
-        outcomes = classify_outcome(record)
-        crash_types = cascade.classify_units(record, counted_ids, road)
-        for crash_type, column in zip(crash_types, columns):
+        outcome_key = shape[5:]
+        outcomes = outcome_sets.get(outcome_key)
+        if outcomes is None:
+            outcomes = outcome_sets[outcome_key] = classify_outcome(record)
+        for crash_type, column in typed_units:
             for outcome in outcomes:
                 cell = (area_name, road, outcome, crash_type)
                 tallies.setdefault(cell, [0, 0])[column] += n

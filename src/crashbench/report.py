@@ -15,6 +15,17 @@ quoting; ``csv.writer`` formats each distinct value of them once.  Every
 other field is a ``LABEL`` value, the ``repr`` of a float or the
 ``count (rate)`` display, none of which needs quoting, and is written
 as it is.
+
+Figures that repeat are formatted once per table, through
+``_formatted``: the rest of a rate line after its labels (count, VMT,
+rate, interval and display) once per (count, VMT) pair, its interval
+included, and the grid's effect ratio and expected ADS crashes once per
+distinct pair of them.  Keys merge only when every part is a non-zero
+float of exactly type ``float``: ``0.0`` and ``-0.0``, or ``2`` and
+``2.0``, are equal keys with different ``repr``s, so any other key is
+formatted as its own.  Type fractions are not merged: the ones that
+repeat (1.0, 0.5) are the cheapest to format, so the lookup cost more
+than it saved.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -125,18 +136,63 @@ class _QuotedFields(dict):
         return text
 
 
-def _rate_lines(cells: list[RateCell], quoted: _QuotedFields) -> Iterator[str]:
-    """One rate-table line per cell.  The intervals of all cells come
-    from one ``poisson_intervals`` call and the rates from one array
-    expression, bit for bit ``compute_rate``'s.  Cells come sorted, so
-    grouped by area and road: each group's leading columns, and each
-    VMT object's ``repr``, are formatted once."""
-    counts = np.array([c.count for c in cells], dtype=float)
-    vmts = np.array([c.vmt_miles for c in cells], dtype=float)
+def _formatted(format: Callable[[list[tuple]], list], keys: Iterable[tuple]) -> list:
+    """The text of each key, in order, where ``format`` makes the texts
+    of a list of distinct keys in one call.  Two keys are one only when
+    every part of them is a non-zero float of exactly type ``float``,
+    since equal floats of that kind have one ``repr``; ``0.0`` and
+    ``-0.0``, or ``2`` and ``2.0``, are equal with different ``repr``s,
+    so any other key is formatted as its own."""
+    first: dict[tuple, int] = {}
+    distinct: list[tuple] = []
+    positions: list[int] = []
+    for key in keys:
+        for part in key:
+            if type(part) is not float or not part:
+                position = len(distinct)
+                distinct.append(key)
+                break
+        else:
+            position = first.get(key)
+            if position is None:
+                position = first[key] = len(distinct)
+                distinct.append(key)
+        positions.append(position)
+    texts = format(distinct)
+    return [texts[position] for position in positions]
+
+
+def _rate_tails(pairs: list[tuple]) -> list[str]:
+    """The count, VMT, rate, interval and display fields of each (count,
+    VMT) pair, line end included.  The intervals of all pairs come from
+    one ``poisson_intervals`` call and the rates from one array
+    expression, bit for bit ``compute_rate``'s.  Pairs of one VMT object
+    come together, so its ``repr`` is made once per run of them."""
+    counts = np.array([count for count, _ in pairs], dtype=float)
+    vmts = np.array([vmt for _, vmt in pairs], dtype=float)
     lows, highs = poisson_intervals(counts, vmts, level=0.95)
     rates = counts / vmts * MILLION
-    geo = road = vmt = None
-    for cell, rate, low, high in zip(cells, rates.tolist(), lows.tolist(), highs.tolist()):
+    tails = []
+    last = None
+    for (count, vmt), rate, low, high in zip(pairs, rates.tolist(), lows.tolist(), highs.tolist()):
+        if vmt is not last:
+            last = vmt
+            vmt_text = repr(vmt)
+        tails.append(
+            f"{count!r},{vmt_text},{rate!r},{low!r},{high!r},"
+            f"{_fmt_count(count)} ({format_rate(rate)})\n"
+        )
+    return tails
+
+
+def _rate_lines(cells: list[RateCell], quoted: _QuotedFields) -> Iterator[str]:
+    """One rate-table line per cell.  Cells come sorted, so grouped by
+    area and road: each group's leading columns are formatted once.
+    The rest of a line depends on the cell's count and VMT alone, so it
+    is made once per (count, VMT) pair (``_rate_tails``)."""
+    tails = _formatted(_rate_tails, [(cell.count, cell.vmt_miles) for cell in cells])
+    geo = road = None
+    for cell, tail in zip(cells, tails):
         if cell.geo is not geo or cell.road is not road:
             geo, road = cell.geo, cell.road
             head = (
@@ -145,15 +201,8 @@ def _rate_lines(cells: list[RateCell], quoted: _QuotedFields) -> Iterator[str]:
                 + quoted[";".join(sorted(geo.counties))]
                 + LABEL[road]
             )
-        if cell.vmt_miles is not vmt:
-            vmt = cell.vmt_miles
-            vmt_text = repr(vmt)
-        count = cell.count
         crash_type = LABEL[cell.crash_type] if cell.crash_type else ""
-        yield (
-            f"{head},{LABEL[cell.outcome]},{crash_type},{count!r},{vmt_text},"
-            f"{rate!r},{low!r},{high!r},{_fmt_count(count)} ({format_rate(rate)})\n"
-        )
+        yield f"{head},{LABEL[cell.outcome]},{crash_type},{tail}"
 
 
 def _distribution_lines(distributions, quoted: _QuotedFields) -> Iterator[str]:
@@ -167,18 +216,21 @@ def _distribution_lines(distributions, quoted: _QuotedFields) -> Iterator[str]:
 
 def _power_grid_lines(rows: list[PowerRow], quoted: _QuotedFields) -> Iterator[str]:
     """One line per grid row, in tuple order (linear on rows that come
-    sorted).  Each stratum's leading columns and each effect-ratio
-    object's ``repr`` are formatted once."""
+    sorted).  Each stratum's leading columns are formatted once, and so
+    is each distinct (effect ratio, expected ADS crashes) pair: the
+    expected count is effect × rate × required miles, where the rate
+    cancels up to rounding, so the pairs repeat across strata."""
+    rows = sorted(rows)
+    figures = _formatted(
+        lambda pairs: [(repr(effect), repr(expected)) for effect, expected in pairs],
+        [(row[3], row[5]) for row in rows],
+    )
     last = (None, None, None)
-    effect_text: dict[int, str] = {}  # by id: rows share their ratio objects
-    for geo, road, outcome, effect, required, expected, target in sorted(rows):
+    for (geo, road, outcome, _, required, _, target), (effect, expected) in zip(rows, figures):
         if geo is not last[0] or road is not last[1] or outcome is not last[2]:
             last = (geo, road, outcome)
             head = quoted[geo] + quoted[road] + quoted[outcome]
-        text = effect_text.get(id(effect))
-        if text is None:
-            text = effect_text[id(effect)] = repr(effect)
-        yield f"{head}{text},{required!r},{expected!r},{target!r}\n"
+        yield f"{head}{effect},{required!r},{expected},{target!r}\n"
 
 
 def _write_csv(path: Path, header: tuple[str, ...], lines: Iterable[str]) -> None:

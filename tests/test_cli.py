@@ -182,7 +182,7 @@ class TestRun:
              "which year reads"),
             # A bare CR in an unquoted field, which once split C001 into two rows.
             (1, lambda row: row.replace("Travis", "Tra\rvis"),
-             "tx_crashes.csv: row 1: new-line character seen in unquoted field"),
+             "tx_crashes.csv: row 1: carriage return outside quotes (lines end at LF or CRLF)"),
         ],
         ids=["field-past-csv-limit", "repeated-read-column", "bare-cr"],
     )

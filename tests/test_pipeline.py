@@ -2,6 +2,7 @@ import copy
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import shutil
@@ -665,6 +666,61 @@ def _property_tables(records, road_index, vmt=PROPERTY_VMT, **params):
         reject()
 
 
+def _assert_tables_match_recount(tables, records, road_index, impute_by_road, gate_order):
+    """Recount every severity and typed cell of ``tables`` from the cohort
+    and taxonomy helpers, one record and one unit at a time: whole unit
+    counts, and the imputation key's passenger fraction applied once to
+    the cell's unknowns."""
+    known: dict = {}
+    unknown: dict = {}
+    basis: dict = {}
+    for record in records:
+        areas = [a for a in PROPERTY_AREAS if a.contains(record.state, record.county)]
+        if not areas:
+            continue
+        (area,) = areas
+        road = classify_road(record, road_index).road_class
+        basis.setdefault((area.name, road if impute_by_road else None), []).append(record)
+        (selection,) = filter_in_transport_passenger([record])
+        for tally, units in ((known, selection.passenger_units),
+                             (unknown, selection.unknown_units)):
+            for unit in units:
+                crash_type = classify_crash_type(record, unit.unit_id, road, gate_order)
+                for outcome in classify_outcome(record):
+                    severity_key = (area.name, road, outcome)
+                    for key in (severity_key, (*severity_key, crash_type)):
+                        tally[key] = tally.get(key, 0) + 1
+
+    def fraction(key) -> float:
+        records_of_key = basis[key[0], key[1] if impute_by_road else None]
+        return passenger_fraction(known_class_histogram(records_of_key))
+
+    cells = known.keys() | unknown.keys()
+    severity = {key for key in cells if len(key) == 3}
+    assert tables.cohort_counts.keys() == severity
+    for key, counts in tables.cohort_counts.items():
+        assert (counts.known, counts.unknown) == (known.get(key, 0), unknown.get(key, 0))
+        assert counts.passenger_fraction == fraction(key)
+        assert counts.imputed == counts.unknown * counts.passenger_fraction
+    # Typed cells: the same whole counts and fraction, then the
+    # any-injury adjustment against the fatal cell of the same type.
+    final = {
+        key: known.get(key, 0) + unknown.get(key, 0) * fraction(key)
+        for key in cells - severity
+    }
+    expected = {}
+    for key, count in final.items():
+        if key[2] is OutcomeLevel.ANY_INJURY_REPORTED:
+            fatal = final.get((*key[:2], OutcomeLevel.FATAL, key[3]), 0.0)
+            count = adjust_underreporting(
+                count - fatal, fatal, pipeline.RunParams().underreport_fraction
+            )
+        expected[key] = count
+    assert {
+        (c.geo.name, c.road, c.outcome, c.crash_type): c.count for c in tables.typed_cells
+    } == expected
+
+
 class TestBuildBenchmarkProperties:
     @settings(max_examples=40, deadline=None)
     @given(records=corpora, rng=st.randoms(use_true_random=False))
@@ -721,63 +777,12 @@ class TestBuildBenchmarkProperties:
         gate_order=st.sampled_from([DEFAULT_GATE_ORDER, REVERSED_GATE_ORDER]),
     )
     def test_cohort_counts_match_recount(self, road_index, records, impute_by_road, gate_order):
-        # Recount every severity and typed cell from the cohort and
-        # taxonomy helpers, one record and one unit at a time: whole unit
-        # counts, and the imputation key's passenger fraction applied
-        # once to the cell's unknowns.  build_benchmark walks each
-        # distinct record shape's units once for all of it, so some
-        # records repeat.
+        # build_benchmark walks each distinct record shape's units once for
+        # all of it, so some records repeat.
         tables = _property_tables(
             records, road_index, impute_by_road=impute_by_road, type_gate_order=gate_order
         )
-        known: dict = {}
-        unknown: dict = {}
-        basis: dict = {}
-        for record in records:
-            areas = [a for a in PROPERTY_AREAS if a.contains(record.state, record.county)]
-            if not areas:
-                continue
-            (area,) = areas
-            road = classify_road(record, road_index).road_class
-            basis.setdefault((area.name, road if impute_by_road else None), []).append(record)
-            (selection,) = filter_in_transport_passenger([record])
-            for tally, units in ((known, selection.passenger_units),
-                                 (unknown, selection.unknown_units)):
-                for unit in units:
-                    crash_type = classify_crash_type(record, unit.unit_id, road, gate_order)
-                    for outcome in classify_outcome(record):
-                        severity_key = (area.name, road, outcome)
-                        for key in (severity_key, (*severity_key, crash_type)):
-                            tally[key] = tally.get(key, 0) + 1
-
-        def fraction(key) -> float:
-            records_of_key = basis[key[0], key[1] if impute_by_road else None]
-            return passenger_fraction(known_class_histogram(records_of_key))
-
-        cells = known.keys() | unknown.keys()
-        severity = {key for key in cells if len(key) == 3}
-        assert tables.cohort_counts.keys() == severity
-        for key, counts in tables.cohort_counts.items():
-            assert (counts.known, counts.unknown) == (known.get(key, 0), unknown.get(key, 0))
-            assert counts.passenger_fraction == fraction(key)
-            assert counts.imputed == counts.unknown * counts.passenger_fraction
-        # Typed cells: the same whole counts and fraction, then the
-        # any-injury adjustment against the fatal cell of the same type.
-        final = {
-            key: known.get(key, 0) + unknown.get(key, 0) * fraction(key)
-            for key in cells - severity
-        }
-        expected = {}
-        for key, count in final.items():
-            if key[2] is OutcomeLevel.ANY_INJURY_REPORTED:
-                fatal = final.get((*key[:2], OutcomeLevel.FATAL, key[3]), 0.0)
-                count = adjust_underreporting(
-                    count - fatal, fatal, pipeline.RunParams().underreport_fraction
-                )
-            expected[key] = count
-        assert {
-            (c.geo.name, c.road, c.outcome, c.crash_type): c.count for c in tables.typed_cells
-        } == expected
+        _assert_tables_match_recount(tables, records, road_index, impute_by_road, gate_order)
 
     @settings(max_examples=25, deadline=None)
     @given(records=corpora, k=st.integers(2, 4), impute_by_road=st.booleans())
@@ -876,6 +881,61 @@ class TestBuildBenchmarkProperties:
         assert len(tables.power_grid) == len(DEFAULT_EFFECT_RATIOS) * positive
         # One mileage grid per run: the three quantiles once, not per cell.
         assert len(calls) == 3
+
+    def test_each_configuration_typed_once(self, road_index, monkeypatch):
+        # Every corpus record again in the other area, and each of those
+        # again with another worst injury and airbag flag: the same
+        # (road class, units, junction, manner) configurations recur
+        # across areas and severities, and outcome keys across both.
+        # Copies with another manner alone are configurations of their own.
+        from crashbench.taxonomy import CrashTypeCascade
+
+        records = make_corpus(40, seed=11)
+        other = {"TRAVIS": "WILLIAMSON", "WILLIAMSON": "TRAVIS", "HAYS": "HAYS"}
+        moved = [r._replace(crash_id=f"{r.crash_id}~a", county=other[r.county]) for r in records]
+        records += moved + [
+            r._replace(crash_id=f"{r.crash_id}~s", worst_injury=injury,
+                       airbag_deployed=not r.airbag_deployed)
+            for r, injury in zip(moved, itertools.cycle(KabcoLevel))
+        ] + [
+            r._replace(crash_id=f"{r.crash_id}~m", manner_of_collision=manner)
+            for r, manner in zip(records, itertools.cycle(MannerOfCollision))
+            if manner is not r.manner_of_collision
+        ]
+        configuration = {
+            r.crash_id: (classify_road(r, road_index).road_class, r.units,
+                         r.junction_relation, r.manner_of_collision)
+            for r in records
+            if r.county != "HAYS"  # outside both areas
+        }
+        counted = [r for r in records if r.crash_id in configuration]
+        configurations = set(configuration.values())
+        outcome_keys = {(r.worst_injury, r.airbag_deployed) for r in counted}
+        # Configurations recur across areas and across outcome keys.
+        assert len({(r.county, configuration[r.crash_id]) for r in counted}) > len(configurations)
+        assert len(
+            {(r.worst_injury, r.airbag_deployed, configuration[r.crash_id]) for r in counted}
+        ) > len(configurations)
+
+        calls = {"classify_units": 0, "classify_outcome": 0}
+        classify_units, outcome = CrashTypeCascade.classify_units, pipeline.classify_outcome
+
+        def counting_units(self, *args):
+            calls["classify_units"] += 1
+            return classify_units(self, *args)
+
+        def counting_outcome(record):
+            calls["classify_outcome"] += 1
+            return outcome(record)
+
+        monkeypatch.setattr(CrashTypeCascade, "classify_units", counting_units)
+        monkeypatch.setattr(pipeline, "classify_outcome", counting_outcome)
+        tables = _property_tables(records, road_index, impute_by_road=True)
+        assert calls == {
+            "classify_units": len(configurations), "classify_outcome": len(outcome_keys)
+        }
+        monkeypatch.undo()
+        _assert_tables_match_recount(tables, records, road_index, True, DEFAULT_GATE_ORDER)
 
 
 def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecord:

@@ -206,7 +206,7 @@ def _expected_rate_rows(cells):
         LABEL[c.crash_type] if c.crash_type else "",
     )):
         low, high = poisson_ci(cell.count, cell.vmt_miles)
-        count = str(int(cell.count)) if cell.count.is_integer() else f"{cell.count:.3f}"
+        count = str(int(cell.count)) if float(cell.count).is_integer() else f"{cell.count:.3f}"
         rows.append([
             cell.geo.name, cell.geo.state, ";".join(sorted(cell.geo.counties)),
             LABEL[cell.road], LABEL[cell.outcome],
@@ -238,9 +238,9 @@ class TestCsvWriting:
         return BenchmarkReport(metadata={}, cells=cells, distributions=distributions,
                                power_grid=grid)
 
-    def test_same_bytes_as_csv_writer(self, tmp_path):
-        report = self.odd_report()
-        paths = emit_report(report, tmp_path, tag="odd")
+    @staticmethod
+    def expected_tables(report: BenchmarkReport) -> dict[str, bytes]:
+        """The bytes of each table as ``csv.writer`` writes its rows."""
         severity = [c for c in report.cells if c.crash_type is None]
         typed = [c for c in report.cells if c.crash_type is not None]
         distribution = [
@@ -260,8 +260,54 @@ class TestCsvWriting:
             "distribution": _csv_bytes(DISTRIBUTION_COLUMNS, distribution),
             "power_grid": _csv_bytes(POWER_GRID_COLUMNS, grid),
         }
+        return expected
+
+    def test_same_bytes_as_csv_writer(self, tmp_path):
+        report = self.odd_report()
+        paths = emit_report(report, tmp_path, tag="odd")
+        expected = self.expected_tables(report)
         assert {name: paths[name].read_bytes() for name in expected} == expected
         assert b'"Dallas, Fort Worth"' in expected["rates"]  # quoting is exercised
+
+    def test_equal_figures_with_other_reprs_written_as_their_own(self, tmp_path):
+        # 0.0 and -0.0, and 2 and 2.0, are equal keys whose reprs differ.
+        # Every column whose figures may be formatted once per distinct
+        # value (count, VMT, type fraction, effect ratio, expected ADS
+        # crashes) holds both of each twin, in both orders; none may take
+        # the other's text.
+        cells, distributions, grid = [], [], []
+        for n, geo in enumerate(ODD_AREAS[:2]):
+            twins = [(2.0, 2), (0.0, -0.0), (1e8, 100_000_000)]
+            if n:
+                twins = [pair[::-1] for pair in twins]
+            counts, zeros, vmts = twins
+            for road, vmt in zip(RoadClass, vmts):
+                for crash_type in (None, CrashType.SINGLE_VEHICLE):
+                    for outcome, count in zip(OutcomeLevel, (*counts, *zeros, 2.0)):
+                        cells.append(RateCell(geo, road, outcome, count, vmt, crash_type))
+            for outcome, (first, second) in zip(OutcomeLevel, (counts, zeros)):
+                fractions = {CrashType.PEDESTRIAN: first, CrashType.SINGLE_VEHICLE: second}
+                distributions.append((geo, RoadClass.FREEWAY, outcome, fractions))
+                grid += [
+                    (geo.name, "Freeway", LABEL[outcome], effect, 1e6, expected, 4e6)
+                    for effect in counts
+                    for expected in (first, second, 3.0)
+                ]
+        report = BenchmarkReport(metadata={}, cells=cells, distributions=distributions,
+                                 power_grid=grid)
+        paths = emit_report(report, tmp_path, tag="twins")
+        expected = self.expected_tables(report)
+        assert {name: paths[name].read_bytes() for name in expected} == expected
+        for name in ("rates", "typed_rates"):
+            for count in (b"2.0", b"2"):
+                for vmt in (b"100000000.0", b"100000000"):
+                    assert b",%s,%s," % (count, vmt) in expected[name]
+            assert b",0.0,1" in expected[name] and b",-0.0,1" in expected[name]
+        for figure in (b"2.0", b"2", b"0.0", b"-0.0"):
+            assert b",%s\n" % figure in expected["distribution"]
+            assert b",%s,4000000.0\n" % figure in expected["power_grid"]
+        for effect in (b"2.0", b"2"):
+            assert b",%s,1000000.0,3.0," % effect in expected["power_grid"]
 
     def test_labels_and_headers_need_no_quoting(self):
         texts = [*LABEL.values(), *RATE_COLUMNS, *DISTRIBUTION_COLUMNS, *POWER_GRID_COLUMNS]
