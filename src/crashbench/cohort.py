@@ -2,11 +2,14 @@
 
 Counts are vehicle-level: each qualifying unit in a crash contributes
 one crashed vehicle.  ``unit_role`` is the one place that decides
-which units qualify.  Units whose class could not be determined count
-as the passenger fraction of the known classes at the geographic level
-(optionally split by road class): counts stay whole numbers, and the
-fraction is applied once per cell, to its number of unknowns.  Total
-VMT is scaled to passenger-vehicle VMT by the configured share table.
+which units qualify, and ``select_units`` the one walk that applies it
+to a crash's units; ``pipeline`` takes each configuration's imputation
+basis, unknowns and counted units from it.  Units whose class could
+not be determined count as the passenger fraction of the known classes
+at the geographic level (optionally split by road class): counts stay
+whole numbers, and the fraction is applied once per cell, to its
+number of unknowns.  Total VMT is scaled to passenger-vehicle VMT by
+the configured share table.
 """
 
 from __future__ import annotations
@@ -45,20 +48,12 @@ class UnitSelection:
 class CohortCounts:
     """One cell's tally: whole counts of known passenger vehicles and of
     unknown-class vehicles, and the passenger fraction of the cell's
-    imputation key.  The unknowns' imputed passenger mass is one product,
-    ``unknown * passenger_fraction``."""
+    imputation key.  The cell counts ``known + unknown *
+    passenger_fraction`` vehicles."""
 
     known: int
     unknown: int
     passenger_fraction: float
-
-    @property
-    def imputed(self) -> float:
-        return self.unknown * self.passenger_fraction
-
-    @property
-    def final_count(self) -> float:
-        return self.known + self.imputed
 
 
 # Cohort roles, in the order of UnitSelection's unit groups.

@@ -784,8 +784,14 @@ def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]
                     f"{config.name}/vmt row {number}: vmt_miles {miles_raw!r} is not a "
                     f"finite number"
                 )
+            scaled = miles * config.vmt_scale
+            if not 0.0 < scaled < math.inf:
+                raise DataError(
+                    f"{config.name}/vmt row {number}: vmt_miles {miles_raw!r} times vmt_scale "
+                    f"{config.vmt_scale!r} is {scaled!r}, not a finite number > 0"
+                )
             fclass = _functional_class(class_token, f"{config.name}/vmt row {number}")
-            records.append(VmtRecord(state, county, fclass, year, miles * config.vmt_scale))
+            records.append(VmtRecord(state, county, fclass, year, scaled))
     return records
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -322,9 +323,9 @@ class VmtRecord:
     vmt_miles: float
 
     def __post_init__(self):
-        if self.vmt_miles <= 0:
+        if not 0.0 < self.vmt_miles < math.inf:
             raise DataError(
-                f"vmt_miles must be positive, got {self.vmt_miles} "
+                f"vmt_miles must be a finite number > 0, got {self.vmt_miles} "
                 f"({self.state}/{self.county}/{self.year})"
             )
         object.__setattr__(self, "state", self.state.strip().upper())

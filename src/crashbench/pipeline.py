@@ -17,12 +17,14 @@ reports are byte-identical across runs and hash seeds.
 class, units, junction relation, manner of collision, worst injury,
 airbag flag).  The cohort rule (``cohort.unit_role``) and the crash-type
 cascade read only a shape's configuration (road class, units, junction
-relation, manner of collision), so one walk over the units of each
-distinct configuration finds the known classes for the imputation
-basis, the unknown-class units and the crash type of each counted
-unit; ``classify_outcome`` runs once per distinct (worst injury, airbag
+relation, manner of collision), so ``cohort.select_units``, the one
+walk that applies the rule, runs once per distinct configuration; its
+groups give the known classes for the imputation basis, the
+unknown-class units and the units the cascade types.
+``classify_outcome`` runs once per distinct (worst injury, airbag
 flag).  Each shape adds its configuration's tallies, every increment
-times the shape's count.  Units are shared immutable values (see
+times the shape's count, and one loop over the integer tallies then
+gives each cell its count.  Units are shared immutable values (see
 ``ingest``), but shapes and configurations compare them by value, so
 nothing here relies on their identity; records, units and road
 classifications are tuples (see ``model``), so both keys are built and
@@ -58,14 +60,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import report as report_mod
-from .cohort import (
-    OTHER_KNOWN,
-    UNKNOWN,
-    CohortCounts,
-    passenger_fraction,
-    passenger_vmt,
-    unit_role,
-)
+from .cohort import CohortCounts, passenger_fraction, passenger_vmt, select_units
 from .ingest import (
     FileCachedGeocoder,
     IngestReport,
@@ -474,25 +469,18 @@ class BenchmarkTables:
 def _type_configuration(
     record: CrashRecord, road: RoadClass, cascade: CrashTypeCascade
 ) -> tuple[list[VehicleClass], int, tuple[tuple[CrashType, int], ...]]:
-    """One crash configuration's walk over its units: the known classes
-    of its in-transport units in unit order (the imputation basis), its
-    number of unknown-class units, and one (crash type, tally column)
-    pair per counted unit, the column its cohort role names (PASSENGER
-    0, UNKNOWN 1)."""
-    known: list[VehicleClass] = []
-    counted_ids: list[int] = []
-    columns: list[int] = []
-    for unit in record.units:
-        role = unit_role(unit)
-        if role is None:
-            continue
-        if role != UNKNOWN:
-            known.append(unit.vehicle_class)
-        if role != OTHER_KNOWN:
-            counted_ids.append(unit.unit_id)
-            columns.append(role)
+    """One crash configuration's units as ``cohort.select_units`` groups
+    them: the known classes of its passenger and other-known units (the
+    imputation basis), its number of unknown-class units, and one (crash
+    type, tally column) pair per counted unit, passenger units first in
+    column 0, then unknown-class units in column 1."""
+    selection = select_units(record)
+    passengers, unknowns = selection.passenger_units, selection.unknown_units
+    known = [unit.vehicle_class for unit in passengers + selection.other_known_units]
+    counted_ids = [unit.unit_id for unit in passengers + unknowns]
     crash_types = cascade.classify_units(record, counted_ids, road)
-    return known, columns.count(UNKNOWN), tuple(zip(crash_types, columns))
+    columns = [0] * len(passengers) + [1] * len(unknowns)
+    return known, len(unknowns), tuple(zip(crash_types, columns))
 
 
 def build_benchmark(
@@ -521,8 +509,9 @@ def build_benchmark(
     keeps every later float sum in record order.
     Records are taken as ``ingest.load_crash_table`` emits them, already
     meeting the record contract, so none is validated here.  The tallies
-    hold whole unit counts only; each cell's passenger fraction is
-    applied once afterwards.
+    hold whole unit counts only.  One loop over them then applies each
+    cell's passenger fraction once and the any-injury adjustment, and
+    keeps a ``CohortCounts`` for each severity cell (``cohort_counts``).
     """
     by_county = county_areas(areas)
     records_in_year = outside = unresolved_road = 0
@@ -617,23 +606,27 @@ def build_benchmark(
         entry = tallies.setdefault((area_name, road, outcome, None), [0, 0])
         entry[0] += known
         entry[1] += unknown
-    cohort_counts = {
-        key: CohortCounts(known, unknown, fractions[imputation_key(*key[:2])])
-        for key, (known, unknown) in tallies.items()
-    }
-    counts = {key: cc.final_count for key, cc in cohort_counts.items()}
 
-    # Underreporting adjustment: any-injury counts only, fatal portion
-    # passed through untouched.
+    # Each cell's count is its known units plus its unknowns times the
+    # imputation key's passenger fraction.  An any-injury cell is then
+    # adjusted for underreporting, its fatal part (the fatal cell of the
+    # same type, under the same fraction) passed through untouched.
     u = params.underreport_fraction
     adjusted: dict = {}
-    for key, count in counts.items():
+    severity_counts: dict = {}
+    for key, (known, unknown) in tallies.items():
         area_name, road, outcome, crash_type = key
+        fraction = fractions[imputation_key(area_name, road)]
+        count = known + unknown * fraction
         if outcome is OutcomeLevel.ANY_INJURY_REPORTED:
-            fatal = counts.get((area_name, road, OutcomeLevel.FATAL, crash_type), 0.0)
-            adjusted[key] = adjust_underreporting(count - fatal, fatal, u)
-        else:
-            adjusted[key] = count
+            fatal_known, fatal_unknown = tallies.get(
+                (area_name, road, OutcomeLevel.FATAL, crash_type), (0, 0)
+            )
+            fatal = fatal_known + fatal_unknown * fraction
+            count = adjust_underreporting(count - fatal, fatal, u)
+        adjusted[key] = count
+        if crash_type is None:
+            severity_counts[key[:3]] = CohortCounts(known, unknown, fraction)
 
     # Passenger VMT per (area, road class).
     vmt_by_key: dict[tuple[str, str, FunctionalClass], VmtRecord] = {}
@@ -734,7 +727,6 @@ def build_benchmark(
         "imputed_passenger_mass": {k: imputed_mass[k] for k in sorted(imputed_mass)},
         "unresolvable_road_records": unresolved_road,
     }
-    severity_counts = {key[:3]: cc for key, cc in cohort_counts.items() if key[3] is None}
     return BenchmarkTables(
         cells, typed_cells, distributions, power_grid, diagnostics, severity_counts
     )

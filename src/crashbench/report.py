@@ -317,20 +317,32 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
     (``_columns``).  A row with more or fewer fields than the header, or
     that does not read back into a cell, is a DataError naming the file
     and row: a rate row's every field was written, so a short one is
-    truncated, not absent.
+    truncated, not absent.  A row that repeats an earlier row's (geo,
+    road, outcome, crash type) is a DataError naming the file and both
+    rows, since either count could be the one meant.
     """
 
     def refuse_wide(number: int, reason: str, row: list[str]) -> None:
         raise DataError(f"{path}: row {number}: more fields than the header")
 
     cells = []
+    row_of: dict[tuple, int] = {}  # each cell's (geo, road, outcome, crash type) -> row
     with _open_table(path, ",", refuse_wide) as (header, rows):
         columns = _columns(path, header, RATE_COLUMNS, "rate table")
         for number, row in rows:
             if len(row) < len(header):
                 raise DataError(f"{path}: row {number}: fewer fields than the header")
             try:
-                cells.append(_parse_cell(*columns(row)))
+                cell = _parse_cell(*columns(row))
             except (ValueError, CrashBenchError) as exc:
                 raise DataError(f"{path}: row {number}: {exc}") from None
+            key = (cell.geo.name, cell.road, cell.outcome, cell.crash_type)
+            if key in row_of:
+                raise DataError(
+                    f"{path}: rows {row_of[key]} and {number} are the same cell: geo {key[0]!r}, "
+                    f"road {cell.road.value}, outcome {cell.outcome.value}, crash type "
+                    f"{cell.crash_type.value if cell.crash_type else 'none'}"
+                )
+            row_of[key] = number
+            cells.append(cell)
     return cells

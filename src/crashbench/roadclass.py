@@ -544,10 +544,12 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
     """Read freeway segments from a GeoJSON FeatureCollection of
     LineStrings with properties route_id, names[], always_freeway.
     GeoJSON coordinate order is (lon, lat).  Each feature is checked in
-    one pass over its positions.  A ConfigError naming the file, feature and route is raised for a
-    position that is not two numbers with lon in [-180, 180] and lat in
-    [-90, 90], a position equal to the one before it, or fewer than two
-    positions.  A file that is not UTF-8 text (a byte-order mark is
+    one pass over its positions.  A ConfigError naming the file, feature
+    and route is raised for ``names`` that are neither absent, null nor a
+    list of strings, for an ``always_freeway`` that is present but not a
+    JSON boolean, and for a position that is not two numbers with lon in
+    [-180, 180] and lat in [-90, 90], a position equal to the one before
+    it, or fewer than two positions.  A file that is not UTF-8 text (a byte-order mark is
     dropped), not JSON or not shaped as such a FeatureCollection is a
     ConfigError too."""
     try:
@@ -569,6 +571,20 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
         route_id = props.get("route_id") if type(props) is dict else None
         if not route_id:
             raise ConfigError(f"{path}: feature missing route_id")
+        names = props.get("names")
+        if names is not None and (
+            type(names) is not list or any(type(name) is not str for name in names)
+        ):
+            raise ConfigError(
+                f"{path}: feature {number} ({route_id}): names {names!r} are not a list "
+                f"of strings"
+            )
+        always_freeway = props.get("always_freeway", False)
+        if type(always_freeway) is not bool:
+            raise ConfigError(
+                f"{path}: feature {number} ({route_id}): always_freeway {always_freeway!r} "
+                f"is not true or false"
+            )
         coordinates = geom.get("coordinates", [])
         if type(coordinates) is not list:
             raise ConfigError(
@@ -609,8 +625,8 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
             FreewaySegment(
                 route_id=str(route_id),
                 polyline=tuple(polyline),
-                display_names=tuple(props.get("names", ()) or ()),
-                always_freeway=bool(props.get("always_freeway", False)),
+                display_names=tuple(names or ()),
+                always_freeway=always_freeway,
             )
         )
     return segments

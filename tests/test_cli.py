@@ -303,6 +303,29 @@ class TestRun:
         assert "kind=config" in err
         assert f"roadclass_segments.geojson: feature 0 (I-35): {message}" in err
 
+    @pytest.mark.parametrize(
+        "properties,message",
+        [
+            ({"always_freeway": "false"}, "always_freeway 'false' is not true or false"),
+            ({"names": [5]}, "names [5] are not a list of strings"),
+        ],
+        ids=["flag-string", "names-number"],
+    )
+    def test_mistyped_segment_property_exit_config_error(self, fixtures_dir, tmp_path,
+                                                         capsys, properties, message):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        segments = inputs / "roadclass_segments.geojson"
+        doc = json.loads(segments.read_text())
+        doc["features"][0]["properties"].update(properties)
+        segments.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kind=config" in err
+        assert f"roadclass_segments.geojson: feature 0 (I-35): {message}" in err
+        assert not out.exists()
+
     def test_no_config_given(self, capsys, monkeypatch):
         monkeypatch.delenv("CRASHBENCH_CONFIG", raising=False)
         assert main(["run"]) == 2
@@ -753,6 +776,30 @@ class TestCompare:
                      "--out", str(tmp_path / "cmp")]) == 3
         err = capsys.readouterr().err
         assert "kind=data" in err and "benchmark.csv: row 2:" in err
+
+    def test_repeated_benchmark_cell_is_data_error(self, run_args, tmp_path, capsys):
+        # A copy of the first severity row with another count, right after
+        # it: compare used to take the copy's count and exit 0.
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        with open(out / "benchmark_rates_2023.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows.insert(1, dict(rows[0], count="999.0"))
+        benchmark = tmp_path / "benchmark.csv"
+        with open(benchmark, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        ads = tmp_path / "ads.csv"
+        ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\n"
+                       "Austin,Freeway,PoliceReported,10,1e9\n")
+        assert main(["compare", "--benchmark", str(benchmark), "--ads", str(ads),
+                     "--out", str(tmp_path / "cmp")]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert (f"benchmark.csv: rows 1 and 2 are the same cell: geo {rows[0]['geo']!r}, "
+                f"road {rows[0]['road']}, outcome {rows[0]['outcome']}, crash type none") in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_benchmark_field_past_csv_limit_is_data_error(self, run_args, tmp_path, capsys):
         args, out = run_args

@@ -2,16 +2,17 @@
 
 A copy of the fixture inputs has one table drifted or damaged in one
 way: a header column dropped (from every line), renamed or repeated, a
-row truncated or widened, a NUL, a bare CR or a 200,000-character field
-inserted, bytes that are not UTF-8 added, or a byte-order mark put in
-front.  ``crashbench run`` then exits 0, 2 or 3, never with a traceback
+row truncated, widened or repeated, a NUL, a bare CR or a
+200,000-character field inserted, bytes that are not UTF-8 added, or a
+byte-order mark put in front.  ``crashbench run`` then exits 0, 2 or 3, never with a traceback
 (``cli.main`` returns the code; anything it raises would be exit 1),
 and on exit 0 every table's rows read equal rows used plus rows skipped.
 
 The rate-table arm damages a copy of the fixture run's severity rate
 table the same way: ``crashbench compare`` exits 0 or 3, and on exit 0
 the table held only rows of its header's width, since every field of a
-rate row was written.
+rate row was written.  A repeated rate row always exits 3: either
+count could be the one meant.
 """
 
 import csv
@@ -30,7 +31,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 TABLES = ("tx_crashes.csv", "tx_units.csv", "tx_persons.csv", "tx_vmt.csv", "shares.csv")
 MUTATIONS = (
     "drop column", "rename column", "repeat column", "truncate row", "widen row",
-    "NUL", "bare CR", "long field", "not UTF-8", "byte-order mark",
+    "repeat row", "NUL", "bare CR", "long field", "not UTF-8", "byte-order mark",
 )
 ADS = "geo,road,outcome,ads_count,ads_vmt_miles\nAustin,Freeway,PoliceReported,3,1000000\n"
 
@@ -50,7 +51,8 @@ def _mutated(data: bytes, mutation: str, draw) -> bytes:
     lines = [line.split(",") for line in text.splitlines()]
     header = lines[0]
     column = draw(st.integers(0, len(header) - 1))
-    row = lines[draw(st.integers(1, len(lines) - 1))]
+    at = draw(st.integers(1, len(lines) - 1))
+    row = lines[at]
     if mutation == "drop column":
         lines = [line[:column] + line[column + 1:] for line in lines]
     elif mutation == "rename column":
@@ -62,6 +64,8 @@ def _mutated(data: bytes, mutation: str, draw) -> bytes:
         del row[len(row) - draw(st.integers(1, len(row) - 1)):]
     elif mutation == "widen row":
         row.append("EXTRA")
+    elif mutation == "repeat row":
+        lines.insert(at + 1, list(row))
     else:  # long field: past csv's default field_size_limit
         row[column] = "X" * 200_000
     return "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
@@ -105,7 +109,7 @@ def test_compare_on_a_damaged_rate_table_exits_cleanly(fixture_rates, mutation, 
         ads.write_text(ADS)
         code = main(["compare", "--benchmark", str(rates), "--ads", str(ads),
                      "--out", str(Path(tmp) / "out")])
-        assert code in (0, 3)
+        assert code in ((3,) if mutation == "repeat row" else (0, 3))
         if code == 0:
             with open(rates, newline="", encoding="utf-8-sig") as fh:
                 header, *rows = (row for row in csv.reader(fh) if row)

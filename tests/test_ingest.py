@@ -1493,6 +1493,30 @@ class TestVmtLoading:
         with pytest.raises(DataError, match=f"vmt row 2: vmt_miles {miles!r} is not a finite"):
             load_vmt_table(rows, tx_vmt_mapping)
 
+    @pytest.mark.parametrize(
+        "miles,scale,scaled",
+        [("0", "1", "0.0"), ("-5", "1", "-5.0"), ("1e300", "1e10", "inf"),
+         ("1e-300", "1e-30", "0.0")],
+        ids=["zero", "negative", "overflow", "underflow"],
+    )
+    def test_vmt_outside_zero_to_infinity_is_data_error(self, tmp_path, miles, scale, scaled):
+        # A finite row times a finite scale can still leave (0, inf): a
+        # row of 1e300 at vmt_scale 1e10 used to load as inf miles, and a
+        # non-positive row's error named neither the table nor the row.
+        config_path = tmp_path / "scaled.ini"
+        config_path.write_text(
+            f"[source]\nname = scaled\nvmt_scale = {scale}\n"
+            "[columns]\nstate = const:TX\ncounty = County\n"
+            "functional_class = const:Freeway\nyear = Year\nvmt_miles = V\n"
+        )
+        rows = ["County,Year,V", "Travis,2023,10", f"Hays,2023,{miles}"]
+        message = (
+            f"scaled/vmt row 2: vmt_miles {miles!r} times vmt_scale {float(scale)!r} "
+            f"is {scaled}, not a finite number > 0"
+        )
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_vmt_table(rows, MappingConfig.load(config_path))
+
     def test_vmt_row_wider_than_the_header_is_data_error(self, tx_vmt_mapping, tmp_path):
         path = tmp_path / "vmt.csv"
         path.write_text("County,Functional_Class,Year,Annual_VMT\nTravis,FREEWAY,2023,10\n"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -179,6 +180,11 @@ class TestVmtAndShares:
     def test_vmt_must_be_positive(self):
         with pytest.raises(DataError):
             VmtRecord("TX", "TRAVIS", FunctionalClass.FREEWAY, 2023, 0.0)
+
+    @pytest.mark.parametrize("miles", [math.inf, math.nan])
+    def test_vmt_must_be_finite(self, miles):
+        with pytest.raises(DataError, match="vmt_miles must be a finite number > 0"):
+            VmtRecord("TX", "TRAVIS", FunctionalClass.FREEWAY, 2023, miles)
 
     def test_share_lookup(self):
         table = PassengerShareTable({("TX", FunctionalClass.FREEWAY, True): 0.92})

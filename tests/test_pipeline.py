@@ -13,11 +13,6 @@ import pytest
 from hypothesis import Phase, given, reject, settings, strategies as st
 
 from crashbench import pipeline
-from crashbench.cohort import (
-    filter_in_transport_passenger,
-    known_class_histogram,
-    passenger_fraction,
-)
 from crashbench.model import (
     ConfigError,
     CrashRecord,
@@ -191,10 +186,13 @@ class TestAggregation:
             records, index, vmt, shares, config.areas, 2023, config.params
         )
         assert tables.cohort_counts
-        for cc in tables.cohort_counts.values():
+        counts = {(c.geo.name, c.road, c.outcome): c.count for c in tables.cells}
+        for key, cc in tables.cohort_counts.items():
             assert type(cc.known) is int and type(cc.unknown) is int
-            assert cc.imputed == cc.unknown * cc.passenger_fraction
-            assert cc.known <= cc.final_count <= cc.known + cc.unknown
+            if key[2] is not OutcomeLevel.ANY_INJURY_REPORTED:
+                # Not adjusted: the cell's count is the tally's, bit for bit.
+                assert counts[key] == cc.known + cc.unknown * cc.passenger_fraction
+                assert cc.known <= counts[key] <= cc.known + cc.unknown
         pr = tables.cohort_counts[
             ("Austin", pipeline.RoadClass.FREEWAY, OutcomeLevel.POLICE_REPORTED)
         ]
@@ -667,12 +665,16 @@ def _property_tables(records, road_index, vmt=PROPERTY_VMT, **params):
 
 
 def _assert_tables_match_recount(tables, records, road_index, impute_by_road, gate_order):
-    """Recount every severity and typed cell of ``tables`` from the cohort
-    and taxonomy helpers, one record and one unit at a time: whole unit
-    counts, and the imputation key's passenger fraction applied once to
-    the cell's unknowns."""
+    """Recount every severity and typed cell of ``tables`` one record and
+    one unit at a time, by a cohort rule of its own: of the in-transport
+    units, a passenger vehicle is counted, one of unknown class is
+    imputed, and one of another class only joins the imputation basis.
+    Cells keep whole unit counts; the imputation key's passenger
+    fraction is applied once to a cell's unknowns, and then the
+    any-injury adjustment."""
     known: dict = {}
     unknown: dict = {}
+    # Per imputation key: [passenger units, known-class units].
     basis: dict = {}
     for record in records:
         areas = [a for a in PROPERTY_AREAS if a.contains(record.state, record.county)]
@@ -680,20 +682,27 @@ def _assert_tables_match_recount(tables, records, road_index, impute_by_road, ga
             continue
         (area,) = areas
         road = classify_road(record, road_index).road_class
-        basis.setdefault((area.name, road if impute_by_road else None), []).append(record)
-        (selection,) = filter_in_transport_passenger([record])
-        for tally, units in ((known, selection.passenger_units),
-                             (unknown, selection.unknown_units)):
-            for unit in units:
-                crash_type = classify_crash_type(record, unit.unit_id, road, gate_order)
-                for outcome in classify_outcome(record):
-                    severity_key = (area.name, road, outcome)
-                    for key in (severity_key, (*severity_key, crash_type)):
-                        tally[key] = tally.get(key, 0) + 1
+        key_basis = basis.setdefault((area.name, road if impute_by_road else None), [0, 0])
+        for unit in record.units:
+            if not unit.in_transport:
+                continue
+            if unit.vehicle_class is VehicleClass.UNKNOWN:
+                tally = unknown
+            else:
+                key_basis[1] += 1
+                if unit.vehicle_class is not VehicleClass.PASSENGER:
+                    continue
+                key_basis[0] += 1
+                tally = known
+            crash_type = classify_crash_type(record, unit.unit_id, road, gate_order)
+            for outcome in classify_outcome(record):
+                severity_key = (area.name, road, outcome)
+                for key in (severity_key, (*severity_key, crash_type)):
+                    tally[key] = tally.get(key, 0) + 1
 
     def fraction(key) -> float:
-        records_of_key = basis[key[0], key[1] if impute_by_road else None]
-        return passenger_fraction(known_class_histogram(records_of_key))
+        passengers, known_units = basis[key[0], key[1] if impute_by_road else None]
+        return passengers / known_units
 
     cells = known.keys() | unknown.keys()
     severity = {key for key in cells if len(key) == 3}
@@ -701,24 +710,26 @@ def _assert_tables_match_recount(tables, records, road_index, impute_by_road, ga
     for key, counts in tables.cohort_counts.items():
         assert (counts.known, counts.unknown) == (known.get(key, 0), unknown.get(key, 0))
         assert counts.passenger_fraction == fraction(key)
-        assert counts.imputed == counts.unknown * counts.passenger_fraction
-    # Typed cells: the same whole counts and fraction, then the
-    # any-injury adjustment against the fatal cell of the same type.
-    final = {
-        key: known.get(key, 0) + unknown.get(key, 0) * fraction(key)
-        for key in cells - severity
-    }
+    # Every cell: the same whole counts and fraction, then the any-injury
+    # adjustment against the fatal cell of the same stratum and type.
+    final = {key: known.get(key, 0) + unknown.get(key, 0) * fraction(key) for key in cells}
     expected = {}
     for key, count in final.items():
         if key[2] is OutcomeLevel.ANY_INJURY_REPORTED:
-            fatal = final.get((*key[:2], OutcomeLevel.FATAL, key[3]), 0.0)
+            fatal = final.get((*key[:2], OutcomeLevel.FATAL, *key[3:]), 0.0)
             count = adjust_underreporting(
                 count - fatal, fatal, pipeline.RunParams().underreport_fraction
             )
         expected[key] = count
     assert {
         (c.geo.name, c.road, c.outcome, c.crash_type): c.count for c in tables.typed_cells
-    } == expected
+    } == {key: count for key, count in expected.items() if key not in severity}
+    assert {(c.geo.name, c.road, c.outcome): c.count for c in tables.cells} == {
+        (area.name, road, outcome): expected.get((area.name, road, outcome), 0.0)
+        for area in PROPERTY_AREAS
+        for road in (pipeline.RoadClass.FREEWAY, pipeline.RoadClass.SURFACE_STREET)
+        for outcome in OutcomeLevel
+    }
 
 
 class TestBuildBenchmarkProperties:

@@ -535,10 +535,12 @@ class TestSegmentValidation:
             dataclasses.replace(seg, polyline=(LatLon(4.0, 5.0), LatLon(4.0, 5.0)))
 
 
-def _write_segments(tmp_path, coordinates):
+def _write_segments(tmp_path, coordinates, properties=None):
+    if properties is None:
+        properties = {"names": [], "always_freeway": True}
     feature = {
         "type": "Feature",
-        "properties": {"route_id": "I-35", "names": [], "always_freeway": True},
+        "properties": {"route_id": "I-35", **properties},
         "geometry": {"type": "LineString", "coordinates": coordinates},
     }
     path = tmp_path / "segments.geojson"
@@ -581,6 +583,42 @@ class TestSegmentsGeojson:
         path = _write_segments(tmp_path, coordinates)
         with pytest.raises(ConfigError, match=rf"segments.geojson: feature 0 \(I-35\): {message}"):
             load_segments_geojson(path)
+
+    @pytest.mark.parametrize(
+        "properties,message",
+        [
+            # A string is truthy, so it used to load as always-freeway.
+            ({"always_freeway": "false"}, "always_freeway 'false' is not true or false"),
+            ({"always_freeway": None}, "always_freeway None is not true or false"),
+            ({"always_freeway": 0}, "always_freeway 0 is not true or false"),
+            # A string used to register each of its letters as an alias.
+            ({"names": "MOPAC"}, "names 'MOPAC' are not a list of strings"),
+            # A number used to raise an AttributeError on first use.
+            ({"names": [5]}, r"names \[5\] are not a list of strings"),
+            ({"names": ["MOPAC", None]}, r"names \['MOPAC', None\] are not a list"),
+            ({"names": {"MOPAC": 1}}, r"names \{'MOPAC': 1\} are not a list"),
+        ],
+        ids=["flag-string", "flag-null", "flag-number", "names-string", "names-number",
+             "names-null-entry", "names-object"],
+    )
+    def test_bad_property_is_config_error(self, tmp_path, properties, message):
+        path = _write_segments(tmp_path, [[-97.7, 30.1], [-97.7, 30.2]], properties)
+        with pytest.raises(ConfigError, match=rf"segments.geojson: feature 0 \(I-35\): {message}"):
+            load_segments_geojson(path)
+
+    @pytest.mark.parametrize(
+        "properties,names,always",
+        [
+            ({}, (), False),
+            ({"names": None, "always_freeway": True}, (), True),
+            ({"names": ["MOPAC", "LOOP 1"], "always_freeway": False}, ("MOPAC", "LOOP 1"), False),
+        ],
+        ids=["absent", "names-null", "names-and-flag"],
+    )
+    def test_optional_properties_load(self, tmp_path, properties, names, always):
+        path = _write_segments(tmp_path, [[-97.7, 30.1], [-97.7, 30.2]], properties)
+        (segment,) = load_segments_geojson(path)
+        assert (segment.display_names, segment.always_freeway) == (names, always)
 
     @pytest.mark.parametrize(
         "doc,message",
