@@ -40,14 +40,17 @@ for name in ("I-35 N/B", "i-0035 sb", "MOPAC", "ELM AVE"):
 
 # Step two: routes that are freeway only in places need the crash
 # coordinates. Walk due north from US-290 and watch the classification
-# flip at the 400 m threshold (inclusive).
+# flip at the 400 m threshold (inclusive). classify_road reports the
+# exact nearest distance; the run only asks index.within, which stops at
+# the first leg inside the threshold, and both flip at the same place.
 print("\ndistance sweep away from US-290:")
 meters_per_deg = 6371000.0 * math.pi / 180.0
 for offset_m in (0.0, 200.0, 399.0, 400.0, 401.0, 1200.0):
     record = crash_at("US-290", 30.32 + offset_m / meters_per_deg, -97.70)
     result = classify_road(record, index)
+    within = index.within(record.location, 400.0, route_id="US-290")
     print(f"  {offset_m:>6.0f} m -> {result.road_class.value:<14}"
-          f" (computed {result.distance_m:.1f} m)")
+          f" (computed {result.distance_m:.1f} m, within 400 m: {within})")
 
 # An ambiguous name with no coordinates cannot be placed on the freeway;
 # it falls to the surface-street side and is tagged so the bucket can be

@@ -95,7 +95,7 @@ from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
     FreewaySegmentIndex,
     Provenance,
-    classify_road,
+    decide_road,
     load_alias_table,
     load_segments_geojson,
 )
@@ -495,7 +495,8 @@ def build_benchmark(
     """Aggregate normalized records into rate cells, type distributions,
     and the required-mileage grid.
 
-    A first pass over ``records`` road-classifies and places each
+    A first pass over ``records`` road-classifies (``decide_road``: the
+    road class by threshold, without the distance) and places each
     in-year record and counts it by shape: its area, road class, units,
     junction relation, manner of collision, worst injury and airbag flag,
     which are all the cohort walk, ``classify_outcome`` and the crash-type
@@ -545,7 +546,7 @@ def build_benchmark(
         if area is None:
             outside += 1
             continue
-        cls = classify_road(
+        cls = decide_road(
             record, index, threshold_m=params.threshold_m, any_route=params.any_route
         )
         if cls.provenance is Provenance.UNRESOLVABLE:

@@ -30,6 +30,13 @@ measured from constants computed on its segment's first visit.  Nothing
 of the search is built in the constructor.  Every distance it returns
 equals, bit for bit, the minimum of ``polyline_distance_m`` over the
 same segments, which stays the public reference.
+
+The run asks only whether a crash is within the threshold
+(``FreewaySegmentIndex.within``, through ``decide_road``): the same walk,
+given the threshold, prunes every box past it and returns at the first
+leg inside it, and its answer equals the nearest distance compared with
+the threshold.  ``classify_road`` and ``crashbench classify-roads`` still
+report the exact nearest distance.
 """
 
 from __future__ import annotations
@@ -207,6 +214,9 @@ class RoadClassification(NamedTuple):
 
 _LEG_FIELDS = 12  # values _leg_constants stores per leg
 _TWO_R = 2.0 * EARTH_RADIUS_M
+# Past this distance sin^2(d / 2R) stops growing, so a threshold there
+# bounds nothing.
+_HALF_CIRCUMFERENCE_M = math.pi * EARTH_RADIUS_M
 
 
 def _leg_constants(polyline: Sequence[LatLon]) -> array:
@@ -395,6 +405,23 @@ class FreewaySegmentIndex:
         The search runs on a box tree over the route's own segments (over
         all segments without a route), packed on the route's first query
         (``_nearest``)."""
+        return self._nearest(point, self._tree(route_id))
+
+    def within(
+        self, point: LatLon, threshold_m: float, route_id: Optional[str] = None
+    ) -> bool:
+        """Whether the point lies within threshold_m (inclusive) of any
+        segment (optionally restricted to one route).  Exact: equals
+        ``distance_to_nearest(point, route_id) <= threshold_m``.
+
+        The same walk as ``distance_to_nearest``, given the threshold:
+        it returns at the first leg inside it and prunes every box whose
+        bound is past it (``_nearest``), so it measures fewer legs."""
+        return self._nearest(point, self._tree(route_id), threshold_m) <= threshold_m
+
+    def _tree(self, route_id: Optional[str]) -> tuple:
+        """The route's box tree (all segments without a route), packed
+        on its first query."""
         tree = self._trees.get(route_id)
         if tree is None:
             if route_id is None:
@@ -408,15 +435,29 @@ class FreewaySegmentIndex:
             tree = self._trees[route_id] = _pack(
                 [(_radian_box(self.segments[i].bbox), i) for i in members]
             )
-        return self._nearest(point, tree)
+        return tree
 
-    def _nearest(self, point: LatLon, tree: tuple) -> float:
+    def _nearest(
+        self, point: LatLon, tree: tuple, threshold_m: Optional[float] = None
+    ) -> float:
         """``min(polyline_distance_m(point, s.polyline))`` over the
         segments of the tree, by one best-first walk: a heap of nodes and
         segments ordered by their box bound (ties broken by the order of
-        entry), seeded with the root.  A popped node pushes its entries; a
-        popped segment has its legs measured.  The walk stops at the first
-        entry whose bound shows it cannot hold a closer leg.
+        entry), seeded with the root.  A popped node pushes those of its
+        entries whose bound is not already past the stop; a popped
+        segment has its legs measured.  The walk stops at the first entry
+        whose bound shows it cannot hold a closer leg.
+
+        With a threshold, the walk answers only whether that minimum is
+        within it: it returns the first leg distance ``<= threshold_m``
+        it measures (the minimum can only be smaller), and it starts with
+        the stop at ``h = sin^2(threshold_m / 2R)``, the haversine term
+        of the threshold, so every box past it is pruned.  Otherwise it
+        returns the smallest distance it measured, or inf, both past the
+        threshold: what it returns is within the threshold exactly when
+        the minimum is.  A threshold of a half circumference (pi * R) or
+        more, where ``sin^2`` stops growing, prunes nothing, and neither
+        does one that is negative or NaN, which no distance is within.
 
         Legs are measured from their leg constants: the point's radians
         and cosine are computed once, and every remaining operation of
@@ -434,17 +475,20 @@ class FreewaySegmentIndex:
         spanning more longitude than ``_MONOTONE_LON_REACH`` from the
         tree's box drops the longitude term) and cos(q.lat) >= cos_min.
         The walk stops at the first entry whose bound exceeds the smallest
-        ``h`` so far by a relative 1e-9 plus an absolute 1e-14.  The
-        relative part covers rounding in ``h`` and in the bound (a few
-        ulp), and leaves every leg past the stop with an ``h`` some 1e-9
-        (relative) above the best one: ``sqrt`` is correctly rounded and
+        ``h`` so far (or the threshold's) by a relative 1e-9 plus an
+        absolute 1e-14.  The relative part covers rounding in ``h``, in
+        the bound and in the threshold's ``sin^2`` (a few ulp), and
+        leaves every leg past the stop with an ``h`` some 1e-9 (relative)
+        above the best one: ``sqrt`` is correctly rounded and
         ``asin(x) / x`` grows on (0, 1], so its exact distance is some
         5e-10 larger, far beyond the few ulp by which libm's ``asin`` may
-        err (monotonicity of ``asin`` is not assumed).  The absolute part covers the foot
-        ``vlat + t * dlat`` rounding an ulp or two outside its box (at a
-        pole, past it, making cos(lat) a hair negative): that moves ``h``
-        by at most a few 1e-15, whatever the gap, which a relative slack
-        cannot cover near a zero bound.
+        err (monotonicity of ``asin`` is not assumed).  For the
+        threshold's ``h`` the same holds of ``2R * asin(sqrt(h))``, which
+        is ``threshold_m`` below a half circumference.  The absolute part
+        covers the foot ``vlat + t * dlat`` rounding an ulp or two outside
+        its box (at a pole, past it, making cos(lat) a hair negative):
+        that moves ``h`` by at most a few 1e-15, whatever the gap, which
+        a relative slack cannot cover near a zero bound.
         """
         radians, cos, sin, asin, sqrt = math.radians, math.cos, math.sin, math.asin, math.sqrt
         rlat, rlon = radians(point.lat), radians(point.lon)
@@ -453,8 +497,14 @@ class FreewaySegmentIndex:
         reach = max(rlon - rlon_lo, rlon_hi - rlon)
         lon_weight = cos_rlat if reach < _MONOTONE_LON_REACH else 0.0
 
+        # A leg this close ends the walk; without a threshold none does.
+        accept = -math.inf if threshold_m is None else threshold_m
+        best = best_h = math.inf
+        if 0.0 <= accept < _HALF_CIRCUMFERENCE_M:
+            best_h = sin(accept / _TWO_R) ** 2
+        stop_above = best_h * _STOP_SLACK_REL + _STOP_SLACK_ABS
+
         legs_of = self._legs
-        best = best_h = stop_above = math.inf
         heap = [(0.0, 0, root)]
         pushed = 1
         while heap:
@@ -469,8 +519,9 @@ class FreewaySegmentIndex:
                     gap = (lon_lo - rlon if rlon < lon_lo
                            else rlon - lon_hi if rlon > lon_hi else 0.0)
                     bound += lon_weight * cos_min * sin(gap / 2.0) ** 2
-                    heappush(heap, (bound, pushed, entry))
-                    pushed += 1
+                    if bound <= stop_above:
+                        heappush(heap, (bound, pushed, entry))
+                        pushed += 1
                 continue
             legs = legs_of[payload]
             if legs is None:
@@ -494,6 +545,8 @@ class FreewaySegmentIndex:
                     + cos_rlat * cos(lat2) * sin((radians(foot_lon) - rlon) / 2.0) ** 2
                 )
                 distance = _TWO_R * asin(sqrt(h))
+                if distance <= accept:
+                    return distance
                 if distance < best:
                     best = distance
                 if h < best_h:
@@ -514,9 +567,37 @@ def classify_road(
     are freeway everywhere.  An ambiguous name needs coordinates: the
     crash is on the freeway iff it lies within threshold_m (inclusive)
     of the matched route's polylines (or of any freeway, with
-    any_route).  Ambiguous names without coordinates fall to surface
-    street, tagged unresolvable so the bucket can be quantified.
+    any_route), and ``distance_m`` is its exact nearest distance.
+    Ambiguous names without coordinates fall to surface street, tagged
+    unresolvable so the bucket can be quantified.
     """
+    return _classify(record, index, threshold_m, any_route, measure=True)
+
+
+def decide_road(
+    record: CrashRecord,
+    index: FreewaySegmentIndex,
+    threshold_m: float = DEFAULT_PROXIMITY_THRESHOLD_M,
+    any_route: bool = False,
+) -> RoadClassification:
+    """``classify_road`` without the distance: the same road class,
+    provenance and route, but an ambiguous located crash is decided by
+    ``FreewaySegmentIndex.within``, which stops at the first leg inside
+    the threshold, and ``distance_m`` is None.  The run reads only the
+    decision."""
+    return _classify(record, index, threshold_m, any_route, measure=False)
+
+
+def _classify(
+    record: CrashRecord,
+    index: FreewaySegmentIndex,
+    threshold_m: float,
+    any_route: bool,
+    measure: bool,
+) -> RoadClassification:
+    """The name steps of ``classify_road`` and ``decide_road``, then the
+    proximity step: measured (``distance_to_nearest``) or only decided
+    (``within``)."""
     match = index.match_road_name(record.primary_road_name)
     if match.kind is MatchKind.NON_FREEWAY:
         return RoadClassification(RoadClass.SURFACE_STREET, Provenance.BY_NAME_NON_FREEWAY)
@@ -528,10 +609,14 @@ def classify_road(
         return RoadClassification(
             RoadClass.SURFACE_STREET, Provenance.UNRESOLVABLE, route_id=match.route_id
         )
-    distance = index.distance_to_nearest(
-        record.location, route_id=None if any_route else match.route_id
-    )
-    road = RoadClass.FREEWAY if distance <= threshold_m else RoadClass.SURFACE_STREET
+    route_id = None if any_route else match.route_id
+    if measure:
+        distance = index.distance_to_nearest(record.location, route_id=route_id)
+        on_freeway = distance <= threshold_m
+    else:
+        distance = None
+        on_freeway = index.within(record.location, threshold_m, route_id=route_id)
+    road = RoadClass.FREEWAY if on_freeway else RoadClass.SURFACE_STREET
     return RoadClassification(
         road, Provenance.BY_PROXIMITY, route_id=match.route_id, distance_m=distance
     )
@@ -544,8 +629,11 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
     """Read freeway segments from a GeoJSON FeatureCollection of
     LineStrings with properties route_id, names[], always_freeway.
     GeoJSON coordinate order is (lon, lat).  Each feature is checked in
-    one pass over its positions.  A ConfigError naming the file, feature
-    and route is raised for ``names`` that are neither absent, null nor a
+    one pass over its positions.  A ``route_id`` that is absent or null,
+    or not a JSON string with a non-blank character, is a ConfigError
+    naming the file, the feature number and the value.  A ConfigError
+    naming the file, feature and route is raised for ``names`` that are
+    neither absent, null nor a
     list of strings, for an ``always_freeway`` that is present but not a
     JSON boolean, and for a position that is not two numbers with lon in
     [-180, 180] and lat in [-90, 90], a position equal to the one before
@@ -569,8 +657,12 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
             raise ConfigError(f"{path}: only LineString features are supported")
         props = feature.get("properties") or {}
         route_id = props.get("route_id") if type(props) is dict else None
-        if not route_id:
-            raise ConfigError(f"{path}: feature missing route_id")
+        if route_id is None:
+            raise ConfigError(f"{path}: feature missing route_id (feature {number})")
+        if type(route_id) is not str or not route_id.strip():
+            raise ConfigError(
+                f"{path}: feature {number}: route_id {route_id!r} is not a non-blank string"
+            )
         names = props.get("names")
         if names is not None and (
             type(names) is not list or any(type(name) is not str for name in names)
@@ -623,7 +715,7 @@ def load_segments_geojson(path: str | Path) -> list[FreewaySegment]:
             )
         segments.append(
             FreewaySegment(
-                route_id=str(route_id),
+                route_id=route_id,
                 polyline=tuple(polyline),
                 display_names=tuple(names or ()),
                 always_freeway=always_freeway,

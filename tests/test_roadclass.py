@@ -2,11 +2,14 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 
 from crashbench.model import ConfigError, CrashRecord, DataError, KabcoLevel, LatLon, RoadClass
+from crashbench import pipeline
 from crashbench.roadclass import (
+    DEFAULT_PROXIMITY_THRESHOLD_M,
     EARTH_RADIUS_M,
     FreewaySegment,
     FreewaySegmentIndex,
@@ -14,6 +17,7 @@ from crashbench.roadclass import (
     NoSegmentsError,
     Provenance,
     classify_road,
+    decide_road,
     haversine_m,
     load_alias_table,
     load_segments_geojson,
@@ -327,6 +331,44 @@ class TestSearchIsExact:
                 assert index.distance_to_nearest(point, route_id) == expected[point, route_id]
 
 
+class TestWithinIsExact:
+    """``within`` stops at the first leg inside the threshold and prunes
+    boxes past it, yet must answer exactly
+    ``distance_to_nearest(p, r) <= t``: at the distance itself, at its
+    neighbouring floats, and past a half circumference, where the
+    threshold bounds nothing."""
+
+    @pytest.mark.parametrize("levels", [1, 2, 3], ids=TREE_SIZES)
+    def test_equals_nearest_distance_compared(self, levels):
+        rng = random.Random(f"within-{levels}")
+        routes_range, per_route = ROUTE_SIZES[levels]
+        half_turn = math.pi * EARTH_RADIUS_M
+        for _ in range(6):
+            segments = _random_network(rng, rng.randint(*routes_range), per_route)
+            route_ids = (None, *dict.fromkeys(seg.route_id for seg in segments))
+            index = FreewaySegmentIndex(segments)
+            for point in _query_points(rng, segments, 25):
+                for route_id in route_ids:
+                    d = index.distance_to_nearest(point, route_id)
+                    assert index.within(point, d, route_id), (point, route_id, d)
+                    if d > 0.0:
+                        below = math.nextafter(d, 0.0)
+                        assert not index.within(point, below, route_id), (point, route_id, d)
+                    for t in (
+                        math.nextafter(d, math.inf),
+                        rng.uniform(0.0, 2.0 * d),
+                        rng.expovariate(1 / 2000.0),
+                        half_turn,
+                        math.nextafter(half_turn, 0.0),
+                        2.0 * half_turn,  # sin^2 back to about 0
+                        rng.uniform(half_turn, 3.0 * half_turn),
+                    ):
+                        assert index.within(point, t, route_id) is (d <= t), (
+                            point, route_id, d, t
+                        )
+            assert _levels(index._trees[None]) == levels
+
+
 def _assert_exact(segments, points):
     """Every query, over all segments and over each route, returns the
     reference minimum bit for bit."""
@@ -515,6 +557,51 @@ class TestClassifyRoad:
         assert strict.road_class is RoadClass.SURFACE_STREET
 
 
+class TestRunDecision:
+    """The run decides ambiguous located crashes by ``within``
+    (``decide_road``); its decision must be ``classify_road``'s, at the
+    run's threshold and at each proximity record's exact distance and
+    the float below it, routed both ways."""
+
+    @staticmethod
+    def _assert_agree(records, index):
+        decided_by_distance = 0
+        for any_route in (False, True):
+            for record in records:
+                measured = classify_road(record, index, any_route=any_route)
+                thresholds = [DEFAULT_PROXIMITY_THRESHOLD_M]
+                if measured.provenance is Provenance.BY_PROXIMITY:
+                    distance = measured.distance_m
+                    thresholds += [distance, math.nextafter(distance, 0.0)]
+                    decided_by_distance += 1
+                for threshold_m in thresholds:
+                    expected = classify_road(record, index, threshold_m, any_route)
+                    decided = decide_road(record, index, threshold_m, any_route)
+                    assert decided == expected._replace(distance_m=None), (
+                        record, threshold_m, any_route
+                    )
+        assert decided_by_distance
+
+    def test_fixture_records(self, fixtures_dir):
+        config = pipeline.load_run_config(fixtures_dir / "run.ini")
+        records, _, _ = pipeline.load_crashes(config)
+        self._assert_agree(records, pipeline.build_index(config))
+
+    def test_generated_partly_freeway_network(self):
+        rng = random.Random("run-decision")
+        segments = _random_network(rng, 6, (2, 8))
+        # One route is freeway along its whole extent; the rest change class.
+        segments = [
+            dataclasses.replace(seg, always_freeway=seg.route_id == "SR-0") for seg in segments
+        ]
+        names = [*dict.fromkeys(seg.route_id for seg in segments), "MAIN ST"]
+        records = [
+            record_named(rng.choice(names), point)
+            for point in _query_points(rng, segments, 60) + [None] * 3
+        ]
+        self._assert_agree(records, FreewaySegmentIndex(segments))
+
+
 class TestSegmentValidation:
     def test_two_vertices_required(self):
         with pytest.raises(Exception):
@@ -604,6 +691,28 @@ class TestSegmentsGeojson:
     def test_bad_property_is_config_error(self, tmp_path, properties, message):
         path = _write_segments(tmp_path, [[-97.7, 30.1], [-97.7, 30.2]], properties)
         with pytest.raises(ConfigError, match=rf"segments.geojson: feature 0 \(I-35\): {message}"):
+            load_segments_geojson(path)
+
+    @pytest.mark.parametrize(
+        "route_id",
+        [True, 35, 0, False, ["I-35"], {"id": "I-35"}, "", "  "],
+        ids=["true", "number", "zero", "false", "list", "object", "empty", "blank"],
+    )
+    def test_route_id_must_be_a_non_blank_string(self, tmp_path, route_id):
+        # Any truthy value used to load as its str(): a route no crash names.
+        path = _write_segments(tmp_path, [[-97.7, 30.1], [-97.7, 30.2]], {"route_id": route_id})
+        message = rf"segments.geojson: feature 0: route_id {re.escape(repr(route_id))} is not"
+        with pytest.raises(ConfigError, match=message):
+            load_segments_geojson(path)
+
+    @pytest.mark.parametrize("properties", [{"route_id": None}, {}], ids=["null", "absent"])
+    def test_missing_route_id_names_the_feature(self, tmp_path, properties):
+        path = _write_segments(tmp_path, [[-97.7, 30.1], [-97.7, 30.2]], properties)
+        if not properties:
+            doc = json.loads(path.read_text())
+            del doc["features"][0]["properties"]["route_id"]
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=r"feature missing route_id \(feature 0\)"):
             load_segments_geojson(path)
 
     @pytest.mark.parametrize(
