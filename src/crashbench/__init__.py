@@ -31,7 +31,6 @@ from .power import (
 )
 from .rates import (
     RateCell,
-    SafetyImpactResult,
     adjust_underreporting,
     compute_rate,
     crash_type_distribution,
@@ -59,7 +58,6 @@ __all__ = [
     "PowerResult",
     "RateCell",
     "RoadClass",
-    "SafetyImpactResult",
     "VehicleClass",
     "VehicleUnit",
     "VmtRecord",

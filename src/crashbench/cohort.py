@@ -1,21 +1,21 @@
 """In-transport passenger-vehicle cohort selection and VMT conversion.
 
 Counts are vehicle-level: each qualifying unit in a crash contributes
-one crashed vehicle.  ``unit_role`` is the one place that decides
-which units qualify, and ``select_units`` the one walk that applies it
-to a crash's units; ``pipeline`` takes each configuration's imputation
-basis, unknowns and counted units from it.  Units whose class could
-not be determined count as the passenger fraction of the known classes
-at the geographic level (optionally split by road class): counts stay
-whole numbers, and the fraction is applied once per cell, to its
-number of unknowns.  Total VMT is scaled to passenger-vehicle VMT by
-the configured share table.
+one crashed vehicle.  ``select_units`` is the cohort rule: it decides
+which of a crash's units qualify, and ``pipeline`` takes each
+configuration's imputation basis, unknowns and counted units from it.
+Units whose class could not be determined count as the passenger
+fraction of the known classes at the geographic level (optionally split
+by road class): counts stay whole numbers, and the fraction is applied
+once per cell, to its number of unknowns.  Total VMT is scaled to
+passenger-vehicle VMT by the configured share table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .model import (
     CrashBenchError,
@@ -38,7 +38,6 @@ class UnitSelection:
     (counted), units of unknown class (imputed) and units of another
     known class (the imputation basis only)."""
 
-    crash_id: str
     passenger_units: tuple[VehicleUnit, ...]
     unknown_units: tuple[VehicleUnit, ...]
     other_known_units: tuple[VehicleUnit, ...]
@@ -56,32 +55,18 @@ class CohortCounts:
     passenger_fraction: float
 
 
-# Cohort roles, in the order of UnitSelection's unit groups.
-PASSENGER, UNKNOWN, OTHER_KNOWN = range(3)
-_ROLE_OF_CLASS = {cls: OTHER_KNOWN for cls in VehicleClass} | {
-    VehicleClass.PASSENGER: PASSENGER,
-    VehicleClass.UNKNOWN: UNKNOWN,
-}
-
-
-def unit_role(unit: VehicleUnit) -> Optional[int]:
-    """The cohort rule for one unit: an in-transport passenger vehicle is
-    counted (PASSENGER), one of unknown class is imputed (UNKNOWN), and
-    one of another known class (a motorcycle, a heavy vehicle) only
-    informs the imputation basis (OTHER_KNOWN).  Parked units and
-    non-motorists count nowhere (None)."""
-    return _ROLE_OF_CLASS[unit.vehicle_class] if unit.in_transport else None
-
-
 def select_units(record: CrashRecord) -> UnitSelection:
-    """One crash's units grouped by ``unit_role``, each group in unit
-    order."""
-    groups: tuple[list, list, list] = ([], [], [])
+    """The cohort rule for one crash's units, each group in unit order:
+    an in-transport passenger vehicle is counted, one of unknown class
+    is imputed, and one of another known class (a motorcycle, a heavy
+    vehicle) only informs the imputation basis.  Parked units and
+    non-motorists count nowhere."""
+    passengers, unknowns, others = [], [], []
+    group = {VehicleClass.PASSENGER: passengers, VehicleClass.UNKNOWN: unknowns}
     for unit in record.units:
-        role = unit_role(unit)
-        if role is not None:
-            groups[role].append(unit)
-    return UnitSelection(record.crash_id, *map(tuple, groups))
+        if unit.in_transport:
+            group.get(unit.vehicle_class, others).append(unit)
+    return UnitSelection(tuple(passengers), tuple(unknowns), tuple(others))
 
 
 def filter_in_transport_passenger(
@@ -94,13 +79,15 @@ def filter_in_transport_passenger(
 def known_class_histogram(
     records: Iterable[CrashRecord],
 ) -> dict[VehicleClass, int]:
-    """Histogram of known vehicle classes among in-transport units."""
-    hist: dict[VehicleClass, int] = {}
-    for record in records:
-        for unit in record.units:
-            if unit_role(unit) in (PASSENGER, OTHER_KNOWN):
-                hist[unit.vehicle_class] = hist.get(unit.vehicle_class, 0) + 1
-    return hist
+    """Histogram of the known classes among ``select_units``' passenger
+    and other-known units."""
+    return dict(
+        Counter(
+            unit.vehicle_class
+            for selection in map(select_units, records)
+            for unit in selection.passenger_units + selection.other_known_units
+        )
+    )
 
 
 def passenger_fraction(known_histogram: Mapping[VehicleClass, int]) -> float:

@@ -81,6 +81,7 @@ from .model import (
     VRU_CLASSES,
     valid_coordinate,
 )
+from .rates import compute_rate
 
 RowSource = Union[str, Path, io.TextIOBase, Iterable[str]]
 # (1-based row number, raw values in header order)
@@ -901,9 +902,9 @@ def load_ads_table(path: str | Path) -> list[tuple[tuple[str, str, str], float, 
     """Read an ADS exposure table: delimited text with columns geo, road,
     outcome, ads_count, ads_vmt_miles.  Returns ((geo, road, outcome),
     count, VMT) per row, in row order.  A missing column is a DataError
-    naming the file; a count that is not a finite number >= 0, or a VMT
-    that is not a finite number > 0, is a DataError naming the file and
-    row."""
+    naming the file; a count that is not a finite number >= 0, a VMT
+    that is not a finite number > 0, or a pair whose rate overflows
+    (``rates.compute_rate``), is a DataError naming the file and row."""
     out = []
     with _open_table(path, ",") as (header, rows):
         columns = _columns(path, header, _ADS_COLUMNS, "ADS table")
@@ -920,5 +921,9 @@ def load_ads_table(path: str | Path) -> list[tuple[tuple[str, str, str], float, 
                     f"{path}: row {number}: ads_vmt_miles {vmt_raw!r} is not a finite "
                     f"number > 0"
                 )
+            try:
+                compute_rate(count, vmt)
+            except CrashBenchError as exc:
+                raise DataError(f"{path}: row {number}: {exc}") from None
             out.append(((geo, road, outcome), count, vmt))
     return out

@@ -15,12 +15,12 @@ fraction once, so no float sum depends on record or set order, and
 reports are byte-identical across runs and hash seeds.
 ``build_benchmark`` counts the in-area records by shape (area, road
 class, units, junction relation, manner of collision, worst injury,
-airbag flag).  The cohort rule (``cohort.unit_role``) and the crash-type
-cascade read only a shape's configuration (road class, units, junction
-relation, manner of collision), so ``cohort.select_units``, the one
-walk that applies the rule, runs once per distinct configuration; its
-groups give the known classes for the imputation basis, the
-unknown-class units and the units the cascade types.
+airbag flag).  The cohort rule (``cohort.select_units``) and the
+crash-type cascade read only a shape's configuration (road class,
+units, junction relation, manner of collision), so the rule runs once
+per distinct configuration; its groups give the known classes for the
+imputation basis, the unknown-class units and the units the cascade
+types.
 ``classify_outcome`` runs once per distinct (worst injury, airbag
 flag).  Each shape adds its configuration's tallies, every increment
 times the shape's count, and one loop over the integer tallies then
@@ -675,10 +675,10 @@ def build_benchmark(
                     )
                 )
 
-    # Typed cells sort by stratum first, so each stratum's cells are
-    # grouped as they are built.
+    # Typed cells sort by stratum first, so each stratum's counts are
+    # mapped in crash-type label order as its cells are built.
     typed_cells: list[RateCell] = []
-    strata: dict[tuple[str, RoadClass, OutcomeLevel], list[RateCell]] = {}
+    strata: dict[tuple[str, RoadClass, OutcomeLevel], dict[CrashType, float]] = {}
     for key in sorted(
         (key for key in adjusted if key[3] is not None),
         key=lambda k: (k[0], LABEL[k[1]], OUTCOME_RANK[k[2]], LABEL[k[3]]),
@@ -693,12 +693,14 @@ def build_benchmark(
             crash_type=crash_type,
         )
         typed_cells.append(cell)
-        strata.setdefault(key[:3], []).append(cell)
+        strata.setdefault(key[:3], {})[crash_type] = cell.count
 
+    # Counts are >= 0, so a stratum with any nonzero count has a
+    # positive total.
     distributions = [
-        (area_by_name[area_name], road, outcome, crash_type_distribution(stratum))
-        for (area_name, road, outcome), stratum in strata.items()
-        if sum(c.count for c in stratum) > 0
+        (area_by_name[area_name], road, outcome, crash_type_distribution(counts))
+        for (area_name, road, outcome), counts in strata.items()
+        if any(counts.values())
     ]
 
     # One mileage grid over every severity cell with a positive rate,
@@ -710,7 +712,20 @@ def build_benchmark(
     )
     lambdas = np.array([cell.count / cell.vmt_miles for cell in powered])  # crashes per mile
     effects = sorted(params.effects)
-    required, target = mileage_grid(lambdas, effects, params.alpha, params.power)
+    try:
+        required, target = mileage_grid(lambdas, effects, params.alpha, params.power)
+    except InvalidOptionError:
+        # RunParams has checked alpha, power and every effect ratio, so
+        # what the grid refuses is a stratum's rate: name the first one.
+        for cell, lam in zip(powered, lambdas.tolist()):
+            try:
+                mileage_grid([lam], effects, params.alpha, params.power)
+            except InvalidOptionError as exc:
+                raise DataError(
+                    f"area {cell.geo.name}, road {cell.road.value}, outcome "
+                    f"{cell.outcome.value}: rate outside the power grid's range: {exc}"
+                ) from None
+        raise
     # lambda_ads * miles, evaluated as effect * lambda_human * miles
     expected = np.array(effects) * lambdas[:, np.newaxis] * required
     power_grid = [

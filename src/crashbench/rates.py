@@ -21,11 +21,11 @@ from .model import CrashBenchError, GeoArea, RoadClass
 from .taxonomy import CrashType, OutcomeLevel
 
 MILLION = 1e6
-BILLION = 1e9
 
 
 class InvalidExposureError(CrashBenchError):
-    """VMT must be strictly positive."""
+    """VMT must be finite, strictly positive and large enough that the
+    rate is finite."""
 
 
 class InvalidFractionError(CrashBenchError):
@@ -41,12 +41,17 @@ class EmptyStratumError(CrashBenchError):
 
 
 def _check_cell(count: float, vmt_miles: float) -> None:
-    """The domain of a rate: finite VMT > 0 and a finite count >= 0."""
+    """The domain of a rate: finite VMT > 0, a finite count >= 0, and a
+    finite count / VMT * 1e6."""
     if not 0.0 < vmt_miles < math.inf:
         rule = "finite" if vmt_miles == math.inf else "> 0"
         raise InvalidExposureError(f"vmt_miles must be {rule}, got {vmt_miles}")
     if not 0.0 <= count < math.inf:
         raise ValueError(f"count must be {'finite' if count == math.inf else '>= 0'}, got {count}")
+    if count / vmt_miles * MILLION == math.inf:
+        raise InvalidExposureError(
+            f"count / vmt_miles * 1e6 must be finite, got count {count} over vmt_miles {vmt_miles}"
+        )
 
 
 def compute_rate(count: float, vmt_miles: float) -> float:
@@ -90,7 +95,11 @@ def poisson_intervals(
     """
     counts = np.asarray(counts, dtype=float)
     vmts = np.asarray(vmts, dtype=float)
-    bad = ~((vmts > 0) & (vmts < math.inf) & (counts >= 0) & (counts < math.inf))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rates = counts / vmts * MILLION
+    bad = ~(
+        (vmts > 0) & (vmts < math.inf) & (counts >= 0) & (counts < math.inf) & (rates < math.inf)
+    )
     if bad.any():
         first = bad.argmax()
         _check_cell(counts[first].item(), vmts[first].item())
@@ -127,16 +136,6 @@ def safety_impact(ads_rate: float, baseline_rate: float) -> float:
 
 
 @dataclass(frozen=True)
-class SafetyImpactResult:
-    ads_rate: float
-    baseline_rate: float
-
-    @property
-    def percent_difference(self) -> float:
-        return safety_impact(self.ads_rate, self.baseline_rate)
-
-
-@dataclass(frozen=True)
 class RateCell:
     """One benchmark cell: a stratum, its count, exposure, and rate."""
 
@@ -155,42 +154,25 @@ class RateCell:
         return compute_rate(self.count, self.vmt_miles)
 
     @property
-    def rate_ipbm(self) -> float:
-        """Display option for sparse (e.g. fatal) cells."""
-        return self.count / self.vmt_miles * BILLION
-
-    @property
     def ci95(self) -> tuple[float, float]:
         return poisson_ci(self.count, self.vmt_miles, level=0.95)
 
 
-def crash_type_distribution(
-    cells: Mapping[CrashType, float] | list[RateCell],
-) -> dict[CrashType, float]:
-    """Fractions per crash type within one (geo, road, outcome) stratum.
-
-    Accepts either a type -> count mapping or the stratum's typed rate
-    cells.  Fractions sum to one; UnknownOther is included like any
+def crash_type_distribution(counts: Mapping[CrashType, float]) -> dict[CrashType, float]:
+    """Fractions per crash type within one (geo, road, outcome) stratum,
+    from its crash type -> count map.  The total is summed in the map's
+    order.  Fractions sum to one; UnknownOther is included like any
     other bucket.
     """
-    if isinstance(cells, Mapping):
-        counts = dict(cells)
-    else:
-        counts = {}
-        for cell in cells:
-            if cell.crash_type is None:
-                raise ValueError(f"cell for {cell.outcome.value} has no crash type")
-            counts[cell.crash_type] = counts.get(cell.crash_type, 0.0) + cell.count
     total = sum(counts.values())
     if total <= 0:
         raise EmptyStratumError("zero total count in stratum")
-    return {ctype: counts[ctype] / total for ctype in counts}
+    return {ctype: count / total for ctype, count in counts.items()}
 
 
-def format_rate(rate_ipmm: float, per_billion: bool = False) -> str:
+def format_rate(rate_ipmm: float) -> str:
     """Fixed, locale-independent rate formatting: three decimals, or
     scientific notation below 0.001."""
-    value = rate_ipmm * 1000.0 if per_billion else rate_ipmm
-    if value != 0.0 and abs(value) < 0.001:
-        return f"{value:.3e}"
-    return f"{value:.3f}"
+    if rate_ipmm != 0.0 and abs(rate_ipmm) < 0.001:
+        return f"{rate_ipmm:.3e}"
+    return f"{rate_ipmm:.3f}"

@@ -269,6 +269,31 @@ class TestRun:
         assert f"vmt row 1: vmt_miles {miles!r} is not a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "miles,message",
+        [
+            ("1e200", "rate gap (effect_ratio - 1) * lambda_human whose square does not underflow"),
+            ("1e-300", "lambda_human must have a finite square"),
+        ],
+        ids=["gap-underflows", "square-overflows"],
+    )
+    def test_vmt_outside_power_grid_range_exit_data_error(self, fixtures_dir, tmp_path, capsys,
+                                                          miles, message):
+        # A finite VMT can still give a freeway rate whose power-grid terms
+        # underflow or overflow: that used to exit 2 as a configuration
+        # error naming no stratum.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        vmt = inputs / "tx_vmt.csv"
+        vmt.write_text(vmt.read_text().replace("2023,2000000000", f"2023,{miles}", 1))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert "area Austin, road Freeway, outcome " in err
+        assert "outside the power grid's range" in err and message in err
+        assert not out.exists()
+
     def test_non_numeric_segment_coordinate_exit_config_error(self, fixtures_dir, tmp_path,
                                                               capsys):
         inputs = tmp_path / "inputs"
@@ -753,6 +778,43 @@ class TestCompare:
             f"Austin,Freeway,Fatal,1,{miles}\n",
         )
         assert f"ads.csv: row 2: ads_vmt_miles {miles!r} is not a finite number > 0" in err
+
+    def test_overflowing_ads_rate_is_data_error(self, run_args, tmp_path, capsys):
+        # 1 / 1e-320 * 1e6 is inf: compare used to write inf and exit 0.
+        err = self._compare_fails(
+            run_args, tmp_path, capsys,
+            "geo,road,outcome,ads_count,ads_vmt_miles\n"
+            "Austin,Freeway,PoliceReported,10,1e9\n"
+            "Austin,Freeway,Fatal,1,1e-320\n",
+        )
+        assert "ads.csv: row 2: count / vmt_miles * 1e6 must be finite" in err
+
+    def test_overflowing_benchmark_rate_is_data_error(self, run_args, tmp_path, capsys):
+        # The benchmark rate and interval used to be inf, the percent
+        # difference -100.0, with a numpy overflow warning, and exit 0.
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        with open(out / "benchmark_rates_2023.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        number, row = next(
+            (n, r) for n, r in enumerate(rows, 1) if r["crash_type"] == "" and float(r["count"]) > 0
+        )
+        row["vmt_miles"] = "1e-320"
+        benchmark = tmp_path / "benchmark.csv"
+        with open(benchmark, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        ads = tmp_path / "ads.csv"
+        ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\n"
+                       f"{row['geo']},{row['road']},{row['outcome']},10,1e9\n")
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--benchmark", str(benchmark), "--ads", str(ads),
+                     "--out", str(cmp_out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert f"benchmark.csv: row {number}: count / vmt_miles * 1e6 must be finite" in err
+        assert not (cmp_out / "safety_impact.csv").exists()
 
     @pytest.mark.parametrize(
         "column,value", [("count", "many"), ("road", "Tollway"), ("vmt_miles", "0")]

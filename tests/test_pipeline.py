@@ -33,6 +33,7 @@ from crashbench.roadclass import classify_road
 from crashbench.rates import adjust_underreporting
 from crashbench.taxonomy import (
     DEFAULT_GATE_ORDER,
+    LABEL,
     CrashType,
     OutcomeLevel,
     classify_crash_type,
@@ -947,6 +948,31 @@ class TestBuildBenchmarkProperties:
         }
         monkeypatch.undo()
         _assert_tables_match_recount(tables, records, road_index, True, DEFAULT_GATE_ORDER)
+
+
+def test_distribution_sums_each_stratum_in_label_order(road_index):
+    # Each fraction is the typed count over the stratum's total, summed
+    # left to right in crash-type label order, the order the rate table
+    # lists the stratum's types.  Imputed and adjusted counts are
+    # fractional, so another order (reversed, fsum) moves some bits.
+    tables = _property_tables(make_corpus(400, seed=7), road_index, impute_by_road=False)
+    strata: dict = {}
+    for cell in sorted(tables.typed_cells, key=lambda c: LABEL[c.crash_type]):
+        strata.setdefault((cell.geo, cell.road, cell.outcome), []).append(cell)
+    expected = {}
+    order_matters = False
+    for stratum, cells in strata.items():
+        total = 0.0
+        for cell in cells:
+            total += cell.count
+        if total > 0:
+            expected[stratum] = {c.crash_type: c.count / total for c in cells}
+        order_matters |= total != sum(c.count for c in reversed(cells))
+    assert order_matters, "no stratum whose total depends on the order of its sum"
+    assert max(len(cells) for cells in strata.values()) >= 4
+    assert {(geo, road, outcome): dist for geo, road, outcome, dist in tables.distributions} == (
+        expected
+    )
 
 
 def _shape_record(crash_id: str, unit_changes=({}, {}), **changes) -> CrashRecord:
