@@ -7,7 +7,8 @@ schemas.  State-specific semantics live in mapping configs consumed by
 
 All types are immutable after construction.  The per-crash types,
 ``CrashRecord``, ``VehicleUnit`` and ``LatLon`` (and
-``roadclass.RoadClassification``), are ``typing.NamedTuple`` classes:
+``roadclass.RoadClassification`` and ``rates.RateCell``), are
+``typing.NamedTuple`` classes:
 one run builds, compares and hashes tens of thousands of them.  A tuple
 is built by one call to tuple's constructor and is compared and hashed
 in C, where a frozen dataclass sets each field through

@@ -89,7 +89,13 @@ from .model import (
     read_ini,
 )
 from .power import DEFAULT_ALPHA, DEFAULT_EFFECT_RATIOS, DEFAULT_POWER, mileage_grid
-from .rates import RateCell, adjust_underreporting, crash_type_distribution
+from .rates import (
+    InvalidExposureError,
+    RateCell,
+    adjust_underreporting,
+    crash_type_distribution,
+    stratum_name,
+)
 from .report import PowerRow
 from .roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
@@ -483,6 +489,22 @@ def _type_configuration(
     return known, len(unknowns), tuple(zip(crash_types, columns))
 
 
+def _rate_cell(
+    area: GeoArea,
+    road: RoadClass,
+    outcome: OutcomeLevel,
+    count: float,
+    vmt_miles: float,
+    crash_type: Optional[CrashType] = None,
+) -> RateCell:
+    """The stratum's cell; a count and VMT outside a rate's domain is a
+    DataError naming the stratum."""
+    try:
+        return RateCell(area, road, outcome, count, vmt_miles, crash_type)
+    except (ValueError, InvalidExposureError) as exc:
+        raise DataError(f"{stratum_name(area.name, road, outcome, crash_type)}: {exc}") from None
+
+
 def build_benchmark(
     records: list[CrashRecord],
     index: FreewaySegmentIndex,
@@ -665,15 +687,8 @@ def build_benchmark(
         for road in (RoadClass.FREEWAY, RoadClass.SURFACE_STREET):
             vmt = exposure[(area.name, road)]
             for outcome in OutcomeLevel:
-                cells.append(
-                    RateCell(
-                        geo=area,
-                        road=road,
-                        outcome=outcome,
-                        count=adjusted.get((area.name, road, outcome, None), 0.0),
-                        vmt_miles=vmt,
-                    )
-                )
+                count = adjusted.get((area.name, road, outcome, None), 0.0)
+                cells.append(_rate_cell(area, road, outcome, count, vmt))
 
     # Typed cells sort by stratum first, so each stratum's counts are
     # mapped in crash-type label order as its cells are built.
@@ -684,13 +699,9 @@ def build_benchmark(
         key=lambda k: (k[0], LABEL[k[1]], OUTCOME_RANK[k[2]], LABEL[k[3]]),
     ):
         area_name, road, outcome, crash_type = key
-        cell = RateCell(
-            geo=area_by_name[area_name],
-            road=road,
-            outcome=outcome,
-            count=adjusted[key],
-            vmt_miles=exposure[(area_name, road)],
-            crash_type=crash_type,
+        cell = _rate_cell(
+            area_by_name[area_name], road, outcome, adjusted[key], exposure[(area_name, road)],
+            crash_type,
         )
         typed_cells.append(cell)
         strata.setdefault(key[:3], {})[crash_type] = cell.count
@@ -722,8 +733,8 @@ def build_benchmark(
                 mileage_grid([lam], effects, params.alpha, params.power)
             except InvalidOptionError as exc:
                 raise DataError(
-                    f"area {cell.geo.name}, road {cell.road.value}, outcome "
-                    f"{cell.outcome.value}: rate outside the power grid's range: {exc}"
+                    f"{stratum_name(cell.geo.name, cell.road, cell.outcome)}: rate outside the "
+                    f"power grid's range: {exc}"
                 ) from None
         raise
     # lambda_ads * miles, evaluated as effect * lambda_human * miles

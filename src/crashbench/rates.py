@@ -11,8 +11,7 @@ the classic chi-square construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -91,7 +90,10 @@ def poisson_intervals(
     A zero or subnormal count has a zero lower bound, the limit that
     gammaincinv reaches below about 1e-10 (it is NaN on subnormals).
     Every other bound is the same float that a scalar gammaincinv call
-    on that count gives.  The first bad cell raises ``compute_rate``'s error.
+    on that count gives.  The first bad cell raises ``compute_rate``'s error,
+    and the first pair whose bounds are not finite (a VMT so small that
+    1e6 / VMT, or a bound over it, overflows: zero counts included) an
+    InvalidExposureError naming its count and VMT.
     """
     counts = np.asarray(counts, dtype=float)
     vmts = np.asarray(vmts, dtype=float)
@@ -110,8 +112,17 @@ def poisson_intervals(
     normal = counts >= np.finfo(float).tiny
     low[normal] = gammaincinv(counts[normal], alpha / 2.0)
     high = gammaincinv(counts + 1.0, 1.0 - alpha / 2.0)
-    scale = MILLION / vmts
-    return low * scale, high * scale
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = MILLION / vmts
+        low, high = low * scale, high * scale
+    unbounded = ~(np.isfinite(low) & np.isfinite(high))
+    if unbounded.any():
+        first = unbounded.argmax()
+        raise InvalidExposureError(
+            f"the rate's {level!r} interval must be finite, got count "
+            f"{counts[first].item()} over vmt_miles {vmts[first].item()}"
+        )
+    return low, high
 
 
 def poisson_ci(
@@ -135,10 +146,18 @@ def safety_impact(ads_rate: float, baseline_rate: float) -> float:
     return (ads_rate / baseline_rate - 1.0) * 100.0
 
 
-@dataclass(frozen=True)
-class RateCell:
-    """One benchmark cell: a stratum, its count, exposure, and rate."""
+def stratum_name(
+    geo_name: str, road: RoadClass, outcome: OutcomeLevel, crash_type: Optional[CrashType] = None
+) -> str:
+    """How an error names a cell's stratum: its area, road and outcome,
+    and its crash type when it has one."""
+    name = f"area {geo_name}, road {road.value}, outcome {outcome.value}"
+    return name if crash_type is None else f"{name}, crash type {crash_type.value}"
 
+
+# RateCell's fields.  A NamedTuple class body may not define ``__new__``
+# or ``_make``, so the subclass below adds the checks.
+class _RateCellFields(NamedTuple):
     geo: GeoArea
     road: RoadClass
     outcome: OutcomeLevel
@@ -146,8 +165,32 @@ class RateCell:
     vmt_miles: float
     crash_type: Optional[CrashType] = None
 
-    def __post_init__(self):
-        _check_cell(self.count, self.vmt_miles)
+
+class RateCell(_RateCellFields):
+    """One benchmark cell: a stratum, its count, exposure, and rate.
+
+    A ``typing.NamedTuple``, like ``model``'s per-crash types: a run
+    builds one per stratum and crash type, and a tuple is built and
+    compared in C.  Like them it equals a plain tuple of its fields.
+    Every way of making a cell checks its count and VMT
+    (``_check_cell``): the constructor; ``_make``, which on a plain
+    NamedTuple skips ``__new__``, and through it ``_replace`` and
+    ``copy.replace``; and unpickling and ``copy``, which call the class
+    (``__reduce__``; pickle protocols 0 and 1 would skip ``__new__``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, geo, road, outcome, count, vmt_miles, crash_type=None):
+        _check_cell(count, vmt_miles)
+        return tuple.__new__(cls, (geo, road, outcome, count, vmt_miles, crash_type))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def rate_ipmm(self) -> float:

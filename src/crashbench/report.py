@@ -41,7 +41,15 @@ import numpy as np
 
 from .ingest import _columns, _open_table
 from .model import CrashBenchError, DataError, GeoArea, RoadClass
-from .rates import MILLION, RateCell, format_rate, poisson_intervals
+from .rates import (
+    MILLION,
+    InvalidExposureError,
+    RateCell,
+    format_rate,
+    poisson_ci,
+    poisson_intervals,
+    stratum_name,
+)
 from .taxonomy import LABEL, OUTCOME_RANK, CrashType, OutcomeLevel
 
 TOOL_VERSION = "0.1.0"
@@ -123,17 +131,27 @@ def _fmt_count(count: float) -> str:
     return str(int(count)) if float(count).is_integer() else f"{count:.3f}"
 
 
-class _QuotedFields(dict):
-    """Each free-text value mapped to the text ``csv.writer`` writes for
-    it inside a row, field separator included.  The trailing empty field
-    keeps a lone empty value from being written as ``""``, which the
-    writer does only for a row of one empty field."""
+class _Memo(dict):
+    """The value ``make`` gives for each key, made on the key's first
+    lookup only; a key that ``make`` refuses is not stored."""
 
-    def __missing__(self, value: str) -> str:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow((value, ""))
-        text = self[value] = buffer.getvalue()[:-1]  # drop the line end
-        return text
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _quoted(value: str) -> str:
+    """The text ``csv.writer`` writes for a free-text value inside a
+    row, field separator included.  The trailing empty field keeps a
+    lone empty value from being written as ``""``, which the writer does
+    only for a row of one empty field."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((value, ""))
+    return buffer.getvalue()[:-1]  # drop the line end
 
 
 def _formatted(format: Callable[[list[tuple]], list], keys: Iterable[tuple]) -> list:
@@ -185,12 +203,23 @@ def _rate_tails(pairs: list[tuple]) -> list[str]:
     return tails
 
 
-def _rate_lines(cells: list[RateCell], quoted: _QuotedFields) -> Iterator[str]:
+def _rate_lines(cells: list[RateCell], quoted: _Memo) -> list[str]:
     """One rate-table line per cell.  Cells come sorted, so grouped by
     area and road: each group's leading columns are formatted once.
     The rest of a line depends on the cell's count and VMT alone, so it
-    is made once per (count, VMT) pair (``_rate_tails``)."""
-    tails = _formatted(_rate_tails, [(cell.count, cell.vmt_miles) for cell in cells])
+    is made once per (count, VMT) pair (``_rate_tails``).  A cell whose
+    interval is not finite is a DataError naming its stratum."""
+    try:
+        tails = _formatted(_rate_tails, [(cell.count, cell.vmt_miles) for cell in cells])
+    except InvalidExposureError:
+        for cell in cells:
+            try:
+                poisson_ci(cell.count, cell.vmt_miles)
+            except InvalidExposureError as exc:
+                name = stratum_name(cell.geo.name, cell.road, cell.outcome, cell.crash_type)
+                raise DataError(f"{name}: {exc}") from None
+        raise
+    lines = []
     geo = road = None
     for cell, tail in zip(cells, tails):
         if cell.geo is not geo or cell.road is not road:
@@ -202,10 +231,11 @@ def _rate_lines(cells: list[RateCell], quoted: _QuotedFields) -> Iterator[str]:
                 + LABEL[road]
             )
         crash_type = LABEL[cell.crash_type] if cell.crash_type else ""
-        yield f"{head},{LABEL[cell.outcome]},{crash_type},{tail}"
+        lines.append(f"{head},{LABEL[cell.outcome]},{crash_type},{tail}")
+    return lines
 
 
-def _distribution_lines(distributions, quoted: _QuotedFields) -> Iterator[str]:
+def _distribution_lines(distributions, quoted: _Memo) -> Iterator[str]:
     for geo, road, outcome, fractions in sorted(
         distributions, key=lambda d: (d[0].name, LABEL[d[1]], OUTCOME_RANK[d[2]])
     ):
@@ -214,7 +244,7 @@ def _distribution_lines(distributions, quoted: _QuotedFields) -> Iterator[str]:
             yield f"{head}{LABEL[crash_type]},{fractions[crash_type]!r}\n"
 
 
-def _power_grid_lines(rows: list[PowerRow], quoted: _QuotedFields) -> Iterator[str]:
+def _power_grid_lines(rows: list[PowerRow], quoted: _Memo) -> Iterator[str]:
     """One line per grid row, in tuple order (linear on rows that come
     sorted).  Each stratum's leading columns are formatted once, and so
     is each distinct (effect ratio, expected ADS crashes) pair: the
@@ -259,20 +289,24 @@ def emit_report(
     report: BenchmarkReport, sink: str | Path, tag: Optional[str] = None
 ) -> dict[str, Path]:
     """Write all report files into the sink directory and return their
-    ``report_paths``.
+    ``report_paths``.  Both rate tables are made before the directory is
+    made or any file opened, so a cell they refuse (``_rate_lines``)
+    leaves no file behind.
     """
     paths = report_paths(sink, tag)
-    Path(sink).mkdir(parents=True, exist_ok=True)
-
     severity_cells = sorted(
         (c for c in report.cells if c.crash_type is None), key=_cell_sort_key
     )
     typed_cells = sorted(
         (c for c in report.cells if c.crash_type is not None), key=_cell_sort_key
     )
-    quoted = _QuotedFields()
-    _write_csv(paths["rates"], RATE_COLUMNS, _rate_lines(severity_cells, quoted))
-    _write_csv(paths["typed_rates"], RATE_COLUMNS, _rate_lines(typed_cells, quoted))
+    quoted = _Memo(_quoted)
+    rate_lines = _rate_lines(severity_cells, quoted)
+    typed_rate_lines = _rate_lines(typed_cells, quoted)
+
+    Path(sink).mkdir(parents=True, exist_ok=True)
+    _write_csv(paths["rates"], RATE_COLUMNS, rate_lines)
+    _write_csv(paths["typed_rates"], RATE_COLUMNS, typed_rate_lines)
     _write_csv(
         paths["distribution"],
         DISTRIBUTION_COLUMNS,
@@ -294,15 +328,9 @@ def emit_report(
     return paths
 
 
-def _parse_cell(geo, state, counties, road, outcome, crash_type, count, vmt_miles, *_) -> RateCell:
-    return RateCell(
-        geo=GeoArea(name=geo, state=state, counties=frozenset(counties.split(";"))),
-        road=RoadClass(road),
-        outcome=OutcomeLevel(outcome),
-        crash_type=CrashType(crash_type) if crash_type else None,
-        count=float(count),
-        vmt_miles=float(vmt_miles),
-    )
+def _area(text: tuple[str, str, str]) -> GeoArea:
+    name, state, counties = text
+    return GeoArea(name=name, state=state, counties=frozenset(counties.split(";")))
 
 
 def parse_rate_table(path: str | Path) -> list[RateCell]:
@@ -320,11 +348,20 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
     truncated, not absent.  A row that repeats an earlier row's (geo,
     road, outcome, crash type) is a DataError naming the file and both
     rows, since either count could be the one meant.
+
+    Areas and labels repeat over many rows, so each distinct area text
+    (geo, state and counties as written) is read into one ``GeoArea``,
+    which the cells of all its rows share, and each road, outcome and
+    crash-type label into its member once.  A text that does not read
+    is refused on the row where it first appears.
     """
 
     def refuse_wide(number: int, reason: str, row: list[str]) -> None:
         raise DataError(f"{path}: row {number}: more fields than the header")
 
+    areas = _Memo(_area)
+    roads, outcomes = _Memo(RoadClass), _Memo(OutcomeLevel)
+    crash_types = _Memo(lambda label: CrashType(label) if label else None)
     cells = []
     row_of: dict[tuple, int] = {}  # each cell's (geo, road, outcome, crash type) -> row
     with _open_table(path, ",", refuse_wide) as (header, rows):
@@ -332,8 +369,16 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
         for number, row in rows:
             if len(row) < len(header):
                 raise DataError(f"{path}: row {number}: fewer fields than the header")
+            geo, state, counties, road, outcome, crash_type, count, vmt_miles, *_ = columns(row)
             try:
-                cell = _parse_cell(*columns(row))
+                cell = RateCell(
+                    geo=areas[geo, state, counties],
+                    road=roads[road],
+                    outcome=outcomes[outcome],
+                    crash_type=crash_types[crash_type],
+                    count=float(count),
+                    vmt_miles=float(vmt_miles),
+                )
             except (ValueError, CrashBenchError) as exc:
                 raise DataError(f"{path}: row {number}: {exc}") from None
             key = (cell.geo.name, cell.road, cell.outcome, cell.crash_type)

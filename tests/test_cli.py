@@ -294,6 +294,40 @@ class TestRun:
         assert "outside the power grid's range" in err and message in err
         assert not out.exists()
 
+    def test_vmt_whose_rate_overflows_names_the_stratum(self, fixtures_dir, tmp_path, capsys):
+        # Austin's freeway rate, about 21 over 9.2e-321 miles, overflows:
+        # the error used to name no area, road or outcome.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        vmt = inputs / "tx_vmt.csv"
+        vmt.write_text(vmt.read_text().replace("2023,2000000000", "2023,1e-320", 1))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(inputs / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert ("area Austin, road Freeway, outcome PoliceReported: "
+                "count / vmt_miles * 1e6 must be finite") in err
+        assert not out.exists()
+
+    def test_zero_count_stratum_whose_interval_overflows_names_it(self, fixtures_dir,
+                                                                   tmp_path, capsys):
+        # An area with no crashes: its rates are 0, but the upper bound of
+        # each interval over 9.2e-321 freeway miles is not finite.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        config = inputs / "run.ini"
+        config.write_text(config.read_text().replace(
+            "Round Rock = TX: Williamson\n", "Round Rock = TX: Williamson\nHays = TX: Hays\n", 1))
+        with open(inputs / "tx_vmt.csv", "a", encoding="utf-8") as fh:
+            fh.write("Hays,FREEWAY,2023,1e-320\nHays,SURFACE,2023,1000000000\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert ("area Hays, road Freeway, outcome PoliceReported: "
+                "the rate's 0.95 interval must be finite, got count 0.0 over vmt_miles") in err
+        assert not out.exists()
+
     def test_non_numeric_segment_coordinate_exit_config_error(self, fixtures_dir, tmp_path,
                                                               capsys):
         inputs = tmp_path / "inputs"
@@ -542,8 +576,8 @@ class TestStageCommands:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
-def _pinned_digests(fixtures_dir) -> dict[str, str]:
-    lines = (fixtures_dir / "golden_outputs.sha256").read_text().splitlines()
+def _pinned_digests(fixtures_dir, golden: str = "golden_outputs.sha256") -> dict[str, str]:
+    lines = (fixtures_dir / golden).read_text().splitlines()
     return {name: digest for digest, name in (line.split() for line in lines)}
 
 
@@ -625,6 +659,29 @@ class TestGoldenOutputs:
         name = "road_classes_2023.csv"
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == _pinned_digests(fixtures_dir)[name]
+
+    def test_compare_output(self, run_args, fixtures_dir, tmp_path):
+        # The committed ADS table names every severity cell of the fixture
+        # run with a count above zero; the digest of compare's output is
+        # pinned apart from the run's, since it lands in another directory.
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--benchmark", str(out / "benchmark_rates_2023.csv"),
+                     "--ads", str(fixtures_dir / "ads_compare.csv"), "--out", str(cmp_out)]) == 0
+        emitted = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in cmp_out.iterdir()
+        }
+        assert emitted == _pinned_digests(fixtures_dir, "golden_compare.sha256")
+        with open(out / "benchmark_rates_2023.csv", newline="") as fh:
+            severity = {
+                (row["geo"], row["road"], row["outcome"])
+                for row in csv.DictReader(fh)
+                if not row["crash_type"] and float(row["count"]) > 0
+            }
+        with open(fixtures_dir / "ads_compare.csv", newline="") as fh:
+            covered = [(row["geo"], row["road"], row["outcome"]) for row in csv.DictReader(fh)]
+        assert sorted(covered) == sorted(severity)
 
 
     def test_repeated_unit_row_counts_once(self, fixtures_dir, tmp_path):
@@ -814,6 +871,32 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "kind=data" in err
         assert f"benchmark.csv: row {number}: count / vmt_miles * 1e6 must be finite" in err
+        assert not (cmp_out / "safety_impact.csv").exists()
+
+    @pytest.mark.parametrize("count,miles", [("1.0", "1e-302"), ("0.0", "1e-320")])
+    def test_benchmark_interval_that_overflows_is_data_error(self, run_args, tmp_path, capsys,
+                                                             count, miles):
+        # The rate is finite (1e308 or 0) but the interval's upper bound
+        # is not: compare used to write inf with a numpy overflow warning.
+        args, out = run_args
+        assert main(["run", *args]) == 0
+        with open(out / "benchmark_rates_2023.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0].update(count=count, vmt_miles=miles)
+        benchmark = tmp_path / "benchmark.csv"
+        with open(benchmark, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        ads = tmp_path / "ads.csv"
+        ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\n"
+                       f"{rows[0]['geo']},{rows[0]['road']},{rows[0]['outcome']},10,1e9\n")
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--benchmark", str(benchmark), "--ads", str(ads),
+                     "--out", str(cmp_out)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=data" in err
+        assert f"interval must be finite, got count {count} over vmt_miles {miles}" in err
         assert not (cmp_out / "safety_impact.csv").exists()
 
     @pytest.mark.parametrize(

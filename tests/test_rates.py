@@ -1,9 +1,13 @@
+import copy
 import math
+import pickle
 import random
+import struct
 import sys
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import gammaincinv
 
 from crashbench.model import GeoArea, RoadClass
@@ -205,6 +209,19 @@ class TestPoissonIntervals:
         low, high = poisson_ci(count, 1e6)
         assert low == 0.0 and 0.0 < high < math.inf
 
+    @pytest.mark.parametrize("count,vmt", [(0.0, 1e-320), (1.0, 1e-302), (0.0, 5e-324)])
+    def test_interval_that_overflows_is_refused(self, count, vmt):
+        # 1e6 / VMT, or the upper bound over it, overflows although the
+        # rate is finite: the interval used to be (nan, inf) or (x, inf),
+        # with a numpy overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidExposureError,
+                match=rf"interval must be finite, got count {count!r} over vmt_miles {vmt!r}",
+            ):
+                poisson_intervals([2.0, count], [1e6, vmt])
+
     @pytest.mark.parametrize(
         "count,vmt,error,match",
         [
@@ -295,6 +312,84 @@ class TestRateCell:
         # count / VMT * 1e6 overflows: the rate would be inf.
         with pytest.raises(InvalidExposureError, match="must be finite"):
             RateCell(geo, RoadClass.FREEWAY, OutcomeLevel.FATAL, 1.0, 1e-320)
+
+    # A valid cell whose count and VMT floats each occur once in its pickle.
+    BASE = (GeoArea("Austin", "TX", frozenset({"TRAVIS"})), RoadClass.FREEWAY,
+            OutcomeLevel.FATAL, 12345.5, 98765432.25, CrashType.PEDESTRIAN)
+
+    @staticmethod
+    def _ways_to_make(count: float, vmt: float) -> dict:
+        """Each way of making a cell of the given count and VMT, by name."""
+        base = RateCell(*TestRateCell.BASE)
+        fields = (*base[:3], count, vmt, base.crash_type)
+        ways = {
+            "constructor": lambda: RateCell(*fields),
+            "keywords": lambda: RateCell(**dict(zip(RateCell._fields, fields))),
+            "_make": lambda: RateCell._make(fields),
+            "_replace": lambda: base._replace(count=count, vmt_miles=vmt),
+        }
+        if hasattr(copy, "replace"):  # Python 3.13
+            ways["copy.replace"] = lambda: copy.replace(base, count=count, vmt_miles=vmt)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            # The pickle of the base cell with its count and VMT rewritten:
+            # each float is a FLOAT opcode (text) or a BINFLOAT (8 bytes).
+            encode = (lambda x: b"F" + repr(x).encode() + b"\n") if protocol == 0 else (
+                lambda x: b"G" + struct.pack(">d", x))
+            data = pickle.dumps(base, protocol)
+            for old, new in ((base.count, count), (base.vmt_miles, vmt)):
+                assert data.count(encode(old)) == 1
+                data = data.replace(encode(old), encode(new))
+            ways[f"pickle {protocol}"] = lambda data=data: pickle.loads(data)
+        return ways
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        count=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e300])),
+        vmt=st.one_of(st.floats(), st.sampled_from([1e-320, 1e-300, 5e-324, 1e9])),
+    )
+    def test_every_way_of_making_a_cell_checks_it(self, count, vmt):
+        # The pickle rewrite must not find the new count where the VMT was.
+        assume(count != self.BASE[4])
+        try:
+            compute_rate(count, vmt)
+        except (ValueError, InvalidExposureError) as exc:
+            refused = type(exc)
+        else:
+            refused = None
+        for name, make in self._ways_to_make(count, vmt).items():
+            if refused is None:
+                cell = make()
+                assert type(cell) is RateCell, name
+                assert tuple(cell) == (*self.BASE[:3], count, vmt, self.BASE[5]), name
+            else:
+                with pytest.raises(refused):
+                    make()
+
+    @pytest.mark.parametrize(
+        "count,vmt,error",
+        [(-1.0, 1e9, ValueError), (1.0, 0.0, InvalidExposureError),
+         (1.0, 1e-320, InvalidExposureError)],
+    )
+    def test_invalid_count_or_vmt_refused_by_every_way(self, count, vmt, error):
+        ways = self._ways_to_make(count, vmt)
+        assert {"constructor", "_make", "_replace", f"pickle {pickle.HIGHEST_PROTOCOL}"} <= set(ways)
+        for name, make in ways.items():
+            with pytest.raises(error):
+                make()
+
+    def test_copies_are_equal_cells(self):
+        cell = RateCell(*self.BASE)
+        for copied in (copy.copy(cell), copy.deepcopy(cell),
+                       *(pickle.loads(pickle.dumps(cell, p))
+                         for p in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(copied) is RateCell and copied == cell
+
+    def test_fields_are_read_only(self):
+        cell = RateCell(*self.BASE)
+        for name in (*RateCell._fields, "rate_ipmm", "ci95", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cell, name, 1.0)
+        assert tuple(cell) == self.BASE
 
 
 class TestFormatting:

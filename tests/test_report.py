@@ -100,6 +100,22 @@ class TestEmission:
         assert len(rates) == 1
         assert rates[0].startswith("geo,")
 
+    @pytest.mark.parametrize("crash_type", [None, CrashType.PEDESTRIAN])
+    def test_cell_whose_interval_overflows_names_it_and_writes_nothing(self, tmp_path,
+                                                                       crash_type):
+        # A zero count over 1e-320 miles is a valid cell with an infinite
+        # upper bound; either table's cell is refused before any file.
+        cells = sample_cells() + [
+            RateCell(AUSTIN, RoadClass.SURFACE_STREET, OutcomeLevel.FATAL, 0.0, 1e-320, crash_type)
+        ]
+        stratum = "area Austin, road SurfaceStreet, outcome Fatal"
+        if crash_type is not None:
+            stratum += ", crash type Pedestrian"
+        sink = tmp_path / "report"
+        with pytest.raises(DataError, match=f"^{stratum}: the rate's 0.95 interval must be finite"):
+            emit_report(sample_report(cells), sink, tag="x")
+        assert not sink.exists()
+
     def test_file_names_carry_tag(self, tmp_path):
         paths = emit_report(sample_report(), tmp_path, tag="2023")
         assert paths["rates"].name == "benchmark_rates_2023.csv"
@@ -163,6 +179,103 @@ class TestRoundTrip:
         (cell,) = parse_rate_table(paths["rates"])
         assert cell.count == fractional.count
         assert cell.rate_ipmm == fractional.rate_ipmm
+
+
+# Areas as a hand-edited rate table may spell them: each draw writes the
+# state and counties in some case, order and padding.
+SPELLED_AREAS = (
+    ("Austin", "TX", ("TRAVIS", "HAYS")),
+    ("Round Rock", "tx", ("Williamson",)),
+    ("Bay", "Ca", ("San Mateo", "santa clara", "SAN FRANCISCO")),
+)
+
+
+@st.composite
+def area_texts(draw) -> tuple[str, str, str]:
+    """The raw (geo, state, counties) text of one of SPELLED_AREAS."""
+    name, state, counties = draw(st.sampled_from(SPELLED_AREAS))
+    spelled = [
+        draw(st.sampled_from([county.upper(), county.lower(), county.title(), f" {county} "]))
+        for county in draw(st.permutations(counties))
+    ]
+    return name, draw(st.sampled_from([state, state.lower(), f" {state} "])), ";".join(spelled)
+
+
+rate_rows = st.lists(
+    st.tuples(
+        area_texts(),
+        st.sampled_from(list(RoadClass)),
+        st.sampled_from(list(OutcomeLevel)),
+        st.sampled_from([None, *CrashType]),
+        st.floats(0.0, 1e6),
+        st.floats(1.0, 1e12),
+    ),
+    min_size=1,
+    max_size=40,
+    unique_by=lambda row: (row[0][0], *row[1:4]),  # one row per cell
+)
+
+
+def _rate_table_text(rows) -> list[list[str]]:
+    """The rate-table fields of each row; parse_rate_table reads the
+    first eight columns, so the figures after them are left empty."""
+    return [
+        [*area, LABEL[road], LABEL[outcome], LABEL[crash_type] if crash_type else "",
+         repr(count), repr(vmt), "", "", "", ""]
+        for area, road, outcome, crash_type, count, vmt in rows
+    ]
+
+
+def _parse_fields(fields: list[list[str]]) -> list[RateCell]:
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "rates.csv"
+        path.write_bytes(_csv_bytes(RATE_COLUMNS, fields))
+        return parse_rate_table(path)
+
+
+class TestReadBack:
+    """``parse_rate_table`` reads each distinct area text and label once."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=rate_rows)
+    def test_repeated_areas_read_back_as_one_shared_area_each(self, rows):
+        cells = _parse_fields(_rate_table_text(rows))
+        assert cells == [
+            RateCell(GeoArea(name, state, frozenset(counties.split(";"))), road, outcome,
+                     count, vmt, crash_type)
+            for (name, state, counties), road, outcome, crash_type, count, vmt in rows
+        ]
+        for (text, *_), cell in zip(rows, cells):
+            for (other_text, *_), other in zip(rows, cells):
+                assert (cell.geo is other.geo) == (text == other_text)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=rate_rows,
+        bad=st.sampled_from([
+            (0, "Aus\x01tin", "holds a control character"),
+            (1, " ", "the name and the state must not be blank"),
+            (2, "TRAVIS;HA\x7fYS", "holds a control character"),
+            (3, "Tollway", "'Tollway' is not a valid RoadClass"),
+            (4, "fatal", "'fatal' is not a valid OutcomeLevel"),
+            (5, "Unknown", "'Unknown' is not a valid CrashType"),
+            (6, "many", "could not convert string to float: 'many'"),
+            (7, "0", "vmt_miles must be > 0"),
+        ]),
+        data=st.data(),
+    )
+    def test_malformed_field_names_the_first_row_holding_it(self, rows, bad, data):
+        # The same bad text on one or more rows, the first of them the
+        # table's first row or a later one.
+        column, text, message = bad
+        marked = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+        fields = _rate_table_text(rows)
+        for position in marked:
+            fields[position][column] = text
+        with pytest.raises(DataError) as raised:
+            _parse_fields(fields)
+        assert f"rates.csv: row {min(marked) + 1}: " in str(raised.value)
+        assert message in str(raised.value)
 
 
 class TestMethodologyNotes:
