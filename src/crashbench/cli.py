@@ -20,7 +20,13 @@ from . import pipeline
 from .ingest import load_ads_table
 from .model import ConfigError, CrashBenchError, DataError
 from .power import DEFAULT_ALPHA, DEFAULT_POWER, monte_carlo_power, power_curve
-from .rates import compute_rate, poisson_intervals, safety_impact
+from .rates import (
+    InvalidExposureError,
+    compute_rate,
+    poisson_intervals,
+    refuse_unbounded_interval,
+    safety_impact,
+)
 from .report import TOOL_VERSION, parse_rate_table, report_paths
 from .roadclass import classify_road
 
@@ -166,9 +172,14 @@ def cmd_compare(args) -> int:
         matched.append((key, ads_count, ads_vmt, cell))
     if not matched:
         raise DataError(f"{args.ads}: no ADS rows")
-    lows, highs = poisson_intervals(
-        [cell.count for *_, cell in matched], [cell.vmt_miles for *_, cell in matched]
-    )
+    cells = [cell for *_, cell in matched]
+    try:
+        lows, highs = poisson_intervals(
+            [cell.count for cell in cells], [cell.vmt_miles for cell in cells]
+        )
+    except InvalidExposureError:
+        refuse_unbounded_interval(cells, f"{args.benchmark}: ")
+        raise
     rows = []
     for (key, ads_count, ads_vmt, cell), low, high in zip(matched, lows.tolist(), highs.tolist()):
         ads_rate = compute_rate(ads_count, ads_vmt)

@@ -853,13 +853,14 @@ def _columns(path: str | Path, header: list[str], names: tuple[str, ...], what: 
     """A picker of the named columns of a table's header; a missing
     column is a DataError naming the file.  A row shorter than the header
     is padded with empty values, so its missing trailing fields read as
-    absent."""
+    absent; a full row is read as it is."""
     index = {name: i for i, name in enumerate(header)}
     missing = [name for name in names if name not in index]
     if missing:
         raise DataError(f"{path}: {what} lacks column(s) {', '.join(missing)}")
-    pick, padding = itemgetter(*(index[name] for name in names)), [""] * len(header)
-    return lambda row: pick(row + padding[len(row):])
+    pick = itemgetter(*(index[name] for name in names))
+    width, padding = len(header), [""] * len(header)
+    return lambda row: pick(row) if len(row) >= width else pick(row + padding[len(row):])
 
 
 def load_share_table(path: str | Path) -> PassengerShareTable:

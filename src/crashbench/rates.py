@@ -11,12 +11,12 @@ the classic chi-square construction.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammaincinv
 
-from .model import CrashBenchError, GeoArea, RoadClass
+from .model import CrashBenchError, DataError, GeoArea, RoadClass
 from .taxonomy import CrashType, OutcomeLevel
 
 MILLION = 1e6
@@ -199,6 +199,19 @@ class RateCell(_RateCellFields):
     @property
     def ci95(self) -> tuple[float, float]:
         return poisson_ci(self.count, self.vmt_miles, level=0.95)
+
+
+def refuse_unbounded_interval(cells: Iterable[RateCell], where: str = "") -> None:
+    """Raise a DataError naming, after ``where``, the stratum of the first
+    cell whose 0.95 interval is not finite (``poisson_ci``); return if
+    every cell's is.  A ``poisson_intervals`` call over many cells calls
+    this on its InvalidExposureError, which names only a count and VMT."""
+    for cell in cells:
+        try:
+            poisson_ci(cell.count, cell.vmt_miles)
+        except InvalidExposureError as exc:
+            name = stratum_name(cell.geo.name, cell.road, cell.outcome, cell.crash_type)
+            raise DataError(f"{where}{name}: {exc}") from None
 
 
 def crash_type_distribution(counts: Mapping[CrashType, float]) -> dict[CrashType, float]:

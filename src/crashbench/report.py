@@ -46,9 +46,8 @@ from .rates import (
     InvalidExposureError,
     RateCell,
     format_rate,
-    poisson_ci,
     poisson_intervals,
-    stratum_name,
+    refuse_unbounded_interval,
 )
 from .taxonomy import LABEL, OUTCOME_RANK, CrashType, OutcomeLevel
 
@@ -212,12 +211,7 @@ def _rate_lines(cells: list[RateCell], quoted: _Memo) -> list[str]:
     try:
         tails = _formatted(_rate_tails, [(cell.count, cell.vmt_miles) for cell in cells])
     except InvalidExposureError:
-        for cell in cells:
-            try:
-                poisson_ci(cell.count, cell.vmt_miles)
-            except InvalidExposureError as exc:
-                name = stratum_name(cell.geo.name, cell.road, cell.outcome, cell.crash_type)
-                raise DataError(f"{name}: {exc}") from None
+        refuse_unbounded_interval(cells)
         raise
     lines = []
     geo = road = None

@@ -35,8 +35,10 @@ The run asks only whether a crash is within the threshold
 (``FreewaySegmentIndex.within``, through ``decide_road``): the same walk,
 given the threshold, prunes every box past it and returns at the first
 leg inside it, and its answer equals the nearest distance compared with
-the threshold.  ``classify_road`` and ``crashbench classify-roads`` still
-report the exact nearest distance.
+the threshold.  It skips a box wholly outside a band around the point,
+taken from the threshold once per query, before bounding it.
+``classify_road`` and ``crashbench classify-roads`` still report the
+exact nearest distance.
 """
 
 from __future__ import annotations
@@ -172,12 +174,19 @@ DEFAULT_ROUTE_PATTERNS: tuple[tuple[str, str], ...] = (
 )
 
 
+# DEFAULT_ROUTE_PATTERNS compiled, and the folds of normalize_road_name.
+_ROUTE_PATTERNS = tuple((re.compile(pattern), template)
+                        for pattern, template in DEFAULT_ROUTE_PATTERNS)
+_BOUND_SLASH = re.compile(r"([NSEW])\s*/\s*B\b")
+_NOT_ALPHANUMERIC = re.compile(r"[^A-Z0-9]+")
+
+
 def normalize_road_name(name: str) -> str:
     """Uppercase, fold punctuation to spaces, and strip trailing
     directional suffixes ("I-280 N/B" -> "I 280")."""
     text = name.upper()
-    text = re.sub(r"([NSEW])\s*/\s*B\b", r"\1B", text)  # N/B -> NB
-    text = re.sub(r"[^A-Z0-9]+", " ", text).strip()
+    text = _BOUND_SLASH.sub(r"\1B", text)  # N/B -> NB
+    text = _NOT_ALPHANUMERIC.sub(" ", text).strip()
     tokens = text.split()
     while tokens and tokens[-1] in _DIRECTIONAL_TOKENS and len(tokens) > 1:
         tokens.pop()
@@ -225,20 +234,21 @@ def _leg_constants(polyline: Sequence[LatLon]) -> array:
     cos0), the projected first vertex (x1, y1), the projected leg (dx,
     dy, length_sq), and the first vertex with the leg's extent in degrees
     (for the foot).  Each value is computed by the same operations, in
-    the same order, as there."""
+    the same order, as there (``cos0`` is the cosine of ``lat0``, which
+    is the radians of the mid-latitude there too)."""
+    radians, cos, r = math.radians, math.cos, EARTH_RADIUS_M
     out = array("d")
-    for v1, v2 in zip(polyline, polyline[1:]):
-        lat0 = math.radians((v1.lat + v2.lat) / 2.0)
-        lon0 = math.radians((v1.lon + v2.lon) / 2.0)
-        cos0 = math.cos(math.radians((v1.lat + v2.lat) / 2.0))
-        x1 = EARTH_RADIUS_M * (math.radians(v1.lon) - lon0) * cos0
-        y1 = EARTH_RADIUS_M * (math.radians(v1.lat) - lat0)
-        x2 = EARTH_RADIUS_M * (math.radians(v2.lon) - lon0) * cos0
-        y2 = EARTH_RADIUS_M * (math.radians(v2.lat) - lat0)
-        dx, dy = x2 - x1, y2 - y1
+    for (lat1, lon1), (lat2, lon2) in zip(polyline, polyline[1:]):
+        lat0 = radians((lat1 + lat2) / 2.0)
+        lon0 = radians((lon1 + lon2) / 2.0)
+        cos0 = cos(lat0)
+        x1 = r * (radians(lon1) - lon0) * cos0
+        y1 = r * (radians(lat1) - lat0)
+        dx = r * (radians(lon2) - lon0) * cos0 - x1
+        dy = r * (radians(lat2) - lat0) - y1
         out.extend(
             (lat0, lon0, cos0, x1, y1, dx, dy, dx * dx + dy * dy,
-             v1.lat, v1.lon, v2.lat - v1.lat, v2.lon - v1.lon)
+             lat1, lon1, lat2 - lat1, lon2 - lon1)
         )
     return out
 
@@ -250,6 +260,9 @@ _STOP_SLACK_ABS = 1e-14
 # (it grows only up to a half turn); a query reaching further bounds by
 # latitude alone.
 _MONOTONE_LON_REACH = 3.0
+# Widening of the reach band's edges, radians (see ``_nearest``).
+_BAND_SLACK_REL = 1.0 + 1e-6
+_BAND_SLACK_ABS = 1e-12
 
 
 def _radian_box(bbox: tuple[float, float, float, float]) -> tuple[float, ...]:
@@ -361,8 +374,8 @@ class FreewaySegmentIndex:
         self._aliases[norm] = route_id
 
     def _canonical_key(self, normalized: str) -> Optional[str]:
-        for pattern, template in DEFAULT_ROUTE_PATTERNS:
-            m = re.match(pattern, normalized)
+        for pattern, template in _ROUTE_PATTERNS:
+            m = pattern.match(normalized)
             if m:
                 return template.format(*m.groups())
         return None
@@ -489,11 +502,33 @@ class FreewaySegmentIndex:
         its box (at a pole, past it, making cos(lat) a hair negative):
         that moves ``h`` by at most a few 1e-15, whatever the gap, which
         a relative slack cannot cover near a zero bound.
+
+        A starting stop s below 1 (a threshold under about a half
+        circumference) also gives a reach band, taken once per query: a
+        latitude reach ``2 * asin(sqrt(s))`` and, when the longitude term
+        is kept (``cos(rlat) > 0``) and the root's cos_min is positive, a
+        longitude reach ``2 * asin(sqrt(s / (cos(rlat) * cos_min)))``
+        (none when that ratio is 1 or more), each widened by a relative
+        1e-6 plus 1e-12 rad.  An entry whose box lies wholly outside the
+        band (its latitude gap past the first reach, or its longitude gap
+        past the second) is skipped before its bound is computed.  This
+        is exact: sin^2(x/2) grows with the gap (a latitude gap is at most
+        a half turn, a kept longitude gap below ``_MONOTONE_LON_REACH``)
+        and no entry's cos_min is below the root's, so one term of that
+        entry's bound alone is past s by a relative 2e-6 or more, some 1e9
+        times the few ulp by which ``asin``, ``sqrt``, ``sin`` and the
+        bound's products may err; the absolute 1e-12 covers the rounding
+        of the band's edges, ``rlat +- reach`` (an ulp of a few radians).
+        So its computed bound exceeds s, and it would not have been
+        pushed.  The stop only falls during the walk, so the band of the
+        starting stop stays conservative: the entries pushed, the heap
+        order, the legs measured and every distance are those of the walk
+        without it.
         """
         radians, cos, sin, asin, sqrt = math.radians, math.cos, math.sin, math.asin, math.sqrt
         rlat, rlon = radians(point.lat), radians(point.lon)
         cos_rlat = cos(rlat)
-        (_, rlon_lo, _, rlon_hi, _), root = tree
+        (_, rlon_lo, _, rlon_hi, root_cos_min), root = tree
         reach = max(rlon - rlon_lo, rlon_hi - rlon)
         lon_weight = cos_rlat if reach < _MONOTONE_LON_REACH else 0.0
 
@@ -504,6 +539,21 @@ class FreewaySegmentIndex:
             best_h = sin(accept / _TWO_R) ** 2
         stop_above = best_h * _STOP_SLACK_REL + _STOP_SLACK_ABS
 
+        # The reach band: an entry whose box lies wholly outside it is
+        # bounded past the starting stop, so it is skipped before any
+        # trigonometry.
+        south = west = -math.inf
+        north = east = math.inf
+        if stop_above < 1.0:
+            band = 2.0 * asin(sqrt(stop_above)) * _BAND_SLACK_REL + _BAND_SLACK_ABS
+            south, north = rlat - band, rlat + band
+            if lon_weight > 0.0 and root_cos_min > 0.0:
+                weight = lon_weight * root_cos_min
+                if stop_above < weight:
+                    band = (2.0 * asin(sqrt(stop_above / weight)) * _BAND_SLACK_REL
+                            + _BAND_SLACK_ABS)
+                    west, east = rlon - band, rlon + band
+
         legs_of = self._legs
         heap = [(0.0, 0, root)]
         pushed = 1
@@ -513,12 +563,14 @@ class FreewaySegmentIndex:
                 break
             if type(payload) is list:
                 for (lat_lo, lon_lo, lat_hi, lon_hi, cos_min), entry in payload:
-                    gap = (lat_lo - rlat if rlat < lat_lo
-                           else rlat - lat_hi if rlat > lat_hi else 0.0)
-                    bound = sin(gap / 2.0) ** 2
-                    gap = (lon_lo - rlon if rlon < lon_lo
-                           else rlon - lon_hi if rlon > lon_hi else 0.0)
-                    bound += lon_weight * cos_min * sin(gap / 2.0) ** 2
+                    if lat_lo > north or lat_hi < south or lon_lo > east or lon_hi < west:
+                        continue
+                    lat_gap = (lat_lo - rlat if rlat < lat_lo
+                               else rlat - lat_hi if rlat > lat_hi else 0.0)
+                    lon_gap = (lon_lo - rlon if rlon < lon_lo
+                               else rlon - lon_hi if rlon > lon_hi else 0.0)
+                    bound = (sin(lat_gap / 2.0) ** 2
+                             + lon_weight * cos_min * sin(lon_gap / 2.0) ** 2)
                     if bound <= stop_above:
                         heappush(heap, (bound, pushed, entry))
                         pushed += 1

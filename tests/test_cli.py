@@ -897,6 +897,9 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "kind=data" in err
         assert f"interval must be finite, got count {count} over vmt_miles {miles}" in err
+        # The refusal names the benchmark file and the cell's stratum.
+        stratum = f"area {rows[0]['geo']}, road {rows[0]['road']}, outcome {rows[0]['outcome']}"
+        assert f"{benchmark}: {stratum}: the rate's 0.95 interval must be finite" in err
         assert not (cmp_out / "safety_impact.csv").exists()
 
     @pytest.mark.parametrize(

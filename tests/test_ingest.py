@@ -17,6 +17,7 @@ from crashbench.ingest import (
     InconsistentVmtError,
     StubGeocoder,
     geocode_missing,
+    load_ads_table,
     load_crash_table,
     load_share_table,
     load_vmt_table,
@@ -1621,6 +1622,26 @@ def test_share_urban_reads_flags_and_urban_rural(tmp_path, urban, expected):
     path = tmp_path / "shares.csv"
     path.write_text(f"state,functional_class,urban,share\nTX,Freeway,{urban},0.9\n")
     assert load_share_table(path).share_for("TX", FunctionalClass.FREEWAY, expected) == 0.9
+
+
+def test_short_share_and_ads_rows_read_missing_trailing_fields_as_absent(tmp_path):
+    # A row that stops early is padded, so its missing fields read as
+    # empty values: refused by value, naming the row.
+    shares = tmp_path / "shares.csv"
+    shares.write_text("state,functional_class,urban,share\nTX,Freeway,true,0.92\n"
+                      "TX,SurfaceStreet,true\n")
+    with pytest.raises(DataError, match=r"shares\.csv: row 2: share '' is not a finite number"):
+        load_share_table(shares)
+    ads = tmp_path / "ads.csv"
+    ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\n"
+                   "Austin,Freeway,PoliceReported,3,1e6\nAustin,Freeway,Fatal,1\n")
+    with pytest.raises(DataError, match=r"ads\.csv: row 2: ads_vmt_miles '' is not a finite"):
+        load_ads_table(ads)
+    # The full rows before them read as written.
+    shares.write_text("state,functional_class,urban,share\nTX,Freeway,true,0.92\n")
+    assert load_share_table(shares).share_for("TX", FunctionalClass.FREEWAY, True) == 0.92
+    ads.write_text("geo,road,outcome,ads_count,ads_vmt_miles\nAustin,Freeway,Fatal,1,2e6\n")
+    assert load_ads_table(ads) == [(("Austin", "Freeway", "Fatal"), 1.0, 2e6)]
 
 
 def test_share_table_missing_column_is_data_error(tmp_path):

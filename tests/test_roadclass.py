@@ -7,10 +7,11 @@ import re
 import pytest
 
 from crashbench.model import ConfigError, CrashRecord, DataError, KabcoLevel, LatLon, RoadClass
-from crashbench import pipeline
+from crashbench import pipeline, roadclass
 from crashbench.roadclass import (
     DEFAULT_PROXIMITY_THRESHOLD_M,
     EARTH_RADIUS_M,
+    _MONOTONE_LON_REACH,
     FreewaySegment,
     FreewaySegmentIndex,
     MatchKind,
@@ -479,6 +480,167 @@ class TestBoxBound:
         assert [segment for _, segment in entries] == list(range(13))
         assert index._legs[0] is not None
         assert all(legs is None for legs in index._legs[1:])
+
+
+def _assert_within_exact(segments, points, thresholds):
+    """``within`` over all segments and over each route equals both
+    ``distance_to_nearest(p, r) <= t`` and the reference minimum compared
+    with t, at each threshold and at the distance and its neighbouring
+    floats."""
+    routes: dict[str, list] = {}
+    for seg in segments:
+        routes.setdefault(seg.route_id, []).append(seg)
+    index = FreewaySegmentIndex(segments)
+    for point in points:
+        for route_id, members in ((None, segments), *routes.items()):
+            reference = min(polyline_distance_m(point, s.polyline) for s in members)
+            distance = index.distance_to_nearest(point, route_id)
+            assert distance == reference, (point, route_id)
+            for t in (*thresholds, distance, math.nextafter(distance, -math.inf),
+                      math.nextafter(distance, math.inf)):
+                assert index.within(point, t, route_id) is (reference <= t), (point, route_id, t)
+
+
+def _latitude_in_radians(target):
+    """The latitude, degrees, whose ``math.radians`` is exactly target."""
+    lat = math.degrees(target)
+    for _ in range(64):
+        if math.radians(lat) == target:
+            return lat
+        lat = math.nextafter(lat, math.inf if math.radians(lat) < target else -math.inf)
+    raise AssertionError(f"no latitude in degrees has radians {target!r}")
+
+
+class TestReachBand:
+    """With a threshold, the walk skips every box wholly outside a band
+    taken from its starting stop before bounding it; the band must skip
+    only boxes the bound would prune.  Each case asks ``within`` where a
+    band too narrow would show: at its edge, at a pole, across the
+    antimeridian and over tall boxes."""
+
+    HALF_TURN_M = math.pi * EARTH_RADIUS_M
+
+    def test_latitude_gap_at_the_threshold_reach(self):
+        # A point due south of an equatorial segment, its latitude gap
+        # exactly the threshold's angular reach, and one ulp either side.
+        segment = FreewaySegment("SR-1", (LatLon(0.0, 10.0), LatLon(0.0, 10.01)))
+        reach = DEFAULT_PROXIMITY_THRESHOLD_M / EARTH_RADIUS_M
+        gaps = (math.nextafter(reach, 0.0), reach, math.nextafter(reach, 1.0))
+        points = [LatLon(_latitude_in_radians(-gap), 10.005) for gap in gaps]
+        index = FreewaySegmentIndex([segment])
+        assert [index.within(p, DEFAULT_PROXIMITY_THRESHOLD_M) for p in points] == [
+            True, True, False,
+        ]
+        thresholds = [DEFAULT_PROXIMITY_THRESHOLD_M, *(gap * EARTH_RADIUS_M for gap in gaps)]
+        _assert_within_exact([segment], points, thresholds)
+
+    def test_box_touching_a_pole(self):
+        # cos(radians(90)) is about 6e-17: the root's cos_min is so small
+        # that no stop takes a longitude reach from it.
+        segments = [
+            FreewaySegment("SR-1", (LatLon(89.99, 0.0), LatLon(90.0, 0.0))),
+            FreewaySegment("SR-2", (LatLon(89.995, 90.0), LatLon(89.98, 100.0))),
+            FreewaySegment("SR-3", (LatLon(89.9, -120.0), LatLon(89.9, -60.0))),
+        ]
+        assert FreewaySegmentIndex(segments)._tree(None)[0][4] < 1e-16
+        points = [LatLon(lat, lon) for lat in (89.99, 89.995, 89.999, 90.0)
+                  for lon in (0.0, 45.0, 95.0, 180.0, -135.0, -90.0)]
+        _assert_within_exact(segments, points, (0.0, 100.0, 400.0, 1000.0, 20000.0))
+
+    def test_longitude_reach_past_the_monotone_limit(self):
+        # The point's longitude span to each tree reaches past
+        # _MONOTONE_LON_REACH, so the walk bounds by latitude alone; the
+        # nearest leg end across the antimeridian is some 1.3 km away
+        # although its unwrapped longitude gap is nearly a full turn.
+        segments = [
+            FreewaySegment("SR-1", (LatLon(10.0, 179.99), LatLon(10.01, 179.992))),
+            FreewaySegment("SR-2", (LatLon(10.0, -179.995), LatLon(10.01, -179.99))),
+            FreewaySegment("SR-2", (LatLon(10.0, -175.0), LatLon(10.01, -174.99))),
+        ]
+        point = LatLon(10.005, 179.999)
+        index = FreewaySegmentIndex(segments)
+        (_, lon_lo, _, lon_hi, _), _ = index._tree("SR-2")
+        assert math.radians(point.lon) - lon_lo >= _MONOTONE_LON_REACH
+        assert index.within(point, 1500.0, "SR-2")
+        points = [point, LatLon(10.0, -179.999), LatLon(10.02, 179.9), LatLon(9.99, -179.98)]
+        _assert_within_exact(segments, points, (400.0, 1500.0, 2000.0, 50000.0))
+
+    def test_longitude_reach_takes_the_smallest_cosine(self):
+        # Each point is 300 m east of a segment at its own latitude; the
+        # route's other segment lies on the equator, where the cosine is 1.
+        # A longitude reach taken from that cosine would fall short of the
+        # high-latitude segment.
+        for lat in (45.0, 60.0, 75.0):
+            high = FreewaySegment("SR-1", (LatLon(lat, 10.0), LatLon(lat, 10.01)))
+            equator = FreewaySegment("SR-1", (LatLon(0.0, 10.0), LatLon(0.0, 10.01)))
+            east = math.degrees(300.0 / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
+            point = LatLon(lat, 10.01 + east)
+            assert FreewaySegmentIndex([high, equator]).within(point, 400.0)
+            _assert_within_exact([high, equator], [point], (400.0, 310.0))
+
+    def test_tall_box_and_antimeridian_layouts_under_a_threshold(self):
+        # TestBoxBound's layouts, asked within rather than how far.
+        rng = random.Random("east-west-within")
+        for routes, per_route in ((4, (1, 6)), (2, (17, 64)), (2, (130, 180))):
+            segments = _random_network(rng, routes, per_route)
+            segments.append(FreewaySegment("SR-90", (LatLon(25.0, -98.0), LatLon(40.0, -96.0))))
+            points = []
+            for seg in rng.sample(segments[:-1], 3) + segments[-1:]:
+                lat_lo, _, lat_hi, _ = seg.bbox
+                for offset in (0.001, 0.005, 0.5, 3.0, 90.0, 170.0):
+                    side = rng.choice((-1.0, 1.0))
+                    lon = -97.75 + side * offset
+                    lon = lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
+                    points.append(LatLon(rng.uniform(lat_lo, lat_hi), lon))
+            _assert_within_exact(segments, points, (400.0, 5000.0, 1e6))
+        tall = FreewaySegment("SR-1", (LatLon(24.32, 169.30), LatLon(59.58, 161.71)))
+        north = FreewaySegment("SR-2", (LatLon(27.62, -170.18), LatLon(27.62, -170.17)))
+        _assert_within_exact([tall, north], [LatLon(-32.85, -170.18), LatLon(-30.0, -175.0)],
+                             (6.72e6, 6.725e6, 6.73e6))
+        across = [
+            FreewaySegment("SR-3", (LatLon(10.0, 179.80), LatLon(10.01, 179.95))),
+            FreewaySegment("SR-4", (LatLon(10.0, -179.79), LatLon(10.01, -179.78))),
+        ]
+        points = [LatLon(10.0, lon) for lon in (-179.95, -179.9, 179.99, -179.5)]
+        _assert_within_exact(across, points, (400.0, 5000.0, 20000.0, 60000.0))
+
+    def test_degenerate_thresholds(self):
+        # No distance is within a negative or NaN threshold, and every one
+        # is within a half circumference; none of these takes a band.
+        rng = random.Random("degenerate")
+        segments = _random_network(rng, 3, (2, 8))
+        points = [segments[0].polyline[0], segments[1].polyline[-1]]
+        points += _query_points(rng, segments, 8)
+        thresholds = (0.0, -1.0, math.nan, self.HALF_TURN_M,
+                      math.nextafter(self.HALF_TURN_M, 0.0))
+        _assert_within_exact(segments, points, thresholds)
+        index = FreewaySegmentIndex(segments)
+        assert index.within(points[0], 0.0)
+        assert not index.within(points[0], -1.0)
+        assert not index.within(points[0], math.nan)
+        assert index.within(LatLon(-30.0, 80.0), self.HALF_TURN_M)
+
+    def test_far_entries_are_not_bounded(self, monkeypatch):
+        # Ten 1 km segments end to end along a meridian (one node), queried
+        # 400 m south of the first: one sin for the threshold, two per
+        # entry bounded and two per leg measured, so bounding all ten
+        # entries alone would take 21 calls.
+        step = math.degrees(1000.0 / EARTH_RADIUS_M)
+        segments = [
+            FreewaySegment("SR-1", (LatLon(30.0 + k * step, -97.0),
+                                    LatLon(30.0 + (k + 1) * step, -97.0)))
+            for k in range(10)
+        ]
+        point = LatLon(30.0 - math.degrees(400.0 / EARTH_RADIUS_M), -97.0)
+        index = FreewaySegmentIndex(segments)
+        expected = index.distance_to_nearest(point, "SR-1") <= 400.0
+        calls = []
+        sin = math.sin
+        monkeypatch.setattr(roadclass.math, "sin", lambda x: calls.append(x) or sin(x))
+        decided = index.within(point, 400.0, "SR-1")
+        monkeypatch.undo()
+        assert decided is expected
+        assert 0 < len(calls) < 1 + 2 * len(segments)
 
 
 class TestClassifyRoad:
