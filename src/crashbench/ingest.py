@@ -21,12 +21,20 @@ number or its skip reason, the shared unit and the airbag flag; for a
 person row the unit-number check, the injury level and the airbag flag;
 and for each, the names to count as unknown.  Per row there is left only
 the join: blank keys, orphans, duplicates and the per-row counts, each
-unknown name counted once for every row that has it.  The person reader
-keeps the worst injury level per crash as it reads.
+unknown name counted once for every row that has it.
 
-Records and units are tuples (``typing.NamedTuple``, see ``model``),
-so the join builds each record, and the unit reader each distinct unit,
-with one call to tuple's constructor.  Vehicle units are shared
+Each crash is one object from its row to its record.  The crash reader
+stores one list per emitted crash, holding CrashRecord's fields in order
+and two slots of bookkeeping: the worst person injury rank so far and
+whether the crash row's own worst injury counts as unknown.  The person
+reader writes the worst rank and the airbag flag into that list, and the
+unit reader appends to its unit list, sets its airbag flag and finds a
+repeated unit among the crash's own units.  No other table is kept per
+crash, but for the unit ids of a crash with many units.  The join then sorts the units into a tuple, settles the worst
+injury, and builds each record from the list with one call to tuple's
+constructor (``tuple.__new__``: records and locations are plain
+``typing.NamedTuple`` values that check nothing, see ``model``); the
+unit reader builds each distinct unit once.  Vehicle units are shared
 immutable values; a crash's contact events are read from its units'
 first-contact ordinals.  A unit holds only what the stages read
 (ordinal, class, in-transport flag, first-contact ordinal), all from
@@ -50,7 +58,7 @@ import math
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Protocol, Union
 
@@ -297,7 +305,20 @@ _MISSING_UNIT_KEYS = "missing crash or unit key"
 _PERSON_RANK = {level: -1 if level.severity_rank is None else level.severity_rank
                 for level in KabcoLevel}
 _LEVEL_OF_RANK = {rank: level for level, rank in _PERSON_RANK.items()}
-_UNIT_ID = attrgetter("unit_id")
+_UNIT_ID = itemgetter(0)  # a VehicleUnit's unit_id
+# A crash's entry while its tables are read is one list: CrashRecord's
+# fields in order, then two slots of bookkeeping, the worst person rank
+# so far (``_NO_RANK`` until a person row gives an injury) and whether
+# the crash row's own worst injury counts as unknown.  The unit slot
+# holds () until the crash's first unit, then a list in row order.
+_WORST, _UNITS, _AIRBAG, _RANK, _WORST_UNKNOWN = 4, 8, 11, 12, 13
+_NO_RANK = -2
+# A crash with this many units keeps a set of their ids for the
+# duplicate check (``_read_unit_rows``); below it, the check scans them.
+_SCANNED_UNITS = 16
+# CrashRecord and LatLon check nothing when built, so the join builds
+# them straight from their fields.
+_new_tuple = tuple.__new__
 
 
 def load_crash_table(
@@ -326,12 +347,14 @@ def load_crash_table(
     So every emitted record meets the record contract: a valid location
     or none, unit ids unique within the crash, no pedestrian or cyclist
     in transport, and first-contact ordinals of at least 1.
+
+    The crash rows are read first, into one entry per emitted crash (see
+    ``_RANK``); the person and unit rows fill in their crash's entry, and
+    each entry becomes its record (see the module docstring).
     """
     report = IngestReport(source=config.name)
-    # Ids of the skipped crash rows (a wide row's too), and of the crashes
-    # an attached person or unit row flags an airbag deployment for.
+    # Ids of the skipped crash rows (a wide row's too).
     skipped_ids: set[str] = set()
-    airbag_ids: set[str] = set()
     tracks_transport = "unit.in_transport" in config.columns.keys() | config.derives.keys()
 
     with ExitStack() as stack:
@@ -354,34 +377,37 @@ def load_crash_table(
                 "person", persons_source, PERSON_REQUIRED, PERSON_FIELDS, _decide_person
             )
 
-        # Crash rows first, so unit and person rows meet the emitted crash
-        # ids as they are read.
+        # Crash rows first, so unit and person rows meet the emitted
+        # crashes' entries as they are read.
         crashes = _read_crash_rows(*crash_table, skipped_ids, report)
-        worst_rank: dict[str, int] = {}
         if person_table is not None:
-            worst_rank = _read_person_rows(*person_table, crashes, skipped_ids, airbag_ids, report)
-        units_by_crash: dict[str, list[VehicleUnit]] = {}
+            _read_person_rows(*person_table, crashes, skipped_ids, report)
         if unit_table is not None:
-            units_by_crash = _read_unit_rows(*unit_table, crashes, skipped_ids, airbag_ids, report)
+            _read_unit_rows(*unit_table, crashes, skipped_ids, report)
 
     records: list[CrashRecord] = []
+    append = records.append
     unknown_worst = 0
-    for crash_id, (decided, location, primary_road, secondary_road) in crashes.items():
-        _, state, county, year, worst, worst_degraded, junction, manner, _ = decided
-        units = units_by_crash.get(crash_id, ())
+    # Each entry is popped, newest first, as its record is built, so the
+    # entries and the records are never all alive at once; the records
+    # are then put back in crash-row order.
+    while crashes:
+        entry = crashes.popitem()[1]
+        units = entry[_UNITS]
         if not units:
             report.crashes_without_units += 1
-        elif len(units) > 1:
-            units.sort(key=_UNIT_ID)
-        rank = worst_rank.get(crash_id)
-        if rank is not None:
-            worst = _LEVEL_OF_RANK[rank]
-        elif worst_degraded:
+        else:
+            if len(units) > 1:
+                units.sort(key=_UNIT_ID)
+            entry[_UNITS] = tuple(units)
+        rank = entry[_RANK]
+        if rank != _NO_RANK:
+            entry[_WORST] = _LEVEL_OF_RANK[rank]
+        elif entry[_WORST_UNKNOWN]:
             unknown_worst += 1
-        records.append(CrashRecord(
-            crash_id, state, county, year, worst, location, primary_road, secondary_road,
-            tuple(units), junction, manner, crash_id in airbag_ids,
-        ))
+        del entry[_RANK:]
+        append(_new_tuple(CrashRecord, entry))
+    records.reverse()
     if unknown_worst:
         report.unknown_counts["worst_injury"] = unknown_worst
     report.records_emitted = len(records)
@@ -469,11 +495,12 @@ def _coded_member(
 
 def _read_crash_rows(
     convert: RowConverter, rows: Rows, skipped_ids: set[str], report: IngestReport
-) -> dict[str, tuple]:
-    """Validate crash rows.  Returns, by crash id in row order, each
-    crash to emit: its decision (see ``_decide_crash``), location and
-    road names; the ids of skipped crash rows join ``skipped_ids``."""
-    crashes: dict[str, tuple] = {}
+) -> dict[str, list]:
+    """Validate crash rows.  Returns, by crash id in row order, the entry
+    of each crash to emit (see ``_RANK``), filled from its decision (see
+    ``_decide_crash``), location and road names; the ids of skipped crash
+    rows join ``skipped_ids``."""
+    crashes: dict[str, list] = {}
     count_unknown = report.count_unknown
     number = 0
     for number, row in rows:
@@ -484,20 +511,24 @@ def _read_crash_rows(
         if crash_id in crashes:
             report.skip("crash", number, "duplicate crash_id")
             continue
-        if decided[0]:
-            report.skip("crash", number, decided[0])
+        reason, state, county, year, worst, worst_unknown, junction, manner, unknown = decided
+        if reason:
+            report.skip("crash", number, reason)
             skipped_ids.add(crash_id)
             continue
-        for fname in decided[-1]:
+        for fname in unknown:
             count_unknown(fname)
         lat = float_or_none(lat_raw)
         lon = float_or_none(lon_raw)
         if lat is not None and lon is not None and valid_coordinate(lat, lon):
-            location = LatLon(lat, lon)
+            location = _new_tuple(LatLon, (lat, lon))
         else:
             location = None
             report.missing_location += 1
-        crashes[crash_id] = (decided, location, primary_road or "", secondary_road)
+        crashes[crash_id] = [
+            crash_id, state, county, year, worst, location, primary_road or "", secondary_road,
+            (), junction, manner, False, _NO_RANK, worst_unknown,
+        ]
     report.count_read("crash", number)
     return crashes
 
@@ -505,15 +536,13 @@ def _read_crash_rows(
 def _read_person_rows(
     convert: RowConverter,
     rows: Rows,
-    crashes: Mapping[str, tuple],
+    crashes: Mapping[str, list],
     skipped_ids: set[str],
-    airbag_ids: set[str],
     report: IngestReport,
-) -> dict[str, int]:
-    """The rank of the worst injury level given by an attached person
-    row, by crash id; the id of each crash an attached person row flags
-    an airbag deployment for joins ``airbag_ids``."""
-    worst_rank: dict[str, int] = {}
+) -> None:
+    """Attach person rows to their crashes' entries: the rank of the
+    worst injury level given by an attached row, and the airbag flag of
+    a crash any attached row flags a deployment for."""
     count_unknown = report.count_unknown
     number = attached = 0
     for number, row in rows:
@@ -521,7 +550,8 @@ def _read_person_rows(
         if key is None:
             report.skip("person", number, "missing crash key")
             continue
-        if key not in crashes:
+        entry = crashes.get(key)
+        if entry is None:
             report.skip("person", number, _orphan_reason(key, skipped_ids))
             continue
         if reason:
@@ -530,30 +560,30 @@ def _read_person_rows(
         attached += 1
         for fname in unknown:
             count_unknown(fname)
-        if rank is not None and rank > worst_rank.get(key, -2):
-            worst_rank[key] = rank
+        if rank is not None and rank > entry[_RANK]:
+            entry[_RANK] = rank
         if airbag:
-            airbag_ids.add(key)
+            entry[_AIRBAG] = True
     report.count_read("person", number)
     if number:
         report.rows_attached["person"] = attached
-    return worst_rank
 
 
 def _read_unit_rows(
     convert: RowConverter,
     rows: Rows,
-    crashes: Mapping[str, tuple],
+    crashes: Mapping[str, list],
     skipped_ids: set[str],
-    airbag_ids: set[str],
     report: IngestReport,
-) -> dict[str, list[VehicleUnit]]:
-    """Vehicle units by crash id, in row order.  A row repeating a
-    (crash, unit) pair is skipped: the first copy wins.  The id of each
-    crash an attached unit row flags an airbag deployment for joins
-    ``airbag_ids``."""
-    units_by_crash: dict[str, list[VehicleUnit]] = {}
-    seen: set[tuple[str, int]] = set()
+) -> None:
+    """Attach vehicle units to their crashes' entries, in row order, and
+    set the airbag flag of a crash any attached row flags a deployment
+    for.  A row repeating a unit id of its crash is skipped: the first
+    copy wins.  The check scans the crash's units, and a crash of
+    ``_SCANNED_UNITS`` units or more keeps a set of their ids instead, so
+    it stays linear in the crash's units however many there are."""
+    # The unit ids of each crash with ``_SCANNED_UNITS`` units or more.
+    crowded: dict[str, set[int]] = {}
     count_unknown = report.count_unknown
     number = attached = 0
     for number, row in rows:
@@ -561,31 +591,38 @@ def _read_unit_rows(
         if key is None or reason == _MISSING_UNIT_KEYS:
             report.skip("unit", number, _MISSING_UNIT_KEYS)
             continue
-        if key not in crashes:
+        entry = crashes.get(key)
+        if entry is None:
             report.skip("unit", number, _orphan_reason(key, skipped_ids))
             continue
         if reason:
             report.skip("unit", number, reason)
             continue
-        pair = (key, unit.unit_id)
-        if pair in seen:
-            report.skip("unit", number, "duplicate unit_id")
-            continue
-        seen.add(pair)
+        units = entry[_UNITS]
+        if not units:
+            entry[_UNITS] = [unit]
+        else:
+            unit_id = unit[0]
+            if len(units) < _SCANNED_UNITS:
+                repeated = unit_id in map(_UNIT_ID, units)
+            else:
+                ids = crowded.get(key)
+                if ids is None:
+                    ids = crowded[key] = set(map(_UNIT_ID, units))
+                repeated = unit_id in ids
+                ids.add(unit_id)
+            if repeated:
+                report.skip("unit", number, "duplicate unit_id")
+                continue
+            units.append(unit)
         attached += 1
         for fname in unknown:
             count_unknown(fname)
         if airbag:
-            airbag_ids.add(key)
-        units = units_by_crash.get(key)
-        if units is None:
-            units_by_crash[key] = [unit]
-        else:
-            units.append(unit)
+            entry[_AIRBAG] = True
     report.count_read("unit", number)
     if number:
         report.rows_attached["unit"] = attached
-    return units_by_crash
 
 
 # --- geocoding ----------------------------------------------------------------

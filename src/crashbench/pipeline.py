@@ -582,8 +582,13 @@ def build_benchmark(
             record.worst_injury,
             record.airbag_deployed,
         )
-        # One hash of the key per record, in C: units are tuples.
-        shapes.setdefault(shape, [record, 0])[1] += 1
+        # The key hashes in C (units are tuples), and only a new shape
+        # allocates its entry.
+        entry = shapes.get(shape)
+        if entry is None:
+            shapes[shape] = [record, 1]
+        else:
+            entry[1] += 1
 
     # Second pass, over the shapes in first-seen order: each shape's
     # configuration (shape[1:5]) and outcome key (shape[5:]) are decided

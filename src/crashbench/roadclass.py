@@ -16,8 +16,10 @@ Sub-meter accurate at city scale.  Coordinates are (lat, lon) degrees;
 no antimeridian handling (the study areas are far from it).
 
 Names: ``FreewaySegmentIndex.match_road_name`` matches each distinct raw
-road name once per index and keeps the result; ``normalize_road_name``
-and the route patterns stay the only definition of a match.
+road name once per index and keeps the result, with the decisions
+without a distance that the name can lead to (see ``decide_road``);
+``normalize_road_name`` and the route patterns stay the only definition
+of a match.
 
 Search: ``FreewaySegmentIndex`` packs the bounding boxes of a route's
 segments into a sort-tile-recursive tree of 16 entries per node, on
@@ -219,6 +221,41 @@ class RoadClassification(NamedTuple):
     distance_m: Optional[float] = None
 
 
+class _NameDecisions(NamedTuple):
+    """A raw road name's match and every decision without a distance it
+    can lead to: by the name alone (None for an ambiguous name); for an
+    ambiguous name, without coordinates (Unresolvable) and by proximity
+    off and on the freeway."""
+
+    match: NameMatch
+    by_name: Optional[RoadClassification]
+    unresolvable: Optional[RoadClassification] = None
+    off_freeway: Optional[RoadClassification] = None
+    on_freeway: Optional[RoadClassification] = None
+
+
+_NON_FREEWAY_NAME = _NameDecisions(
+    NameMatch(MatchKind.NON_FREEWAY),
+    RoadClassification(RoadClass.SURFACE_STREET, Provenance.BY_NAME_NON_FREEWAY),
+)
+
+
+def _route_decisions(route_id: str, always_freeway: bool) -> _NameDecisions:
+    """The decisions shared by every name of a freeway route."""
+    if always_freeway:
+        return _NameDecisions(
+            NameMatch(MatchKind.ALWAYS_FREEWAY, route_id),
+            RoadClassification(RoadClass.FREEWAY, Provenance.BY_NAME_ALWAYS, route_id),
+        )
+    return _NameDecisions(
+        NameMatch(MatchKind.AMBIGUOUS, route_id),
+        None,
+        RoadClassification(RoadClass.SURFACE_STREET, Provenance.UNRESOLVABLE, route_id),
+        RoadClassification(RoadClass.SURFACE_STREET, Provenance.BY_PROXIMITY, route_id),
+        RoadClassification(RoadClass.FREEWAY, Provenance.BY_PROXIMITY, route_id),
+    )
+
+
 # --- proximity search -------------------------------------------------------
 
 _LEG_FIELDS = 12  # values _leg_constants stores per leg
@@ -349,10 +386,12 @@ class FreewaySegmentIndex:
             for name in names:
                 self._register_alias(name, rid)
 
-        # Built on first use: each raw road name's match, the root of one
-        # box tree per route queried (key None: all segments), and each
-        # segment's leg constants.
-        self._matches: dict[str, NameMatch] = {}
+        # Built on first use: each raw road name's match and decisions
+        # (shared by the names of one route), the root of one box tree per
+        # route queried (key None: all segments), and each segment's leg
+        # constants.
+        self._names: dict[str, _NameDecisions] = {}
+        self._routes: dict[str, _NameDecisions] = {}
         self._trees: dict[Optional[str], tuple] = {}
         self._legs: list[Optional[array]] = [None] * len(self.segments)
 
@@ -388,25 +427,37 @@ class FreewaySegmentIndex:
         matched once per index: the result is kept, like the route
         trees, and returned again for every later record with that name.
         """
-        match = self._matches.get(name)
-        if match is None:
-            match = self._matches[name] = self._match_name(name)
-        return match
+        return self._decisions(name).match
 
-    def _match_name(self, name: str) -> NameMatch:
+    def _decisions(self, name: str) -> _NameDecisions:
+        """The raw name's match and decisions, built when the name is
+        first matched: one for every non-freeway name, and one per route
+        for the names of a freeway route."""
+        decisions = self._names.get(name)
+        if decisions is None:
+            route_id = self._route_of(name)
+            if route_id is None:
+                decisions = _NON_FREEWAY_NAME
+            else:
+                decisions = self._routes.get(route_id)
+                if decisions is None:
+                    decisions = self._routes[route_id] = _route_decisions(
+                        route_id, self._route_always[route_id]
+                    )
+            self._names[name] = decisions
+        return decisions
+
+    def _route_of(self, name: str) -> Optional[str]:
+        """The freeway route a raw road name names, or None."""
         norm = normalize_road_name(name or "")
         if not norm:
-            return NameMatch(MatchKind.NON_FREEWAY)
+            return None
         route_id = self._aliases.get(norm)
         if route_id is None:
             key = self._canonical_key(norm)
             if key is not None:
                 route_id = self._canonical.get(key)
-        if route_id is None:
-            return NameMatch(MatchKind.NON_FREEWAY)
-        if self._route_always[route_id]:
-            return NameMatch(MatchKind.ALWAYS_FREEWAY, route_id)
-        return NameMatch(MatchKind.AMBIGUOUS, route_id)
+        return route_id
 
     def distance_to_nearest(
         self, point: LatLon, route_id: Optional[str] = None
@@ -621,7 +672,9 @@ def classify_road(
     of the matched route's polylines (or of any freeway, with
     any_route), and ``distance_m`` is its exact nearest distance.
     Ambiguous names without coordinates fall to surface street, tagged
-    unresolvable so the bucket can be quantified.
+    unresolvable so the bucket can be quantified.  Each classification
+    by proximity is built for its distance; the others are the shared
+    decisions of ``decide_road``.
     """
     return _classify(record, index, threshold_m, any_route, measure=True)
 
@@ -636,7 +689,16 @@ def decide_road(
     provenance and route, but an ambiguous located crash is decided by
     ``FreewaySegmentIndex.within``, which stops at the first leg inside
     the threshold, and ``distance_m`` is None.  The run reads only the
-    decision."""
+    decision.
+
+    No decision carries a distance, so none is built per crash: each is
+    one of the index's shared values, built when a name is first
+    matched.  Every non-freeway name shares one decision; each freeway
+    route has one for its always-freeway names, or for an ambiguous
+    route one without coordinates (Unresolvable) and one by proximity
+    per road class, shared by all the route's names.  Nothing may rely
+    on their identity: a decision equals any other with the same fields.
+    """
     return _classify(record, index, threshold_m, any_route, measure=False)
 
 
@@ -650,25 +712,20 @@ def _classify(
     """The name steps of ``classify_road`` and ``decide_road``, then the
     proximity step: measured (``distance_to_nearest``) or only decided
     (``within``)."""
-    match = index.match_road_name(record.primary_road_name)
-    if match.kind is MatchKind.NON_FREEWAY:
-        return RoadClassification(RoadClass.SURFACE_STREET, Provenance.BY_NAME_NON_FREEWAY)
-    if match.kind is MatchKind.ALWAYS_FREEWAY:
-        return RoadClassification(
-            RoadClass.FREEWAY, Provenance.BY_NAME_ALWAYS, route_id=match.route_id
-        )
-    if record.location is None:
-        return RoadClassification(
-            RoadClass.SURFACE_STREET, Provenance.UNRESOLVABLE, route_id=match.route_id
-        )
+    match, by_name, unresolvable, off_freeway, on_freeway = index._decisions(
+        record.primary_road_name
+    )
+    if by_name is not None:
+        return by_name
+    location = record.location
+    if location is None:
+        return unresolvable
     route_id = None if any_route else match.route_id
-    if measure:
-        distance = index.distance_to_nearest(record.location, route_id=route_id)
-        on_freeway = distance <= threshold_m
-    else:
-        distance = None
-        on_freeway = index.within(record.location, threshold_m, route_id=route_id)
-    road = RoadClass.FREEWAY if on_freeway else RoadClass.SURFACE_STREET
+    if not measure:
+        on = index.within(location, threshold_m, route_id=route_id)
+        return on_freeway if on else off_freeway
+    distance = index.distance_to_nearest(location, route_id=route_id)
+    road = RoadClass.FREEWAY if distance <= threshold_m else RoadClass.SURFACE_STREET
     return RoadClassification(
         road, Provenance.BY_PROXIMITY, route_id=match.route_id, distance_m=distance
     )

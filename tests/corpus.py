@@ -1,5 +1,6 @@
-"""Seeded random crash-record corpus for fuzz and property tests, and
-tiled copies of the fixture tables."""
+"""Seeded random crash-record corpus for fuzz and property tests, the
+corpus written as Texas-layout tables, and tiled copies of the fixture
+tables."""
 
 import csv
 import io
@@ -82,6 +83,57 @@ def random_record(rng: random.Random, crash_id: str) -> CrashRecord:
 def make_corpus(size: int, seed: int = 20230901) -> list[CrashRecord]:
     rng = random.Random(seed)
     return [random_record(rng, f"F{i:06d}") for i in range(size)]
+
+
+# The packaged Texas mapping's codes (``builtin:tx``) for corpus values.
+SEVERITY_CODE = dict(zip(KabcoLevel, ["K", "A", "B", "C", "N", "U"]))
+INJURY_CODE = dict(zip(KabcoLevel, ["4", "1", "2", "3", "5", "9"]))
+JUNCTION_CODE = {JunctionRelation.INTERSECTION: "1", JunctionRelation.NON_JUNCTION: "3",
+                 JunctionRelation.RAMP_RELATED: "5", JunctionRelation.UNKNOWN: ""}
+MANNER_CODE = {
+    MannerOfCollision.FRONT_TO_REAR: "24", MannerOfCollision.LATERAL_SAME_DIRECTION: "25",
+    MannerOfCollision.OPPOSITE_DIRECTION: "40", MannerOfCollision.CROSSING_PATH: "50",
+    MannerOfCollision.SINGLE_VEHICLE: "10", MannerOfCollision.OTHER: "99",
+    MannerOfCollision.UNKNOWN: "",
+}
+BODY_AND_DESC = {
+    VehicleClass.PASSENGER: ("P4", "1"), VehicleClass.MOTORCYCLE: ("MC", "1"),
+    VehicleClass.HEAVY_VEHICLE: ("TR", "1"), VehicleClass.CYCLIST: ("P4", "3"),
+    VehicleClass.PEDESTRIAN: ("", "4"), VehicleClass.OTHER: ("OT", "1"),
+    VehicleClass.UNKNOWN: ("ZZ", "1"),
+}
+
+
+def texas_tables(records, rng: random.Random) -> dict[str, list[list[str]]]:
+    """Crash, unit and person rows in the fixture tables' Texas layout
+    (``builtin:tx``), headers excluded: one crash row per record and one
+    unit row per unit, in record order, and for each unit up to two
+    person rows at random injuries.  A record's airbag deployment is
+    flagged on the first person row of its first unit."""
+    tables = {"crash": [], "unit": [], "person": []}
+    for record in records:
+        lat, lon = ("", "") if record.location is None else map(repr, record.location)
+        tables["crash"].append([
+            record.crash_id, str(record.year), record.county.title(), lat, lon,
+            record.primary_road_name, record.secondary_road_name or "",
+            SEVERITY_CODE[record.worst_injury], JUNCTION_CODE[record.junction_relation],
+            MANNER_CODE[record.manner_of_collision],
+        ])
+        airbag = record.airbag_deployed
+        for unit in record.units:
+            body, desc = BODY_AND_DESC[unit.vehicle_class]
+            event = unit.first_contact_event_index
+            tables["unit"].append([
+                record.crash_id, str(unit.unit_id), body, "N" if unit.in_transport else "Y",
+                desc, "", "", "1", "1", "" if event is None else str(event),
+            ])
+            for _ in range(rng.randint(1 if airbag else 0, 2)):
+                injury = INJURY_CODE[rng.choice(list(KabcoLevel))]
+                tables["person"].append(
+                    [record.crash_id, str(unit.unit_id), injury, "2" if airbag else "1"]
+                )
+                airbag = False
+    return tables
 
 
 def tiled_table(path, k: int) -> str:

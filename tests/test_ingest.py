@@ -40,7 +40,15 @@ from crashbench.pipeline import resolve_mapping
 from crashbench.taxonomy import OutcomeLevel, classify_outcome
 
 import ingest_oracle
-from corpus import make_corpus, tiled_table
+from corpus import (
+    BODY_AND_DESC,
+    INJURY_CODE,
+    JUNCTION_CODE,
+    MANNER_CODE,
+    SEVERITY_CODE,
+    make_corpus,
+    tiled_table,
+)
 from test_model import make_record
 
 CRASH_HEADER = (
@@ -1117,22 +1125,6 @@ def _oracle_mapping_text() -> str:
 
 
 _ORACLE_UNIT_HEADER = UNIT_HEADER + ",Veh_Airbag_Fl"
-_SEVERITY_CODE = dict(zip(KabcoLevel, ["K", "A", "B", "C", "N", "U"]))
-_INJURY_CODE = dict(zip(KabcoLevel, ["4", "1", "2", "3", "5", "9"]))
-_JUNCTION_CODE = {JunctionRelation.INTERSECTION: "1", JunctionRelation.NON_JUNCTION: "3",
-                  JunctionRelation.RAMP_RELATED: "5", JunctionRelation.UNKNOWN: ""}
-_MANNER_CODE = {
-    MannerOfCollision.FRONT_TO_REAR: "24", MannerOfCollision.LATERAL_SAME_DIRECTION: "25",
-    MannerOfCollision.OPPOSITE_DIRECTION: "40", MannerOfCollision.CROSSING_PATH: "50",
-    MannerOfCollision.SINGLE_VEHICLE: "10", MannerOfCollision.OTHER: "99",
-    MannerOfCollision.UNKNOWN: "",
-}
-_BODY_AND_DESC = {
-    VehicleClass.PASSENGER: ("P4", "1"), VehicleClass.MOTORCYCLE: ("MC", "1"),
-    VehicleClass.HEAVY_VEHICLE: ("TR", "1"), VehicleClass.CYCLIST: ("P4", "3"),
-    VehicleClass.PEDESTRIAN: ("", "4"), VehicleClass.OTHER: ("OT", "1"),
-    VehicleClass.UNKNOWN: ("ZZ", "1"),
-}
 
 
 def _corpus_tables(rng: random.Random, size: int) -> dict[str, list[list[str]]]:
@@ -1146,15 +1138,15 @@ def _corpus_tables(rng: random.Random, size: int) -> dict[str, list[list[str]]]:
         row = [
             record.crash_id, str(record.year), rng.choice([record.county, " travis "]), lat, lon,
             record.primary_road_name, record.secondary_road_name or "",
-            _SEVERITY_CODE[record.worst_injury], _JUNCTION_CODE[record.junction_relation],
-            _MANNER_CODE[record.manner_of_collision],
+            SEVERITY_CODE[record.worst_injury], JUNCTION_CODE[record.junction_relation],
+            MANNER_CODE[record.manner_of_collision],
         ]
         if tables["crash"] and rng.random() < 0.5:
             earlier = rng.choice(tables["crash"])
             row[1:3], row[7:] = earlier[1:3], earlier[7:]
         tables["crash"].append(row)
         for unit in record.units:
-            body, desc = _BODY_AND_DESC[unit.vehicle_class]
+            body, desc = BODY_AND_DESC[unit.vehicle_class]
             event = unit.first_contact_event_index
             row = [
                 record.crash_id, str(unit.unit_id), body,
@@ -1168,7 +1160,7 @@ def _corpus_tables(rng: random.Random, size: int) -> dict[str, list[list[str]]]:
             for _ in range(rng.randint(0, 2)):
                 tables["person"].append([
                     record.crash_id, str(unit.unit_id),
-                    _INJURY_CODE[rng.choice(list(KabcoLevel))], rng.choice(["1", "2", ""]),
+                    INJURY_CODE[rng.choice(list(KabcoLevel))], rng.choice(["1", "2", ""]),
                 ])
     return tables
 
@@ -1232,6 +1224,23 @@ def _mutate(rng: random.Random, tables: dict[str, list[list[str]]], mutation: st
         if len(copy) == 11:
             copy[10] = "0" if copy[10] == "1" else "1"
             copy[0] = rng.choice([copy[0], *pick(crashes)[:1]])
+    elif mutation == "crowded crash":
+        # 20 to 40 more unit rows for one crash, more than the loader
+        # scans for a repeated unit: ids up to 30, so that some repeat,
+        # and twins of an earlier extra row but for the airbag flag.
+        crash_id = pick(crashes)[:1] or [""]
+        extra: list[list[str]] = []
+        for _ in range(rng.randint(20, 40)):
+            if extra and rng.random() < 0.25:
+                row = list(rng.choice(extra))
+                put(row, 10, "0" if row[10:] == ["1"] else "1")
+            else:
+                row = list(pick(units)) or ["", "1", "P4", "N", "1", "", "", "1", "1", "1", "1"]
+                row[:1] = crash_id
+                put(row, 1, str(rng.randint(1, 30)))
+            extra.append(row)
+        for row in extra:
+            units.insert(rng.randint(0, len(units)), row)
     else:
         raise ValueError(mutation)
 
@@ -1240,7 +1249,7 @@ _MUTATIONS = (
     "wide row", "short row", "blank crash id", "blank unit number", "repeated crash id",
     "repeated unit id", "orphan of an absent crash", "orphan of a skipped crash",
     "unparseable year", "unparseable unit number", "ordinal below 1", "degraded code",
-    "all injuries unknown", "airbag twin",
+    "all injuries unknown", "airbag twin", "crowded crash",
 )
 
 
@@ -1288,6 +1297,32 @@ class TestRowOracle:
         shared: dict[tuple, object] = {}
         for unit in (unit for record in records for unit in record.units):
             assert shared.setdefault(tuple(unit), unit) is unit
+
+
+class TestCrowdedCrash:
+    """A crash with thousands of unit rows: the check for a repeated
+    unit stays linear in the crash's units."""
+
+    def test_twenty_thousand_units_attach_once_in_id_order(self, oracle_mapping):
+        rng = random.Random(31)
+        ids = list(range(1, 20_001))
+        rng.shuffle(ids)
+        repeat = rng.choice(ids)
+        rows = [["X1", str(i), "P4", "N", "1", "", "", "1", "1", "1", "0"] for i in ids]
+        # The last row repeats an id, with the airbag flag the first copy lacks.
+        rows.append(["X1", str(repeat), "P4", "N", "1", "", "", "1", "1", "1", "1"])
+        crash = [CRASH_HEADER, "X1,2023,Travis,30.1,-97.7,MAIN ST,,N,3,24"]
+        records, report = load_crash_table(
+            crash, oracle_mapping, units_source=_source("unit", rows)
+        )
+        (record,) = records
+        assert [u.unit_id for u in record.units] == list(range(1, 20_001))
+        assert record.airbag_deployed is False
+        assert [(s.table, s.row_number, s.reason) for s in report.skipped] == [
+            ("unit", 20_001, "duplicate unit_id"),
+        ]
+        assert report.rows_attached["unit"] == 20_000
+        assert all(report.conserves_rows(t) for t in ("crash", "unit"))
 
 
 class TestGeocoding:

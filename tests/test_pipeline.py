@@ -5,9 +5,11 @@ import io
 import itertools
 import json
 import math
+import re
 import shutil
 from dataclasses import replace
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, reject, settings, strategies as st
@@ -40,7 +42,7 @@ from crashbench.taxonomy import (
     classify_outcome,
 )
 
-from corpus import make_corpus, tiled_table
+from corpus import make_corpus, texas_tables, tiled_table
 
 
 @pytest.fixture(scope="module")
@@ -731,6 +733,158 @@ def _assert_tables_match_recount(tables, records, road_index, impute_by_road, ga
         for road in (pipeline.RoadClass.FREEWAY, pipeline.RoadClass.SURFACE_STREET)
         for outcome in OutcomeLevel
     }
+
+
+class _CorpusRun:
+    """A whole ``pipeline.run`` of the fixture run config, its crash, unit
+    and person tables replaced by rows in the fixture's Texas layout and
+    its VMT scaled by a whole factor.  A run gives its four CSVs (bytes),
+    its report JSON and the tables ``build_benchmark`` returned."""
+
+    FIELDS = {"crash_table": "crash", "units_table": "unit", "persons_table": "person",
+              "vmt_table": "vmt"}
+
+    def __init__(self, fixtures_dir, work):
+        self.config = pipeline.load_run_config(fixtures_dir / "run.ini")
+        self.work = work
+        self.fixture_rows = {}  # run-config field -> the fixture table's rows
+        for field_name in self.FIELDS:
+            path = getattr(self.config.sources[0], field_name)
+            with open(path, newline="", encoding="utf-8") as fh:
+                self.fixture_rows[field_name] = list(csv.reader(fh))
+
+    def __call__(self, name: str, tables: dict, vmt_factor: int = 1):
+        paths = {}
+        vmt_header, *vmt_rows = self.fixture_rows["vmt_table"]
+        tables = {
+            **tables, "vmt": [[*row[:3], str(vmt_factor * int(row[3]))] for row in vmt_rows]
+        }
+        for field_name, table in self.FIELDS.items():
+            header = self.fixture_rows[field_name][0]
+            rows = tables[table]
+            paths[field_name] = self.work / f"{name}-{table}.csv"
+            with open(paths[field_name], "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        (source,) = self.config.sources
+        out = self.work / name
+        built = []
+        build_benchmark = pipeline.build_benchmark
+
+        def keep(*args):
+            built.append(build_benchmark(*args))
+            return built[-1]
+
+        with mock.patch.object(pipeline, "build_benchmark", keep):
+            pipeline.run(replace(self.config, sources=(replace(source, **paths),), out_dir=out))
+        csvs = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+        report = json.loads((out / "report_2023.json").read_text(encoding="utf-8"))
+        return csvs, report, built[0]
+
+
+class TestCrashRelabelling:
+    """Whole-run property: new crash ids (a bijection) and new unit
+    numbers within each crash that keep the units' order change no
+    table.  The four CSVs are byte-identical, and in the report only the
+    digests of the three relabelled inputs differ."""
+
+    @settings(max_examples=30, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(records=corpora, rng=st.randoms(use_true_random=False))
+    def test_relabelled_ids_give_identical_outputs(
+        self, fixtures_dir, tmp_path_factory, records, rng
+    ):
+        tables = texas_tables(records, rng)
+        crash_ids = [row[0] for row in tables["crash"]]
+        numbers = rng.sample(range(10**6), len(crash_ids))
+        new_crash_id = {crash_id: f"R{n}" for crash_id, n in zip(crash_ids, numbers)}
+        units_of: dict[str, set[int]] = {}
+        for crash_id, unit_id, *_ in tables["unit"]:
+            units_of.setdefault(crash_id, set()).add(int(unit_id))
+        new_unit_id = {}  # (crash id, unit number) -> new unit number, in order
+        for crash_id, unit_ids in units_of.items():
+            numbers = sorted(rng.sample(range(1, 1000), len(unit_ids)))
+            new_unit_id.update(((crash_id, u), n) for u, n in zip(sorted(unit_ids), numbers))
+        relabelled = {
+            "crash": [[new_crash_id[row[0]], *row[1:]] for row in tables["crash"]],
+            **{
+                table: [
+                    [new_crash_id[row[0]], str(new_unit_id[row[0], int(row[1])]), *row[2:]]
+                    for row in tables[table]
+                ]
+                for table in ("unit", "person")
+            },
+        }
+        run = _CorpusRun(fixtures_dir, tmp_path_factory.mktemp("crash_relabel"))
+        try:
+            csvs, report, _ = run("plain", tables)
+        except DataError as exc:  # an area with units to impute but none known
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                run("relabelled", relabelled)
+            return
+        relabelled_csvs, relabelled_report, _ = run("relabelled", relabelled)
+        assert len(csvs) == 4
+        assert relabelled_csvs == csvs
+        digests = report["metadata"].pop("input_digests")
+        relabelled_digests = relabelled_report["metadata"].pop("input_digests")
+        assert relabelled_report == report
+        changed = {k for k in digests if digests[k] != relabelled_digests[k]}
+        assert changed <= {"crash:tx", "units:tx", "persons:tx"}
+        assert relabelled_digests.keys() == digests.keys()
+
+
+class TestWholeRunTiling:
+    """Whole-run property: k copies of every crash, unit and person row
+    under fresh crash ids, with every VMT value k times over, give every
+    severity and typed count k times the untiled one, and every rate and
+    type fraction equal to it, each to a relative 1e-12.  Each passenger
+    fraction is the correctly rounded ratio of two whole counts that are
+    both k times over, so it is equal bit for bit."""
+
+    @settings(max_examples=30, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(records=corpora, rng=st.randoms(use_true_random=False), k=st.integers(2, 4))
+    def test_tiled_run_multiplies_every_count(
+        self, fixtures_dir, tmp_path_factory, records, rng, k
+    ):
+        tables = texas_tables(records, rng)
+        tiled = {
+            table: [[f"{row[0]}~{t}", *row[1:]] for t in range(k) for row in rows]
+            for table, rows in tables.items()
+        }
+        run = _CorpusRun(fixtures_dir, tmp_path_factory.mktemp("whole_run_tiling"))
+        try:
+            csvs, _, once = run("once", tables)
+        except DataError as exc:  # an area with units to impute but none known
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                run("tiled", tiled, vmt_factor=k)
+            return
+        tiled_csvs, _, tiled_tables = run("tiled", tiled, vmt_factor=k)
+        assert tiled_csvs.keys() == csvs.keys() and len(csvs) == 4
+
+        def rows(data: bytes) -> list[dict]:
+            return list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
+
+        def close(a: str, b: str, factor: int = 1) -> bool:
+            return math.isclose(float(a), factor * float(b), rel_tol=1e-12)
+
+        def strata(rows: list[dict]) -> list[tuple]:
+            return [(r["geo"], r["road"], r["outcome"], r["crash_type"]) for r in rows]
+
+        for name in ("benchmark_rates_2023.csv", "crash_type_rates_2023.csv"):
+            base, got = rows(csvs[name]), rows(tiled_csvs[name])
+            assert strata(got) == strata(base)
+            for tiled_row, row in zip(got, base):
+                assert close(tiled_row["count"], row["count"], k), (name, tiled_row, row)
+                assert close(tiled_row["rate_ipmm"], row["rate_ipmm"]), (name, tiled_row, row)
+        name = "crash_type_distribution_2023.csv"
+        base, got = rows(csvs[name]), rows(tiled_csvs[name])
+        assert strata(got) == strata(base)
+        assert all(close(g["fraction"], b["fraction"]) for g, b in zip(got, base))
+        assert tiled_tables.cohort_counts.keys() == once.cohort_counts.keys()
+        for key, counts in tiled_tables.cohort_counts.items():
+            base = once.cohort_counts[key]
+            assert (counts.known, counts.unknown) == (k * base.known, k * base.unknown)
+            assert counts.passenger_fraction == base.passenger_fraction
 
 
 class TestBuildBenchmarkProperties:

@@ -764,6 +764,36 @@ class TestRunDecision:
         self._assert_agree(records, FreewaySegmentIndex(segments))
 
 
+class TestSharedDecisions:
+    """A decision without a distance is built once per index: one for all
+    non-freeway names, and per route one by name, or one unresolvable and
+    one by proximity per road class, whatever name of the route a record
+    gives.  Only a measured proximity classification is built per crash."""
+
+    def test_equal_decisions_are_one_value(self, sf_index):
+        names = ["I-280", "I 280 S/B", "US-101", "US 101 NB", "ELM AVE", "", "MAIN ST"]
+        points = [None, LatLon(37.74, -122.405), LatLon(37.74, -122.30)]
+        records = [record_named(name, point) for name in names for point in points] * 2
+        shared: dict = {}
+        for any_route in (False, True):
+            for record in records:
+                decided = decide_road(record, sf_index, any_route=any_route)
+                assert shared.setdefault(decided, decided) is decided
+        assert len(shared) == 5  # non-freeway, I-280, and US-101's three
+        for record in records:
+            measured = classify_road(record, sf_index)
+            if measured.provenance is Provenance.BY_PROXIMITY:
+                assert measured.distance_m is not None and measured not in shared
+            else:
+                assert shared[measured] is measured
+
+    def test_every_name_of_a_route_shares_its_match(self, road_index):
+        # MOPAC is an alias of LOOP-1 in the fixture's alias table.
+        names = ["LOOP-1", "LOOP 1", "MOPAC", "MO-PAC EXPY"]
+        matches = {id(road_index.match_road_name(name)) for name in names}
+        assert len(matches) == 1
+
+
 class TestSegmentValidation:
     def test_two_vertices_required(self):
         with pytest.raises(Exception):
