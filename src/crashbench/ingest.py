@@ -10,18 +10,20 @@ crash-record contract is decided (see ``load_crash_table``); nothing
 downstream validates a record again.
 
 Each table's header is read once and the mapping config is compiled
-against it into one row converter (``MappingConfig.compile``), which
-checks the table.  A reader reads per row only what differs per row: a
+against it (``MappingConfig.compile``), which checks the table.  A reader
+reads per row, through the table's picker, only what differs per row: a
 crash row's id, coordinates and road names, and a unit or person row's
-crash key.  It decides everything else once per distinct tuple of the
-raw columns that it reads, in the converter's memo: for a crash row the
-year or its skip reason, the normalised state and county, the
+crash key.  Everything else is decided once per distinct tuple of the
+raw columns that it reads, in the table's decision memo, which the
+reader looks each row up in itself (``CompiledTable``): for a crash row
+the year or its skip reason, the normalised state and county, the
 crash-level worst injury, junction and manner; for a unit row the unit
 number or its skip reason, the shared unit and the airbag flag; for a
 person row the unit-number check, the injury level and the airbag flag;
 and for each, the names to count as unknown.  Per row there is left only
 the join: blank keys, orphans, duplicates and the per-row counts, each
-unknown name counted once for every row that has it.
+unknown name counted once for every row that has it.  Within one load,
+records that name the same road hold one string for it.
 
 Each crash is one object from its row to its record.  The crash reader
 stores one list per emitted crash, holding CrashRecord's fields in order
@@ -72,8 +74,8 @@ from .mapping import (
     VMT_REQUIRED,
     FLAGS,
     VOCABULARIES,
+    CompiledTable,
     MappingConfig,
-    RowConverter,
     float_or_none,
 )
 from .model import (
@@ -171,10 +173,11 @@ def _open_table(
 
     Blank lines are skipped and do not advance the row number.  A short
     row is yielded as it is read: the reader that picks its fields
-    decides what it means (the mapping's converter and ``_columns`` read
-    its missing trailing fields as absent; ``report.parse_rate_table``
-    refuses it).  A row with more fields than the header (an unquoted
-    delimiter in a value shifts every later field) is not yielded: it
+    decides what it means (the readers of a ``CompiledTable`` and
+    ``_columns`` read its missing trailing fields as absent;
+    ``report.parse_rate_table`` refuses it).  A row with more fields than
+    the header (an unquoted delimiter in a value shifts every later
+    field) is not yielded: it
     goes to ``skip_wide`` with its number, a reason giving both widths
     and its values, and with no ``skip_wide`` it is a DataError naming
     the source and row.  A file that is not UTF-8 text is a
@@ -248,25 +251,26 @@ def _mapped_table(
     decide: Callable[..., Any],
     report: Optional[IngestReport] = None,
     wide_keys: Optional[set[str]] = None,
-) -> Iterator[tuple[RowConverter, Rows]]:
+) -> Iterator[tuple[CompiledTable, Rows]]:
     """Open a source table; yield the mapping of ``fields`` compiled
     against its header (which checks it), and the numbered rows.  The
-    converter reads the table's ``_PER_ROW`` fields per row and passes
-    the others to ``decide`` (see ``MappingConfig.compile``).  Rows wider
-    than the header are skipped into ``report`` when one is given, else
-    they are a DataError (see ``_open_table``); the value such a row
-    holds for the first field joins ``wide_keys`` when that is given."""
+    table's picker reads its ``_PER_ROW`` fields, and its decision memo
+    passes the others to ``decide`` (see ``MappingConfig.compile``).
+    Rows wider than the header are skipped into ``report`` when one is
+    given, else they are a DataError (see ``_open_table``); the value
+    such a row holds for the first field joins ``wide_keys`` when that is
+    given."""
 
     def skip_wide(number: int, reason: str, row: list[str]) -> None:
         report.skip(table, number, reason)
-        if wide_keys is not None and (key := convert(row)[0]) is not None:
+        if wide_keys is not None and (key := compiled(row)[0]) is not None:
             wide_keys.add(key)
 
     with _open_table(source, config.delimiter, skip_wide if report else None) as (header, rows):
         per_row = _PER_ROW[table]
         decided = tuple(f for f in fields if f not in per_row)
-        convert = config.compile(header, per_row, required, table, decided, decide)
-        yield convert, rows
+        compiled = config.compile(header, per_row, required, table, decided, decide)
+        yield compiled, rows
 
 
 def _int_or_none(raw: Optional[str]) -> Optional[int]:
@@ -494,39 +498,61 @@ def _coded_member(
 
 
 def _read_crash_rows(
-    convert: RowConverter, rows: Rows, skipped_ids: set[str], report: IngestReport
+    table: CompiledTable, rows: Rows, skipped_ids: set[str], report: IngestReport
 ) -> dict[str, list]:
     """Validate crash rows.  Returns, by crash id in row order, the entry
     of each crash to emit (see ``_RANK``), filled from its decision (see
     ``_decide_crash``), location and road names; the ids of skipped crash
-    rows join ``skipped_ids``."""
+    rows join ``skipped_ids``.  Entries that name the same road hold one
+    string for it."""
     crashes: dict[str, list] = {}
+    road_names: dict[str, str] = {}
+    shared_name = road_names.setdefault
+    key_of, decisions, pick, width = table.key_of, table.decisions, table.pick, table.width
     count_unknown = report.count_unknown
     number = 0
     for number, row in rows:
-        crash_id, lat_raw, lon_raw, primary_road, secondary_road, decided = convert(row)
-        if crash_id is None:
+        if len(row) < width:
+            row = table.padded(row)
+        crash_id, lat_raw, lon_raw, primary_road, secondary_road = pick(row)
+        crash_id = crash_id.strip()
+        if not crash_id:
             report.skip("crash", number, "missing crash_id")
             continue
         if crash_id in crashes:
             report.skip("crash", number, "duplicate crash_id")
             continue
-        reason, state, county, year, worst, worst_unknown, junction, manner, unknown = decided
+        reason, state, county, year, worst, worst_unknown, junction, manner, unknown = decisions[
+            key_of(row)
+        ]
         if reason:
             report.skip("crash", number, reason)
             skipped_ids.add(crash_id)
             continue
         for fname in unknown:
             count_unknown(fname)
-        lat = float_or_none(lat_raw)
-        lon = float_or_none(lon_raw)
-        if lat is not None and lon is not None and valid_coordinate(lat, lon):
-            location = _new_tuple(LatLon, (lat, lon))
-        else:
-            location = None
+        # ``float_or_none`` of each coordinate, then ``valid_coordinate``
+        # (whose range check also rules out NaN and infinities), inline.
+        lat_raw = lat_raw.strip()
+        lon_raw = lon_raw.strip()
+        location = None
+        if (lat_raw and lon_raw and lat_raw.isascii() and lon_raw.isascii()
+                and "_" not in lat_raw and "_" not in lon_raw):
+            try:
+                lat, lon = float(lat_raw), float(lon_raw)
+            except ValueError:
+                pass
+            else:
+                if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                    location = _new_tuple(LatLon, (lat, lon))
+        if location is None:
             report.missing_location += 1
+        primary_road = primary_road.strip()
+        secondary_road = secondary_road.strip()
         crashes[crash_id] = [
-            crash_id, state, county, year, worst, location, primary_road or "", secondary_road,
+            crash_id, state, county, year, worst, location,
+            shared_name(primary_road, primary_road),
+            shared_name(secondary_road, secondary_road) if secondary_road else None,
             (), junction, manner, False, _NO_RANK, worst_unknown,
         ]
     report.count_read("crash", number)
@@ -534,7 +560,7 @@ def _read_crash_rows(
 
 
 def _read_person_rows(
-    convert: RowConverter,
+    table: CompiledTable,
     rows: Rows,
     crashes: Mapping[str, list],
     skipped_ids: set[str],
@@ -543,11 +569,15 @@ def _read_person_rows(
     """Attach person rows to their crashes' entries: the rank of the
     worst injury level given by an attached row, and the airbag flag of
     a crash any attached row flags a deployment for."""
+    key_of, decisions, pick, width = table.key_of, table.decisions, table.pick, table.width
     count_unknown = report.count_unknown
     number = attached = 0
     for number, row in rows:
-        key, (reason, rank, airbag, unknown) = convert(row)
-        if key is None:
+        if len(row) < width:
+            row = table.padded(row)
+        key = pick(row).strip()
+        reason, rank, airbag, unknown = decisions[key_of(row)]
+        if not key:
             report.skip("person", number, "missing crash key")
             continue
         entry = crashes.get(key)
@@ -570,7 +600,7 @@ def _read_person_rows(
 
 
 def _read_unit_rows(
-    convert: RowConverter,
+    table: CompiledTable,
     rows: Rows,
     crashes: Mapping[str, list],
     skipped_ids: set[str],
@@ -584,11 +614,15 @@ def _read_unit_rows(
     it stays linear in the crash's units however many there are."""
     # The unit ids of each crash with ``_SCANNED_UNITS`` units or more.
     crowded: dict[str, set[int]] = {}
+    key_of, decisions, pick, width = table.key_of, table.decisions, table.pick, table.width
     count_unknown = report.count_unknown
     number = attached = 0
     for number, row in rows:
-        key, (reason, unit, airbag, unknown) = convert(row)
-        if key is None or reason == _MISSING_UNIT_KEYS:
+        if len(row) < width:
+            row = table.padded(row)
+        key = pick(row).strip()
+        reason, unit, airbag, unknown = decisions[key_of(row)]
+        if not key or reason == _MISSING_UNIT_KEYS:
             report.skip("unit", number, _MISSING_UNIT_KEYS)
             continue
         entry = crashes.get(key)
@@ -806,9 +840,9 @@ def load_vmt_table(
 def _parse_vmt_rows(source: RowSource, config: MappingConfig) -> list[VmtRecord]:
     records = []
     vmt_table = _mapped_table("vmt", source, config, VMT_REQUIRED, VMT_REQUIRED, _decide_vmt)
-    with vmt_table as (convert, rows):
+    with vmt_table as (compiled, rows):
         for number, row in rows:
-            state, county, class_token, year_raw, miles_raw, _ = convert(row)
+            state, county, class_token, year_raw, miles_raw, _ = compiled(row)
             year = _int_or_none(year_raw)
             miles = float_or_none(miles_raw)
             if not state or not county or not year_raw or not miles_raw or not class_token:

@@ -33,9 +33,11 @@ degrade to the field's unknown value and are counted.  A config is
 checked when it loads: [columns], [dictionary.F] and [derive.F] name
 only ``CANONICAL_FIELDS``, [source] holds only ``SOURCE_OPTIONS``, and
 any other field, option or section is a ConfigError naming it.
-``compile`` checks a table's mapping against its header and makes its
-one row converter, which reads the fields that differ per row and
-decides the others once per distinct tuple of the columns they read.
+``compile`` checks a table's mapping against its header and hands its
+reader the pieces of a ``CompiledTable``: an ``itemgetter`` of the memo
+key, the table's one decision memo, which decides the other fields once
+per distinct tuple of the columns they read, and one picker of the
+fields that differ per row.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .model import (
     JunctionRelation,
     KabcoLevel,
     MannerOfCollision,
+    Memo,
     VehicleClass,
     check_names,
     ini_sections,
@@ -92,10 +95,6 @@ class Const:
 
 
 Binding = Union[Column, Const]
-# A table's mapping compiled against its header: raw row values -> the
-# values of the fields read per row, then what its decide function made of
-# the others (see ``MappingConfig.compile``).
-RowConverter = Callable[[Sequence[str]], list]
 
 
 @dataclass(frozen=True)
@@ -325,7 +324,8 @@ class MappingConfig:
         """Resolve one canonical field from a raw row.
 
         Returns (value, degraded): the value (None when the field is
-        absent for this row) and whether the '*' fallback fired.  A coded
+        absent for this row: unbound, or an empty column, constant or
+        dictionary value) and whether the '*' fallback fired.  A coded
         field's value is read from its vocabulary, and it is also
         degraded when it is the field's unknown value.
         """
@@ -356,8 +356,8 @@ class MappingConfig:
         if dictionary is not None:
             mapped = dictionary.get(raw.upper())
             if mapped is None:
-                return dictionary[FALLBACK_KEY], True
-            return mapped, False
+                return dictionary[FALLBACK_KEY] or None, True
+            return mapped or None, False
         return raw, False
 
     def compile(
@@ -368,29 +368,27 @@ class MappingConfig:
         table: str = "table",
         decided: Sequence[str] = (),
         decide: Callable[..., Any] = lambda degraded: degraded,
-    ) -> RowConverter:
-        """Check a table against this mapping and compile its row converter.
+    ) -> CompiledTable:
+        """Check a table against this mapping and compile it for its reader.
 
         A required field left unbound is a ConfigError (``validate``); no
         header, none with the column bound to one, or one that repeats a
         column that ``fields`` or ``decided`` read (bound or named by a
         derive rule), is a DataError naming the mapping and ``table``.
-        The converter takes a row of raw values in header order and
-        returns a list: the values of ``fields``, in order, as ``resolve``
-        gives them for the row as a dict, then ``decide`` called with the
-        values of ``decided`` and the tuple of the names of the compiled
-        fields that came out degraded (by default, that tuple alone).  A
-        row shorter than the header is padded with empty values, so its
-        missing trailing fields read as absent, as they do in the dict.
 
-        Only a field of ``fields`` bound to a header column with no
-        dictionary, derive rule or vocabulary (ids, coordinates, road
-        names) is read per row.  The other fields, and what ``decide``
-        makes of them, are decided once per distinct tuple of the raw
-        values of the columns they read, in one memo that lives as long
-        as the converter, so ``decide`` must depend on its arguments
-        alone.  A column that only per-row fields read is never part of
-        the memo key.
+        ``fields`` are read per row, through the table's picker.  The
+        other fields, ``decided``, and what ``decide`` makes of them, are
+        decided once per distinct tuple of the raw values of the columns
+        they read, in the table's one decision memo: ``decide`` is called
+        with the values of ``decided``, as ``resolve`` gives them for the
+        row as a dict, and the tuple of the names of the compiled fields
+        that came out degraded (by default, that tuple alone), so it must
+        depend on its arguments alone.  A field of ``fields`` that is not
+        bound to a plain column (see ``CompiledTable``) is decided from
+        the memo's key too, so its degraded flag reaches ``decide``; a
+        column that only plain per-row fields read is never part of the
+        key.
+        See ``CompiledTable`` for how a reader uses the pieces.
         """
         self.validate(required)
         if required and not header:
@@ -410,12 +408,13 @@ class MappingConfig:
                 )
 
         names = (*fields, *decided)
-        width = len(fields)
-        per_row: list[tuple[int, int]] = []  # (slot, position of its column)
+        plain: list[int] = []  # the positions of the per-row fields bound to plain columns
+        # Each per-row field's value, as the single-row call gives it.
+        values: list[Callable[[Sequence[str]], Any]] = []
         keyed: dict[str, int] = {}  # column -> its place in the memo key
-        # (slot, field, the columns it reads, their places in the key, and
-        # its resolutions by the values of those columns)
-        coded: list[tuple[int, str, list[str], Callable, dict]] = []
+        # (slot, field, the places of its columns in the memo key, and its
+        # resolutions by the values of those columns)
+        coded: list[tuple[int, str, Callable, Memo]] = []
         for slot, fname in enumerate(names):
             binding = self.columns.get(fname)
             rules = self.derives.get(fname, ())
@@ -429,50 +428,104 @@ class MappingConfig:
                         f"(positions {first + 1} and {second + 1}), which {fname} reads"
                     )
             read = [column for column in dict.fromkeys(read) if column in index]
-            if slot < width and read and not (
+            if slot < len(fields) and read and not (
                 rules or fname in self.dictionaries or fname in VOCABULARIES
             ):
-                per_row.append((slot, index[binding.name]))
-            else:
-                places = [keyed.setdefault(column, len(keyed)) for column in read]
-                coded.append((slot, fname, read, _picker(places), {}))
-        read_key = _picker([index[column] for column in keyed])
-        memo: dict[tuple, list] = {}
-        header_width = len(header)
+                position = index[binding.name]
+                plain.append(position)
+                values.append(lambda row, position=position: row[position].strip() or None)
+                continue
+            places = [keyed.setdefault(column, len(keyed)) for column in read]
+            resolved = Memo(
+                lambda own, fname=fname, read=read: self.resolve(fname, dict(zip(read, own)))
+            )
+            coded.append((slot, fname, _picker(places), resolved))
+            if slot < len(fields):
+                own = _picker([index[column] for column in read])
+                values.append(lambda row, own=own, resolved=resolved: resolved[own(row)][0])
 
-        def convert(row: Sequence[str]) -> list:
-            if len(row) < header_width:
-                row = [*row, *[""] * (header_width - len(row))]
-            key = read_key(row)
-            entry = memo.get(key)
-            if entry is None:
-                values: list = [None] * len(names)
-                degraded: tuple[str, ...] = ()
-                # Keys repeat most values of each field: a field is resolved
-                # once per distinct tuple of its own columns.
-                for slot, fname, columns, pick, resolved in coded:
-                    own = pick(key)
-                    value = resolved.get(own)
-                    if value is None:
-                        value = resolved[own] = self.resolve(fname, dict(zip(columns, own)))
-                    values[slot], bad = value
-                    if bad:
-                        degraded += (fname,)
-                entry = memo[key] = values[:width] + [decide(*values[width:], degraded)]
-            values = entry.copy()
-            for slot, position in per_row:
-                values[slot] = row[position].strip() or None
-            return values
+        def decide_key(key) -> Any:
+            if len(keyed) == 1:
+                key = (key,)
+            decided_values: list = [None] * len(names)
+            degraded: tuple[str, ...] = ()
+            # Keys repeat most values of each field: a field is resolved
+            # once per distinct tuple of its own columns.
+            for slot, fname, own, resolved in coded:
+                decided_values[slot], bad = resolved[own(key)]
+                if bad:
+                    degraded += (fname,)
+            return decide(*decided_values[len(fields):], degraded)
 
-        return convert
+        if len(plain) == len(fields):
+            pick = _getter(plain)
+        elif len(fields) == 1:
+            pick = lambda row: _text(values[0](row))  # noqa: E731
+        else:
+            pick = lambda row: tuple(_text(value(row)) for value in values)  # noqa: E731
+        key_of = _getter([index[column] for column in keyed])
+        return CompiledTable(key_of, Memo(decide_key), pick, len(header), tuple(values))
+
+
+@dataclass(frozen=True)
+class CompiledTable:
+    """A table's mapping compiled against its header (``MappingConfig.compile``).
+
+    A reader takes each row, of raw values in header order, in three
+    steps.  When the row's decision is known and its per-row fields are
+    bound to plain columns, the last two make no Python-level call:
+
+    - a row shorter than ``width`` is ``padded`` with empty values, so its
+      missing trailing fields read as absent;
+    - ``decisions[key_of(row)]`` is the decision on the row's coded
+      columns: ``key_of`` is an ``itemgetter`` of the columns the memo key
+      holds, and ``decisions`` the table's decision memo, a dict that
+      decides a key on its first lookup and keeps it;
+    - ``pick(row)`` gives the per-row fields, one value for one field and
+      a tuple for more, as ``itemgetter`` does.  The reader reads each as
+      ``value.strip() or None``.  A field bound to a plain header column is
+      picked raw, by one ``itemgetter`` over them all; in a mapping where a
+      per-row field is unbound, absent from the header, a constant, or read
+      through a dictionary or derive rule, the picker is Python-level and
+      gives each field's ``resolve`` value, ``""`` for None (it serves text
+      fields, not coded ones).
+
+    Called on a row, it gives the single-row list the three steps make:
+    the values of the per-row fields, in order, as ``resolve`` gives them
+    (``values``, one function per field), then the row's decision.
+    """
+
+    key_of: Callable[[Sequence[str]], Any]
+    decisions: Memo
+    pick: Callable[[Sequence[str]], Any]
+    width: int
+    values: tuple[Callable[[Sequence[str]], Any], ...]
+
+    def padded(self, row: Sequence[str]) -> list[str]:
+        return [*row, *[""] * (self.width - len(row))]
+
+    def __call__(self, row: Sequence[str]) -> list:
+        if len(row) < self.width:
+            row = self.padded(row)
+        return [*(value(row) for value in self.values), self.decisions[self.key_of(row)]]
+
+
+def _text(value: Optional[str]) -> str:
+    """A resolved text value as a picker gives it: None reads as ``""``."""
+    return "" if value is None else value
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence], Any]:
+    """``itemgetter(*positions)``, with ``()`` for no positions."""
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """``itemgetter(*positions)``, returning a tuple for any number of positions."""
+    """``_getter``, returning a tuple for one position too."""
     if len(positions) == 1:
         (position,) = positions
         return lambda row: (row[position],)
-    return itemgetter(*positions) if positions else lambda row: ()
+    return _getter(positions)
 
 
 def _check_tokens(path, section: str, fname: str, tokens: Iterable[str]) -> None:

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 
 class CrashBenchError(Exception):
@@ -48,6 +48,19 @@ class InvalidOptionError(ConfigError, ValueError):
 
 class DataError(CrashBenchError):
     """Input data violates a hard contract (not a per-row skip)."""
+
+
+class Memo(dict):
+    """The value ``make`` gives for each key, made on the key's first
+    lookup only; a key that ``make`` refuses is not stored."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def read_ini(path: str | Path, what: str) -> configparser.ConfigParser:

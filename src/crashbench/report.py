@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .ingest import _columns, _open_table
-from .model import CrashBenchError, DataError, GeoArea, RoadClass
+from .model import CrashBenchError, DataError, GeoArea, Memo, RoadClass
 from .rates import (
     MILLION,
     InvalidExposureError,
@@ -130,19 +130,6 @@ def _fmt_count(count: float) -> str:
     return str(int(count)) if float(count).is_integer() else f"{count:.3f}"
 
 
-class _Memo(dict):
-    """The value ``make`` gives for each key, made on the key's first
-    lookup only; a key that ``make`` refuses is not stored."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _quoted(value: str) -> str:
     """The text ``csv.writer`` writes for a free-text value inside a
     row, field separator included.  The trailing empty field keeps a
@@ -202,7 +189,7 @@ def _rate_tails(pairs: list[tuple]) -> list[str]:
     return tails
 
 
-def _rate_lines(cells: list[RateCell], quoted: _Memo) -> list[str]:
+def _rate_lines(cells: list[RateCell], quoted: Memo) -> list[str]:
     """One rate-table line per cell.  Cells come sorted, so grouped by
     area and road: each group's leading columns are formatted once.
     The rest of a line depends on the cell's count and VMT alone, so it
@@ -229,7 +216,7 @@ def _rate_lines(cells: list[RateCell], quoted: _Memo) -> list[str]:
     return lines
 
 
-def _distribution_lines(distributions, quoted: _Memo) -> Iterator[str]:
+def _distribution_lines(distributions, quoted: Memo) -> Iterator[str]:
     for geo, road, outcome, fractions in sorted(
         distributions, key=lambda d: (d[0].name, LABEL[d[1]], OUTCOME_RANK[d[2]])
     ):
@@ -238,7 +225,7 @@ def _distribution_lines(distributions, quoted: _Memo) -> Iterator[str]:
             yield f"{head}{LABEL[crash_type]},{fractions[crash_type]!r}\n"
 
 
-def _power_grid_lines(rows: list[PowerRow], quoted: _Memo) -> Iterator[str]:
+def _power_grid_lines(rows: list[PowerRow], quoted: Memo) -> Iterator[str]:
     """One line per grid row, in tuple order (linear on rows that come
     sorted).  Each stratum's leading columns are formatted once, and so
     is each distinct (effect ratio, expected ADS crashes) pair: the
@@ -294,7 +281,7 @@ def emit_report(
     typed_cells = sorted(
         (c for c in report.cells if c.crash_type is not None), key=_cell_sort_key
     )
-    quoted = _Memo(_quoted)
+    quoted = Memo(_quoted)
     rate_lines = _rate_lines(severity_cells, quoted)
     typed_rate_lines = _rate_lines(typed_cells, quoted)
 
@@ -353,9 +340,9 @@ def parse_rate_table(path: str | Path) -> list[RateCell]:
     def refuse_wide(number: int, reason: str, row: list[str]) -> None:
         raise DataError(f"{path}: row {number}: more fields than the header")
 
-    areas = _Memo(_area)
-    roads, outcomes = _Memo(RoadClass), _Memo(OutcomeLevel)
-    crash_types = _Memo(lambda label: CrashType(label) if label else None)
+    areas = Memo(_area)
+    roads, outcomes = Memo(RoadClass), Memo(OutcomeLevel)
+    crash_types = Memo(lambda label: CrashType(label) if label else None)
     cells = []
     row_of: dict[tuple, int] = {}  # each cell's (geo, road, outcome, crash type) -> row
     with _open_table(path, ",", refuse_wide) as (header, rows):

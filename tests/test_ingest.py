@@ -22,7 +22,7 @@ from crashbench.ingest import (
     load_share_table,
     load_vmt_table,
 )
-from crashbench.mapping import Column, MappingConfig
+from crashbench.mapping import Column, MappingConfig, float_or_none
 from crashbench.model import (
     ConfigError,
     CrashRecord,
@@ -35,6 +35,7 @@ from crashbench.model import (
     MannerOfCollision,
     VehicleClass,
     VmtRecord,
+    valid_coordinate,
 )
 from crashbench.pipeline import resolve_mapping
 from crashbench.taxonomy import OutcomeLevel, classify_outcome
@@ -302,6 +303,18 @@ def test_compiled_resolvers_match_resolve(builtin_mappings, name, data):
             assert (value, fname in degraded) == config.resolve(fname, as_dict), fname
 
 
+# Coordinate fields as a source might write them: numbers in and out of
+# range, padded, non-finite, with underscores or non-ASCII digits, or junk.
+_COORDINATE_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(-200, 200).map(lambda v: f" {v!r}\xa0"),
+    st.sampled_from(
+        ["", " ", "nan", "-inf", "1_0", "\u0663\u0660", "30.", ".5", "+30", "1e1", "0x1"]
+    ),
+    st.text(alphabet="0123456789.-+e_ \xa0\u0663", max_size=6),
+)
+
+
 class TestCrashLoading:
     def test_fixture_tables_load(self, tx_mapping, fixtures_dir):
         records, report = load_crash_table(
@@ -380,6 +393,21 @@ class TestCrashLoading:
         assert records[0].location is None
         assert report.missing_location == 1
         assert contract_breaches(records[0]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(lat=_COORDINATE_TEXT, lon=_COORDINATE_TEXT)
+    def test_coordinates_read_by_the_number_rule(self, tx_mapping, lat, lon):
+        """The crash reader's coordinates are ``float_or_none`` of each
+        stripped field, kept when ``valid_coordinate`` accepts the pair."""
+        text = io.StringIO(newline="")
+        row = ["X1", "2023", "Travis", lat, lon, "MAIN ST", "", "N", "3", "24"]
+        csv.writer(text, lineterminator="\n").writerows([CRASH_HEADER.split(","), row])
+        text.seek(0)
+        (record,), report = load_crash_table(text, tx_mapping)
+        numbers = float_or_none(lat.strip()), float_or_none(lon.strip())
+        valid = None not in numbers and valid_coordinate(*numbers)
+        assert repr(record.location) == repr(LatLon(*numbers) if valid else None)
+        assert report.missing_location == (not valid)
 
     def test_malformed_header_is_hard_error(self, tx_mapping):
         with pytest.raises(DataError):
@@ -1095,6 +1123,23 @@ class TestSharedUnits:
         assert again == records
         assert not {id(u) for u in units} & {id(u) for r in again for u in r.units}
 
+    def test_equal_road_names_are_one_string_per_load(self, tx_mapping, fixtures_dir):
+        crashes, units, persons = self._tables(fixtures_dir, 3)
+        # Padding around a name makes a new string that strips to an old one.
+        crashes = [line.replace(",MAIN ST,", ", MAIN ST ,") for line in crashes]
+        records, _ = load_crash_table(crashes, tx_mapping, units, persons)
+        names = [
+            name for record in records
+            for name in (record.primary_road_name, record.secondary_road_name) if name
+        ]
+        shared: dict[str, str] = {}
+        for name in names:
+            assert shared.setdefault(name, name) is name
+        assert "MAIN ST" in shared
+        assert len(shared) < len(names) / 3
+        again, _ = load_crash_table(crashes, tx_mapping, units, persons)
+        assert again == records
+
     def test_geocoding_keeps_units_shared(self, tx_mapping, fixtures_dir):
         crashes, units, persons = self._tables(fixtures_dir, 1)
         records, _ = load_crash_table(crashes, tx_mapping, units, persons)
@@ -1297,6 +1342,69 @@ class TestRowOracle:
         shared: dict[tuple, object] = {}
         for unit in (unit for record in records for unit in record.units):
             assert shared.setdefault(tuple(unit), unit) is unit
+
+
+# Variants of the oracle mapping that read a per-row crash field other
+# than through a plain column.  The secondary-road dictionary maps one
+# name to an empty value, which reads as absent.
+_BINDING_VARIANTS = {
+    "derived primary road": (
+        {},
+        "[derive.primary_road]\nrule.1 = INTERSTATE-35 when Rpt_Street_Name in I-35|IH-35\n"
+        "rule.2 = LOOP-1 when Rpt_Street_Name == MOPAC\n"
+        "rule.3 = UNNAMED when Rpt_Street_Name missing\n",
+    ),
+    "constant secondary road": (
+        {"secondary_road = Rpt_Sec_Street_Name\n": "secondary_road = const:FRONTAGE RD\n"}, ""
+    ),
+    "secondary road dictionary": (
+        {},
+        "[dictionary.secondary_road]\nMAIN ST = MAIN STREET\nELM AVE =\n* = OTHER ROAD\n",
+    ),
+    "unbound coordinates": ({"latitude = Latitude\n": "", "longitude = Longitude\n": ""}, ""),
+}
+
+
+@pytest.fixture(scope="module")
+def variant_mappings(tmp_path_factory) -> dict[str, MappingConfig]:
+    mappings = {}
+    for name, (edits, sections) in _BINDING_VARIANTS.items():
+        text = _oracle_mapping_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path_factory.mktemp("mapping") / "tx_variant.ini"
+        path.write_text(text + "\n" + sections)
+        mappings[name] = MappingConfig.load(path)
+    return mappings
+
+
+class TestRowOracleBindings:
+    """``TestRowOracle``'s comparison on mappings whose per-row crash
+    fields are derived, constant, read through a dictionary or unbound,
+    with road names that reach each rule and dictionary entry."""
+
+    @pytest.mark.parametrize("variant", _BINDING_VARIANTS)
+    @settings(max_examples=40, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 10),
+           mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=6))
+    def test_loader_matches_row_oracle(self, variant_mappings, variant, seed, size, mutations):
+        mapping = variant_mappings[variant]
+        rng = random.Random(seed)
+        tables = _corpus_tables(rng, size)
+        names = ["", " ", "I-35", " ih-35 ", "MOPAC", "MAIN ST", " elm ave ", "US-290"]
+        for row in tables["crash"]:
+            row[5], row[6] = rng.choice(names), rng.choice(names)
+        for mutation in mutations:
+            _mutate(rng, tables, mutation)
+
+        def load(loader):
+            return loader(_source("crash", tables["crash"]), mapping,
+                          _source("unit", tables["unit"]), _source("person", tables["person"]))
+
+        records, report = load(load_crash_table)
+        assert (records, report) == load(ingest_oracle.load_crash_table)
 
 
 class TestCrowdedCrash:

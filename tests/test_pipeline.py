@@ -24,6 +24,7 @@ from crashbench.model import (
     InvalidOptionError,
     JunctionRelation,
     KabcoLevel,
+    LatLon,
     MannerOfCollision,
     PassengerShareTable,
     VehicleClass,
@@ -830,6 +831,87 @@ class TestCrashRelabelling:
         changed = {k for k in digests if digests[k] != relabelled_digests[k]}
         assert changed <= {"crash:tx", "units:tx", "persons:tx"}
         assert relabelled_digests.keys() == digests.keys()
+
+
+class TestOutOfScopePadding:
+    """Whole-run property: crashes from another year, or from 2023
+    outside every area, with their units and persons, change no table.
+    The four CSVs are byte-identical.  In the report only the input
+    digests move, and the diagnostics counts of those rows: rows read,
+    records emitted and, for 2023 crashes outside every area, records in
+    the year and records outside areas, each by exactly the rows added.
+    The padding codes nothing as unknown and every crash has a location,
+    so no other count may move."""
+
+    @staticmethod
+    def _padding(records, rng) -> tuple[dict, int]:
+        """The records as out-of-scope table rows under fresh crash ids:
+        the first in 2022 in an area's county, the second in 2023 in a
+        county of no area, the rest either way.  Returns the rows and the
+        number of 2023 crashes."""
+        placed = []
+        for i, record in enumerate(records):
+            another_year = i == 0 or (i > 1 and rng.random() < 0.5)
+            placed.append(record._replace(
+                crash_id=f"P{i}",
+                year=2022 if another_year else 2023,
+                county=rng.choice(["TRAVIS", "WILLIAMSON"] if another_year else ["HAYS", "BEXAR"]),
+                location=record.location or LatLon(30.3, -97.7),
+                worst_injury=rng.choice([k for k in KabcoLevel if k is not KabcoLevel.UNKNOWN]),
+                junction_relation=JunctionRelation.INTERSECTION,
+                manner_of_collision=MannerOfCollision.FRONT_TO_REAR,
+                units=tuple(
+                    u._replace(vehicle_class=VehicleClass.PASSENGER)
+                    if u.vehicle_class in (VehicleClass.UNKNOWN, VehicleClass.OTHER) else u
+                    for u in record.units
+                ),
+            ))
+        tables = texas_tables(placed, rng)
+        for row in tables["person"]:
+            row[2] = "5" if row[2] == "9" else row[2]  # a known injury
+        return tables, sum(record.year == 2023 for record in placed)
+
+    @settings(max_examples=30, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(records=corpora,
+           padding=st.builds(make_corpus, st.integers(2, 8), st.integers(0, 2**32 - 1)),
+           rng=st.randoms(use_true_random=False))
+    def test_padding_moves_only_its_own_counts(
+        self, fixtures_dir, tmp_path_factory, records, padding, rng
+    ):
+        tables = texas_tables(records, rng)
+        extra, in_year = self._padding(padding, rng)
+        padded = {table: list(rows) for table, rows in tables.items()}
+        for table, rows in extra.items():
+            for row in rows:
+                padded[table].insert(rng.randint(0, len(padded[table])), row)
+        run = _CorpusRun(fixtures_dir, tmp_path_factory.mktemp("padding"))
+        try:
+            csvs, report, _ = run("plain", tables)
+        except DataError as exc:  # an area with units to impute but none known
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                run("padded", padded)
+            return
+        padded_csvs, padded_report, _ = run("padded", padded)
+        assert len(csvs) == 4
+        assert padded_csvs == csvs
+
+        digests = report["metadata"].pop("input_digests")
+        padded_digests = padded_report["metadata"].pop("input_digests")
+        assert padded_digests.keys() == digests.keys()
+        changed = {k for k in digests if digests[k] != padded_digests[k]}
+        assert changed == {"crash:tx", "units:tx", "persons:tx"} - (
+            set() if extra["person"] else {"persons:tx"}
+        )
+        diagnostics = report["diagnostics"]
+        (ingest,) = diagnostics["ingest"]
+        for table, rows in extra.items():
+            if rows:
+                ingest["rows_read"][table] = ingest["rows_read"].get(table, 0) + len(rows)
+        ingest["records_emitted"] += len(extra["crash"])
+        diagnostics["records_in_year"] += in_year
+        diagnostics["records_outside_areas"] += in_year
+        assert padded_report == report
 
 
 class TestWholeRunTiling:
