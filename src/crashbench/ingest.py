@@ -16,13 +16,17 @@ crash row's id, coordinates and road names, and a unit or person row's
 crash key.  Everything else is decided once per distinct tuple of the
 raw columns that it reads, in the table's decision memo, which the
 reader looks each row up in itself (``CompiledTable``): for a crash row
-the year or its skip reason, the normalised state and county, the
-crash-level worst injury, junction and manner; for a unit row the unit
-number or its skip reason, the shared unit and the airbag flag; for a
-person row the unit-number check, the injury level and the airbag flag;
-and for each, the names to count as unknown.  Per row there is left only
-the join: blank keys, orphans, duplicates and the per-row counts, each
-unknown name counted once for every row that has it.  Within one load,
+the year or its skip reason, the normalised state, the crash-level
+worst injury, junction and manner; for a unit row the unit number or its
+skip reason, the shared unit and the airbag flag; for a person row the
+unit-number check, the injury level and the airbag flag; and for each,
+the names to count as unknown.  A crash row's county is decided apart,
+once per distinct raw value, in a memo of its own: a statewide table
+covers every county of its state (Texas has 254), and a memo key that
+held the county too would have as many keys as code combinations times
+counties, so most rows would decide their codes again.  Per row there is
+left only the join: blank keys, orphans, duplicates and the per-row
+counts, each unknown name counted once for every row that has it.  Within one load,
 records that name the same road hold one string for it.
 
 Each crash is one object from its row to its record.  The crash reader
@@ -254,8 +258,9 @@ def _mapped_table(
 ) -> Iterator[tuple[CompiledTable, Rows]]:
     """Open a source table; yield the mapping of ``fields`` compiled
     against its header (which checks it), and the numbered rows.  The
-    table's picker reads its ``_PER_ROW`` fields, and its decision memo
-    passes the others to ``decide`` (see ``MappingConfig.compile``).
+    table's picker reads its ``_PER_ROW`` fields, its ``_APART`` fields
+    are decided apart, and its decision memo passes the others to
+    ``decide`` (see ``MappingConfig.compile``).
     Rows wider than the header are skipped into ``report`` when one is
     given, else they are a DataError (see ``_open_table``); the value
     such a row holds for the first field joins ``wide_keys`` when that is
@@ -267,9 +272,9 @@ def _mapped_table(
             wide_keys.add(key)
 
     with _open_table(source, config.delimiter, skip_wide if report else None) as (header, rows):
-        per_row = _PER_ROW[table]
-        decided = tuple(f for f in fields if f not in per_row)
-        compiled = config.compile(header, per_row, required, table, decided, decide)
+        per_row, apart = _PER_ROW[table], _APART.get(table, {})
+        decided = tuple(f for f in fields if f not in per_row and f not in apart)
+        compiled = config.compile(header, per_row, required, table, decided, decide, apart)
         yield compiled, rows
 
 
@@ -302,7 +307,21 @@ _PER_ROW = {
     "person": ("person.crash_id",),
     "vmt": VMT_REQUIRED,
 }
+
+
+def _decide_county(county: Optional[str]) -> Optional[str]:
+    """A crash row's county, normalised; None when it is absent."""
+    return county.strip().upper() if county else None
+
+
+# The fields each reader decides apart from its table's other coded
+# fields (``MappingConfig.compile``), each once per distinct raw value: a
+# statewide crash table covers every county of its state, so a decision
+# memo keyed by the county too would decide each code combination again
+# in every county.
+_APART = {"crash": {"county": _decide_county}}
 _MISSING_UNIT_KEYS = "missing crash or unit key"
+_MISSING_PLACE = "missing state or county"
 # A person's injury level ranked for the running worst per crash: K
 # highest, and Unknown below O, so it is the worst only when every
 # injury of the crash is Unknown.
@@ -419,22 +438,23 @@ def load_crash_table(
     return records, report
 
 
-def _decide_crash(state, county, year_raw, level, junction, manner, degraded) -> tuple:
-    """A crash row's decision on its coded columns: (skip reason or None,
-    normalised state and county, year, crash-level worst injury, whether
-    that counts as unknown, junction, manner, the names to count as
-    unknown for each row emitted)."""
+def _decide_crash(state, year_raw, level, junction, manner, degraded) -> tuple:
+    """A crash row's decision on its coded columns but the county's:
+    (skip reason or None, normalised state, year, crash-level worst
+    injury, whether that counts as unknown, junction, manner, the names
+    to count as unknown for each row emitted).  A row with no county is
+    skipped by its reader, after this decision's reason."""
     year = _int_or_none(year_raw)
     if year is None:
-        return (f"unparseable year {year_raw!r}",) + (None,) * 8
-    if not state or not county:
-        return ("missing state or county",) + (None,) * 8
+        return (f"unparseable year {year_raw!r}",) + (None,) * 7
+    if not state:
+        return (_MISSING_PLACE,) + (None,) * 7
     unknown: list[str] = []
     junction = _coded_member("junction_relation", junction, degraded, unknown)
     manner = _coded_member("manner_of_collision", manner, degraded, unknown)
     worst_degraded = level is None or "worst_injury" in degraded
     return (
-        None, state.strip().upper(), county.strip().upper(), year,
+        None, state.strip().upper(), year,
         KabcoLevel.UNKNOWN if level is None else level, worst_degraded,
         junction, manner, tuple(unknown),
     )
@@ -502,13 +522,14 @@ def _read_crash_rows(
 ) -> dict[str, list]:
     """Validate crash rows.  Returns, by crash id in row order, the entry
     of each crash to emit (see ``_RANK``), filled from its decision (see
-    ``_decide_crash``), location and road names; the ids of skipped crash
-    rows join ``skipped_ids``.  Entries that name the same road hold one
-    string for it."""
+    ``_decide_crash``), county (``_decide_county``), location and road
+    names; the ids of skipped crash rows join ``skipped_ids``.  Entries
+    that name the same road hold one string for it."""
     crashes: dict[str, list] = {}
     road_names: dict[str, str] = {}
     shared_name = road_names.setdefault
     key_of, decisions, pick, width = table.key_of, table.decisions, table.pick, table.width
+    ((county_of, counties),) = table.apart
     count_unknown = report.count_unknown
     number = 0
     for number, row in rows:
@@ -522,11 +543,16 @@ def _read_crash_rows(
         if crash_id in crashes:
             report.skip("crash", number, "duplicate crash_id")
             continue
-        reason, state, county, year, worst, worst_unknown, junction, manner, unknown = decisions[
+        reason, state, year, worst, worst_unknown, junction, manner, unknown = decisions[
             key_of(row)
         ]
         if reason:
             report.skip("crash", number, reason)
+            skipped_ids.add(crash_id)
+            continue
+        county = counties[county_of(row)]
+        if county is None:
+            report.skip("crash", number, _MISSING_PLACE)
             skipped_ids.add(crash_id)
             continue
         for fname in unknown:

@@ -36,14 +36,19 @@ any other field, option or section is a ConfigError naming it.
 ``compile`` checks a table's mapping against its header and hands its
 reader the pieces of a ``CompiledTable``: an ``itemgetter`` of the memo
 key, the table's one decision memo, which decides the other fields once
-per distinct tuple of the columns they read, and one picker of the
-fields that differ per row.
+per distinct tuple of the columns they read, one picker of the fields
+that differ per row, and for each field decided apart (a crash table's
+county) an ``itemgetter`` of its own columns and a memo of its own, so
+that its many values do not multiply the decision memo's keys.  Columns
+that the mapping reads and the header lacks read as empty, and
+``compile`` names them in an ``AbsentColumnWarning``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from pathlib import Path
@@ -82,6 +87,11 @@ SOURCE_OPTIONS = ("name", "delimiter", "vmt_scale")
 
 UNKNOWN_TOKEN = "Unknown"
 FALLBACK_KEY = "*"
+
+
+class AbsentColumnWarning(UserWarning):
+    """A table's header lacks columns that its mapping binds or that a
+    derive rule reads; fields read them as empty (``MappingConfig.compile``)."""
 
 
 @dataclass(frozen=True)
@@ -368,13 +378,16 @@ class MappingConfig:
         table: str = "table",
         decided: Sequence[str] = (),
         decide: Callable[..., Any] = lambda degraded: degraded,
+        apart: Mapping[str, Callable[[Any], Any]] = {},
     ) -> CompiledTable:
         """Check a table against this mapping and compile it for its reader.
 
         A required field left unbound is a ConfigError (``validate``); no
         header, none with the column bound to one, or one that repeats a
-        column that ``fields`` or ``decided`` read (bound or named by a
-        derive rule), is a DataError naming the mapping and ``table``.
+        column that ``fields``, ``decided`` or ``apart`` read (bound or
+        named by a derive rule), is a DataError naming the mapping and
+        ``table``.  Any other column they read that the header lacks reads
+        as empty, and one ``AbsentColumnWarning`` names them all.
 
         ``fields`` are read per row, through the table's picker.  The
         other fields, ``decided``, and what ``decide`` makes of them, are
@@ -388,6 +401,15 @@ class MappingConfig:
         the memo's key too, so its degraded flag reaches ``decide``; a
         column that only plain per-row fields read is never part of the
         key.
+
+        Each field of ``apart`` is decided apart: its function is called
+        with the field's ``resolve`` value (its degraded flag reaches no
+        decision), once per distinct tuple of the field's own columns, in
+        a memo of its own.  Its columns are part of the decision memo's
+        key only if a field of ``decided`` reads them too.  The memo key
+        holds every column it reads, so a column with many distinct values,
+        such as a statewide table's county, would multiply the distinct
+        keys by its values; decided apart, it costs one key per value.
         See ``CompiledTable`` for how a reader uses the pieces.
         """
         self.validate(required)
@@ -406,6 +428,26 @@ class MappingConfig:
                     f"{self.name}/{table}: header missing column {binding.name!r} "
                     f"(bound to {fname})"
                 )
+        absent: dict[str, list[str]] = {}  # column -> the fields that read it
+
+        def columns_read(fname: str) -> list[str]:
+            """The columns ``fname`` reads that the header has, in order,
+            each once.  A repeated one is a DataError; an absent one joins
+            ``absent``."""
+            binding = self.columns.get(fname)
+            rules = self.derives.get(fname, ())
+            read = [cond.column for rule in rules for cond in rule.conditions]
+            read += [binding.name] if isinstance(binding, Column) else []
+            for column in dict.fromkeys(read):
+                if column in repeated:
+                    first, second = repeated[column]
+                    raise DataError(
+                        f"{self.name}/{table}: header repeats column {column!r} "
+                        f"(positions {first + 1} and {second + 1}), which {fname} reads"
+                    )
+                if column not in index:
+                    absent.setdefault(column, []).append(fname)
+            return [column for column in dict.fromkeys(read) if column in index]
 
         names = (*fields, *decided)
         plain: list[int] = []  # the positions of the per-row fields bound to plain columns
@@ -416,22 +458,11 @@ class MappingConfig:
         # resolutions by the values of those columns)
         coded: list[tuple[int, str, Callable, Memo]] = []
         for slot, fname in enumerate(names):
-            binding = self.columns.get(fname)
-            rules = self.derives.get(fname, ())
-            read = [cond.column for rule in rules for cond in rule.conditions]
-            read += [binding.name] if isinstance(binding, Column) else []
-            for column in read:
-                if column in repeated:
-                    first, second = repeated[column]
-                    raise DataError(
-                        f"{self.name}/{table}: header repeats column {column!r} "
-                        f"(positions {first + 1} and {second + 1}), which {fname} reads"
-                    )
-            read = [column for column in dict.fromkeys(read) if column in index]
+            read = columns_read(fname)
             if slot < len(fields) and read and not (
-                rules or fname in self.dictionaries or fname in VOCABULARIES
+                self.derives.get(fname) or fname in self.dictionaries or fname in VOCABULARIES
             ):
-                position = index[binding.name]
+                position = index[self.columns[fname].name]
                 plain.append(position)
                 values.append(lambda row, position=position: row[position].strip() or None)
                 continue
@@ -457,6 +488,24 @@ class MappingConfig:
                     degraded += (fname,)
             return decide(*decided_values[len(fields):], degraded)
 
+        apart_memos = []
+        for fname, make in apart.items():
+            read = columns_read(fname)
+            one = len(read) == 1  # then the key is the column's value, not a tuple
+            apart_memos.append((
+                _getter([index[column] for column in read]),
+                Memo(lambda key, fname=fname, read=read, one=one, make=make: make(
+                    self.resolve(fname, dict(zip(read, (key,) if one else key)))[0]
+                )),
+            ))
+        if absent:
+            lacking = ", ".join(
+                f"{column!r} (read by {', '.join(by)})" for column, by in absent.items()
+            )
+            warnings.warn(AbsentColumnWarning(
+                f"{self.name}/{table}: header lacks {lacking}; each reads as empty"
+            ), stacklevel=2)
+
         if len(plain) == len(fields):
             pick = _getter(plain)
         elif len(fields) == 1:
@@ -464,7 +513,9 @@ class MappingConfig:
         else:
             pick = lambda row: tuple(_text(value(row)) for value in values)  # noqa: E731
         key_of = _getter([index[column] for column in keyed])
-        return CompiledTable(key_of, Memo(decide_key), pick, len(header), tuple(values))
+        return CompiledTable(
+            key_of, Memo(decide_key), pick, len(header), tuple(values), tuple(apart_memos)
+        )
 
 
 @dataclass(frozen=True)
@@ -472,8 +523,9 @@ class CompiledTable:
     """A table's mapping compiled against its header (``MappingConfig.compile``).
 
     A reader takes each row, of raw values in header order, in three
-    steps.  When the row's decision is known and its per-row fields are
-    bound to plain columns, the last two make no Python-level call:
+    steps, and a fourth for each field decided apart.  When the row's
+    decisions are known and its per-row fields are bound to plain
+    columns, none but the first makes a Python-level call:
 
     - a row shorter than ``width`` is ``padded`` with empty values, so its
       missing trailing fields read as absent;
@@ -488,11 +540,19 @@ class CompiledTable:
       per-row field is unbound, absent from the header, a constant, or read
       through a dictionary or derive rule, the picker is Python-level and
       gives each field's ``resolve`` value, ``""`` for None (it serves text
-      fields, not coded ones).
+      fields, not coded ones);
+    - ``memo[key_of(row)]``, for each ``(key_of, memo)`` of ``apart``, is
+      the decision on a field decided apart, whatever its binding:
+      ``key_of`` is an ``itemgetter`` of the field's own columns (the
+      value itself for one column) and ``memo`` decides each distinct
+      key once.  Apart from the table's other coded columns, such a key
+      has as many values as the field, not as many as the combinations
+      of every coded column.
 
-    Called on a row, it gives the single-row list the three steps make:
-    the values of the per-row fields, in order, as ``resolve`` gives them
-    (``values``, one function per field), then the row's decision.
+    Called on a row, it gives the single-row list those steps make: the
+    values of the per-row fields, in order, as ``resolve`` gives them
+    (``values``, one function per field), the decisions on the fields
+    decided apart, in order, then the row's decision.
     """
 
     key_of: Callable[[Sequence[str]], Any]
@@ -500,6 +560,7 @@ class CompiledTable:
     pick: Callable[[Sequence[str]], Any]
     width: int
     values: tuple[Callable[[Sequence[str]], Any], ...]
+    apart: tuple[tuple[Callable[[Sequence[str]], Any], Memo], ...] = ()
 
     def padded(self, row: Sequence[str]) -> list[str]:
         return [*row, *[""] * (self.width - len(row))]
@@ -507,7 +568,11 @@ class CompiledTable:
     def __call__(self, row: Sequence[str]) -> list:
         if len(row) < self.width:
             row = self.padded(row)
-        return [*(value(row) for value in self.values), self.decisions[self.key_of(row)]]
+        return [
+            *(value(row) for value in self.values),
+            *(memo[key_of(row)] for key_of, memo in self.apart),
+            self.decisions[self.key_of(row)],
+        ]
 
 
 def _text(value: Optional[str]) -> str:

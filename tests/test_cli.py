@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import crashbench
 from crashbench import cli
 from crashbench.cli import main
+from crashbench.mapping import AbsentColumnWarning
 from crashbench.power import PowerQuery, required_mileage
 from crashbench.report import parse_rate_table
 
@@ -683,6 +685,37 @@ class TestGoldenOutputs:
             covered = [(row["geo"], row["road"], row["outcome"]) for row in csv.DictReader(fh)]
         assert sorted(covered) == sorted(severity)
 
+
+    def test_fixture_run_warns_of_no_absent_column(self, run_args):
+        args, _ = run_args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AbsentColumnWarning)
+            assert main(["run", *args]) == 0
+
+    def test_renamed_bound_column_warns_naming_it(self, fixtures_dir, tmp_path):
+        # With Veh_Body_Styl_ID renamed, every unit's class comes from its
+        # derive rules or falls to Unknown; the run still exits 0, and its
+        # stderr names the column once.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs)
+        units = inputs / "tx_units.csv"
+        text = units.read_text(encoding="utf-8")
+        units.write_text(text.replace("Veh_Body_Styl_ID", "Veh_Body_Style", 1), encoding="utf-8")
+        src = Path(crashbench.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "crashbench.cli", "run",
+             "--config", str(inputs / "run.ini"), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if "AbsentColumnWarning" in line]
+        assert len(warned) == 1, proc.stderr
+        assert warned[0].endswith(
+            "AbsentColumnWarning: tx/unit: header lacks 'Veh_Body_Styl_ID' "
+            "(read by unit.vehicle_class); each reads as empty"
+        )
+        report = json.loads((tmp_path / "out" / "report_2023.json").read_text())
+        assert report["diagnostics"]["ingest"][0]["unknown_counts"]["unit.vehicle_class"] == 56
 
     def test_repeated_unit_row_counts_once(self, fixtures_dir, tmp_path):
         # A copied unit row is skipped, so the rate tables are the clean

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from crashbench import ingest
 from crashbench.ingest import (
     FileCachedGeocoder,
     GeocodeRequest,
@@ -22,7 +23,14 @@ from crashbench.ingest import (
     load_share_table,
     load_vmt_table,
 )
-from crashbench.mapping import Column, MappingConfig, float_or_none
+from crashbench.mapping import (
+    UNIT_FIELDS,
+    UNIT_REQUIRED,
+    AbsentColumnWarning,
+    Column,
+    MappingConfig,
+    float_or_none,
+)
 from crashbench.model import (
     ConfigError,
     CrashRecord,
@@ -278,6 +286,7 @@ def _raw_value(codes: list[str]):
     return written | junk
 
 
+@pytest.mark.filterwarnings("ignore::crashbench.mapping.AbsentColumnWarning")
 @pytest.mark.parametrize("name", BUILTIN_MAPPINGS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -301,6 +310,45 @@ def test_compiled_resolvers_match_resolve(builtin_mappings, name, data):
         *values, degraded = compiled(row)
         for fname, value in zip(fields, values, strict=True):
             assert (value, fname in degraded) == config.resolve(fname, as_dict), fname
+
+
+@pytest.mark.filterwarnings("ignore::crashbench.mapping.AbsentColumnWarning")
+@pytest.mark.parametrize("name", BUILTIN_MAPPINGS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fields_decided_apart_match_resolve(builtin_mappings, name, data):
+    # Each field decided apart, whatever its binding, gives what its
+    # function makes of its resolve value, and its columns leave the
+    # decision memo's key unless a decided field reads them too.
+    config = builtin_mappings[name]
+    raw = _raw_values(config)
+    header = data.draw(st.lists(st.sampled_from(sorted(raw) + ["Extra"]), unique=True))
+    fields = sorted(set(config.columns) | set(config.derives))
+    apart = data.draw(st.lists(st.sampled_from(fields), unique=True, max_size=3))
+    decided = [f for f in fields if f not in apart]
+    compiled = config.compile(
+        header, (), (), "table", decided, lambda *values: values, {f: repr for f in apart}
+    )
+    rows = st.tuples(*(_raw_value(raw.get(column, [])) for column in header))
+    for row in data.draw(st.lists(rows, min_size=1, max_size=6)):
+        row = list(row)
+        as_dict = dict(zip(header, row))
+        *apart_values, (*values, degraded) = compiled(row)
+        assert apart_values == [repr(config.resolve(f, as_dict)[0]) for f in apart]
+        for fname, value in zip(decided, values, strict=True):
+            assert (value, fname in degraded) == config.resolve(fname, as_dict), fname
+        # The key holds the decided fields' columns only: a row that differs
+        # in no decided field's column looks up the same decision.
+        read = {column for fname in decided for column in _columns_of(config, fname)}
+        blanked = [value if column in read else "" for column, value in zip(header, row)]
+        assert compiled.key_of(blanked) == compiled.key_of(row)
+
+
+def _columns_of(config: MappingConfig, fname: str) -> list[str]:
+    """The columns ``fname`` reads: its bound column and its derive rules'."""
+    binding = config.columns.get(fname)
+    read = [cond.column for rule in config.derives.get(fname, ()) for cond in rule.conditions]
+    return read + ([binding.name] if isinstance(binding, Column) else [])
 
 
 # Coordinate fields as a source might write them: numbers in and out of
@@ -1362,6 +1410,13 @@ _BINDING_VARIANTS = {
         "[dictionary.secondary_road]\nMAIN ST = MAIN STREET\nELM AVE =\n* = OTHER ROAD\n",
     ),
     "unbound coordinates": ({"latitude = Latitude\n": "", "longitude = Longitude\n": ""}, ""),
+    # Mixed-case values, decided apart from the codes (``ingest._APART``);
+    # one county maps to an empty value, which reads as absent.
+    "county dictionary": (
+        {},
+        "[dictionary.county]\nTRAVIS = travis\nWILLIAMSON = Williamson\nHAYS = hAyS\n"
+        "BEXAR =\n* = Unlisted\n",
+    ),
 }
 
 
@@ -1405,6 +1460,88 @@ class TestRowOracleBindings:
 
         records, report = load(load_crash_table)
         assert (records, report) == load(ingest_oracle.load_crash_table)
+
+    @settings(max_examples=40, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 10),
+           mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=6))
+    def test_county_dictionary_matches_row_oracle(self, variant_mappings, seed, size,
+                                                  mutations):
+        # Counties that reach each dictionary entry, the fallback and the
+        # empty value, in any case and padding, or blank.
+        mapping = variant_mappings["county dictionary"]
+        rng = random.Random(seed)
+        tables = _corpus_tables(rng, size)
+        names = ["", " ", "Travis", " travis ", "WILLIAMSON", "wiLLiamson ", "hays", "Bexar",
+                 " BEXAR", "Harris"]
+        for row in tables["crash"]:
+            row[2] = rng.choice(names)
+        for mutation in mutations:
+            _mutate(rng, tables, mutation)
+
+        def load(loader):
+            return loader(_source("crash", tables["crash"]), mapping,
+                          _source("unit", tables["unit"]), _source("person", tables["person"]))
+
+        records, report = load(load_crash_table)
+        assert (records, report) == load(ingest_oracle.load_crash_table)
+        assert {r.county for r in records} <= {"TRAVIS", "WILLIAMSON", "HAYS", "UNLISTED"}
+
+
+class TestCountyApart:
+    """The crash reader decides the county apart from the other coded
+    columns, so a statewide table's many counties do not multiply the
+    keys of its decision memo."""
+
+    def test_one_code_combination_in_many_counties_is_one_decision(self, tx_mapping):
+        counties = [f"County {i}" for i in range(40)]
+        rows = [CRASH_HEADER] + [
+            f"X{i},2023,{counties[i % len(counties)]},30.1,-97.7,MAIN ST,,B,3,24"
+            for i in range(3 * len(counties))
+        ]
+        report = ingest.IngestReport("tx")
+        with ingest._mapped_table(
+            "crash", rows, tx_mapping, ingest.CRASH_REQUIRED, ingest.CRASH_FIELDS,
+            ingest._decide_crash, report,
+        ) as (table, numbered):
+            crashes = ingest._read_crash_rows(table, numbered, set(), report)
+        ((_, county_memo),) = table.apart
+        assert len(table.decisions) == 1
+        assert sorted(county_memo) == sorted(counties)
+        assert [entry[2] for entry in crashes.values()] == [
+            counties[i % len(counties)].upper() for i in range(3 * len(counties))
+        ]
+
+    def test_missing_county_is_skipped_after_the_decisions_reason(self, tx_mapping):
+        crash = [
+            CRASH_HEADER,
+            "X1,20x3,,30.1,-97.7,MAIN ST,,B,3,24",  # the year's reason comes first
+            "X2,2023, ,30.1,-97.7,MAIN ST,,B,3,24",
+            "X3,2023,hays ,30.1,-97.7,MAIN ST,,B,3,24",
+        ]
+        records, report = load_crash_table(crash, tx_mapping)
+        assert [(s.row_number, s.reason) for s in report.skipped] == [
+            (1, "unparseable year '20x3'"), (2, "missing state or county"),
+        ]
+        assert [r.county for r in records] == ["HAYS"]
+
+
+class TestAbsentColumns:
+    """A column the mapping binds, or a derive rule reads, that the
+    header lacks reads as empty, and compiling the table warns once,
+    naming the source, the table and the columns."""
+
+    def test_lacking_columns_warn_once_naming_them(self, tx_mapping):
+        header = ["Crash_ID", "Unit_Nbr", "Veh_Parked_Fl", "Unit_Desc_ID", "Cmv_GVWR",
+                  "Cmv_Fiveton_Fl", "First_Contact_Evt_Num"]
+        with pytest.warns(AbsentColumnWarning) as caught:
+            tx_mapping.compile(header, ("unit.crash_id",), UNIT_REQUIRED, "unit",
+                               UNIT_FIELDS[1:])
+        (warning,) = caught
+        assert str(warning.message) == (
+            "tx/unit: header lacks 'Gvwr_Class' (read by unit.vehicle_class), "
+            "'Veh_Body_Styl_ID' (read by unit.vehicle_class); each reads as empty"
+        )
 
 
 class TestCrowdedCrash:

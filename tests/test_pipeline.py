@@ -31,6 +31,7 @@ from crashbench.model import (
     VehicleUnit,
     VmtRecord,
 )
+from crashbench.ingest import load_crash_table
 from crashbench.power import DEFAULT_EFFECT_RATIOS
 from crashbench.roadclass import classify_road
 from crashbench.rates import adjust_underreporting
@@ -831,6 +832,101 @@ class TestCrashRelabelling:
         changed = {k for k in digests if digests[k] != relabelled_digests[k]}
         assert changed <= {"crash:tx", "units:tx", "persons:tx"}
         assert relabelled_digests.keys() == digests.keys()
+
+
+class TestCountyRelabelling:
+    """Whole-run property: every crash row's county written in another
+    case, with spaces around it, changes no table.  The four CSVs are
+    byte-identical, and in the report only the crash table's digest
+    differs.  Ingest reads each rewritten county as the corpus's own."""
+
+    @staticmethod
+    def _rewritten(county: str, rng) -> str:
+        text = "".join(c.upper() if rng.random() < 0.5 else c.lower() for c in county)
+        return rng.choice(["", " ", "  "]) + text + rng.choice(["", " ", "  "])
+
+    @settings(max_examples=25, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(records=corpora, rng=st.randoms(use_true_random=False))
+    def test_county_case_and_padding_change_no_table(
+        self, fixtures_dir, tmp_path_factory, records, rng
+    ):
+        tables = texas_tables(records, rng)
+        rewritten = {**tables, "crash": [
+            [*row[:2], self._rewritten(row[2], rng), *row[3:]] for row in tables["crash"]
+        ]}
+        run = _CorpusRun(fixtures_dir, tmp_path_factory.mktemp("county_relabel"))
+        crash_rows = io.StringIO()
+        csv.writer(crash_rows, lineterminator="\n").writerows(
+            [run.fixture_rows["crash_table"][0], *rewritten["crash"]]
+        )
+        crash_rows.seek(0)
+        mapping = pipeline.resolve_mapping("builtin:tx", fixtures_dir)
+        loaded, _ = load_crash_table(crash_rows, mapping)
+        assert [r.county for r in loaded] == [r.county for r in records]
+        try:
+            csvs, report, _ = run("plain", tables)
+        except DataError as exc:  # an area with units to impute but none known
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                run("rewritten", rewritten)
+            return
+        rewritten_csvs, rewritten_report, _ = run("rewritten", rewritten)
+        assert len(csvs) == 4
+        assert rewritten_csvs == csvs
+        digests = report["metadata"].pop("input_digests")
+        rewritten_digests = rewritten_report["metadata"].pop("input_digests")
+        assert rewritten_report == report
+        assert rewritten_digests.keys() == digests.keys()
+        assert {k for k in digests if digests[k] != rewritten_digests[k]} <= {"crash:tx"}
+
+
+class TestExposureScaling:
+    """Whole-run property: every VMT row times 2, an exact float scaling,
+    halves every rate and interval bound bit for bit, doubles every
+    passenger VMT bit for bit and every power-grid mileage to a relative
+    1e-12, and keeps the power grid's expected ADS crashes (half the
+    rate over twice the miles) to a relative 1e-12.  The counts and the
+    crash-type distributions are byte-identical."""
+
+    STRATUM = ("geo", "state", "counties", "road", "outcome", "crash_type", "count")
+
+    @settings(max_examples=20, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(records=corpora, rng=st.randoms(use_true_random=False))
+    def test_doubled_vmt_halves_every_rate(self, fixtures_dir, tmp_path_factory, records, rng):
+        tables = texas_tables(records, rng)
+        run = _CorpusRun(fixtures_dir, tmp_path_factory.mktemp("exposure_scaling"))
+        try:
+            csvs, _, _ = run("once", tables)
+        except DataError as exc:  # an area with units to impute but none known
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                run("doubled", tables, vmt_factor=2)
+            return
+        doubled, _, _ = run("doubled", tables, vmt_factor=2)
+        assert doubled.keys() == csvs.keys() and len(csvs) == 4
+        name = "crash_type_distribution_2023.csv"
+        assert doubled[name] == csvs[name]
+
+        def rows(data: bytes) -> list[dict]:
+            return list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
+
+        for name in ("benchmark_rates_2023.csv", "crash_type_rates_2023.csv"):
+            base, got = rows(csvs[name]), rows(doubled[name])
+            assert len(got) == len(base)
+            for g, b in zip(got, base):
+                assert [g[k] for k in self.STRATUM] == [b[k] for k in self.STRATUM]
+                assert float(g["vmt_miles"]) == 2 * float(b["vmt_miles"]), (name, g, b)
+                for column in ("rate_ipmm", "ci_low_ipmm", "ci_high_ipmm"):
+                    assert float(g[column]) == float(b[column]) / 2, (name, column, g, b)
+        base, got = rows(csvs["power_grid_2023.csv"]), rows(doubled["power_grid_2023.csv"])
+        assert len(got) == len(base)
+        for g, b in zip(got, base):
+            key = ("geo", "road", "outcome", "effect_ratio")
+            assert [g[k] for k in key] == [b[k] for k in key]
+            for column, factor in (("required_miles", 2), ("target_power_miles", 2),
+                                   ("expected_ads_crashes", 1)):
+                assert math.isclose(float(g[column]), factor * float(b[column]),
+                                    rel_tol=1e-12), (column, g, b)
 
 
 class TestOutOfScopePadding:
