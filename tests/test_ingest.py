@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -1948,3 +1949,91 @@ def test_bad_delimiter_rejected(tmp_path):
     config_path.write_text("[source]\nname = b\ndelimiter = ;\n")
     with pytest.raises(ConfigError):
         MappingConfig.load(config_path)
+
+
+# Pieces of generated delimited text.  Plain fields are most lines; the
+# rest hold what makes a block need the csv module: quotes (around a
+# delimiter or a line break, or unbalanced), a bare CR, a NUL or a field
+# past a lowered field size limit; or what must not: a byte-order mark in
+# a value, or a character that ``str.splitlines`` would break a line at.
+_PLAIN_FIELD = st.text(alphabet="ab1 ", max_size=3)
+_HAZARD_FIELD = st.sampled_from([
+    '"q"', '"a,b"', '"a\tb"', '"a\nb"', '"a\r\nb"', 'x"y', '"', 'a\rb', 'a\r', "a\0b",
+    "\ufeffa", "a\x0bb", "a\x1cb", "a\u2028b", "x" * 9, "x" * 12,
+])
+_FIELD_LIMIT = 10
+_LINE = st.one_of(
+    st.lists(_PLAIN_FIELD, max_size=5),
+    st.lists(_PLAIN_FIELD, max_size=5),
+    st.lists(_PLAIN_FIELD, max_size=5),
+    st.lists(st.one_of(_PLAIN_FIELD, _HAZARD_FIELD), min_size=1, max_size=5),
+)
+
+
+def _table_events(source, delimiter: str, wide_skipped: bool, label: str) -> list:
+    """What ``_open_table`` gives for ``source``, in order: the header, each
+    numbered row and each ``skip_wide`` call, and the DataError that ends
+    it, if any, with ``label`` read as the stream's."""
+    events: list = []
+
+    def skip_wide(number, reason, row):
+        events.append(("wide", number, reason, row))
+
+    try:
+        with ingest._open_table(source, delimiter, skip_wide if wide_skipped else None) as (
+            header, rows,
+        ):
+            events.append(("header", header))
+            events.extend(rows)
+    except DataError as exc:
+        events.append(("error", str(exc).replace(label, "<StringIO>", 1)))
+    return events
+
+
+class TestBlockSplit:
+    """A table file is split block by block with ``str.split`` where that
+    reads as csv does, and by csv from the first block that does not (see
+    ``ingest._open_table``): whatever the text, its header, numbered rows,
+    skips and errors are those of csv reading the same text as a stream."""
+
+    @pytest.fixture(scope="class")
+    def table_path(self, tmp_path_factory) -> Path:
+        return tmp_path_factory.mktemp("split") / "table.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n"])), max_size=30),
+        delimiter=st.sampled_from([",", "\t"]),
+        final_line_end=st.booleans(),
+        byte_order_mark=st.booleans(),
+        block_chars=st.integers(1, 48),
+        wide_skipped=st.booleans(),
+    )
+    def test_file_reads_as_the_csv_module_reads_its_text(
+        self, table_path, lines, delimiter, final_line_end, byte_order_mark, block_chars,
+        wide_skipped,
+    ):
+        text = "".join(delimiter.join(fields) + end for fields, end in lines)
+        if lines and not final_line_end:
+            text = text.removesuffix(lines[-1][1])
+        text = ("\ufeff" if byte_order_mark else "") + text
+        table_path.write_bytes(text.encode("utf-8"))
+        # utf-8-sig drops one byte-order mark before the header.
+        stream = io.StringIO(text.removeprefix("\ufeff"), newline="\n")
+        limit = csv.field_size_limit(_FIELD_LIMIT)
+        try:
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+                from_file = _table_events(table_path, delimiter, wide_skipped, str(table_path))
+            from_csv = _table_events(stream, delimiter, wide_skipped, "<StringIO>")
+        finally:
+            csv.field_size_limit(limit)
+        assert from_file == from_csv
+
+    def test_quote_in_a_later_block_hands_over_to_csv(self, table_path):
+        rows = [f"C{i},plain {i}" for i in range(3000)]
+        rows[2500] = 'C2500,"quoted, with a comma"'
+        table_path.write_text("id,name\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        stream = io.StringIO(table_path.read_text(encoding="utf-8"), newline="\n")
+        assert _table_events(table_path, ",", True, str(table_path)) == _table_events(
+            stream, ",", True, "<StringIO>"
+        )

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, given, reject, settings, strategies as st
 
-from crashbench import pipeline
+from crashbench import ingest, pipeline
 from crashbench.model import (
     ConfigError,
     CrashRecord,
@@ -1008,6 +1008,78 @@ class TestOutOfScopePadding:
         diagnostics["records_in_year"] += in_year
         diagnostics["records_outside_areas"] += in_year
         assert padded_report == report
+
+
+class TestReEncodedInputs:
+    """Whole-run property: how the crash, unit, person and VMT tables are
+    written as CSV changes no output.  Each field quoted, CRLF line ends,
+    or one quoted field in a later block of a table tiled past one block
+    (so that csv takes over from the split blocks) give the four CSVs
+    byte-identical to the plain copy's, and in the report only the input
+    digests differ (see ``ingest._open_table``)."""
+
+    TABLES = ("crash_table", "units_table", "persons_table", "vmt_table")
+    # Tiles that put each of the fixture's crash, unit and person tables
+    # past one block of ``ingest._BLOCK_CHARS`` characters.
+    TILES = 40
+
+    @staticmethod
+    def _run(config, tables: dict[str, list[list[str]]], work, name, encode):
+        """The four CSVs (bytes) and report of a run on ``tables``, each
+        written by ``encode`` into ``work``."""
+        (source,) = config.sources
+        paths = {}
+        for field_name, rows in tables.items():
+            paths[field_name] = work / f"{name}-{field_name}.csv"
+            paths[field_name].write_bytes(encode(field_name, rows).encode("utf-8"))
+        out = work / name
+        pipeline.run(replace(config, sources=(replace(source, **paths),), out_dir=out))
+        report = json.loads((out / "report_2023.json").read_text(encoding="utf-8"))
+        report["metadata"].pop("input_digests")
+        return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}, report
+
+    @staticmethod
+    def _written(rows, quoting=csv.QUOTE_MINIMAL, line_end="\n") -> str:
+        text = io.StringIO()
+        csv.writer(text, quoting=quoting, lineterminator=line_end).writerows(rows)
+        return text.getvalue()
+
+    @pytest.mark.parametrize("encoding", ["quoted", "crlf", "tiled, quoted in a later block"])
+    def test_re_encoded_tables_give_identical_outputs(
+        self, fixtures_dir, tmp_path_factory, encoding
+    ):
+        config = pipeline.load_run_config(fixtures_dir / "run.ini")
+        tables = {}
+        for field_name in self.TABLES:
+            path = getattr(config.sources[0], field_name)
+            with open(path, newline="", encoding="utf-8") as fh:
+                tables[field_name] = list(csv.reader(fh))
+        if encoding.startswith("tiled"):
+            for field_name in ("crash_table", "units_table", "persons_table"):
+                header, *rows = tables[field_name]
+                tables[field_name] = [header] + [
+                    [f"{row[0]}~{t}", *row[1:]] for t in range(self.TILES) for row in rows
+                ]
+        work = tmp_path_factory.mktemp("re_encoded")
+        plain = self._run(config, tables, work, "plain", lambda _, rows: self._written(rows))
+
+        def encode(field_name, rows):
+            if encoding == "quoted":
+                return self._written(rows, quoting=csv.QUOTE_ALL)
+            if encoding == "crlf":
+                return self._written(rows, line_end="\r\n")
+            lines = self._written(rows).split("\n")
+            if field_name != "vmt_table":
+                at = 3 * len(lines) // 4
+                assert len("\n".join(lines[:at])) > ingest._BLOCK_CHARS
+                first, rest = lines[at].split(",", 1)
+                lines[at] = f'"{first}",{rest}'
+            return "\n".join(lines)
+
+        csvs, report = self._run(config, tables, work, "re-encoded", encode)
+        assert len(plain[0]) == 4
+        assert csvs == plain[0]
+        assert report == plain[1]
 
 
 class TestWholeRunTiling:
